@@ -3,21 +3,22 @@
 //! cold/warm cost, batched measurement at 1/4 workers, and the offline
 //! template+fit pipeline end-to-end.
 //!
-//! Unlike the criterion micro-benchmarks this harness does its own timing
-//! and writes a machine-readable `BENCH_inference.json` at the repo root,
-//! including the speedup over the pre-plan engine (which re-traced every
-//! node's geometry and reallocated every activation buffer per
-//! measurement). `CRITERION_MEASURE_MS` bounds the per-section measuring
+//! Timed with the shared `advhunter_bench::time_per_iter` loop; writes a
+//! machine-readable `BENCH_inference.json` at the repo root, including
+//! the speedup over the pre-plan engine (which re-traced every node's
+//! geometry and reallocated every activation buffer per measurement). `CRITERION_MEASURE_MS` bounds the per-section measuring
 //! time (default 300 ms). `ADVHUNTER_KERNEL_ASSERT=1` turns the
 //! packed-kernel speedup and tune-cache floors into hard asserts (for CI).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use advhunter::offline::collect_template;
+use advhunter::scenario::ScenarioId;
 use advhunter::{Detector, DetectorConfig, ExecOptions, Parallelism};
+use advhunter_bench::{measure_budget, time_per_iter};
 use advhunter_data::{scenarios, SplitSizes};
 use advhunter_exec::TraceEngine;
-use advhunter_nn::{gemm_geometries, models};
+use advhunter_nn::gemm_geometries;
 use advhunter_tensor::init;
 use advhunter_tensor::ops::{
     gemm_packed_bias_into, linear_into, linear_packed_bias_into, matmul_into, GemmOpKind,
@@ -33,40 +34,12 @@ use rand::SeedableRng;
 /// reported against.
 const PRE_PR_SINGLE_IMAGE_US: f64 = 2297.7;
 
-fn measure_budget() -> Duration {
-    let ms = std::env::var("CRITERION_MEASURE_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300u64);
-    Duration::from_millis(ms)
-}
-
-/// Runs `f` repeatedly for about `budget`, returning (best µs per
-/// iteration, iterations). The best — not the mean — estimates the cost of
-/// the code itself: anything else that runs on the machine only ever adds
-/// time.
-fn time_per_iter<F: FnMut()>(budget: Duration, mut f: F) -> (f64, u64) {
-    f(); // warm-up
-    let start = Instant::now();
-    let mut iters = 0u64;
-    let mut best = Duration::MAX;
-    while start.elapsed() < budget || iters == 0 {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-        iters += 1;
-    }
-    (best.as_secs_f64() * 1e6, iters)
-}
-
 fn main() {
-    if std::env::var("PROFILE_COMPONENTS").is_ok() {
-        profile_components();
-        return;
-    }
     let budget = measure_budget();
-    let mut rng = StdRng::seed_from_u64(1);
-    let model = models::case_study_cnn(&[3, 32, 32], 10, &mut rng);
+    let model = ScenarioId::CaseStudy
+        .spec()
+        .build_graph(&mut StdRng::seed_from_u64(1))
+        .expect("checked-in spec compiles");
 
     advhunter_bench::section("Inference throughput (case-study CNN, 3x32x32)");
 
@@ -305,120 +278,4 @@ fn main() {
         );
         println!("ADVHUNTER_KERNEL_ASSERT: packed-kernel floors hold");
     }
-}
-
-#[allow(dead_code)]
-fn profile_components() {
-    let budget = measure_budget();
-    let mut rng = StdRng::seed_from_u64(1);
-    let model = models::case_study_cnn(&[3, 32, 32], 10, &mut rng);
-    let engine = TraceEngine::new(&model);
-    let image = init::uniform(&mut StdRng::seed_from_u64(5), &[3, 32, 32], 0.0, 1.0);
-
-    let mut ws = model.workspace(1);
-    let (fwd_us, _) = time_per_iter(budget, || {
-        model.forward_with(&image, advhunter_nn::Mode::Eval, &mut ws);
-        std::hint::black_box(&ws);
-    });
-    println!("forward_with (reference loops): {fwd_us:>10.1} µs/iter");
-
-    let kernels = advhunter_exec::tuned_kernels(&model, None);
-    let (pfwd_us, _) = time_per_iter(budget, || {
-        model.forward_with_kernels(&image, advhunter_nn::Mode::Eval, &mut ws, &kernels);
-        std::hint::black_box(&ws);
-    });
-    println!("forward_with_kernels (packed): {pfwd_us:>10.1} µs/iter");
-
-    let (tc_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(engine.true_counts(&model, &image));
-    });
-    println!("true_counts (fwd + trace): {tc_us:>10.1} µs/iter");
-
-    let mut rng = StdRng::seed_from_u64(2);
-    let (m_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(engine.measure(&model, &image, &mut rng));
-    });
-    println!("measure (fwd + trace + noise): {m_us:>10.1} µs/iter");
-
-    // Raw access volume of one trace.
-    let counts = engine.true_counts(&model, &image);
-    for e in advhunter_uarch::HpcEvent::ALL {
-        println!("  {e:?}: {}", counts.get(e));
-    }
-
-    // Conv gemm in isolation (conv2 geometry: 16ch 32x32 -> 16ch).
-    use advhunter_tensor::ops::{conv2d_into, Conv2dScratch, Conv2dSpec};
-    let spec = Conv2dSpec::new(16, 16, 3, 1, 1);
-    let x = init::uniform(&mut StdRng::seed_from_u64(8), &[1, 16, 32, 32], -1.0, 1.0);
-    let w = init::uniform(&mut StdRng::seed_from_u64(9), &[16, 16 * 9], -0.1, 0.1);
-    let b = init::uniform(&mut StdRng::seed_from_u64(10), &[16], -0.1, 0.1);
-    let mut out = advhunter_tensor::Tensor::zeros(&[1, 16, 32, 32]);
-    let mut cs = Conv2dScratch::new(16, 32, 32, &spec);
-    let (conv_us, _) = time_per_iter(budget, || {
-        conv2d_into(&x, &w, &b, &spec, &mut cs, &mut out);
-        std::hint::black_box(&out);
-    });
-    println!("conv2d_into conv2-sized: {conv_us:>10.1} µs/iter");
-
-    // Bare gemm of the conv2 lowering: [16,144] x [144,1024].
-    use advhunter_tensor::ops::matmul_into;
-    let ga = init::uniform(&mut StdRng::seed_from_u64(11), &[16, 144], -0.1, 0.1);
-    let gb = init::uniform(&mut StdRng::seed_from_u64(12), &[144, 1024], -1.0, 1.0);
-    let mut gout = advhunter_tensor::Tensor::zeros(&[16, 1024]);
-    let (gemm_us, _) = time_per_iter(budget, || {
-        matmul_into(&ga, &gb, &mut gout);
-        std::hint::black_box(&gout);
-    });
-    println!("matmul_into 16x144x1024: {gemm_us:>10.1} µs/iter");
-
-    // CounterGroup construction cost.
-    let (cg_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(advhunter_uarch::CounterGroup::new(
-            advhunter_uarch::MachineConfig::default(),
-        ));
-    });
-    println!("CounterGroup::new: {cg_us:>10.1} µs/iter");
-
-    // Trace-side cost decomposition on a raw CounterGroup.
-    use advhunter_uarch::{CounterGroup, MachineConfig};
-    let mut g = CounterGroup::new(MachineConfig::default());
-    let (reset_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        std::hint::black_box(&g);
-    });
-    println!("reset_machine: {reset_us:>10.1} µs/iter");
-
-    // fc1-like weight stream: 16384 cold lines (1 MiB) through L1d + LLC.
-    let (stream_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        g.stream_read(0x100000, 16384);
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("stream_read 16384 cold lines (incl reset): {stream_us:>10.1} µs/iter");
-
-    // conv-like warm re-stream: same 1024 lines looped 16x (mostly hits).
-    let (warm_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        for _ in 0..16 {
-            g.stream_read(0x100000, 1024);
-        }
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("stream_read 16x1024 warm lines (incl reset): {warm_us:>10.1} µs/iter");
-
-    // Tile-loop shape: scattered single loads like the activation probes.
-    let (tile_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        for i in 0..2048u64 {
-            g.load(0x100000 + i * 64);
-        }
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("2048 single loads (incl reset): {tile_us:>10.1} µs/iter");
 }

@@ -9,14 +9,16 @@
 //! hardware the offline stages scale near-linearly because each item owns
 //! its trace simulator or EM fit outright.
 
+use std::hint::black_box;
+
 use advhunter::offline::collect_template;
 use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism};
+use advhunter_bench::bench_function;
 use advhunter_data::Dataset;
 use advhunter_exec::TraceEngine;
 use advhunter_nn::{Graph, GraphBuilder};
 use advhunter_tensor::init;
 use advhunter_uarch::{HpcEvent, HpcSample};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,38 +70,30 @@ fn synthetic_template(classes: usize, samples_per_class: usize) -> OfflineTempla
 }
 
 /// Offline stage 1: per-image instrumented traces over the worker pool.
-fn bench_collect_template(c: &mut Criterion) {
+fn bench_collect_template() {
     let (model, engine, ds) = toy_setup();
     for threads in THREAD_COUNTS {
         let opts = ExecOptions::seeded(7).with_threads(threads);
-        c.bench_function(&format!("offline/collect_template/{threads}t"), |b| {
-            b.iter(|| {
-                black_box(collect_template(
-                    &engine,
-                    &model,
-                    black_box(&ds),
-                    None,
-                    &opts,
-                ))
-            })
+        bench_function(&format!("offline/collect_template/{threads}t"), || {
+            collect_template(&engine, &model, black_box(&ds), None, &opts)
         });
     }
 }
 
 /// Offline stage 2: the per-(class, event) GMM bank fit.
-fn bench_fit_gmm_bank(c: &mut Criterion) {
+fn bench_fit_gmm_bank() {
     let template = synthetic_template(10, 60);
     let config = DetectorConfig::default();
     for threads in THREAD_COUNTS {
         let opts = ExecOptions::seeded(7).with_threads(threads);
-        c.bench_function(&format!("offline/fit_gmm_bank/{threads}t"), |b| {
-            b.iter(|| black_box(Detector::fit(black_box(&template), &config, &opts).unwrap()))
+        bench_function(&format!("offline/fit_gmm_bank/{threads}t"), || {
+            Detector::fit(black_box(&template), &config, &opts).unwrap()
         });
     }
 }
 
 /// Online phase: batched NLL scoring of many queries.
-fn bench_score_batch(c: &mut Criterion) {
+fn bench_score_batch() {
     let template = synthetic_template(10, 60);
     let detector = Detector::fit(
         &template,
@@ -120,35 +114,27 @@ fn bench_score_batch(c: &mut Criterion) {
         .collect();
     for threads in THREAD_COUNTS {
         let parallelism = Parallelism::new(threads);
-        c.bench_function(&format!("online/score_batch_8k/{threads}t"), |b| {
-            b.iter(|| {
-                black_box(detector.score_batch(
-                    black_box(&queries),
-                    HpcEvent::CacheMisses,
-                    &parallelism,
-                ))
-            })
+        bench_function(&format!("online/score_batch_8k/{threads}t"), || {
+            detector.score_batch(black_box(&queries), HpcEvent::CacheMisses, &parallelism)
         });
     }
 }
 
 /// Raw batched measurement throughput (trace simulation dominated).
-fn bench_measure_batch(c: &mut Criterion) {
+fn bench_measure_batch() {
     let (model, engine, ds) = toy_setup();
     let images = &ds.images()[..16];
     for threads in THREAD_COUNTS {
         let parallelism = Parallelism::new(threads);
-        c.bench_function(&format!("exec/measure_batch_16/{threads}t"), |b| {
-            b.iter(|| black_box(engine.measure_batch(&model, black_box(images), 7, &parallelism)))
+        bench_function(&format!("exec/measure_batch_16/{threads}t"), || {
+            engine.measure_batch(&model, black_box(images), 7, &parallelism)
         });
     }
 }
 
-criterion_group!(
-    benches,
-    bench_collect_template,
-    bench_fit_gmm_bank,
-    bench_score_batch,
-    bench_measure_batch
-);
-criterion_main!(benches);
+fn main() {
+    bench_collect_template();
+    bench_fit_gmm_bank();
+    bench_score_batch();
+    bench_measure_batch();
+}

@@ -10,38 +10,13 @@
 //! `telemetry_*` fields next to the throughput numbers it qualifies.
 //! `CRITERION_MEASURE_MS` bounds the per-section measuring time.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use advhunter_bench::{measure_budget, time_per_iter};
 use advhunter_exec::TraceEngine;
 use advhunter_tensor::init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn measure_budget() -> Duration {
-    let ms = std::env::var("CRITERION_MEASURE_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300u64);
-    Duration::from_millis(ms)
-}
-
-/// Runs `f` repeatedly for about `budget`, returning (best µs per
-/// iteration, iterations). The best — not the mean — estimates the cost of
-/// the code itself: anything else that runs on the machine only ever adds
-/// time.
-fn time_per_iter<F: FnMut()>(budget: Duration, mut f: F) -> (f64, u64) {
-    f(); // warm-up
-    let start = Instant::now();
-    let mut iters = 0u64;
-    let mut best = Duration::MAX;
-    while start.elapsed() < budget || iters == 0 {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-        iters += 1;
-    }
-    (best.as_secs_f64() * 1e6, iters)
-}
 
 fn main() {
     let budget = measure_budget();

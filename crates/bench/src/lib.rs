@@ -4,7 +4,10 @@
 //! Each table/figure has a dedicated `harness = false` bench target (see
 //! `benches/`); `cargo bench --workspace` therefore reproduces the whole
 //! evaluation. The helpers here handle scenario construction, detector
-//! fitting, histogram rendering, and consistent report formatting.
+//! fitting, histogram rendering, consistent report formatting, and the one
+//! timing loop every micro- and throughput benchmark shares.
+
+use std::time::{Duration, Instant};
 
 use advhunter::experiment::{measure_dataset, LabeledSample};
 use advhunter::offline::OfflineTemplate;
@@ -179,6 +182,56 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// The measuring window per timed benchmark: `CRITERION_MEASURE_MS`
+/// milliseconds (default 300).
+pub fn measure_budget() -> Duration {
+    let ms = std::env::var("CRITERION_MEASURE_MS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(300u64);
+    Duration::from_millis(ms)
+}
+
+/// Runs `f` repeatedly for about `budget`, returning (best µs per
+/// iteration, iterations). The best — not the mean — estimates the cost of
+/// the code itself: anything else that runs on the machine only ever adds
+/// time.
+pub fn time_per_iter<F: FnMut()>(budget: Duration, mut f: F) -> (f64, u64) {
+    f(); // warm-up
+    let start = Instant::now();
+    let mut iters = 0u64;
+    let mut best = Duration::MAX;
+    while start.elapsed() < budget || iters == 0 {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed());
+        iters += 1;
+    }
+    (best.as_secs_f64() * 1e6, iters)
+}
+
+/// Times `f` for one [`measure_budget`] window and prints one row: the
+/// benchmark id, the best time per iteration, and the iteration count.
+/// `f`'s result goes through `black_box`, so the work is never elided.
+pub fn bench_function<O>(id: &str, mut f: impl FnMut() -> O) {
+    let (us, iters) = time_per_iter(measure_budget(), || {
+        std::hint::black_box(f());
+    });
+    println!("{id:<48} {:>14}/iter  ({iters} iterations)", format_us(us));
+}
+
+fn format_us(us: f64) -> String {
+    if us < 1.0 {
+        format!("{:.1} ns", us * 1e3)
+    } else if us < 1e3 {
+        format!("{us:.2} µs")
+    } else if us < 1e6 {
+        format!("{:.2} ms", us / 1e3)
+    } else {
+        format!("{:.3} s", us / 1e6)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +250,19 @@ mod tests {
         let b: Vec<f64> = (0..100).map(|i| 10.0 + i as f64 / 100.0).collect();
         assert!(distribution_overlap(&a, &b, 10) < 0.01);
         assert_eq!(distribution_overlap(&a, &[], 10), 0.0);
+    }
+
+    #[test]
+    fn timing_loop_runs_at_least_once_and_formats_units() {
+        let mut calls = 0u32;
+        let (us, iters) = time_per_iter(Duration::ZERO, || calls += 1);
+        assert_eq!(iters, 1);
+        assert_eq!(calls, 2, "one warm-up call plus one timed call");
+        assert!(us >= 0.0);
+        assert!(format_us(0.012).ends_with("ns"));
+        assert!(format_us(12.0).ends_with("µs"));
+        assert!(format_us(12_000.0).ends_with("ms"));
+        assert!(format_us(2e6).ends_with('s'));
     }
 
     #[test]

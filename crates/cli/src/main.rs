@@ -75,6 +75,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -188,6 +189,98 @@ fn parse_model(args: &[String]) -> Result<(ModelArg, Vec<String>), String> {
     }
 }
 
+/// A cursor over a subcommand's flag arguments. Each subcommand matches
+/// the flags it accepts and rejects every other one with
+/// [`Flags::unknown`], so flag sets stay per-subcommand while the value
+/// handling and its error text are shared.
+struct Flags<'a> {
+    args: &'a [String],
+    next: usize,
+    /// The flag last returned by [`Flags::next_flag`], named in errors.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Self {
+            args,
+            next: 0,
+            flag: "",
+        }
+    }
+
+    /// The next flag, or `None` once every argument is consumed.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.value_opt()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, if there is one.
+    fn value_opt(&mut self) -> Option<&'a str> {
+        let value = self.args.get(self.next)?;
+        self.next += 1;
+        Some(value)
+    }
+
+    /// The current flag's value; `what` describes it in the error
+    /// (`--store needs a directory`).
+    fn value(&mut self, what: &str) -> Result<&'a str, String> {
+        self.value_opt()
+            .ok_or_else(|| format!("{} needs {what}", self.flag))
+    }
+
+    /// The current flag's value parsed as a number.
+    fn number<T: FromStr>(&mut self) -> Result<T, String> {
+        self.value("a number")?
+            .parse()
+            .map_err(|_| format!("{} needs a number", self.flag))
+    }
+
+    /// The error for a flag the subcommand does not accept.
+    fn unknown(&self) -> String {
+        format!("unknown flag {}", self.flag)
+    }
+}
+
+/// The offline-pipeline selection flags — `--tiny`, `--seed N` and
+/// `--store DIR` — of which each subcommand accepts its own subset.
+#[derive(Default)]
+struct PipelineFlags {
+    tiny: bool,
+    seed: Option<u64>,
+    store: Option<String>,
+}
+
+impl PipelineFlags {
+    /// The pipeline configuration and artifact store these flags select
+    /// for `model`: the spec's defaults (shrunk under `--tiny`, reseeded
+    /// under `--seed`) over the `--store` directory or the shared store.
+    fn resolve(&self, model: &ModelArg) -> Result<(PipelineConfig, ArtifactStore), String> {
+        let mut config = PipelineConfig::for_spec(Arc::clone(&model.spec));
+        if self.tiny {
+            config = config.with_sizes(tiny_sizes());
+        }
+        if let Some(seed) = self.seed {
+            config = config.with_seed(seed);
+        }
+        let store = match &self.store {
+            Some(dir) => ArtifactStore::open(dir),
+            None => ArtifactStore::shared(),
+        }
+        .map_err(|e| e.to_string())?;
+        Ok((config, store))
+    }
+}
+
+/// The smoke-test split used by `--tiny` across subcommands.
+fn tiny_sizes() -> SplitSizes {
+    SplitSizes {
+        train: 30,
+        val: 40,
+        test: 10,
+    }
+}
+
 fn cmd_validate(args: &[String]) -> Result<(), String> {
     if args.is_empty() {
         return Err("usage: advhunter validate <spec.ahg>...".into());
@@ -206,68 +299,23 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The smoke-test split used by `--tiny` across subcommands.
-fn tiny_sizes() -> SplitSizes {
-    SplitSizes {
-        train: 30,
-        val: 40,
-        test: 10,
-    }
-}
-
 fn cmd_pipeline(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
-    let mut store_dir: Option<String> = None;
+    let mut pipeline = PipelineFlags::default();
     let mut force = false;
-    let mut tiny = false;
-    let mut seed: Option<u64> = None;
     let mut metrics_json: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                store_dir = Some(args.get(i + 1).ok_or("--store needs a directory")?.clone());
-                i += 2;
-            }
-            "--force" => {
-                force = true;
-                i += 1;
-            }
-            "--tiny" => {
-                tiny = true;
-                i += 1;
-            }
-            "--seed" => {
-                seed = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--seed needs a number")?,
-                );
-                i += 2;
-            }
-            "--metrics-json" => {
-                metrics_json = Some(
-                    args.get(i + 1)
-                        .ok_or("--metrics-json needs a path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other}")),
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--store" => pipeline.store = Some(flags.value("a directory")?.to_string()),
+            "--force" => force = true,
+            "--tiny" => pipeline.tiny = true,
+            "--seed" => pipeline.seed = Some(flags.number()?),
+            "--metrics-json" => metrics_json = Some(flags.value("a path")?.to_string()),
+            _ => return Err(flags.unknown()),
         }
     }
-    let mut config = PipelineConfig::for_spec(Arc::clone(&model.spec));
-    if tiny {
-        config = config.with_sizes(tiny_sizes());
-    }
-    if let Some(seed) = seed {
-        config = config.with_seed(seed);
-    }
-    let store = match store_dir {
-        Some(dir) => ArtifactStore::open(dir),
-        None => ArtifactStore::shared(),
-    }
-    .map_err(|e| e.to_string())?;
+    let (config, store) = pipeline.resolve(&model)?;
     println!(
         "{} offline pipeline, store {}",
         model.label,
@@ -279,7 +327,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         .run()
         .map_err(|e| e.to_string())?;
     let total_ms = start.elapsed().as_millis();
-    println!("{:<18} {:<18} {}", "stage", "fingerprint", "status");
+    println!("{:<18} {:<18} status", "stage", "fingerprint");
     for s in &report.stages {
         println!(
             "{:<18} {:<18} {}",
@@ -325,118 +373,46 @@ struct AttackFlags {
     capacity: usize,
     batch: usize,
     shed: bool,
-    tiny: bool,
+    /// Only `--tiny`: the stream always runs against the shared store.
+    pipeline: PipelineFlags,
     fingerprint: Option<FingerprintConfig>,
     fusion: FusionPolicy,
     metrics_json: Option<String>,
 }
 
-impl AttackFlags {
-    /// Split sizes for the pipeline: the scenario default, or a
-    /// smoke-test split under `--tiny`.
-    fn sizes(&self) -> Option<SplitSizes> {
-        self.tiny.then_some(tiny_sizes())
-    }
-}
-
 fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
-    let mut attack_name = "fgsm".to_string();
+    let mut attack_name = "fgsm";
     let mut eps = 0.5f32;
     let mut targeted = false;
     let mut n = 60usize;
     let mut capacity = 64usize;
     let mut batch = 8usize;
     let mut shed = false;
-    let mut tiny = false;
+    let mut pipeline = PipelineFlags::default();
     let mut fingerprint = false;
     let mut fp = FingerprintConfig::default();
     let mut fusion = FusionPolicy::Or;
     let mut metrics_json = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--attack" => {
-                attack_name = args.get(i + 1).ok_or("--attack needs a value")?.clone();
-                i += 2;
-            }
-            "--eps" => {
-                eps = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--eps needs a number")?;
-                i += 2;
-            }
-            "--targeted" => {
-                targeted = true;
-                i += 1;
-            }
-            "-n" => {
-                n = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("-n needs a number")?;
-                i += 2;
-            }
-            "--capacity" => {
-                capacity = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--capacity needs a number")?;
-                i += 2;
-            }
-            "--batch" => {
-                batch = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--batch needs a number")?;
-                i += 2;
-            }
-            "--shed" => {
-                shed = true;
-                i += 1;
-            }
-            "--tiny" => {
-                tiny = true;
-                i += 1;
-            }
-            "--fingerprint" => {
-                fingerprint = true;
-                i += 1;
-            }
-            "--fp-window" => {
-                fp.window = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--fp-window needs a number")?;
-                fingerprint = true;
-                i += 2;
-            }
-            "--fp-threshold" => {
-                fp.match_threshold = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--fp-threshold needs a number")?;
-                fingerprint = true;
-                i += 2;
-            }
-            "--fp-quant" => {
-                fp.quant_step = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--fp-quant needs a number")?;
-                fingerprint = true;
-                i += 2;
-            }
-            "--tenants" => {
-                fp.max_tenants = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--tenants needs a number")?;
-                fingerprint = true;
-                i += 2;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        // Every `--fp-*`/`--tenants` knob implies `--fingerprint`.
+        fingerprint |= flag.starts_with("--fp-") || flag == "--tenants";
+        match flag {
+            "--attack" => attack_name = flags.value("a value")?,
+            "--eps" => eps = flags.number()?,
+            "--targeted" => targeted = true,
+            "-n" => n = flags.number()?,
+            "--capacity" => capacity = flags.number()?,
+            "--batch" => batch = flags.number()?,
+            "--shed" => shed = true,
+            "--tiny" => pipeline.tiny = true,
+            "--fingerprint" => fingerprint = true,
+            "--fp-window" => fp.window = flags.number()?,
+            "--fp-threshold" => fp.match_threshold = flags.number()?,
+            "--fp-quant" => fp.quant_step = flags.number()?,
+            "--tenants" => fp.max_tenants = flags.number()?,
             "--fusion" => {
-                fusion = match args.get(i + 1).map(String::as_str) {
+                fusion = match flags.value_opt() {
                     Some("hpc") => FusionPolicy::HpcOnly,
                     Some("fingerprint") => FusionPolicy::FingerprintOnly,
                     Some("or") => FusionPolicy::Or,
@@ -448,20 +424,12 @@ fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
                         ))
                     }
                 };
-                i += 2;
             }
-            "--metrics-json" => {
-                metrics_json = Some(
-                    args.get(i + 1)
-                        .ok_or("--metrics-json needs a path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--metrics-json" => metrics_json = Some(flags.value("a path")?.to_string()),
+            _ => return Err(flags.unknown()),
         }
     }
-    let attack = match attack_name.as_str() {
+    let attack = match attack_name {
         "fgsm" => Attack::fgsm(eps),
         "pgd" => Attack::pgd(eps),
         "mifgsm" => Attack::mi_fgsm(eps),
@@ -476,7 +444,7 @@ fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
         capacity,
         batch,
         shed,
-        tiny,
+        pipeline,
         fingerprint: fingerprint.then_some(fp),
         fusion,
         metrics_json,
@@ -504,9 +472,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 fn cmd_fit(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
     let out = args.first().ok_or("missing output path for the detector")?;
-    let store = ArtifactStore::shared().map_err(|e| e.to_string())?;
+    let (config, store) = PipelineFlags::default().resolve(&model)?;
     println!("running offline pipeline (cached stages load from the store) ...");
-    let (art, report) = Pipeline::new(PipelineConfig::for_spec(Arc::clone(&model.spec)), store)
+    let (art, report) = Pipeline::new(config, store)
         .run()
         .map_err(|e| e.to_string())?;
     save_detector(&art.detector, Path::new(out)).map_err(|e| e.to_string())?;
@@ -579,11 +547,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     // stage is a load, so the monitor boots without training, measuring,
     // or fitting anything.
     println!("offline phase: running the staged pipeline (cached stages load) ...");
-    let mut config = PipelineConfig::for_spec(Arc::clone(&model.spec));
-    if let Some(sizes) = flags.sizes() {
-        config = config.with_sizes(sizes);
-    }
-    let store = ArtifactStore::shared().map_err(|e| e.to_string())?;
+    let (config, store) = flags.pipeline.resolve(&model)?;
     let (art, report) = Pipeline::new(config, store)
         .run()
         .map_err(|e| e.to_string())?;
@@ -676,13 +640,12 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     );
 
     let start = Instant::now();
-    let mut admitted = vec![false; stream.len()];
-    for (i, (image, _)) in stream.iter().enumerate() {
-        match monitor.submit(image.clone()) {
-            Ok(_) => admitted[i] = true,
-            Err(_) => {} // shed under the shed policy; counted by the service
-        }
-    }
+    // A rejected submission was shed under the shed policy; the service
+    // counts it.
+    let admitted: Vec<bool> = stream
+        .iter()
+        .map(|(image, _)| monitor.submit(image.clone()).is_ok())
+        .collect();
     monitor.close();
 
     // Verdicts arrive in admission order; map them back onto the stream
@@ -710,7 +673,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
             clean_flagged += u64::from(v.flagged);
         }
         done += 1;
-        if done % (flags.batch as u64 * 4) == 0 {
+        if done.is_multiple_of(flags.batch as u64 * 4) {
             let s = monitor.stats();
             println!(
                 "{:>8} {:>8} {:>8} {:>9.1}% {:>9.1}%",
@@ -802,10 +765,8 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut store_dir: Option<String> = None;
-    let mut tiny = false;
-    let mut seed: Option<u64> = None;
+    let mut addr = "127.0.0.1:0";
+    let mut pipeline = PipelineFlags::default();
     let mut capacity = 64usize;
     let mut batch = 8usize;
     let mut shed = false;
@@ -813,102 +774,32 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut drift = false;
     let mut drift_config = DriftConfig::default();
     let mut control = ControlAccess::Loopback;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                addr = args.get(i + 1).ok_or("--addr needs host:port")?.clone();
-                i += 2;
-            }
-            "--store" => {
-                store_dir = Some(args.get(i + 1).ok_or("--store needs a directory")?.clone());
-                i += 2;
-            }
-            "--tiny" => {
-                tiny = true;
-                i += 1;
-            }
-            "--seed" => {
-                seed = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--seed needs a number")?,
-                );
-                i += 2;
-            }
-            "--capacity" => {
-                capacity = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--capacity needs a number")?;
-                i += 2;
-            }
-            "--batch" => {
-                batch = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--batch needs a number")?;
-                i += 2;
-            }
-            "--shed" => {
-                shed = true;
-                i += 1;
-            }
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        // Every `--drift-*` knob implies `--drift`.
+        drift |= flag.starts_with("--drift");
+        match flag {
+            "--addr" => addr = flags.value("host:port")?,
+            "--store" => pipeline.store = Some(flags.value("a directory")?.to_string()),
+            "--tiny" => pipeline.tiny = true,
+            "--seed" => pipeline.seed = Some(flags.number()?),
+            "--capacity" => capacity = flags.number()?,
+            "--batch" => batch = flags.number()?,
+            "--shed" => shed = true,
             "--watch-ms" => {
-                watch_ms = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--watch-ms needs a number (0 disables watching)")?;
-                i += 2;
+                watch_ms = flags
+                    .number()
+                    .map_err(|e| format!("{e} (0 disables watching)"))?;
             }
-            "--drift" => {
-                drift = true;
-                i += 1;
-            }
-            "--allow-remote-control" => {
-                control = ControlAccess::Any;
-                i += 1;
-            }
-            "--drift-window" => {
-                drift_config.window = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--drift-window needs a number")?;
-                drift = true;
-                i += 2;
-            }
-            "--drift-slack" => {
-                drift_config.slack = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--drift-slack needs a number")?;
-                drift = true;
-                i += 2;
-            }
-            "--drift-threshold" => {
-                drift_config.threshold = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--drift-threshold needs a number")?;
-                drift = true;
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--drift" => drift = true,
+            "--allow-remote-control" => control = ControlAccess::Any,
+            "--drift-window" => drift_config.window = flags.number()?,
+            "--drift-slack" => drift_config.slack = flags.number()?,
+            "--drift-threshold" => drift_config.threshold = flags.number()?,
+            _ => return Err(flags.unknown()),
         }
     }
-
-    let mut config = PipelineConfig::for_spec(Arc::clone(&model.spec));
-    if tiny {
-        config = config.with_sizes(tiny_sizes());
-    }
-    if let Some(seed) = seed {
-        config = config.with_seed(seed);
-    }
-    let store = match store_dir {
-        Some(dir) => ArtifactStore::open(dir),
-        None => ArtifactStore::shared(),
-    }
-    .map_err(|e| e.to_string())?;
+    let (config, store) = pipeline.resolve(&model)?;
 
     let opts = ExecOptions::seeded(0xC15);
     let mut builder = MonitorBuilder::new(opts.stage(2))
@@ -929,7 +820,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let monitor = builder
         .spawn_from_store(config, store)
         .map_err(|e| e.to_string())?;
-    let server = WireServer::bind_with(monitor, &*addr, control).map_err(|e| e.to_string())?;
+    let server = WireServer::bind_with(monitor, addr, control).map_err(|e| e.to_string())?;
     // The port-0 contract: this exact line is how scripts learn the port.
     println!("listening on {}", server.local_addr());
     println!(
@@ -963,60 +854,29 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn cmd_deploy(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
-    let mut store_dir: Option<String> = None;
-    let mut tiny = false;
+    let mut pipeline = PipelineFlags::default();
     let mut sigma: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                store_dir = Some(args.get(i + 1).ok_or("--store needs a directory")?.clone());
-                i += 2;
-            }
-            "--tiny" => {
-                tiny = true;
-                i += 1;
-            }
-            "--sigma" => {
-                sigma = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--sigma needs a number")?,
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other}")),
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--store" => pipeline.store = Some(flags.value("a directory")?.to_string()),
+            "--tiny" => pipeline.tiny = true,
+            "--sigma" => sigma = Some(flags.number()?),
+            _ => return Err(flags.unknown()),
         }
     }
-
-    let mut base = PipelineConfig::for_spec(Arc::clone(&model.spec));
-    if tiny {
-        base = base.with_sizes(tiny_sizes());
-    }
-    let store = match store_dir {
-        Some(dir) => ArtifactStore::open(dir),
-        None => ArtifactStore::shared(),
-    }
-    .map_err(|e| e.to_string())?;
+    let (base, store) = pipeline.resolve(&model)?;
 
     // Recalibrate under the requested sigma, but *publish* at the base
     // configuration's Calibrate fingerprint — that is the key a running
     // `serve --watch-ms` is polling, so the swap is picked up live.
-    let detector = match sigma {
-        Some(sigma) => {
-            let mut det = base.detector.clone();
-            det.sigma_factor = sigma;
-            let tuned = Pipeline::new(base.clone().with_detector(det), store.clone());
-            let (detector, _) = tuned.run_calibrate_only().map_err(|e| e.to_string())?;
-            detector
-        }
-        None => {
-            let (detector, _) = Pipeline::new(base.clone(), store.clone())
-                .run_calibrate_only()
-                .map_err(|e| e.to_string())?;
-            detector
-        }
-    };
+    let mut recalibrate = base.clone();
+    if let Some(sigma) = sigma {
+        recalibrate.detector.sigma_factor = sigma;
+    }
+    let (detector, _) = Pipeline::new(recalibrate, store.clone())
+        .run_calibrate_only()
+        .map_err(|e| e.to_string())?;
     let fp = Pipeline::new(base, store)
         .deploy_detector(&detector)
         .map_err(|e| e.to_string())?;
@@ -1033,5 +893,139 @@ fn rate(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    type Cmd = fn(&[String]) -> Result<(), String>;
+
+    /// Runs each subcommand on its arguments and checks the exact error.
+    fn assert_errors(cases: &[(Cmd, &[&str], &str)]) {
+        for &(cmd, list, want) in cases {
+            assert_eq!(cmd(&args(list)).unwrap_err(), want, "{list:?}");
+        }
+    }
+
+    fn spec_path(name: &str) -> String {
+        format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn flag_reader_walks_flags_and_values() {
+        let list = args(&["--tiny", "--seed", "7", "--store", "dir"]);
+        let mut flags = Flags::new(&list);
+        assert_eq!(flags.next_flag(), Some("--tiny"));
+        assert_eq!(flags.next_flag(), Some("--seed"));
+        assert_eq!(flags.number::<u64>(), Ok(7));
+        assert_eq!(flags.next_flag(), Some("--store"));
+        assert_eq!(flags.value("a directory"), Ok("dir"));
+        assert_eq!(flags.next_flag(), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_errors(&[
+            (
+                cmd_pipeline,
+                &["CASE", "--tiny", "--bogus"],
+                "unknown flag --bogus",
+            ),
+            (cmd_monitor, &["CASE", "--bogus"], "unknown flag --bogus"),
+            (cmd_serve, &["CASE", "stray"], "unknown flag stray"),
+        ]);
+    }
+
+    #[test]
+    fn missing_values_name_what_the_flag_needs() {
+        assert_errors(&[
+            (
+                cmd_pipeline,
+                &["CASE", "--store"],
+                "--store needs a directory",
+            ),
+            (
+                cmd_pipeline,
+                &["CASE", "--metrics-json"],
+                "--metrics-json needs a path",
+            ),
+            (cmd_monitor, &["CASE", "--attack"], "--attack needs a value"),
+            (cmd_serve, &["CASE", "--addr"], "--addr needs host:port"),
+            (cmd_deploy, &["CASE", "--sigma"], "--sigma needs a number"),
+        ]);
+        let err = cmd_monitor(&args(&["CASE", "--fusion"])).unwrap_err();
+        assert_eq!(
+            err,
+            "--fusion expects hpc|fingerprint|or|and, got \"nothing\""
+        );
+    }
+
+    #[test]
+    fn non_numeric_values_are_rejected() {
+        assert_errors(&[
+            (
+                cmd_pipeline,
+                &["CASE", "--seed", "x"],
+                "--seed needs a number",
+            ),
+            (
+                cmd_monitor,
+                &["CASE", "--eps", "big"],
+                "--eps needs a number",
+            ),
+            (cmd_monitor, &["CASE", "-n", "-"], "-n needs a number"),
+            (
+                cmd_serve,
+                &["CASE", "--watch-ms", "soon"],
+                "--watch-ms needs a number (0 disables watching)",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn graph_is_accepted_at_any_position() {
+        let path = spec_path("case_study.ahg");
+        for list in [
+            args(&["--graph", &path, "--tiny", "--seed", "3"]),
+            args(&["--tiny", "--graph", &path, "--seed", "3"]),
+            args(&["--tiny", "--seed", "3", "--graph", &path]),
+        ] {
+            let (model, rest) = parse_model(&list).expect("model parses");
+            assert_eq!(model.label, "case-study");
+            assert_eq!(model.spec.digest(), ScenarioId::CaseStudy.spec().digest());
+            assert_eq!(rest, args(&["--tiny", "--seed", "3"]));
+        }
+        let mut list = args(&["--tiny", "--graph", &path, "--bogus"]);
+        assert_eq!(cmd_deploy(&list).unwrap_err(), "unknown flag --bogus");
+        list.truncate(2);
+        assert_eq!(
+            cmd_deploy(&list).unwrap_err(),
+            "--graph needs a .ahg file path"
+        );
+    }
+
+    #[test]
+    fn flags_of_other_subcommands_are_rejected() {
+        assert_errors(&[
+            (cmd_deploy, &["CASE", "--seed", "1"], "unknown flag --seed"),
+            (cmd_deploy, &["CASE", "--force"], "unknown flag --force"),
+            (
+                cmd_monitor,
+                &["CASE", "--store", "dir"],
+                "unknown flag --store",
+            ),
+            (cmd_monitor, &["CASE", "--seed", "1"], "unknown flag --seed"),
+            (
+                cmd_pipeline,
+                &["CASE", "--addr", "x"],
+                "unknown flag --addr",
+            ),
+        ]);
     }
 }

@@ -51,13 +51,6 @@ pub enum FitGmmError {
     ZeroComponents,
     /// The data contained NaN or infinity.
     NonFiniteData,
-    /// Dimension mismatch in multivariate data.
-    DimensionMismatch {
-        /// Expected dimension.
-        expected: usize,
-        /// Offending row length.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for FitGmmError {
@@ -69,10 +62,6 @@ impl fmt::Display for FitGmmError {
             ),
             Self::ZeroComponents => write!(f, "a mixture needs at least one component"),
             Self::NonFiniteData => write!(f, "data contains NaN or infinite values"),
-            Self::DimensionMismatch { expected, actual } => write!(
-                f,
-                "expected rows of dimension {expected}, found a row of dimension {actual}"
-            ),
         }
     }
 }

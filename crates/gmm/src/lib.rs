@@ -4,8 +4,7 @@
 //!
 //! The detector models each (output-category, HPC-event) pair with a 1-D GMM
 //! ([`Gmm1d`]) whose component count is chosen by the Bayesian Information
-//! Criterion ([`fit_bic_1d`]). A diagonal-covariance multivariate variant
-//! ([`GmmDiag`]) is provided for the event-fusion ablation.
+//! Criterion ([`fit_bic_1d`]).
 //!
 //! # Example
 //!
@@ -24,16 +23,14 @@
 //! ```
 
 mod em;
-mod multivariate;
 mod select;
 mod univariate;
 
 pub use em::{EmConfig, FitGmmError};
-pub use multivariate::GmmDiag;
-pub use select::{fit_aic_1d, fit_bic_1d, fit_bic_diag, BicFit};
+pub use select::{fit_bic_1d, BicFit};
 pub use univariate::Gmm1d;
 
-/// Natural log of 2π, used by every Gaussian density in this crate.
+/// Natural log of 2π, used by the Gaussian density.
 pub(crate) const LN_2PI: f64 = 1.837_877_066_409_345_5;
 
 /// Numerically stable `log(Σ exp(x_i))`.

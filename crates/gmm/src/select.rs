@@ -4,7 +4,7 @@ use std::ops::RangeInclusive;
 
 use rand::Rng;
 
-use crate::{EmConfig, FitGmmError, Gmm1d, GmmDiag};
+use crate::{EmConfig, FitGmmError, Gmm1d};
 
 /// Result of BIC model selection: the winning model and the score table.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,74 +48,6 @@ pub fn fit_bic_1d(
     let mut last_err = FitGmmError::ZeroComponents;
     for k in k_range {
         match Gmm1d::fit(data, k, config, rng) {
-            Ok(model) => {
-                let bic = model.bic(data);
-                scores.push((k, bic));
-                if best.as_ref().is_none_or(|(b, _)| bic < *b) {
-                    best = Some((bic, model));
-                }
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    match best {
-        Some((_, model)) => Ok(BicFit { model, scores }),
-        None => Err(last_err),
-    }
-}
-
-/// Fits 1-D mixtures for every `k` in `k_range` and selects by the Akaike
-/// Information Criterion instead of BIC: `2p − 2 ln L`. AIC penalizes
-/// parameters less than BIC and tends to pick more components — exposed for
-/// the model-selection ablation.
-///
-/// # Errors
-///
-/// Returns [`FitGmmError`] if no candidate can be fit.
-pub fn fit_aic_1d(
-    data: &[f64],
-    k_range: RangeInclusive<usize>,
-    config: &EmConfig,
-    rng: &mut impl Rng,
-) -> Result<BicFit<Gmm1d>, FitGmmError> {
-    let mut best: Option<(f64, Gmm1d)> = None;
-    let mut scores = Vec::new();
-    let mut last_err = FitGmmError::ZeroComponents;
-    for k in k_range {
-        match Gmm1d::fit(data, k, config, rng) {
-            Ok(model) => {
-                let p = 3.0 * k as f64 - 1.0;
-                let aic = 2.0 * p - 2.0 * model.log_likelihood(data);
-                scores.push((k, aic));
-                if best.as_ref().is_none_or(|(b, _)| aic < *b) {
-                    best = Some((aic, model));
-                }
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    match best {
-        Some((_, model)) => Ok(BicFit { model, scores }),
-        None => Err(last_err),
-    }
-}
-
-/// Multivariate (diagonal-covariance) analogue of [`fit_bic_1d`].
-///
-/// # Errors
-///
-/// Returns [`FitGmmError`] if no candidate can be fit.
-pub fn fit_bic_diag(
-    data: &[Vec<f64>],
-    k_range: RangeInclusive<usize>,
-    config: &EmConfig,
-    rng: &mut impl Rng,
-) -> Result<BicFit<GmmDiag>, FitGmmError> {
-    let mut best: Option<(f64, GmmDiag)> = None;
-    let mut scores = Vec::new();
-    let mut last_err = FitGmmError::ZeroComponents;
-    for k in k_range {
-        match GmmDiag::fit(data, k, config, rng) {
             Ok(model) => {
                 let bic = model.bic(data);
                 scores.push((k, bic));
@@ -184,35 +116,5 @@ mod tests {
     fn empty_data_is_an_error() {
         let mut rng = StdRng::seed_from_u64(3);
         assert!(fit_bic_1d(&[], 1..=3, &EmConfig::default(), &mut rng).is_err());
-    }
-
-    #[test]
-    fn aic_never_picks_fewer_components_than_bic_here() {
-        let data = trimodal();
-        let mut rng = StdRng::seed_from_u64(21);
-        let bic = fit_bic_1d(&data, 1..=5, &EmConfig::default(), &mut rng).unwrap();
-        let aic = fit_aic_1d(&data, 1..=5, &EmConfig::default(), &mut rng).unwrap();
-        assert!(
-            aic.chosen_k() >= bic.chosen_k(),
-            "AIC {} vs BIC {}",
-            aic.chosen_k(),
-            bic.chosen_k()
-        );
-        assert_eq!(aic.chosen_k(), 3, "AIC also finds the three modes");
-    }
-
-    #[test]
-    fn diag_selection_works_on_clusters() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut data = Vec::new();
-        for _ in 0..100 {
-            data.push(vec![rng.gen_range(-0.2..0.2), rng.gen_range(-0.2..0.2)]);
-            data.push(vec![
-                5.0 + rng.gen_range(-0.2..0.2),
-                5.0 + rng.gen_range(-0.2..0.2),
-            ]);
-        }
-        let fit = fit_bic_diag(&data, 1..=4, &EmConfig::default(), &mut rng).unwrap();
-        assert_eq!(fit.chosen_k(), 2, "scores: {:?}", fit.scores);
     }
 }

@@ -87,16 +87,6 @@ impl MonitorBuilder {
         }
     }
 
-    /// Starts from an existing configuration instead of the defaults.
-    #[must_use]
-    pub fn from_config(config: MonitorConfig) -> Self {
-        Self {
-            config,
-            source: None,
-            watch_poll: None,
-        }
-    }
-
     /// Capacity of the bounded submission queue.
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {

@@ -58,7 +58,7 @@ pub use drift::{
 };
 pub use queue::{BoundedQueue, PushError, Pushed};
 pub use server::{ControlAccess, WireServer};
-pub use service::{Monitor, MonitorVerdict, RequestTelemetry, SpawnFromStoreError, SubmitError};
+pub use service::{Monitor, MonitorVerdict, RequestTelemetry, SubmitError};
 pub use stats::{ClassFlagStats, StatsSnapshot};
 
 // Re-export the wire-protocol request type: `Monitor::submit` takes it,

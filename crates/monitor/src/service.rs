@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use advhunter::{Detector, PipelineError, Verdict};
+use advhunter::{Detector, Verdict};
 use advhunter_exec::TraceEngine;
 use advhunter_fingerprint::{FingerprintStore, MatchReport, TenantId};
 use advhunter_nn::Graph;
@@ -45,41 +45,6 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// Why [`MonitorBuilder::spawn_from_store`](crate::MonitorBuilder::spawn_from_store)
-/// could not boot the service.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum SpawnFromStoreError {
-    /// The offline pipeline failed (store I/O or detector fit).
-    Pipeline(PipelineError),
-    /// The monitor configuration was invalid.
-    Config(MonitorConfigError),
-}
-
-impl std::fmt::Display for SpawnFromStoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Pipeline(e) => write!(f, "offline pipeline failed: {e}"),
-            Self::Config(e) => write!(f, "invalid monitor configuration: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SpawnFromStoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Pipeline(e) => Some(e),
-            Self::Config(e) => Some(e),
-        }
-    }
-}
-
-impl From<PipelineError> for SpawnFromStoreError {
-    fn from(e: PipelineError) -> Self {
-        Self::Pipeline(e)
-    }
-}
 
 /// Observational timings of one request's trip through the service.
 ///

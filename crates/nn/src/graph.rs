@@ -1119,13 +1119,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Infers the channel count a source will produce — useful when a model
-    /// builder needs shape arithmetic (e.g. DenseNet transitions halve the
-    /// accumulated channel count).
-    pub fn probe_channels(&self, src: Src) -> usize {
-        self.channels_of(src)
-    }
-
     /// Infers the channel count of a source by dry-running shapes.
     fn channels_of(&self, src: Src) -> usize {
         self.shape_of(src)[0]

@@ -1,13 +1,13 @@
-//! Weight persistence: a small explicit binary format plus a disk cache so
-//! each model trains once per machine.
+//! Weight persistence: a small explicit binary format, plus the cache
+//! directory the artifact store keeps trained models under.
 //!
 //! Format (`AHW1`): the `AHW` magic, a one-byte format version (currently
 //! `1`, making the header the familiar `AHW1` byte string), tensor count,
 //! then for each tensor its element count and little-endian `f32` payload.
 //! Weights are stored in [`Graph::param_tensors`] order followed by the
 //! batch-norm running statistics, so the format is only meaningful
-//! together with the graph structure (which the model zoo rebuilds
-//! deterministically from a seed).
+//! together with the graph structure (which a spec compiles
+//! deterministically from its model seed).
 //!
 //! [`weights_to_bytes`] / [`weights_from_bytes`] expose the encoding
 //! without touching the filesystem; the artifact store in `advhunter`
@@ -259,30 +259,6 @@ pub fn cache_dir() -> PathBuf {
     PathBuf::from("target").join("advhunter-cache")
 }
 
-/// Loads cached weights for `key` into `graph`, or runs `train` and caches
-/// the result.
-///
-/// # Errors
-///
-/// Returns [`WeightsError`] only if writing the cache after training fails.
-/// A cache file that is unreadable or mismatches the graph is treated as
-/// stale and regenerated.
-pub fn train_or_load(
-    graph: &mut Graph,
-    key: &str,
-    train: impl FnOnce(&mut Graph),
-) -> Result<bool, WeightsError> {
-    let path = cache_dir().join(format!("{key}.ahw"));
-    // Any unreadable or mismatching cache entry (stale model definition,
-    // interrupted write) is treated as absent.
-    if path.exists() && load_weights(graph, &path).is_ok() {
-        return Ok(true);
-    }
-    train(graph);
-    save_weights(graph, &path)?;
-    Ok(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,25 +326,6 @@ mod tests {
             load_weights(&mut other, &path),
             Err(WeightsError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn train_or_load_trains_once_then_hits_cache() {
-        let dir = tempdir("cache");
-        std::env::set_var("ADVHUNTER_CACHE_DIR", &dir);
-        let key = "unit-test-model";
-        let mut g1 = model(1);
-        let hit1 = train_or_load(&mut g1, key, |g| {
-            // "Training": nudge a weight so we can observe persistence.
-            g.param_tensors_mut()[0].data_mut()[0] = 42.0;
-        })
-        .unwrap();
-        assert!(!hit1, "first call trains");
-        let mut g2 = model(3);
-        let hit2 = train_or_load(&mut g2, key, |_| panic!("must not retrain")).unwrap();
-        assert!(hit2, "second call loads");
-        assert_eq!(g2.param_tensors()[0].data()[0], 42.0);
-        std::env::remove_var("ADVHUNTER_CACHE_DIR");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! From-scratch neural networks: layers, a small computation graph with
-//! manual backpropagation, optimizers, a training loop, and the micro CNN
-//! model zoo used by the AdvHunter reproduction.
+//! manual backpropagation, optimizers, a training loop, and the `.ahg`
+//! graph specs that define the micro CNNs of the AdvHunter reproduction.
 //!
 //! The paper runs PyTorch CNNs (EfficientNet, ResNet18, DenseNet201 plus a
 //! 4-conv/2-fc case-study CNN). This crate rebuilds that substrate natively:
@@ -14,14 +14,14 @@
 //!   inference, and a compiler into [`Graph`]. This is the open model API;
 //!   any architecture expressible with the ops above can be brought in as a
 //!   text file.
-//! * [`variants`] — a generated library of width/depth sweeps of the four
-//!   paper families plus an encoder–decoder topology, as specs.
-//! * [`models`] — deprecated hardcoded builders for the four paper
-//!   architectures, kept as shims over the checked-in specs.
+//! * [`variants`] — the four paper architectures as specs
+//!   ([`variants::canonical_scenarios`], checked in as `specs/*.ahg`) plus a
+//!   generated library of width/depth sweeps of each family and an
+//!   encoder–decoder topology.
 //! * [`train`] — Adam/SGD optimizers and a batched training loop.
 //! * [`record`] — per-activation-layer neuron statistics (paper Figure 1).
-//! * [`io`] — a small binary weight format plus a disk cache so models train
-//!   once per machine.
+//! * [`io`] — a small binary weight format plus the cache directory the
+//!   artifact store keeps trained models under.
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@ mod workspace;
 
 pub mod augment;
 pub mod io;
-pub mod models;
 pub mod record;
 pub mod spec;
 pub mod train;

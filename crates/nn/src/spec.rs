@@ -52,7 +52,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::train::TrainConfig;
-use crate::{Graph, GraphBuilder, Op, Src};
+use crate::{Graph, GraphBuilder, Src};
 
 /// The `.ahg` format version this build reads and writes.
 pub const SPEC_VERSION: u32 = 1;
@@ -628,77 +628,6 @@ impl GraphSpec {
         Ok(b.build())
     }
 
-    /// Recovers the architecture of a built [`Graph`] as a spec (weights
-    /// are discarded; the hyperparameters they were drawn from remain).
-    /// Metadata fields are filled with placeholders for the caller to
-    /// overwrite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's input is not 3-dimensional CHW.
-    #[must_use]
-    pub fn from_graph(graph: &Graph) -> Self {
-        let dims = graph.input_dims();
-        assert_eq!(dims.len(), 3, "graph input must be CHW");
-        let nodes = graph
-            .nodes()
-            .iter()
-            .map(|n| SpecNode {
-                name: n.name.clone(),
-                op: match &n.op {
-                    Op::Conv2d(l) => SpecOp::Conv2d {
-                        out_channels: l.spec.out_channels,
-                        kernel: l.spec.kernel,
-                        stride: l.spec.stride,
-                        padding: l.spec.padding,
-                    },
-                    Op::DwConv2d(l) => SpecOp::DwConv2d {
-                        kernel: l.spec.kernel,
-                        stride: l.spec.stride,
-                        padding: l.spec.padding,
-                    },
-                    Op::Linear(l) => SpecOp::Linear {
-                        out_features: l.weight.shape().dim(0),
-                    },
-                    Op::BatchNorm2d(_) => SpecOp::BatchNorm2d,
-                    Op::ReLU => SpecOp::ReLU,
-                    Op::LeakyReLU { alpha } => SpecOp::LeakyReLU { alpha: *alpha },
-                    Op::SiLU => SpecOp::SiLU,
-                    Op::Sigmoid => SpecOp::Sigmoid,
-                    Op::Tanh => SpecOp::Tanh,
-                    Op::MaxPool2d { k, s } => SpecOp::MaxPool2d { k: *k, s: *s },
-                    Op::AvgPool2d { k, s } => SpecOp::AvgPool2d { k: *k, s: *s },
-                    Op::GlobalAvgPool => SpecOp::GlobalAvgPool,
-                    Op::Flatten => SpecOp::Flatten,
-                    Op::Add => SpecOp::Add,
-                    Op::ConcatChannels => SpecOp::ConcatChannels,
-                    Op::ScaleChannels => SpecOp::ScaleChannels,
-                },
-                inputs: n
-                    .inputs
-                    .iter()
-                    .map(|s| match s {
-                        Src::Input => SpecSrc::Input,
-                        Src::Node(i) => SpecSrc::Node(*i),
-                    })
-                    .collect(),
-            })
-            .collect();
-        Self {
-            name: "unnamed".into(),
-            model: "unnamed".into(),
-            dataset: "cifar10-like".into(),
-            input: [dims[0], dims[1], dims[2]],
-            classes: 0,
-            target_class: 0,
-            dataset_seed: 0,
-            model_seed: 0,
-            sizes: SpecSizes::default(),
-            train: TrainConfig::default(),
-            nodes,
-        }
-    }
-
     /// The canonical serialization: fixed directive order, every metadata
     /// field explicit, no comments, input references only where they
     /// deviate from the previous-node default. Two specs are semantically
@@ -1164,25 +1093,6 @@ node fc linear 4
         let x = advhunter_tensor::Tensor::zeros(&[2, 3, 8, 8]);
         let t = g.forward(&x, crate::Mode::Eval);
         assert_eq!(t.output().shape().dims(), &[2, 4]);
-    }
-
-    #[test]
-    fn from_graph_round_trips_the_architecture() {
-        let spec = GraphSpec::parse(TINY).expect("parse");
-        let g = spec
-            .build_graph(&mut StdRng::seed_from_u64(1))
-            .expect("compile");
-        let mut back = GraphSpec::from_graph(&g);
-        back.name = spec.name.clone();
-        back.model = spec.model.clone();
-        back.dataset = spec.dataset.clone();
-        back.classes = spec.classes;
-        back.target_class = spec.target_class;
-        back.dataset_seed = spec.dataset_seed;
-        back.model_seed = spec.model_seed;
-        back.sizes = spec.sizes;
-        back.train = spec.train;
-        assert_eq!(spec, back);
     }
 
     #[test]
