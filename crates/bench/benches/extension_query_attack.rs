@@ -84,12 +84,14 @@ fn main() {
     // a window long enough to hold a whole gradient burst, and a
     // correlation threshold tuned to the min-hash Jaccard of antithetic
     // probe pairs.
-    let mut fp = FingerprintConfig::default();
-    fp.quant_step = 0.1;
-    fp.probe_window = 8;
-    fp.stride = 2;
-    fp.window = 2048;
-    fp.match_threshold = 0.25;
+    let fp = FingerprintConfig {
+        quant_step: 0.1,
+        probe_window: 8,
+        stride: 2,
+        window: 2048,
+        match_threshold: 0.25,
+        ..FingerprintConfig::default()
+    };
     let monitor = MonitorBuilder::new(ExecOptions::seeded(0xF1D2))
         .queue_capacity((n_clean + attack_queries).max(1))
         .micro_batch(16)

@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the substrates: cache-simulator throughput, branch
-//! prediction, convolution, GMM fitting, instrumented inference, and online
-//! detector scoring. Each row is the best time per iteration of the shared
+//! prediction, convolution (dense and depthwise), SiLU, GMM fitting,
+//! instrumented inference, and online detector scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
@@ -11,7 +11,7 @@ use advhunter_bench::bench_function;
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::Mode;
-use advhunter_tensor::ops::{conv2d, Conv2dSpec};
+use advhunter_tensor::ops::{conv2d, dwconv2d_into, silu_into, Conv2dSpec};
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
 use rand::rngs::StdRng;
@@ -47,6 +47,39 @@ fn bench_conv2d() {
     let bias = Tensor::zeros(&[16]);
     bench_function("conv2d_16x16_32x32", || {
         conv2d(black_box(&x), &w, &bias, &spec)
+    });
+}
+
+/// S1's two depthwise layers: mb1.dw (32 channels, 28x28, stride 2) and
+/// mb2.dw (48 channels, 14x14, stride 1).
+fn bench_dwconv2d() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for (name, c, hw, stride) in [
+        ("dwconv2d_s1_mb1_32x28x28_s2", 32, 28, 2),
+        ("dwconv2d_s1_mb2_48x14x14_s1", 48, 14, 1),
+    ] {
+        let spec = Conv2dSpec::new(c, c, 3, stride, 1);
+        let x = init::normal(&mut rng, &[1, c, hw, hw], 0.0, 1.0);
+        let w = init::normal(&mut rng, &[c, 9], 0.0, 0.3);
+        let bias = init::normal(&mut rng, &[c], 0.0, 0.1);
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let mut out = Tensor::zeros(&[1, c, oh, ow]);
+        bench_function(name, || {
+            dwconv2d_into(black_box(&x), &w, &bias, &spec, &mut out);
+            out.data()[0]
+        });
+    }
+}
+
+/// SiLU over mb1.expand's output (32 x 28 x 28), zero-mean so the sign of
+/// the input is unpredictable, as it is on real activations.
+fn bench_silu() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let x = init::normal(&mut rng, &[32, 28, 28], 0.0, 2.0);
+    let mut out = Tensor::zeros(&[32, 28, 28]);
+    bench_function("silu_32x28x28", || {
+        silu_into(black_box(&x), &mut out);
+        out.data()[0]
     });
 }
 
@@ -118,6 +151,8 @@ fn main() {
     bench_cache_access();
     bench_branch_predictor();
     bench_conv2d();
+    bench_dwconv2d();
+    bench_silu();
     bench_gmm_fit();
     bench_instrumented_inference();
     bench_detector_scoring();

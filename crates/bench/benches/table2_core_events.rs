@@ -64,16 +64,16 @@ fn main() {
     println!();
 
     let mut overall: Vec<BinaryConfusion> = vec![BinaryConfusion::default(); events.len()];
-    for category in 0..art.num_classes() {
+    for (category, name) in names.iter().enumerate().take(art.num_classes()) {
         if category == target {
             continue;
         }
         let adv_cat = by_true_class(&adv, category);
         if adv_cat.is_empty() {
-            println!("{:<12} | (no successful AEs)", names[category]);
+            println!("{name:<12} | (no successful AEs)");
             continue;
         }
-        print!("{:<12}", names[category]);
+        print!("{name:<12}");
         for (i, event) in events.iter().enumerate() {
             let c = detection_confusion(&prep.detector, *event, &clean_target, &adv_cat);
             overall[i].merge(&c);

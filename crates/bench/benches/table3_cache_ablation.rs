@@ -60,8 +60,8 @@ fn main() {
     ];
     for (i, event) in events.iter().enumerate() {
         print!("{:<24}", event.perf_name());
-        for j in 0..epsilons.len() {
-            print!(" {:>10.4}", table[i][j]);
+        for f1 in &table[i][..epsilons.len()] {
+            print!(" {f1:>10.4}");
         }
         println!(
             "     {:.4} / {:.4} / {:.4}",

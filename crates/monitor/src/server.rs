@@ -558,7 +558,7 @@ fn handle_request(
             let code = match err {
                 SubmitError::Overloaded => RejectCode::Overloaded,
                 SubmitError::Closed => RejectCode::Closed,
-                SubmitError::ShapeMismatch => RejectCode::BadRequest,
+                SubmitError::ShapeMismatch | SubmitError::NonFinite => RejectCode::BadRequest,
             };
             let _ = out_tx.send(Frame::Reject(Reject {
                 code,

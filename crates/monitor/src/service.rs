@@ -32,6 +32,10 @@ pub enum SubmitError {
     /// bad request never reaches the worker — the wire path depends on
     /// this to keep one hostile frame from stalling every client.
     ShapeMismatch,
+    /// The request image holds a NaN or infinite pixel. Checked before
+    /// admission like the shape, so non-finite values never reach the
+    /// forward pass or the detector's likelihoods.
+    NonFinite,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -40,6 +44,7 @@ impl std::fmt::Display for SubmitError {
             Self::Overloaded => write!(f, "monitor queue is full (request shed)"),
             Self::Closed => write!(f, "monitor is closed"),
             Self::ShapeMismatch => write!(f, "image shape does not match the model input"),
+            Self::NonFinite => write!(f, "image holds a NaN or infinite pixel"),
         }
     }
 }
@@ -289,13 +294,17 @@ impl Monitor {
     /// # Errors
     ///
     /// [`SubmitError::ShapeMismatch`] when the image's shape is not the
-    /// model's input shape; [`SubmitError::Overloaded`] when the queue is
+    /// model's input shape; [`SubmitError::NonFinite`] when a pixel is NaN
+    /// or infinite; [`SubmitError::Overloaded`] when the queue is
     /// full under the shed policy; [`SubmitError::Closed`] after
     /// [`close`](Self::close).
     pub fn submit(&self, request: impl Into<MonitorRequest>) -> Result<u64, SubmitError> {
         let request = request.into();
         if request.image.shape().dims() != self.shared.model.input_dims() {
             return Err(SubmitError::ShapeMismatch);
+        }
+        if !request.image.data().iter().all(|v| v.is_finite()) {
+            return Err(SubmitError::NonFinite);
         }
         let MonitorRequest {
             image,

@@ -212,8 +212,10 @@ fn fusion_policies_shape_the_headline_flag() {
 #[test]
 fn spawn_rejects_invalid_fingerprint_configs() {
     let (model, engine, detector, _) = fixture();
-    let mut bad = FingerprintConfig::default();
-    bad.probes = 0;
+    let bad = FingerprintConfig {
+        probes: 0,
+        ..FingerprintConfig::default()
+    };
     let err = MonitorBuilder::new(ExecOptions::default())
         .fingerprint(bad)
         .spawn(engine, model, detector)

@@ -168,6 +168,30 @@ fn mismatched_shape_is_refused_before_admission() {
 }
 
 #[test]
+fn non_finite_pixels_are_refused_before_admission() {
+    let (model, engine, detector, stream) = fixture();
+    let monitor = MonitorBuilder::new(ExecOptions::sequential(3))
+        .micro_batch(2)
+        .spawn(engine, model, detector)
+        .unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut image = stream[0].clone();
+        image.data_mut()[7] = bad;
+        assert_eq!(monitor.submit(image.clone()), Err(SubmitError::NonFinite));
+        assert_eq!(
+            monitor.submit(MonitorRequest::new(image).tenant(3)),
+            Err(SubmitError::NonFinite)
+        );
+    }
+    // Nothing was admitted, and the worker is still alive for valid work.
+    monitor.submit(stream[0].clone()).unwrap();
+    assert!(monitor.recv().is_some());
+    let stats = monitor.shutdown();
+    assert_eq!(stats.submitted, 1);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
 fn shed_policy_rejects_when_full_and_recovers() {
     let (model, engine, detector, stream) = fixture();
     let monitor = MonitorBuilder::new(ExecOptions::sequential(1))

@@ -256,6 +256,49 @@ fn mismatched_shape_is_a_typed_reject_not_a_crash() {
     assert_eq!(stats.completed, 1);
 }
 
+/// A request whose image holds a NaN or infinite pixel is answered with a
+/// typed `BadRequest` reject, like a bad shape, and never reaches the
+/// worker.
+#[test]
+fn non_finite_pixels_are_a_typed_reject() {
+    let (model, engine, detector, stream) = fixture();
+    let monitor = MonitorBuilder::new(ExecOptions::sequential(3))
+        .micro_batch(2)
+        .spawn(engine, model, detector)
+        .unwrap();
+    let server = WireServer::bind(monitor, "127.0.0.1:0").unwrap();
+    let mut client = MonitorClient::connect(server.local_addr()).unwrap();
+
+    for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        let mut image = stream[1].clone();
+        image.data_mut()[i] = bad;
+        client
+            .submit(&MonitorRequest::new(image).request_id(200 + i as u64))
+            .unwrap();
+        match client.recv_reply().unwrap() {
+            ServerReply::Rejected(r) => {
+                assert_eq!(r.code, RejectCode::BadRequest);
+                assert_eq!(r.correlation_id, Some(200 + i as u64));
+                assert!(r.message.contains("NaN or infinite"), "{}", r.message);
+            }
+            ServerReply::Verdict(v) => panic!("non-finite image was scored: {v:?}"),
+        }
+    }
+    client
+        .submit(&MonitorRequest::new(stream[0].clone()).request_id(9))
+        .unwrap();
+    match client.recv_reply().unwrap() {
+        ServerReply::Verdict(v) => assert_eq!(v.correlation_id, Some(9)),
+        ServerReply::Rejected(r) => panic!("valid request rejected: {r:?}"),
+    }
+    let stats = server.stop();
+    assert_eq!(stats.submitted, 1, "non-finite images were never admitted");
+    assert_eq!(stats.completed, 1);
+}
+
 /// Under `ControlAccess::Deny` a control frame comes back as a typed
 /// `Denied` reject (surfaced as `WireError::Refused` by the client) and
 /// the connection stays fully usable for scoring.

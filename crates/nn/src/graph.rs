@@ -1259,7 +1259,7 @@ mod tests {
         let eps = 1e-2;
         let n_params = g.param_tensors().len();
         assert_eq!(flat_grads.len(), n_params);
-        for p_idx in 0..n_params {
+        for (p_idx, grad) in flat_grads.iter().enumerate() {
             let plen = g.param_tensors()[p_idx].len();
             // Spot-check a few entries of every parameter tensor.
             for e_idx in (0..plen).step_by((plen / 3).max(1)) {
@@ -1273,7 +1273,7 @@ mod tests {
                 let lp = loss_at(eps, &mut g);
                 let lm = loss_at(-eps, &mut g);
                 let num = (lp - lm) / (2.0 * eps);
-                let ana = flat_grads[p_idx].data()[e_idx];
+                let ana = grad.data()[e_idx];
                 assert!(
                     (num - ana).abs() < 3e-2,
                     "param {p_idx}[{e_idx}]: numeric {num} vs analytic {ana}"

@@ -289,8 +289,8 @@ mod tests {
     fn save_load_round_trips_exactly() {
         let dir = tempdir("roundtrip");
         let path = dir.join("m.ahw");
-        let mut a = model(1);
-        save_weights(&mut a, &path).unwrap();
+        let a = model(1);
+        save_weights(&a, &path).unwrap();
         let mut b = model(2); // different random weights
         assert_ne!(a, b);
         load_weights(&mut b, &path).unwrap();
@@ -313,8 +313,8 @@ mod tests {
     fn load_rejects_mismatched_model() {
         let dir = tempdir("mismatch");
         let path = dir.join("m.ahw");
-        let mut small = model(1);
-        save_weights(&mut small, &path).unwrap();
+        let small = model(1);
+        save_weights(&small, &path).unwrap();
         // A structurally different model must refuse the file.
         let mut rng = StdRng::seed_from_u64(9);
         let mut b = GraphBuilder::new(&[1, 4, 4]);
@@ -338,7 +338,7 @@ mod tests {
         let x = advhunter_tensor::init::normal(&mut rng, &[8, 1, 4, 4], 3.0, 1.0);
         let t = a.forward(&x, Mode::Train);
         a.update_running_stats(&t);
-        save_weights(&mut a, &path).unwrap();
+        save_weights(&a, &path).unwrap();
         let mut b = model(1);
         load_weights(&mut b, &path).unwrap();
         assert_eq!(a, b, "running statistics round-trip");
@@ -348,8 +348,8 @@ mod tests {
     fn truncated_file_reports_needed_and_available() {
         let dir = tempdir("trunc");
         let path = dir.join("m.ahw");
-        let mut a = model(1);
-        save_weights(&mut a, &path).unwrap();
+        let a = model(1);
+        save_weights(&a, &path).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let mut b = model(1);
@@ -365,8 +365,8 @@ mod tests {
     fn bytes_round_trip_matches_the_file_format() {
         let dir = tempdir("bytes");
         let path = dir.join("m.ahw");
-        let mut a = model(1);
-        save_weights(&mut a, &path).unwrap();
+        let a = model(1);
+        save_weights(&a, &path).unwrap();
         let file_bytes = fs::read(&path).unwrap();
         assert_eq!(weights_to_bytes(&a), file_bytes, "in-memory == on-disk");
         assert_eq!(&file_bytes[..4], b"AHW1", "magic+version must stay AHW1");

@@ -208,13 +208,19 @@ fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
     }
 }
 
+/// `1 / (1 + e^-x)` without overflow: with `e = exp(-|x|)` in `(0, 1]`,
+/// the result is `1 / (1 + e)` for `x >= 0` and `e / (1 + e)` otherwise.
+///
+/// This is bit-identical to the textbook two-branch form (`exp(-x)` above
+/// zero, `exp(x)` below): both branches take `exp` of exactly `-|x|` (and
+/// `exp(+0) == exp(-0)`), so only the numerator depends on the sign. Picking
+/// the numerator with a select instead of a branch keeps one `exp` call per
+/// element and no sign-dependent jump, which mispredicts on activations.
+#[inline]
 fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    let num = if x >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 fn row_dims(t: &Tensor) -> (usize, usize) {

@@ -467,7 +467,7 @@ mod tests {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                if state % 7 == 0 {
+                if state.is_multiple_of(7) {
                     0.0
                 } else {
                     ((state >> 16) as i32 % 1000) as f32 / 250.0

@@ -26,7 +26,7 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            if state % 7 == 0 {
+            if state.is_multiple_of(7) {
                 0.0
             } else {
                 ((state >> 40) as i32 - (1 << 23)) as f32 / (1 << 24) as f32

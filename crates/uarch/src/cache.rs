@@ -132,6 +132,29 @@ impl CacheStats {
         self.read_misses + self.write_misses
     }
 
+    /// Counts one access of `kind` and what it did.
+    fn record(&mut self, kind: AccessKind, hit: bool, ev: Eviction) {
+        match kind {
+            AccessKind::Read => {
+                self.read_accesses += 1;
+                self.read_misses += u64::from(!hit);
+            }
+            AccessKind::Write => {
+                self.write_accesses += 1;
+                self.write_misses += u64::from(!hit);
+            }
+        }
+        self.writebacks += u64::from(matches!(ev, Eviction::Dirty(_)));
+    }
+
+    fn add(&mut self, other: &CacheStats) {
+        self.read_accesses += other.read_accesses;
+        self.read_misses += other.read_misses;
+        self.write_accesses += other.write_accesses;
+        self.write_misses += other.write_misses;
+        self.writebacks += other.writebacks;
+    }
+
     /// Miss ratio in `[0, 1]`, or 0 if there were no accesses.
     pub fn miss_rate(&self) -> f64 {
         if self.accesses() == 0 {
@@ -149,22 +172,31 @@ const META_VALID: u64 = 1 << 63;
 const META_DIRTY: u64 = 1 << 62;
 const META_TAG: u64 = META_DIRTY - 1;
 
-/// Routes to the access copy monomorphized on `(ways, policy)`. Common
-/// associativities get fully unrolled scans (`0` = runtime way count); the
-/// policy flag lets each copy skip the stamp array it never reads.
+/// Routes to the copy monomorphized on a cache's `(ways, policy)`. Common
+/// associativities get fully unrolled scans and a constant-length fill shift
+/// (`0` = runtime way count); the policy flag decides whether a hit reorders
+/// the set. The first form calls `$method::<W, FIFO>` on `$self`; the second
+/// appends the geometry of `$cache` to const arguments already chosen, so a
+/// two-level pass is monomorphized on both levels.
 macro_rules! dispatch_geometry {
     ($self:ident, $method:ident, $($arg:expr),*) => {
-        match ($self.config.policy, $self.config.ways) {
-            (ReplacementPolicy::Lru, 2) => $self.$method::<2, false>($($arg),*),
-            (ReplacementPolicy::Lru, 4) => $self.$method::<4, false>($($arg),*),
-            (ReplacementPolicy::Lru, 8) => $self.$method::<8, false>($($arg),*),
-            (ReplacementPolicy::Lru, 16) => $self.$method::<16, false>($($arg),*),
-            (ReplacementPolicy::Lru, _) => $self.$method::<0, false>($($arg),*),
-            (ReplacementPolicy::Fifo, 2) => $self.$method::<2, true>($($arg),*),
-            (ReplacementPolicy::Fifo, 4) => $self.$method::<4, true>($($arg),*),
-            (ReplacementPolicy::Fifo, 8) => $self.$method::<8, true>($($arg),*),
-            (ReplacementPolicy::Fifo, 16) => $self.$method::<16, true>($($arg),*),
-            (ReplacementPolicy::Fifo, _) => $self.$method::<0, true>($($arg),*),
+        dispatch_geometry!(@arms $self.config, $self.$method::<>, $($arg),*)
+    };
+    ($cache:ident => $func:ident::<$($g:ident),*>($($arg:expr),*)) => {
+        dispatch_geometry!(@arms $cache.config, $func::<$($g,)*>, $($arg),*)
+    };
+    (@arms $config:expr, $($call:ident).+::<$($g:ident,)*>, $($arg:expr),*) => {
+        match ($config.policy, $config.ways) {
+            (ReplacementPolicy::Lru, 2) => $($call).+::<$($g,)* 2, false>($($arg),*),
+            (ReplacementPolicy::Lru, 4) => $($call).+::<$($g,)* 4, false>($($arg),*),
+            (ReplacementPolicy::Lru, 8) => $($call).+::<$($g,)* 8, false>($($arg),*),
+            (ReplacementPolicy::Lru, 16) => $($call).+::<$($g,)* 16, false>($($arg),*),
+            (ReplacementPolicy::Lru, _) => $($call).+::<$($g,)* 0, false>($($arg),*),
+            (ReplacementPolicy::Fifo, 2) => $($call).+::<$($g,)* 2, true>($($arg),*),
+            (ReplacementPolicy::Fifo, 4) => $($call).+::<$($g,)* 4, true>($($arg),*),
+            (ReplacementPolicy::Fifo, 8) => $($call).+::<$($g,)* 8, true>($($arg),*),
+            (ReplacementPolicy::Fifo, 16) => $($call).+::<$($g,)* 16, true>($($arg),*),
+            (ReplacementPolicy::Fifo, _) => $($call).+::<$($g,)* 0, true>($($arg),*),
         }
     };
 }
@@ -172,9 +204,8 @@ macro_rules! dispatch_geometry {
 /// One level of set-associative cache.
 ///
 /// Addresses are byte addresses; the cache operates on 64-byte lines.
-/// Internally the ways of a set are stored structure-of-arrays with packed
-/// tag/valid/dirty words so the hit scan and victim scan compile to
-/// branch-free compare/select loops.
+/// Internally the ways of a set are packed tag/valid/dirty words, so the hit
+/// scan compiles to a branch-free compare loop and a fill is one move.
 ///
 /// # Example
 ///
@@ -185,7 +216,7 @@ macro_rules! dispatch_geometry {
 /// assert!(!c.access(0x40, AccessKind::Read).0); // cold miss
 /// assert!(c.access(0x40, AccessKind::Read).0);  // now a hit
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     /// `num_sets - 1`: the set count is a power of two, so set selection is
@@ -195,9 +226,10 @@ pub struct Cache {
     tag_shift: u32,
     /// Packed `VALID | DIRTY | tag` per way, indexed `set * ways + way`,
     /// with each set's valid ways kept as a prefix ordered newest-first by
-    /// policy age (last touch under LRU, fill under FIFO). The order IS the
-    /// replacement state — no timestamps — so the victim is always the back
-    /// of the prefix, and one 8-way set is a single 64-byte row.
+    /// policy age (last touch under LRU, fill under FIFO) and every invalid
+    /// way an all-zero word behind it. The order IS the replacement state —
+    /// no timestamps — so the victim is always the last way, and one 8-way
+    /// set is a single 64-byte row.
     meta: Vec<u64>,
     stats: CacheStats,
 }
@@ -238,82 +270,55 @@ impl Cache {
     /// the LRU line of the set; if that line was dirty its base address is
     /// reported so the caller can write it back to the next level.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> (bool, Eviction) {
-        self.access_line(addr / LINE_BYTES, kind)
+        let (hit, ev) = self.step(addr / LINE_BYTES, kind);
+        self.stats.record(kind, hit, ev);
+        (hit, ev)
     }
 
     /// Accesses `lines` consecutive cache lines starting at the line
-    /// containing `base_addr`, all with the same `kind`.
+    /// containing `base_addr`, all with the same `kind`, and sends the
+    /// traffic this level produces straight into `next`: on each miss the
+    /// allocating fill with the access kind, then, if the fill displaced a
+    /// dirty line, its write-back as an [`AccessKind::Write`]. Evictions
+    /// out of `next` go to DRAM, which is not modeled.
     ///
     /// Semantically identical to calling [`access`](Self::access) once per
-    /// line in ascending order (both delegate to the same per-line inner
-    /// loop), but without per-call dispatch overhead. Returns the number of
-    /// misses; for every line, in access order, it appends to `follow_ups`
-    /// the traffic the next cache level must absorb: on a miss the aligned
-    /// line address with the access kind (the allocating fill), followed by
-    /// the write-back address with [`AccessKind::Write`] if the fill
-    /// displaced a dirty line.
-    pub fn access_range(
+    /// line in ascending order and applying each line's follow-ups to `next`
+    /// with its own `access` before the next line. Returns this level's
+    /// miss count and the statistics the range added to `next`.
+    ///
+    /// Both levels' statistics stay in locals until the range ends, and the
+    /// geometry dispatch of both levels is hoisted out of the per-line loop.
+    pub fn access_range_through(
         &mut self,
+        next: &mut Cache,
         base_addr: u64,
         lines: u64,
         kind: AccessKind,
-        follow_ups: &mut Vec<(u64, AccessKind)>,
-    ) -> u64 {
-        dispatch_geometry!(self, access_range_ways, base_addr, lines, kind, follow_ups)
+    ) -> (u64, CacheStats) {
+        dispatch_geometry!(self, range_through_ways, next, base_addr, lines, kind)
     }
 
-    /// Accesses each `(byte address, kind)` in order — the batched form the
-    /// next cache level uses to absorb a range's follow-up traffic.
-    /// Equivalent to one [`access`](Self::access) per item; evictions out of
-    /// this level go to DRAM, which is not modeled.
-    pub fn access_list(&mut self, items: &[(u64, AccessKind)]) {
-        dispatch_geometry!(self, access_list_ways, items)
+    fn range_through_ways<const W: usize, const FIFO: bool>(
+        &mut self,
+        next: &mut Cache,
+        base_addr: u64,
+        lines: u64,
+        kind: AccessKind,
+    ) -> (u64, CacheStats) {
+        dispatch_geometry!(next => fused_range::<W, FIFO>(self, next, base_addr, lines, kind))
     }
 
-    fn access_list_ways<const W: usize, const FIFO: bool>(&mut self, items: &[(u64, AccessKind)]) {
-        for &(addr, kind) in items {
-            let _ = self.access_line_ways::<W, FIFO>(addr / LINE_BYTES, kind);
-        }
-    }
-
-    /// The per-line access shared by [`access`](Self::access) and
-    /// [`access_range`](Self::access_range). Dispatches to a copy
+    /// One line access without statistics, dispatched to a copy
     /// monomorphized on the associativity (so the way scans fully unroll;
     /// the `0` instantiation reads the runtime way count) and on the
-    /// replacement policy (so each copy touches only the stamp array its
-    /// policy reads).
-    fn access_line(&mut self, line_addr: u64, kind: AccessKind) -> (bool, Eviction) {
-        dispatch_geometry!(self, access_line_ways, line_addr, kind)
-    }
-
-    /// [`access_range`](Self::access_range) with the geometry dispatch
-    /// hoisted out of the per-line loop, so the whole loop body inlines and
-    /// the set mask, tag shift, and statistics stay in registers.
-    fn access_range_ways<const W: usize, const FIFO: bool>(
-        &mut self,
-        base_addr: u64,
-        lines: u64,
-        kind: AccessKind,
-        follow_ups: &mut Vec<(u64, AccessKind)>,
-    ) -> u64 {
-        let base_line = base_addr / LINE_BYTES;
-        let mut misses = 0;
-        for i in 0..lines {
-            let line_addr = base_line + i;
-            let (hit, ev) = self.access_line_ways::<W, FIFO>(line_addr, kind);
-            if !hit {
-                misses += 1;
-                follow_ups.push((line_addr * LINE_BYTES, kind));
-            }
-            if let Eviction::Dirty(victim_addr) = ev {
-                follow_ups.push((victim_addr, AccessKind::Write));
-            }
-        }
-        misses
+    /// replacement policy.
+    fn step(&mut self, line_addr: u64, kind: AccessKind) -> (bool, Eviction) {
+        dispatch_geometry!(self, step_ways, line_addr, kind)
     }
 
     #[inline(always)]
-    fn access_line_ways<const W: usize, const FIFO: bool>(
+    fn step_ways<const W: usize, const FIFO: bool>(
         &mut self,
         line_addr: u64,
         kind: AccessKind,
@@ -323,11 +328,11 @@ impl Cache {
         let tag = line_addr >> self.tag_shift;
         let base = set * ways;
         let row = &mut self.meta[base..base + ways];
-
-        match kind {
-            AccessKind::Read => self.stats.read_accesses += 1,
-            AccessKind::Write => self.stats.write_accesses += 1,
-        }
+        let dirty = if kind == AccessKind::Write {
+            META_DIRTY
+        } else {
+            0
+        };
 
         // Hit scan: one packed compare per way with the dirty bit masked
         // out, collected into a bitmask (which vectorizes). Tags within a
@@ -339,11 +344,6 @@ impl Cache {
         }
         if hit_mask != 0 {
             let hit_way = hit_mask.trailing_zeros() as usize;
-            let dirty = if kind == AccessKind::Write {
-                META_DIRTY
-            } else {
-                0
-            };
             if FIFO {
                 // A FIFO hit leaves the insertion order alone.
                 row[hit_way] |= dirty;
@@ -356,45 +356,86 @@ impl Cache {
             return (true, Eviction::None);
         }
 
-        // Miss: count, then fill (write-allocate).
-        match kind {
-            AccessKind::Read => self.stats.read_misses += 1,
-            AccessKind::Write => self.stats.write_misses += 1,
-        }
-
-        // Victim: the first invalid way (valid ways form a prefix), or the
-        // back of the order when the set is full — the oldest line under
-        // both policies.
-        let valid = row.iter().filter(|&&m| m & META_VALID != 0).count();
-        let (victim, evicted) = if valid < ways {
-            (valid, Eviction::None)
-        } else {
-            let vm = row[ways - 1];
-            let ev = if vm & META_DIRTY != 0 {
-                self.stats.writebacks += 1;
-                let victim_line_addr = ((vm & META_TAG) << self.tag_shift) | set as u64;
-                Eviction::Dirty(victim_line_addr * LINE_BYTES)
-            } else {
-                Eviction::Clean
-            };
-            (ways - 1, ev)
-        };
-
-        let dirty = if kind == AccessKind::Write {
-            META_DIRTY
-        } else {
-            0
-        };
-        // Insert the fill at the front of the order.
-        row.copy_within(0..victim, 1);
+        // Miss (write-allocate): insert the fill at the front of the order
+        // with one one-slot shift. Invalid ways are zero words behind the
+        // valid prefix, so the shift pushes out a zero word when the set has
+        // room and the oldest line under either policy when it is full.
+        let victim = row[ways - 1];
+        row.copy_within(0..ways - 1, 1);
         row[0] = META_VALID | dirty | tag;
+        let evicted = if victim & META_VALID == 0 {
+            Eviction::None
+        } else if victim & META_DIRTY != 0 {
+            let victim_line_addr = ((victim & META_TAG) << self.tag_shift) | set as u64;
+            Eviction::Dirty(victim_line_addr * LINE_BYTES)
+        } else {
+            Eviction::Clean
+        };
         (false, evicted)
+    }
+
+    /// Whether every set holds its valid ways as a prefix followed only by
+    /// all-zero invalid ways — the layout the one-slot fill shift relies on.
+    #[cfg(test)]
+    pub(crate) fn ways_are_canonical(&self) -> bool {
+        self.meta.chunks_exact(self.config.ways()).all(|row| {
+            let valid = row.iter().take_while(|&&m| m & META_VALID != 0).count();
+            row[valid..].iter().all(|&m| m == 0)
+        })
     }
 
     /// Number of currently valid lines (useful for occupancy assertions).
     pub fn valid_lines(&self) -> usize {
         self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
     }
+}
+
+/// The loop of [`Cache::access_range_through`], monomorphized on the
+/// geometry of both levels (`W`/`FIFO` for `upper`, `NW`/`NFIFO` for
+/// `next`) so both steps inline.
+fn fused_range<const W: usize, const FIFO: bool, const NW: usize, const NFIFO: bool>(
+    upper: &mut Cache,
+    next: &mut Cache,
+    base_addr: u64,
+    lines: u64,
+    kind: AccessKind,
+) -> (u64, CacheStats) {
+    let base_line = base_addr / LINE_BYTES;
+    let mut misses = 0;
+    let mut writebacks = 0;
+    let mut down = CacheStats::default();
+    for line_addr in base_line..base_line + lines {
+        let (hit, ev) = upper.step_ways::<W, FIFO>(line_addr, kind);
+        if hit {
+            continue;
+        }
+        misses += 1;
+        let (next_hit, next_ev) = next.step_ways::<NW, NFIFO>(line_addr, kind);
+        down.record(kind, next_hit, next_ev);
+        if let Eviction::Dirty(victim_addr) = ev {
+            writebacks += 1;
+            let victim_line = victim_addr / LINE_BYTES;
+            let (next_hit, next_ev) = next.step_ways::<NW, NFIFO>(victim_line, AccessKind::Write);
+            down.record(AccessKind::Write, next_hit, next_ev);
+        }
+    }
+    let own = match kind {
+        AccessKind::Read => CacheStats {
+            read_accesses: lines,
+            read_misses: misses,
+            writebacks,
+            ..CacheStats::default()
+        },
+        AccessKind::Write => CacheStats {
+            write_accesses: lines,
+            write_misses: misses,
+            writebacks,
+            ..CacheStats::default()
+        },
+    };
+    upper.stats.add(&own);
+    next.stats.add(&down);
+    (misses, down)
 }
 
 #[cfg(test)]
@@ -442,14 +483,14 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = tiny(); // 2 sets; lines 0, 2, 4 map to set 0 (line_addr % 2 == 0)
-        c.access(0 * 64, AccessKind::Read); // set0 way0
+        c.access(0, AccessKind::Read); // set0 way0
         c.access(2 * 64, AccessKind::Read); // set0 way1
-        c.access(0 * 64, AccessKind::Read); // touch line0 -> line2 is LRU
+        c.access(0, AccessKind::Read); // touch line0 -> line2 is LRU
         let (hit, ev) = c.access(4 * 64, AccessKind::Read); // evicts line2
         assert!(!hit);
         assert_eq!(ev, Eviction::Clean);
-        assert_eq!(c.access(0 * 64, AccessKind::Read).0, true, "line0 survived");
-        assert_eq!(c.access(2 * 64, AccessKind::Read).0, false, "line2 evicted");
+        assert!(c.access(0, AccessKind::Read).0, "line0 survived");
+        assert!(!c.access(2 * 64, AccessKind::Read).0, "line2 evicted");
     }
 
     #[test]
@@ -525,9 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn access_range_matches_single_access_loop() {
-        let mut batched = tiny();
-        let mut scalar = tiny();
+    fn access_range_through_matches_single_access_loop() {
+        let mut batched = (tiny(), Cache::new(CacheConfig::new(512, 2)));
+        let mut scalar = batched.clone();
         // Interleave ranges that wrap sets, alias, and mix kinds.
         let ranges = [
             (0u64, 6u64, AccessKind::Read),
@@ -536,37 +577,62 @@ mod tests {
             (7 * 64, 4, AccessKind::Write),
             (0, 0, AccessKind::Read), // empty range is a no-op
         ];
-        let mut follow_ups = Vec::new();
         for (base, n, kind) in ranges {
-            let mut expected = Vec::new();
+            let before = *scalar.1.stats();
             let mut misses = 0;
             for i in 0..n {
                 let addr = base + i * LINE_BYTES;
-                let (hit, ev) = scalar.access(addr, kind);
+                let (hit, ev) = scalar.0.access(addr, kind);
                 if !hit {
                     misses += 1;
-                    expected.push((addr, kind));
+                    scalar.1.access(addr, kind);
                 }
                 if let Eviction::Dirty(victim) = ev {
-                    expected.push((victim, AccessKind::Write));
+                    scalar.1.access(victim, AccessKind::Write);
                 }
             }
-            follow_ups.clear();
-            let got = batched.access_range(base, n, kind, &mut follow_ups);
+            let (got, down) = batched
+                .0
+                .access_range_through(&mut batched.1, base, n, kind);
             assert_eq!(got, misses);
-            assert_eq!(follow_ups, expected);
-            assert_eq!(batched.stats(), scalar.stats());
+            assert_eq!(batched.0.stats(), scalar.0.stats());
+            assert_eq!(batched.1.stats(), scalar.1.stats());
+            let mut expected_down = before;
+            expected_down.add(&down);
+            assert_eq!(&expected_down, scalar.1.stats());
+            assert_eq!(batched.0.meta, scalar.0.meta);
+            assert_eq!(batched.1.meta, scalar.1.meta);
+        }
+        assert!(scalar.0.stats().writebacks > 0, "pattern must write back");
+    }
+
+    #[test]
+    fn fills_keep_invalid_ways_zero_behind_the_valid_prefix() {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            // 3 ways exercises the runtime-way-count copy.
+            for ways in [2usize, 3, 4] {
+                let mut c =
+                    Cache::new(CacheConfig::with_policy(4 * 64 * ways as u64, ways, policy));
+                for i in 0..64u64 {
+                    let kind = if i % 3 == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    c.access((i * 7 % 23) * 64, kind);
+                    assert!(c.ways_are_canonical(), "{policy:?} {ways}-way after {i}");
+                }
+            }
         }
     }
 
     #[test]
     fn write_allocate_fills_on_write_miss() {
         let mut c = tiny();
-        assert_eq!(c.access(128, AccessKind::Write).0, false);
+        assert!(!c.access(128, AccessKind::Write).0);
         assert_eq!(c.stats().write_misses, 1);
-        assert_eq!(
+        assert!(
             c.access(128, AccessKind::Read).0,
-            true,
             "write allocated the line"
         );
     }
@@ -578,7 +644,7 @@ mod tests {
         c.reset();
         assert_eq!(c.valid_lines(), 0);
         assert_eq!(c.stats(), &CacheStats::default());
-        assert_eq!(c.access(0, AccessKind::Read).0, false);
+        assert!(!c.access(0, AccessKind::Read).0);
     }
 
     #[test]

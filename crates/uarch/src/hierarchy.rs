@@ -1,6 +1,6 @@
 //! The three-cache memory hierarchy and its perf-event bookkeeping.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, Eviction};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Eviction};
 use crate::events::{HpcCounts, HpcEvent};
 use crate::prefetch::{NextLinePrefetcher, PrefetchConfig};
 
@@ -98,9 +98,6 @@ pub struct MemoryHierarchy {
     llc: Cache,
     prefetcher: NextLinePrefetcher,
     stats: HierarchyStats,
-    /// Reused scratch for the batched range APIs: the L1-level misses and
-    /// write-backs a range produced, replayed into the LLC in order.
-    pending: Vec<(u64, AccessKind)>,
 }
 
 impl MemoryHierarchy {
@@ -112,7 +109,6 @@ impl MemoryHierarchy {
             llc: Cache::new(config.llc),
             prefetcher: NextLinePrefetcher::new(config.prefetch),
             stats: HierarchyStats::default(),
-            pending: Vec::new(),
         }
     }
 
@@ -173,88 +169,61 @@ impl MemoryHierarchy {
 
     /// Data loads of `lines` consecutive cache lines starting at
     /// `base_addr`, equivalent to one [`load`](Self::load) per line in
-    /// ascending order but simulated through the batched L1 path.
+    /// ascending order but simulated in one fused L1d→LLC pass.
     ///
     /// With the prefetcher enabled the per-line path is used verbatim (the
     /// prefetcher observes every demand load); with it disabled — the
     /// default, where its effect is part of the calibrated noise model —
     /// `observe` is a stateless no-op, so skipping it is exact.
     pub fn load_range(&mut self, base_addr: u64, lines: u64) {
-        if lines == 0 {
-            return;
-        }
         if self.prefetcher.config().enabled {
             for i in 0..lines {
                 self.load(base_addr + i * crate::LINE_BYTES);
             }
             return;
         }
+        let (misses, llc) =
+            self.l1d
+                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Read);
         self.stats.l1d_loads += lines;
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        let misses = self
-            .l1d
-            .access_range(base_addr, lines, AccessKind::Read, &mut pending);
         self.stats.l1d_load_misses += misses;
-        self.drain_pending(&pending);
-        self.pending = pending;
+        self.absorb_llc(&llc);
     }
 
     /// Data stores of `lines` consecutive cache lines starting at
     /// `base_addr`, equivalent to one [`store`](Self::store) per line in
     /// ascending order. Stores never consult the prefetcher.
     pub fn store_range(&mut self, base_addr: u64, lines: u64) {
-        if lines == 0 {
-            return;
-        }
+        let (misses, llc) =
+            self.l1d
+                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Write);
         self.stats.l1d_stores += lines;
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        let misses = self
-            .l1d
-            .access_range(base_addr, lines, AccessKind::Write, &mut pending);
         self.stats.l1d_store_misses += misses;
-        self.drain_pending(&pending);
-        self.pending = pending;
+        self.absorb_llc(&llc);
     }
 
     /// Instruction fetches of `lines` consecutive cache lines starting at
     /// `base_addr`, equivalent to one [`fetch`](Self::fetch) per line in
     /// ascending order. Fetches never consult the prefetcher.
     pub fn fetch_range(&mut self, base_addr: u64, lines: u64) {
-        if lines == 0 {
-            return;
-        }
+        let (misses, llc) =
+            self.l1i
+                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Read);
         self.stats.l1i_fetches += lines;
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        let misses = self
-            .l1i
-            .access_range(base_addr, lines, AccessKind::Read, &mut pending);
         self.stats.l1i_fetch_misses += misses;
         // Instruction lines are never dirty; only allocating fills remain.
-        debug_assert!(pending.iter().all(|&(_, k)| k == AccessKind::Read));
-        self.drain_pending(&pending);
-        self.pending = pending;
+        debug_assert_eq!(llc.write_accesses, 0);
+        self.absorb_llc(&llc);
     }
 
-    /// Replays L1-level follow-up traffic into the LLC in the exact order
-    /// the per-line access sequence produced it: allocating fills carry the
-    /// access kind (read fill vs read-for-ownership), dirty write-backs
-    /// arrive as stores. The whole list runs through the LLC's batched
-    /// path; the per-kind event counts are recovered from its statistics
-    /// deltas.
-    fn drain_pending(&mut self, pending: &[(u64, AccessKind)]) {
-        if pending.is_empty() {
-            return;
-        }
-        let before = *self.llc.stats();
-        self.llc.access_list(pending);
-        let after = self.llc.stats();
-        self.stats.llc_loads += after.read_accesses - before.read_accesses;
-        self.stats.llc_load_misses += after.read_misses - before.read_misses;
-        self.stats.llc_stores += after.write_accesses - before.write_accesses;
-        self.stats.llc_store_misses += after.write_misses - before.write_misses;
+    /// Adds the LLC traffic of one fused range pass to the event counts:
+    /// read fills are LLC loads; read-for-ownership fills and dirty L1
+    /// write-backs are LLC stores.
+    fn absorb_llc(&mut self, llc: &CacheStats) {
+        self.stats.llc_loads += llc.read_accesses;
+        self.stats.llc_load_misses += llc.read_misses;
+        self.stats.llc_stores += llc.write_accesses;
+        self.stats.llc_store_misses += llc.write_misses;
     }
 
     fn llc_load(&mut self, addr: u64) {
@@ -297,6 +266,8 @@ impl MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplacementPolicy;
+    use proptest::prelude::*;
 
     fn small_machine() -> MemoryHierarchy {
         MemoryHierarchy::new(MachineConfig {
@@ -397,8 +368,10 @@ mod tests {
     #[test]
     fn prefetcher_inflates_references_on_streams() {
         let cfg_off = MachineConfig::default();
-        let mut cfg_on = MachineConfig::default();
-        cfg_on.prefetch = PrefetchConfig::aggressive();
+        let cfg_on = MachineConfig {
+            prefetch: PrefetchConfig::aggressive(),
+            ..MachineConfig::default()
+        };
         let mut off = MemoryHierarchy::new(cfg_off);
         let mut on = MemoryHierarchy::new(cfg_on);
         for i in 0..256u64 {
@@ -462,10 +435,96 @@ mod tests {
         );
     }
 
+    /// The cases the fused range pass must reproduce exactly: associativity
+    /// (3 runs the unspecialized copy), policy, L1 capacity relative to
+    /// the range.
+    const WAYS: [usize; 5] = [2, 4, 8, 16, 3];
+    const L1_SETS: u64 = 8;
+
+    fn machine(l1_ways: usize, llc_ways: usize, fifo: bool, prefetch: bool) -> MemoryHierarchy {
+        let policy = if fifo {
+            ReplacementPolicy::Fifo
+        } else {
+            ReplacementPolicy::Lru
+        };
+        let level = |sets: u64, ways: usize| {
+            CacheConfig::with_policy(sets * 64 * ways as u64, ways, policy)
+        };
+        MemoryHierarchy::new(MachineConfig {
+            l1i: level(L1_SETS, l1_ways),
+            l1d: level(L1_SETS, l1_ways),
+            llc: level(4 * L1_SETS, llc_ways),
+            predictor_log2_entries: 8,
+            prefetch: if prefetch {
+                PrefetchConfig::aggressive()
+            } else {
+                PrefetchConfig::default()
+            },
+        })
+    }
+
+    fn per_line(m: &mut MemoryHierarchy, op: u8, addr: u64) {
+        match op {
+            0 => m.load(addr),
+            1 => m.store(addr),
+            _ => m.fetch(addr),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `load_range`/`store_range`/`fetch_range` against one per-line
+        /// `load`/`store`/`fetch` per line, from a warm state with dirty
+        /// lines, over ranges of 0 to 2x the L1 capacity. After every step
+        /// all three caches must be identical (contents, order, statistics)
+        /// and keep their invalid ways zero behind the valid prefix.
+        #[test]
+        fn fused_range_passes_match_per_line_accesses(
+            l1_ways in 0usize..5,
+            llc_ways in 0usize..5,
+            fifo in any::<bool>(),
+            prefetch in any::<bool>(),
+            warm in proptest::collection::vec(0u64..512, 0..300),
+            warm_ops in proptest::collection::vec(0u8..3, 1..300),
+            bases in proptest::collection::vec(0u64..512, 1..20),
+            lens in proptest::collection::vec(0u64..=256, 1..20),
+            ops in proptest::collection::vec(0u8..3, 1..20),
+        ) {
+            let (l1_ways, llc_ways) = (WAYS[l1_ways], WAYS[llc_ways]);
+            let mut scalar = machine(l1_ways, llc_ways, fifo, prefetch);
+            for (line, op) in warm.iter().zip(warm_ops.iter().cycle()) {
+                per_line(&mut scalar, *op, line * 64);
+            }
+            let mut fused = scalar.clone();
+            let l1_lines = L1_SETS * l1_ways as u64;
+            for ((line, raw_len), op) in bases.iter().zip(lens.iter().cycle()).zip(ops.iter().cycle()) {
+                let (base, n) = (line * 64, raw_len * 2 * l1_lines / 256);
+                match op {
+                    0 => fused.load_range(base, n),
+                    1 => fused.store_range(base, n),
+                    _ => fused.fetch_range(base, n),
+                }
+                for i in 0..n {
+                    per_line(&mut scalar, *op, base + i * 64);
+                }
+                prop_assert_eq!(fused.stats(), scalar.stats());
+                prop_assert!(fused.l1d == scalar.l1d, "l1d diverged: op {} base {} n {}", op, base, n);
+                prop_assert!(fused.l1i == scalar.l1i, "l1i diverged: op {} base {} n {}", op, base, n);
+                prop_assert!(fused.llc == scalar.llc, "llc diverged: op {} base {} n {}", op, base, n);
+                for cache in [&fused.l1d, &fused.l1i, &fused.llc] {
+                    prop_assert!(cache.ways_are_canonical());
+                }
+            }
+        }
+    }
+
     #[test]
     fn load_range_with_prefetcher_enabled_matches_scalar() {
-        let mut cfg = MachineConfig::default();
-        cfg.prefetch = PrefetchConfig::aggressive();
+        let cfg = MachineConfig {
+            prefetch: PrefetchConfig::aggressive(),
+            ..MachineConfig::default()
+        };
         let mut batched = MemoryHierarchy::new(cfg);
         let mut scalar = MemoryHierarchy::new(cfg);
         batched.load_range(0x4000, 32);

@@ -50,14 +50,14 @@ proptest! {
     }
 
     #[test]
-    fn access_range_matches_loop_of_single_accesses(
+    fn access_range_through_matches_loop_of_single_accesses(
         lines in proptest::collection::vec(0u64..512, 1..40),
         lens in proptest::collection::vec(0u64..48, 1..40),
         writes in proptest::collection::vec(any::<bool>(), 1..40),
     ) {
-        let mut batched = Cache::new(CacheConfig::new(2048, 2));
-        let mut scalar = Cache::new(CacheConfig::new(2048, 2));
-        let mut follow_ups = Vec::new();
+        let levels = || (Cache::new(CacheConfig::new(2048, 2)), Cache::new(CacheConfig::new(4096, 4)));
+        let (mut l1, mut next) = levels();
+        let (mut scalar_l1, mut scalar_next) = levels();
         for ((line, n), w) in lines
             .iter()
             .zip(lens.iter().cycle())
@@ -65,24 +65,22 @@ proptest! {
         {
             let base = line * 64;
             let kind = if *w { AccessKind::Write } else { AccessKind::Read };
-            let mut expected = Vec::new();
             let mut expected_misses = 0u64;
             for i in 0..*n {
                 let addr = base + i * 64;
-                let (hit, ev) = scalar.access(addr, kind);
+                let (hit, ev) = scalar_l1.access(addr, kind);
                 if !hit {
                     expected_misses += 1;
-                    expected.push((addr, kind));
+                    scalar_next.access(addr, kind);
                 }
                 if let advhunter_uarch::Eviction::Dirty(victim) = ev {
-                    expected.push((victim, AccessKind::Write));
+                    scalar_next.access(victim, AccessKind::Write);
                 }
             }
-            follow_ups.clear();
-            let misses = batched.access_range(base, *n, kind, &mut follow_ups);
+            let (misses, _) = l1.access_range_through(&mut next, base, *n, kind);
             prop_assert_eq!(misses, expected_misses);
-            prop_assert_eq!(&follow_ups, &expected);
-            prop_assert_eq!(batched.stats(), scalar.stats());
+            prop_assert_eq!(&l1, &scalar_l1);
+            prop_assert_eq!(&next, &scalar_next);
         }
     }
 

@@ -27,7 +27,7 @@ fn sample_request(seed: u64) -> Frame {
     };
     let image: Tensor = init::uniform(&mut rng, &dims, -2.0, 2.0);
     let mut request = MonitorRequest::new(image).tenant(seed.rotate_left(17));
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         request = request.request_id(seed.wrapping_mul(31));
     }
     Frame::Request(request)
@@ -54,10 +54,10 @@ fn sample_frames(seed: u64) -> Vec<Frame> {
             tenant: seed % 5,
             config_epoch: seed % 9,
             verdict: Verdict::new((seed % 10) as usize, scores),
-            hpc_anomalous: seed % 2 == 0,
-            query_correlated: seed % 3 == 0,
+            hpc_anomalous: seed.is_multiple_of(2),
+            query_correlated: seed.is_multiple_of(3),
             fingerprint: None,
-            flagged: seed % 2 == 0,
+            flagged: seed.is_multiple_of(2),
         }),
         Frame::StatsRequest,
         Frame::Stats(WireStats {
@@ -88,7 +88,7 @@ fn sample_frames(seed: u64) -> Vec<Frame> {
                 3 => RejectCode::BadRequest,
                 _ => RejectCode::Denied,
             },
-            correlation_id: (seed % 2 == 0).then_some(seed),
+            correlation_id: (seed.is_multiple_of(2)).then_some(seed),
             message: format!("reject #{seed}"),
         }),
     ]
@@ -116,9 +116,8 @@ proptest! {
     /// clean `Ok` or a typed `WireError`.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in collection::vec(any::<u8>(), 0..256usize)) {
-        match Frame::decode(&bytes) {
-            Ok((_, consumed)) => prop_assert!(consumed <= bytes.len()),
-            Err(_) => {}
+        if let Ok((_, consumed)) = Frame::decode(&bytes) {
+            prop_assert!(consumed <= bytes.len());
         }
         let _ = read_frame(&mut Cursor::new(&bytes));
     }
