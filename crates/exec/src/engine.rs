@@ -218,15 +218,16 @@ impl TraceEngine {
             .push(scratch);
     }
 
-    /// A pooled scratch that recycles itself when dropped — the per-worker
+    /// A pooled scratch that recycles itself when dropped — the per-member
     /// state of [`measure_batch`](Self::measure_batch), so repeated batch
-    /// calls reuse buffers instead of allocating per worker per call.
+    /// calls reuse buffers instead of allocating per member per call.
     ///
-    /// External measurement loops (the monitor's micro-batch workers) use
-    /// this to pay the pool mutex once per worker per batch instead of
-    /// twice per image: take one guard per worker, deref it into
-    /// [`measure_indexed_with`](Self::measure_indexed_with), and let the
-    /// drop return the buffers.
+    /// One-shot fan-outs use this to pay the pool mutex once per member
+    /// per call instead of twice per image: take one guard per member,
+    /// deref it into [`measure_indexed_with`](Self::measure_indexed_with),
+    /// and let the drop return the buffers. A loop that lives as long as
+    /// its threads (the monitor's crew) owns a plain
+    /// [`scratch`](Self::scratch) per member instead.
     pub fn worker_scratch(&self, graph: &Graph) -> PooledScratch<'_> {
         PooledScratch {
             engine: self,
@@ -318,7 +319,7 @@ impl TraceEngine {
     }
 
     /// Measures a whole batch, fanning the per-image trace simulations out
-    /// over the runtime's worker pool. Every worker replays its images
+    /// over a one-run runtime crew. Every member replays its images
     /// through a private cold [`CounterGroup`] (cache hierarchy + branch
     /// predictor) using its own reusable scratch, and item `i` draws
     /// measurement noise from the stream seeded by `derive_seed(seed, i)` —
@@ -385,8 +386,8 @@ impl TraceEngine {
     }
 }
 
-/// Per-worker scratch borrowed from the engine's pool; returns it on drop
-/// (one pool-mutex hit per worker per batch, not per image). Derefs to
+/// Per-member scratch borrowed from the engine's pool; returns it on drop
+/// (one pool-mutex hit per member per batch, not per image). Derefs to
 /// [`TraceScratch`] so it plugs straight into
 /// [`TraceEngine::measure_indexed_with`].
 pub struct PooledScratch<'a> {

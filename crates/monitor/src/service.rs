@@ -7,10 +7,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use advhunter::{Detector, Verdict};
-use advhunter_exec::TraceEngine;
+use advhunter_exec::{Measurement, TraceEngine, TraceScratch};
 use advhunter_fingerprint::{FingerprintStore, MatchReport, TenantId};
 use advhunter_nn::Graph;
-use advhunter_runtime::parallel_map_with;
+use advhunter_runtime::{with_crew, Crew};
 use advhunter_tensor::Tensor;
 use advhunter_wire::MonitorRequest;
 
@@ -185,8 +185,9 @@ fn install_detector(shared: &Shared, detector: Detector) -> (Arc<Detector>, u64)
 /// The monitor owns an instrumented-inference engine, a model, and a
 /// fitted [`Detector`]. Requests enter through a bounded queue
 /// ([`submit`](Self::submit)), a worker thread coalesces them into
-/// micro-batches, fans the trace measurements out over the
-/// `advhunter-runtime` worker pool, scores each measurement under the
+/// micro-batches, measures each micro-batch with a persistent
+/// `advhunter-runtime` [`Crew`] (helpers spawned once at boot, the worker
+/// thread measuring alongside them), scores each measurement under the
 /// predicted category's models, and delivers one [`MonitorVerdict`] per
 /// request through [`recv`](Self::recv) in admission order.
 ///
@@ -480,12 +481,42 @@ fn watcher_loop(shared: &Shared, poll: Duration) {
 }
 
 fn worker_loop(shared: &Shared, tx: &Sender<MonitorVerdict>) {
-    let micro_batch = shared.config.micro_batch;
     let exec = shared.config.exec;
+    // One crew for the monitor's lifetime: its helpers are spawned here,
+    // once, and this thread measures alongside them. Each member owns one
+    // scratch (workspace + tiles + counter group) until the monitor stops,
+    // and each request's noise stream is derived from (exec.seed, request
+    // id) — measurement shares no &mut engine state across members, so
+    // verdicts are the same for every member count.
+    with_crew(
+        &exec.parallelism,
+        || shared.engine.scratch(&shared.model),
+        |scratch, _, req: &Request| {
+            shared.engine.measure_indexed_with(
+                &shared.model,
+                &req.image,
+                exec.seed,
+                req.id,
+                scratch,
+            )
+        },
+        |crew| serve_batches(shared, tx, crew),
+    );
+}
+
+/// Pops micro-batches until the queue closes. Fingerprinting, scoring,
+/// drift handling and hot-swap run here on the worker thread; only the
+/// measurement goes to the crew.
+fn serve_batches(
+    shared: &Shared,
+    tx: &Sender<MonitorVerdict>,
+    crew: &mut Crew<'_, TraceScratch, Request, Measurement>,
+) {
+    let micro_batch = shared.config.micro_batch;
     let fusion = shared.config.fusion;
     // The worker owns the fingerprint store outright: matching mutates
     // per-tenant windows, so it runs here, sequentially in admission-id
-    // order, *before* the parallel measurement fan-out. That makes the
+    // order, *before* the crew measures the batch. That makes the
     // cross-query verdict a pure function of the admission-ordered
     // (tenant, image) stream — thread count and batching cannot touch it.
     let mut store = shared
@@ -521,26 +552,7 @@ fn worker_loop(shared: &Shared, tx: &Sender<MonitorVerdict>) {
                 .stats
                 .record_fingerprint_stage(measure_start - fingerprint_start);
         }
-        // Fan-out over the worker pool. Each request's noise stream is
-        // derived from (exec.seed, request id), and each pool worker
-        // checks out its own pooled scratch (workspace + tiles + counter
-        // group) exactly once per micro-batch — measurement shares no
-        // &mut engine state across workers, which is what lets the
-        // simulated-multicore bench scale it linearly.
-        let measurements = parallel_map_with(
-            &exec.parallelism,
-            &batch,
-            || shared.engine.worker_scratch(&shared.model),
-            |scratch, _, req| {
-                shared.engine.measure_indexed_with(
-                    &shared.model,
-                    &req.image,
-                    exec.seed,
-                    req.id,
-                    scratch,
-                )
-            },
-        );
+        let (batch, measurements) = crew.run(batch);
         // Scoring runs sequentially in admission order so a drift-driven
         // swap takes effect at the exact next request — deterministic
         // under every thread count and batch shape.

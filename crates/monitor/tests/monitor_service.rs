@@ -121,6 +121,9 @@ fn verdict_stream_is_invariant_to_submission_batching() {
 fn env_thread_override_does_not_change_verdicts() {
     let (_, _, _, stream) = fixture();
     let baseline = run_stream(&stream, 1, 4);
+    // Restore whatever the harness set (CI runs with a fixed count), so
+    // later tests in this binary see the same environment.
+    let saved = std::env::var_os("ADVHUNTER_THREADS");
     std::env::set_var("ADVHUNTER_THREADS", "3");
     // ExecOptions::seeded picks up the env-driven parallelism.
     let (model, engine, detector, _) = fixture();
@@ -129,7 +132,10 @@ fn env_thread_override_does_not_change_verdicts() {
         .micro_batch(4)
         .spawn(engine, model, detector)
         .unwrap();
-    std::env::remove_var("ADVHUNTER_THREADS");
+    match saved {
+        Some(v) => std::env::set_var("ADVHUNTER_THREADS", v),
+        None => std::env::remove_var("ADVHUNTER_THREADS"),
+    }
     for image in &stream {
         monitor.submit(image.clone()).unwrap();
     }

@@ -10,25 +10,30 @@
 //!   and an item index to an independent per-item seed. Because each
 //!   item's randomness is a function of `(seed, index)` only, results
 //!   never depend on which worker ran the item or in what order.
-//! * [`parallel_map`] / [`parallel_tasks`] — an order-preserving map over
-//!   a scoped `std::thread` worker pool (no dependencies, no unsafe).
-//!   Workers pull item indices from a shared atomic counter and results
-//!   are reassembled in item order, so the output is bit-for-bit
-//!   identical for any thread count, including the exact sequential path
-//!   at one thread.
+//! * [`with_crew`] — a persistent crew over scoped `std::thread`s (no
+//!   dependencies, no unsafe): `min(threads, cores) − 1` helpers spawned
+//!   once and parked between runs, with the calling thread as member 0.
+//!   Each [`Crew::run`] has its members pull item indices from a shared
+//!   atomic counter and reassembles the results in item order, so the
+//!   output is bit-for-bit identical for any member count, including the
+//!   exact sequential path of a one-member crew. Long-lived fan-outs (the
+//!   monitor's micro-batches) keep one crew; [`parallel_map`] /
+//!   [`parallel_tasks`] are a crew that does a single run.
 //!
 //! Thread count comes from [`Parallelism`]: defaults to the machine's
 //! available cores, overridable with the `ADVHUNTER_THREADS` environment
 //! variable, with `1` giving the plain sequential loop.
 
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use advhunter_telemetry::{Counter, Histogram};
 
-/// Telemetry handles for the worker pool, registered once in the global
+/// Telemetry handles for the crews, registered once in the global
 /// registry. Purely observational: nothing here feeds back into
 /// scheduling or results (the determinism contract), and the wall-clock
 /// reads are skipped entirely when `advhunter_telemetry::disabled()`.
@@ -42,7 +47,7 @@ struct PoolMetrics {
     worker_idle_ns: Arc<Histogram>,
 }
 
-/// Whether `ADVHUNTER_OVERSUBSCRIBE=1` asked the pool to honour thread
+/// Whether `ADVHUNTER_OVERSUBSCRIBE=1` asked crews to honour thread
 /// requests beyond `available_parallelism`. Read once per process: the
 /// knob exists for bench/CI harnesses that set it at launch.
 fn oversubscribe_requested() -> bool {
@@ -59,31 +64,31 @@ fn pool_metrics() -> &'static PoolMetrics {
         PoolMetrics {
             parallel_runs: r.counter(
                 "advhunter_runtime_parallel_runs_total",
-                "Pool fan-outs that spawned worker threads",
+                "Crew runs that woke helper threads",
             ),
             sequential_runs: r.counter(
                 "advhunter_runtime_sequential_runs_total",
-                "Pool runs that took the exact sequential path",
+                "Crew runs that stayed on the calling thread (one item or one member)",
             ),
             tasks: r.counter(
                 "advhunter_runtime_tasks_total",
-                "Items executed across all pool runs",
+                "Items executed across all crew runs",
             ),
             workers: r.counter(
                 "advhunter_runtime_workers_total",
-                "Worker threads spawned across all fan-outs",
+                "Helper threads spawned, once per crew",
             ),
             worker_items: r.histogram(
                 "advhunter_runtime_worker_items",
-                "Items one worker claimed in one fan-out (work-distribution balance)",
+                "Items one crew member claimed in one run (work-distribution balance)",
             ),
             worker_busy_ns: r.histogram(
                 "advhunter_runtime_worker_busy_ns",
-                "Per-worker wall time spent inside item closures, per fan-out",
+                "Per-member wall time spent inside item closures, per run",
             ),
             worker_idle_ns: r.histogram(
                 "advhunter_runtime_worker_idle_ns",
-                "Per-worker wall time spent claiming work or waiting, per fan-out",
+                "Per-member wall time of a run not spent on items (parked, claiming or waiting)",
             ),
         }
     })
@@ -329,11 +334,11 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 }
 
 /// Runs `f(index)` for every `index in 0..n` and returns the results in
-/// index order, fanning out over the configured worker pool.
+/// index order, fanning out over a one-run [`Crew`].
 ///
 /// `f` must be a pure function of `index` (plus captured shared state) for
 /// the determinism guarantee to mean anything; under that contract the
-/// output is identical for every thread count. A panic in any worker is
+/// output is identical for every thread count. A panic in any member is
 /// propagated to the caller with its original payload.
 pub fn parallel_tasks<R, F>(parallelism: &Parallelism, n: usize, f: F) -> Vec<R>
 where
@@ -352,89 +357,365 @@ where
 /// shared between threads. The determinism contract still requires each
 /// *result* to be a pure function of `index` — the state may cache buffers
 /// but must not leak information from one item into the next item's output.
+///
+/// It is a crew of at most `n` members that does a single run; callers
+/// that fan out repeatedly should keep one [`with_crew`] alive instead.
 pub fn parallel_tasks_with<S, R, I, F>(parallelism: &Parallelism, n: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let metrics = pool_metrics();
-    metrics.tasks.add(n as u64);
-    // Never oversubscribe: the workers are CPU-bound, so spawning more of
-    // them than there are cores only adds context switches and cache
-    // ping-pong between per-worker scratch states. Results are identical
-    // for any worker count (the determinism contract), so capping a
-    // too-large request is observationally safe. ADVHUNTER_OVERSUBSCRIBE=1
-    // lifts the cap for harnesses that deliberately spawn more workers
-    // than cores (e.g. exercising the real worker topology on a
-    // single-core CI container); results are unchanged, only scheduling.
+    let members = Parallelism::new(parallelism.threads().min(n));
+    with_crew(
+        &members,
+        init,
+        |state, i, _: &()| f(state, i),
+        |crew| crew.run(vec![(); n]).1,
+    )
+}
+
+/// Runs `body` with a persistent [`Crew`]: `min(threads, cores) − 1`
+/// helper threads, spawned once inside one `std::thread::scope` and parked
+/// between runs, plus the calling thread as member 0.
+///
+/// `init` and `f` are fixed for the crew's lifetime, so they may borrow
+/// anything that outlives this call. Every member calls `init()` once,
+/// lazily before its first item, and keeps that state until the crew
+/// closes; [`Crew::run`] then applies `f(&mut state, index, &item)` to a
+/// run's items. The same determinism contract as [`parallel_tasks_with`]
+/// holds: a result must be a pure function of its item and index.
+///
+/// The crew closes when `body` returns or unwinds: parked helpers wake,
+/// exit, and are joined before this call returns.
+///
+/// ```
+/// use advhunter_runtime::{with_crew, Parallelism};
+///
+/// let sums = with_crew(
+///     &Parallelism::new(2),
+///     Vec::<u64>::new,
+///     |scratch, _, x: &u64| {
+///         scratch.push(*x);
+///         x * 10
+///     },
+///     |crew| {
+///         let mut total = 0;
+///         for batch in [vec![1, 2, 3], vec![4], vec![]] {
+///             let (items, out) = crew.run(batch);
+///             assert_eq!(out, items.iter().map(|x| x * 10).collect::<Vec<_>>());
+///             total += out.iter().sum::<u64>();
+///         }
+///         total
+///     },
+/// );
+/// assert_eq!(sums, 100);
+/// ```
+pub fn with_crew<S, T, R, I, F, B, O>(parallelism: &Parallelism, init: I, f: F, body: B) -> O
+where
+    T: Send + Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+    B: FnOnce(&mut Crew<'_, S, T, R>) -> O,
+{
+    // Never oversubscribe: the members are CPU-bound, so more of them
+    // than there are cores only adds context switches and cache ping-pong
+    // between per-member scratch states. Results are identical for any
+    // member count (the determinism contract), so capping a too-large
+    // request is observationally safe. ADVHUNTER_OVERSUBSCRIBE=1 lifts the
+    // cap for harnesses that deliberately run more members than cores
+    // (e.g. exercising the real crew topology on a single-core CI
+    // container); results are unchanged, only scheduling.
     let core_cap = if oversubscribe_requested() {
         usize::MAX
     } else {
         std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
     };
-    let threads = parallelism.threads().min(n).min(core_cap);
-    if threads <= 1 {
-        metrics.sequential_runs.inc();
-        let started = advhunter_telemetry::now();
-        let mut state = init();
-        let out = (0..n).map(|i| f(&mut state, i)).collect();
-        if started.is_some() {
-            metrics.worker_items.record(n as u64);
-            metrics
-                .worker_busy_ns
-                .record(advhunter_telemetry::elapsed_nanos(started));
-        }
-        return out;
-    }
-    metrics.parallel_runs.inc();
-    metrics.workers.add(threads as u64);
-
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
+    let members = parallelism.threads().min(core_cap);
+    let hub = Hub::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let spawned = advhunter_telemetry::now();
-                    let mut busy = Duration::ZERO;
-                    let mut state = init();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item_start = advhunter_telemetry::now();
-                        local.push((i, f(&mut state, i)));
-                        if let Some(start) = item_start {
-                            busy += start.elapsed();
-                        }
-                    }
-                    if let Some(spawned) = spawned {
-                        let wall = spawned.elapsed();
-                        metrics.worker_items.record(local.len() as u64);
-                        metrics.worker_busy_ns.record_duration(busy);
-                        metrics
-                            .worker_idle_ns
-                            .record_duration(wall.saturating_sub(busy));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => tagged.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        let _close = CloseOnDrop(&hub);
+        for _ in 1..members {
+            std::thread::Builder::new()
+                .name("advhunter-crew".into())
+                .spawn_scoped(scope, || help(&hub, &init, &f))
+                .expect("failed to spawn crew helper thread");
         }
-    });
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+        pool_metrics().workers.add(members as u64 - 1);
+        body(&mut Crew {
+            hub: &hub,
+            init: &init,
+            f: &f,
+            state: None,
+            members,
+        })
+    })
+}
+
+/// A persistent crew: the calling thread plus helper threads parked
+/// between runs. Built by [`with_crew`].
+pub struct Crew<'a, S, T, R> {
+    hub: &'a Hub<T, R>,
+    init: &'a (dyn Fn() -> S + Sync),
+    f: &'a (dyn Fn(&mut S, usize, &T) -> R + Sync),
+    /// Member 0's state: the calling thread's, created on its first item.
+    state: Option<S>,
+    /// Members in this crew, the calling thread included.
+    members: usize,
+}
+
+impl<S, T: Send + Sync, R: Send> Crew<'_, S, T, R> {
+    /// Applies the crew's `f` to every item and returns the items with
+    /// their results in item order: `out[i] = f(&mut state, i, &items[i])`.
+    ///
+    /// Members claim item indices from one shared counter. A run of one
+    /// item, or any run of a one-member crew, stays on the calling thread
+    /// and wakes no helper; an empty run does nothing at all.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, with its original payload, a panic from `f` or `init` in
+    /// any member, after every member has left the run. A helper that
+    /// panicked exits; the calling thread drops its own state if it did.
+    pub fn run(&mut self, items: Vec<T>) -> (Vec<T>, Vec<R>) {
+        let n = items.len();
+        if n == 0 {
+            return (items, Vec::new());
+        }
+        let metrics = pool_metrics();
+        metrics.tasks.add(n as u64);
+        let started = advhunter_telemetry::now();
+        let hub = self.hub;
+        let items = Arc::new(items);
+        hub.next.store(0, Ordering::Relaxed);
+        let fan_out = n > 1 && self.members > 1;
+        if fan_out {
+            metrics.parallel_runs.inc();
+            let mut control = hub.lock();
+            control.run += 1;
+            control.items = Some(Arc::clone(&items));
+            control.shares.clear();
+            control.panic = None;
+            drop(control);
+            hub.wake.notify_all();
+        } else {
+            metrics.sequential_runs.inc();
+        }
+        let mine = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            claim(
+                &hub.next,
+                &items,
+                &mut self.state,
+                self.init,
+                self.f,
+                started.is_some(),
+            )
+        }));
+        if mine.is_err() {
+            // A panicking member's state may be half-updated: rebuild it.
+            self.state = None;
+            hub.next.store(n, Ordering::Relaxed);
+        }
+        let (mut shares, helper_panic) = if fan_out {
+            // Close the run to late helpers and wait out the ones in it.
+            let mut control = hub.lock();
+            control.items = None;
+            while control.active > 0 {
+                control = hub
+                    .done
+                    .wait(control)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            (std::mem::take(&mut control.shares), control.panic.take())
+        } else {
+            (Vec::new(), None)
+        };
+        match (mine, helper_panic) {
+            (Err(payload), _) | (Ok(_), Some(payload)) => std::panic::resume_unwind(payload),
+            (Ok(mine), None) => shares.push(mine),
+        }
+        record_run(started, self.members, &shares);
+        let mut results: Vec<(usize, R)> = shares.into_iter().flat_map(|s| s.results).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert_eq!(results.len(), n, "every item ran exactly once");
+        let items = Arc::into_inner(items).expect("every helper left the run");
+        (items, results.into_iter().map(|(_, r)| r).collect())
+    }
+}
+
+/// What one member did in one run: its `(index, result)` pairs and the
+/// wall time it spent inside `init`/`f`.
+struct Share<R> {
+    results: Vec<(usize, R)>,
+    busy: Duration,
+}
+
+/// The one claim loop every member runs: pull item indices from `next`
+/// until they run out, timing each item when `timed`.
+fn claim<S, T, R>(
+    next: &AtomicUsize,
+    items: &[T],
+    state: &mut Option<S>,
+    init: &dyn Fn() -> S,
+    f: &dyn Fn(&mut S, usize, &T) -> R,
+    timed: bool,
+) -> Share<R> {
+    let mut share = Share {
+        results: Vec::new(),
+        busy: Duration::ZERO,
+    };
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            return share;
+        };
+        let start = timed.then(Instant::now);
+        let state = state.get_or_insert_with(init);
+        share.results.push((i, f(state, i, item)));
+        if let Some(start) = start {
+            share.busy += start.elapsed();
+        }
+    }
+}
+
+/// Records one run's per-member items, busy and idle time. Members that
+/// never joined the run (parked through it) count as wholly idle.
+fn record_run<R>(started: Option<Instant>, members: usize, shares: &[Share<R>]) {
+    let Some(started) = started else {
+        return;
+    };
+    let wall = started.elapsed();
+    let metrics = pool_metrics();
+    let absent = members.saturating_sub(shares.len());
+    let joined = shares.iter().map(|s| (s.results.len(), s.busy));
+    for (items, busy) in joined.chain(std::iter::repeat_n((0, Duration::ZERO), absent)) {
+        metrics.worker_items.record(items as u64);
+        metrics.worker_busy_ns.record_duration(busy);
+        metrics
+            .worker_idle_ns
+            .record_duration(wall.saturating_sub(busy));
+    }
+}
+
+/// Hand-off state between a crew's calling thread and its helpers.
+struct Control<T, R> {
+    /// Bumped by every run that wakes the helpers.
+    run: u64,
+    /// The current run's items while it admits helpers; `None` once the
+    /// calling thread has closed it.
+    items: Option<Arc<Vec<T>>>,
+    /// Helpers inside the current run that have not reported back.
+    active: usize,
+    /// What each helper that took part in the current run reported.
+    shares: Vec<Share<R>>,
+    /// The first panic a helper raised in the current run.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the crew closes: helpers exit.
+    closed: bool,
+}
+
+struct Hub<T, R> {
+    control: Mutex<Control<T, R>>,
+    /// Helpers park here between runs.
+    wake: Condvar,
+    /// The calling thread parks here until the run's helpers report.
+    done: Condvar,
+    /// The next unclaimed item index of the current run. `Relaxed` is
+    /// enough: the counter publishes no data, because items, results and
+    /// the reset before each run all pass through the `control` mutex.
+    next: AtomicUsize,
+}
+
+impl<T, R> Hub<T, R> {
+    fn new() -> Self {
+        Self {
+            control: Mutex::new(Control {
+                run: 0,
+                items: None,
+                active: 0,
+                shares: Vec::new(),
+                panic: None,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+            done: Condvar::new(),
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// No user code ever runs under this lock, so a poisoned lock still
+    /// guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Control<T, R>> {
+        self.control.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Closes the crew when [`with_crew`]'s body returns or unwinds, so no
+/// helper stays parked and the scope's join cannot hang.
+struct CloseOnDrop<'a, T, R>(&'a Hub<T, R>);
+
+impl<T, R> Drop for CloseOnDrop<'_, T, R> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.wake.notify_all();
+    }
+}
+
+/// A helper's life: park until a run opens, claim items from it, report,
+/// repeat until the crew closes. A panic is handed to the calling thread
+/// and ends the helper.
+fn help<S, T, R>(hub: &Hub<T, R>, init: &dyn Fn() -> S, f: &dyn Fn(&mut S, usize, &T) -> R) {
+    let mut state = None;
+    let mut seen = 0;
+    loop {
+        let items = {
+            let mut control = hub.lock();
+            loop {
+                if control.closed {
+                    return;
+                }
+                if control.run != seen {
+                    seen = control.run;
+                    if let Some(items) = &control.items {
+                        let items = Arc::clone(items);
+                        control.active += 1;
+                        break items;
+                    }
+                }
+                control = hub
+                    .wake
+                    .wait(control)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let timed = advhunter_telemetry::enabled();
+        let share = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            claim(&hub.next, &items, &mut state, init, f, timed)
+        }));
+        if share.is_err() {
+            hub.next.store(items.len(), Ordering::Relaxed);
+        }
+        drop(items);
+        let mut control = hub.lock();
+        control.active -= 1;
+        let alive = match share {
+            Ok(share) => {
+                control.shares.push(share);
+                true
+            }
+            Err(payload) => {
+                control.panic.get_or_insert(payload);
+                false
+            }
+        };
+        if control.active == 0 {
+            hub.done.notify_one();
+        }
+        if !alive {
+            return;
+        }
+    }
 }
 
 /// Order-preserving parallel map over a slice: `out[i] = f(i, &items[i])`.
@@ -518,11 +799,205 @@ mod tests {
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::sequential().threads(), 1);
         assert!(Parallelism::available_cores().threads() >= 1);
+        // Restore whatever the harness set (CI runs with a fixed count),
+        // so later tests in this binary see the same environment.
+        let saved = std::env::var_os("ADVHUNTER_THREADS");
         std::env::set_var("ADVHUNTER_THREADS", "3");
         assert_eq!(Parallelism::from_env().threads(), 3);
         std::env::set_var("ADVHUNTER_THREADS", "not-a-number");
         assert!(Parallelism::from_env().threads() >= 1);
-        std::env::remove_var("ADVHUNTER_THREADS");
+        match saved {
+            Some(v) => std::env::set_var("ADVHUNTER_THREADS", v),
+            None => std::env::remove_var("ADVHUNTER_THREADS"),
+        }
+    }
+
+    /// Float work whose bits depend on the item and index only.
+    fn mix(i: usize, x: &u64) -> f64 {
+        (derive_seed(*x, i as u64) as f64).sqrt() / (i as f64 + 0.5)
+    }
+
+    #[test]
+    fn crew_runs_match_the_sequential_loop_at_every_size() {
+        let batches: Vec<Vec<u64>> = [0, 1, 2, 7, 64, 257]
+            .iter()
+            .map(|&len| (0..len).map(|x| x * 31 + len).collect())
+            .collect();
+        let expected: Vec<Vec<u64>> = batches
+            .iter()
+            .map(|b| {
+                b.iter()
+                    .enumerate()
+                    .map(|(i, x)| mix(i, x).to_bits())
+                    .collect()
+            })
+            .collect();
+        for members in [1, 2, 3, 4, 8] {
+            let got = with_crew(
+                &Parallelism::new(members),
+                || (),
+                |(), i, x: &u64| mix(i, x).to_bits(),
+                |crew| {
+                    assert!(crew.members <= members);
+                    batches
+                        .iter()
+                        .map(|b| {
+                            let (items, out) = crew.run(b.clone());
+                            assert_eq!(&items, b, "run hands its items back");
+                            out
+                        })
+                        .collect::<Vec<_>>()
+                },
+            );
+            assert_eq!(got, expected, "{members}-member crew changed results");
+        }
+    }
+
+    #[test]
+    fn helpers_are_spawned_once_and_reused_across_runs() {
+        use std::collections::HashSet;
+        let seen = Mutex::new(HashSet::new());
+        let inits = AtomicUsize::new(0);
+        let members = with_crew(
+            &Parallelism::new(4),
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i, _: &u8| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                i
+            },
+            |crew| {
+                for _ in 0..200 {
+                    assert_eq!(crew.run(vec![0; 4]).1, vec![0, 1, 2, 3]);
+                }
+                crew.members
+            },
+        );
+        assert!(
+            seen.lock().unwrap().len() <= members,
+            "helpers were respawned"
+        );
+        assert!(
+            inits.load(Ordering::Relaxed) <= members,
+            "one init per member"
+        );
+    }
+
+    #[test]
+    fn one_item_run_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let inits = AtomicUsize::new(0);
+        with_crew(
+            &Parallelism::new(4),
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, _, _: &()| std::thread::current().id(),
+            |crew| {
+                for _ in 0..20 {
+                    assert_eq!(crew.run(vec![()]).1, vec![caller]);
+                }
+            },
+        );
+        assert_eq!(
+            inits.load(Ordering::Relaxed),
+            1,
+            "only the caller initialised"
+        );
+    }
+
+    #[test]
+    fn empty_run_skips_init() {
+        let out = with_crew(
+            &Parallelism::new(4),
+            || panic!("init must not run for an empty run"),
+            |_: &mut (), i, _: &u8| i,
+            |crew| crew.run(Vec::new()),
+        );
+        assert!(out.0.is_empty() && out.1.is_empty());
+    }
+
+    /// Counts drops, so a test can tell every member's state was released.
+    struct Tally<'a>(&'a AtomicUsize);
+
+    impl Drop for Tally<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn payload_text(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn member_panic_reaches_the_caller_and_the_helpers_exit() {
+        let inits = AtomicUsize::new(0);
+        let drops = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            with_crew(
+                &Parallelism::new(4),
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Tally(&drops)
+                },
+                |_, i, _: &()| {
+                    assert!(i != 7, "boom at 7");
+                    i
+                },
+                |crew| crew.run(vec![(); 16]),
+            )
+        });
+        let payload = result.expect_err("the panic on item 7 must surface");
+        assert!(payload_text(&*payload).contains("boom at 7"));
+        // Every member's state is dropped only once its thread is done.
+        assert_eq!(drops.load(Ordering::Relaxed), inits.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn crew_runs_report_every_member_into_the_runtime_families() {
+        let family_count = |name: &str| {
+            advhunter_telemetry::global()
+                .snapshot()
+                .histogram(name)
+                .map_or(0, |h| h.count)
+        };
+        let idle_before = family_count("advhunter_runtime_worker_idle_ns");
+        let members = with_crew(
+            &Parallelism::new(2),
+            || (),
+            |(), i, _: &u8| i,
+            |crew| {
+                for _ in 0..5 {
+                    crew.run(vec![0; 4]);
+                }
+                crew.members as u64
+            },
+        );
+        // One idle sample per member per run, parked helpers included.
+        // Other tests record concurrently, so the count can only grow more.
+        assert!(family_count("advhunter_runtime_worker_idle_ns") >= idle_before + 5 * members);
+    }
+
+    #[test]
+    fn crew_keeps_serving_after_a_caught_panic() {
+        with_crew(
+            &Parallelism::new(3),
+            || (),
+            |(), i, fail: &bool| {
+                assert!(!fail, "boom at {i}");
+                i * 3
+            },
+            |crew| {
+                let mut poisoned = vec![false; 12];
+                poisoned[5] = true;
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| crew.run(poisoned)));
+                assert!(payload_text(&*caught.unwrap_err()).contains("boom at 5"));
+                let (_, out) = crew.run(vec![false; 12]);
+                assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+            },
+        );
     }
 
     #[test]
