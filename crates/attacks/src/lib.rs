@@ -239,6 +239,7 @@ impl Attack {
 pub(crate) mod testutil {
     use advhunter_nn::train::{fit, TrainConfig};
     use advhunter_nn::{Graph, GraphBuilder};
+    use advhunter_runtime::Parallelism;
     use advhunter_tensor::{init, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -278,7 +279,14 @@ pub(crate) mod testutil {
             learning_rate: 3e-3,
             lr_decay: 0.8,
         };
-        fit(&mut model, &images, &labels, &cfg, &mut rng);
+        fit(
+            &mut model,
+            &images,
+            &labels,
+            &cfg,
+            &Parallelism::available_cores(),
+            &mut rng,
+        );
         let probes = (0..3).map(|c| images[c].clone()).collect();
         (model, probes)
     }

@@ -1,17 +1,21 @@
 //! Micro-benchmarks for the substrates: cache-simulator throughput, branch
-//! prediction, convolution (dense and depthwise), SiLU, GMM fitting,
+//! prediction, convolution (dense and depthwise), SiLU, the training
+//! backward kernels (reference against packed), GMM fitting,
 //! instrumented inference, and online detector scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
 
 use advhunter::scenario::ScenarioId;
-use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate};
+use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism};
 use advhunter_bench::bench_function;
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::Mode;
-use advhunter_tensor::ops::{conv2d, dwconv2d_into, silu_into, Conv2dSpec};
+use advhunter_tensor::ops::{
+    conv2d, conv2d_backward, conv2d_backward_reference, dwconv2d_into, linear_backward, matmul,
+    matmul_at, silu_into, Conv2dSpec,
+};
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
 use rand::rngs::StdRng;
@@ -71,6 +75,45 @@ fn bench_dwconv2d() {
     }
 }
 
+/// The training backward kernels, reference loops against the packed
+/// kernels at one and two workers, over one training batch: CaseStudy's
+/// conv2 (16→16 at 32x32) and conv4 (32→32 at 16x16), and S1's head.fc1
+/// (12544→96).
+fn bench_backward() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let batch = 32;
+    for (name, c, oc, hw) in [("case_conv2", 16, 16, 32), ("case_conv4", 32, 32, 16)] {
+        let spec = Conv2dSpec::new(c, oc, 3, 1, 1);
+        let x = init::normal(&mut rng, &[batch, c, hw, hw], 0.0, 1.0);
+        let w = init::normal(&mut rng, &[oc, c * 9], 0.0, 0.1);
+        let g = init::normal(&mut rng, &[batch, oc, hw, hw], 0.0, 1.0);
+        bench_function(&format!("conv2d_backward_{name}_b32_reference"), || {
+            conv2d_backward_reference(black_box(&x), &w, &g, &spec)
+        });
+        for threads in [1, 2] {
+            let par = Parallelism::new(threads);
+            bench_function(
+                &format!("conv2d_backward_{name}_b32_packed_{threads}t"),
+                || conv2d_backward(black_box(&x), &w, &g, &spec, &par),
+            );
+        }
+    }
+    let (in_f, out_f) = (64 * 14 * 14, 96);
+    let x = init::normal(&mut rng, &[batch, in_f], 0.0, 1.0);
+    let w = init::normal(&mut rng, &[out_f, in_f], 0.0, 0.01);
+    let g = init::normal(&mut rng, &[batch, out_f], 0.0, 1.0);
+    bench_function("linear_backward_s1_head_fc1_b32_reference", || {
+        (matmul(black_box(&g), &w), matmul_at(&g, &x))
+    });
+    for threads in [1, 2] {
+        let par = Parallelism::new(threads);
+        bench_function(
+            &format!("linear_backward_s1_head_fc1_b32_packed_{threads}t"),
+            || linear_backward(black_box(&x), &w, &g, &par),
+        );
+    }
+}
+
 /// SiLU over mb1.expand's output (32 x 28 x 28), zero-mean so the sign of
 /// the input is unpredictable, as it is on real activations.
 fn bench_silu() {
@@ -78,7 +121,7 @@ fn bench_silu() {
     let x = init::normal(&mut rng, &[32, 28, 28], 0.0, 2.0);
     let mut out = Tensor::zeros(&[32, 28, 28]);
     bench_function("silu_32x28x28", || {
-        silu_into(black_box(&x), &mut out);
+        silu_into(black_box(&x), &mut out, &Parallelism::sequential());
         out.data()[0]
     });
 }
@@ -153,6 +196,7 @@ fn main() {
     bench_conv2d();
     bench_dwconv2d();
     bench_silu();
+    bench_backward();
     bench_gmm_fit();
     bench_instrumented_inference();
     bench_detector_scoring();

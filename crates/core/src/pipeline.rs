@@ -772,7 +772,7 @@ impl Pipeline {
     /// [`PipelineError::Spec`] if the configured spec fails validation.
     pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
         let config = &self.config;
-        let split = scenario::generate_data(&config.spec, &config.sizes);
+        let split = scenario::generate_data(&config.spec, &config.sizes, &self.parallelism);
         let base = config
             .spec
             .build_graph(&mut StdRng::seed_from_u64(config.spec.model_seed))?;
@@ -790,6 +790,7 @@ impl Pipeline {
                     split.train.images(),
                     split.train.labels(),
                     &config.train,
+                    &self.parallelism,
                     &mut train_rng,
                 );
                 Ok(m)

@@ -17,6 +17,7 @@ use advhunter_exec::TraceEngine;
 use advhunter_nn::spec::GraphSpec;
 use advhunter_nn::train::TrainConfig;
 use advhunter_nn::Graph;
+use advhunter_runtime::Parallelism;
 
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::store::ArtifactStore;
@@ -188,9 +189,20 @@ pub(crate) fn split_sizes(spec: &GraphSpec) -> SplitSizes {
     }
 }
 
-/// Generates the spec's dataset at the given split sizes.
-pub(crate) fn generate_data(spec: &GraphSpec, sizes: &SplitSizes) -> SplitDataset {
-    dataset_family(spec).generate(spec.input, spec.classes, spec.dataset_seed, sizes)
+/// Generates the spec's dataset at the given split sizes, rendering on
+/// `parallelism`.
+pub(crate) fn generate_data(
+    spec: &GraphSpec,
+    sizes: &SplitSizes,
+    parallelism: &Parallelism,
+) -> SplitDataset {
+    dataset_family(spec).generate_with(
+        spec.input,
+        spec.classes,
+        spec.dataset_seed,
+        sizes,
+        parallelism,
+    )
 }
 
 /// Loads and validates a `.ahg` spec from disk, additionally checking that

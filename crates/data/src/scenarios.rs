@@ -7,6 +7,8 @@
 //! class names. The three original helpers are thin wrappers over the
 //! family table with the canonical scenario geometry.
 
+use advhunter_runtime::Parallelism;
+
 use crate::synth::{generate, SynthConfig};
 use crate::{SplitDataset, SplitSizes};
 
@@ -96,6 +98,8 @@ impl DatasetFamily {
 
     /// Generates train/val/test splits with the family's character at the
     /// given geometry — the data half of running a graph spec end to end.
+    /// Renders on the environment's default [`Parallelism`]; the split is
+    /// the same at any worker count.
     #[must_use]
     pub fn generate(
         self,
@@ -104,7 +108,24 @@ impl DatasetFamily {
         seed: u64,
         sizes: &SplitSizes,
     ) -> SplitDataset {
-        generate(&self.synth_config(dims, num_classes, seed), sizes)
+        self.generate_with(dims, num_classes, seed, sizes, &Parallelism::default())
+    }
+
+    /// [`generate`](Self::generate) rendering on `parallelism`.
+    #[must_use]
+    pub fn generate_with(
+        self,
+        dims: [usize; 3],
+        num_classes: usize,
+        seed: u64,
+        sizes: &SplitSizes,
+        parallelism: &Parallelism,
+    ) -> SplitDataset {
+        generate(
+            &self.synth_config(dims, num_classes, seed),
+            sizes,
+            parallelism,
+        )
     }
 
     /// Human-readable class names for an `n`-class instance of the family

@@ -1,5 +1,6 @@
 //! The computation graph: ops, forward traces, and backpropagation.
 
+use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
     avgpool2d_backward, conv2d_backward, dwconv2d_backward, global_avgpool_backward,
     leaky_relu_backward, linear_backward, maxpool2d_backward, relu_backward, sigmoid_backward,
@@ -7,6 +8,8 @@ use advhunter_tensor::ops::{
 };
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
+
+use crate::MatKernels;
 
 /// Whether a forward pass runs with batch statistics (training) or running
 /// statistics (inference).
@@ -293,6 +296,35 @@ impl Graph {
     /// Panics if shapes are inconsistent (programming error in the model
     /// definition).
     pub fn forward(&self, x: &Tensor, mode: Mode) -> ForwardTrace {
+        self.trace(x, mode, None, &Parallelism::sequential())
+    }
+
+    /// [`Graph::forward`] with the matrix nodes dispatched through
+    /// `kernels` and each convolution's images fanned out over
+    /// `parallelism`: the training forward pass. Bit-for-bit the trace of
+    /// [`Graph::forward`] for any variant choice and worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`Graph::forward`], or if
+    /// `kernels` was packed for a different graph.
+    pub fn forward_packed(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        kernels: &MatKernels,
+        parallelism: &Parallelism,
+    ) -> ForwardTrace {
+        self.trace(x, mode, Some(kernels), parallelism)
+    }
+
+    fn trace(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        kernels: Option<&MatKernels>,
+        parallelism: &Parallelism,
+    ) -> ForwardTrace {
         let dims = x.shape().dims();
         let (batch, chw): (usize, &[usize]) = match dims.len() {
             3 => (1, dims),
@@ -300,7 +332,11 @@ impl Graph {
             _ => panic!("graph input must be NCHW or CHW, got {:?}", x.shape()),
         };
         let mut ws = self.workspace_for(batch, chw);
-        self.forward_with(x, mode, &mut ws);
+        ws.parallelism = *parallelism;
+        match kernels {
+            Some(kernels) => self.forward_with_kernels(x, mode, &mut ws, kernels),
+            None => self.forward_with(x, mode, &mut ws),
+        }
         ForwardTrace {
             input: x.clone(),
             outputs: ws.outputs,
@@ -341,6 +377,24 @@ impl Graph {
     ///
     /// Panics if `grad_output`'s shape differs from the trace's final output.
     pub fn backward(&self, trace: &ForwardTrace, grad_output: &Tensor) -> Gradients {
+        self.backward_with(trace, grad_output, &Parallelism::sequential())
+    }
+
+    /// [`Graph::backward`] with the convolution and fully-connected
+    /// gradients fanned out over `parallelism`. Every cross-image sum is
+    /// still taken on the calling thread in ascending image order, so the
+    /// gradients are bit-for-bit those of [`Graph::backward`] at any worker
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output`'s shape differs from the trace's final output.
+    pub fn backward_with(
+        &self,
+        trace: &ForwardTrace,
+        grad_output: &Tensor,
+        parallelism: &Parallelism,
+    ) -> Gradients {
         assert_eq!(
             grad_output.shape(),
             trace.output().shape(),
@@ -372,6 +426,7 @@ impl Graph {
                 &trace.aux[i],
                 &gout,
                 trace.mode,
+                parallelism,
             );
             params[i] = pgrad;
             for (src, g) in node.inputs.iter().zip(input_grads) {
@@ -596,10 +651,11 @@ fn backward_op(
     aux: &Aux,
     gout: &Tensor,
     mode: Mode,
+    parallelism: &Parallelism,
 ) -> (Vec<Tensor>, Option<ParamGrad>) {
     match op {
         Op::Conv2d(l) => {
-            let (gx, gw, gb) = conv2d_backward(ins[0], &l.weight, gout, &l.spec);
+            let (gx, gw, gb) = conv2d_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
             (
                 vec![gx],
                 Some(ParamGrad {
@@ -609,7 +665,7 @@ fn backward_op(
             )
         }
         Op::DwConv2d(l) => {
-            let (gx, gw, gb) = dwconv2d_backward(ins[0], &l.weight, gout, &l.spec);
+            let (gx, gw, gb) = dwconv2d_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
             (
                 vec![gx],
                 Some(ParamGrad {
@@ -619,7 +675,7 @@ fn backward_op(
             )
         }
         Op::Linear(l) => {
-            let (gx, gw, gb) = linear_backward(ins[0], &l.weight, gout);
+            let (gx, gw, gb) = linear_backward(ins[0], &l.weight, gout, parallelism);
             (
                 vec![gx],
                 Some(ParamGrad {
@@ -631,7 +687,7 @@ fn backward_op(
         Op::BatchNorm2d(bn) => batchnorm_backward(bn, ins[0], aux, gout, mode),
         Op::ReLU => (vec![relu_backward(ins[0], gout)], None),
         Op::LeakyReLU { alpha } => (vec![leaky_relu_backward(ins[0], gout, *alpha)], None),
-        Op::SiLU => (vec![silu_backward(ins[0], gout)], None),
+        Op::SiLU => (vec![silu_backward(ins[0], gout, parallelism)], None),
         Op::Sigmoid => (vec![sigmoid_backward(output, gout)], None),
         Op::Tanh => (vec![tanh_backward(output, gout)], None),
         Op::MaxPool2d { .. } => {

@@ -1,11 +1,12 @@
 //! Optimizers and the batched training loop.
 
-use advhunter_tensor::ops::cross_entropy_with_logits;
+use advhunter_runtime::Parallelism;
+use advhunter_tensor::ops::{cross_entropy_with_logits, KernelVariant};
 use advhunter_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Graph, Mode};
+use crate::{Graph, MatKernels, Mode};
 
 /// Adam optimizer state (Kingma & Ba) over a fixed parameter list.
 ///
@@ -183,6 +184,14 @@ pub struct EpochStats {
 /// updates, and learning-rate decay are handled internally. Returns per-epoch
 /// statistics.
 ///
+/// Every optimizer step packs the current weights into GEMM panels once
+/// ([`KernelVariant::TRAINING`]), runs the forward pass through them
+/// ([`Graph::forward_packed`]) and the backward pass with
+/// [`Graph::backward_with`], fanning per-image and per-row work out over
+/// `parallelism`. Cross-image reductions stay on the calling thread in
+/// image order, so the trained weights are bit-for-bit the same at every
+/// worker count.
+///
 /// # Panics
 ///
 /// Panics if `images` and `labels` differ in length or are empty.
@@ -191,6 +200,7 @@ pub fn fit(
     images: &[Tensor],
     labels: &[usize],
     config: &TrainConfig,
+    parallelism: &Parallelism,
     rng: &mut impl Rng,
 ) -> Vec<EpochStats> {
     assert_eq!(images.len(), labels.len(), "one label per image");
@@ -208,7 +218,8 @@ pub fn fit(
             let batch_imgs: Vec<Tensor> = chunk.iter().map(|&i| images[i].clone()).collect();
             let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             let x = Tensor::stack(&batch_imgs);
-            let trace = graph.forward(&x, Mode::Train);
+            let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
+            let trace = graph.forward_packed(&x, Mode::Train, &kernels, parallelism);
             let (loss, dlogits) = cross_entropy_with_logits(trace.output(), &batch_labels);
             total_loss += loss as f64;
             batches += 1;
@@ -229,7 +240,7 @@ pub fn fit(
                 }
             }
 
-            let grads = graph.backward(&trace, &dlogits);
+            let grads = graph.backward_with(&trace, &dlogits, parallelism);
             graph.update_running_stats(&trace);
             let flat: Vec<&Tensor> = grads.flat();
             let mut params = graph.param_tensors_mut();
@@ -311,7 +322,14 @@ mod tests {
             learning_rate: 5e-3,
             lr_decay: 0.8,
         };
-        let hist = fit(&mut model, &images, &labels, &cfg, &mut rng);
+        let hist = fit(
+            &mut model,
+            &images,
+            &labels,
+            &cfg,
+            &Parallelism::new(2),
+            &mut rng,
+        );
         assert!(hist.last().unwrap().accuracy > 0.95, "history: {hist:?}");
         assert!(
             hist.last().unwrap().mean_loss < hist.first().unwrap().mean_loss,
@@ -375,6 +393,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (images, _) = toy_problem(&mut rng, 4);
         let mut model = toy_model(&mut rng);
-        fit(&mut model, &images, &[0], &TrainConfig::default(), &mut rng);
+        fit(
+            &mut model,
+            &images,
+            &[0],
+            &TrainConfig::default(),
+            &Parallelism::sequential(),
+            &mut rng,
+        );
     }
 }

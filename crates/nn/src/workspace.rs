@@ -11,6 +11,7 @@
 //! `advhunter_tensor::ops` is a thin wrapper over its `_into` variant, so
 //! `forward` is literally `forward_with` over fresh buffers.
 
+use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
     avgpool2d_into, conv2d_into, conv2d_packed_into, dwconv2d_into, global_avgpool_into,
     leaky_relu_into, linear_into, linear_packed_into, maxpool2d_into, relu_into, sigmoid_into,
@@ -57,6 +58,9 @@ pub struct Workspace {
     pub(crate) outputs: Vec<Tensor>,
     pub(crate) aux: Vec<Aux>,
     pub(crate) conv_scratch: Vec<Option<Conv2dScratch>>,
+    /// How the packed matrix nodes and SiLU of a multi-image batch fan out
+    /// (sequential unless a training pass asks otherwise).
+    pub(crate) parallelism: Parallelism,
 }
 
 impl Workspace {
@@ -125,6 +129,7 @@ impl Graph {
             outputs,
             aux,
             conv_scratch,
+            parallelism: Parallelism::sequential(),
         }
     }
 
@@ -198,11 +203,13 @@ impl Graph {
                 ws.conv_scratch[i].as_mut(),
                 mode,
                 kernels.and_then(|k| k.node(i)),
+                &ws.parallelism,
             );
         }
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn forward_op_into(
     op: &Op,
     ins: &[&Tensor],
@@ -211,12 +218,21 @@ fn forward_op_into(
     scratch: Option<&mut Conv2dScratch>,
     mode: Mode,
     kernel: Option<&NodeKernel>,
+    parallelism: &Parallelism,
 ) {
     match op {
         Op::Conv2d(l) => {
             let scratch = scratch.expect("conv node has an im2col scratch");
             match kernel {
-                Some(k) => conv2d_packed_into(ins[0], &k.packed, &l.bias, &l.spec, scratch, out),
+                Some(k) => conv2d_packed_into(
+                    ins[0],
+                    &k.packed,
+                    &l.bias,
+                    &l.spec,
+                    scratch,
+                    parallelism,
+                    out,
+                ),
                 None => conv2d_into(ins[0], &l.weight, &l.bias, &l.spec, scratch, out),
             }
             *aux = Aux::None;
@@ -227,7 +243,7 @@ fn forward_op_into(
         }
         Op::Linear(l) => {
             match kernel {
-                Some(k) => linear_packed_into(ins[0], &k.packed, &l.bias, out),
+                Some(k) => linear_packed_into(ins[0], &k.packed, &l.bias, parallelism, out),
                 None => linear_into(ins[0], &l.weight, &l.bias, out),
             }
             *aux = Aux::None;
@@ -244,7 +260,7 @@ fn forward_op_into(
             *aux = Aux::None;
         }
         Op::SiLU => {
-            silu_into(ins[0], out);
+            silu_into(ins[0], out, parallelism);
             *aux = Aux::None;
         }
         Op::Sigmoid => {

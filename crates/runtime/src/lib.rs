@@ -427,12 +427,7 @@ where
     // cap for harnesses that deliberately run more members than cores
     // (e.g. exercising the real crew topology on a single-core CI
     // container); results are unchanged, only scheduling.
-    let core_cap = if oversubscribe_requested() {
-        usize::MAX
-    } else {
-        std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
-    };
-    let members = parallelism.threads().min(core_cap);
+    let members = crew_members(parallelism);
     let hub = Hub::new();
     std::thread::scope(|scope| {
         let _close = CloseOnDrop(&hub);
@@ -451,6 +446,18 @@ where
             members,
         })
     })
+}
+
+/// How many members [`with_crew`] runs for `parallelism`: the thread
+/// count, capped at the available cores unless oversubscription was asked
+/// for.
+fn crew_members(parallelism: &Parallelism) -> usize {
+    let core_cap = if oversubscribe_requested() {
+        usize::MAX
+    } else {
+        std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
+    };
+    parallelism.threads().min(core_cap)
 }
 
 /// A persistent crew: the calling thread plus helper threads parked
@@ -749,9 +756,91 @@ where
     })
 }
 
+/// Runs `f(&mut state, i, &mut items[i])` for every item over a one-run
+/// crew, with one scratch state per member as in [`parallel_tasks_with`].
+///
+/// Each item goes to exactly one member, so items can be disjoint `&mut`
+/// views of one output buffer (a batch's per-image slices, a matrix's row
+/// blocks) that the members fill in place. The determinism contract is
+/// the same: what `f` writes into an item must be a pure function of the
+/// item and its index.
+///
+/// Every member's state is built by `init` on the calling thread before
+/// the run. Large scratch buffers then come from the caller's allocator
+/// arena: built on short-lived helper threads, they spread over one arena
+/// per helper and the process keeps several megabytes more resident.
+pub fn parallel_for_each_mut_with<S, T, I, F>(
+    parallelism: &Parallelism,
+    items: &mut [T],
+    init: I,
+    f: F,
+) where
+    S: Send,
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    let members = crew_members(&Parallelism::new(parallelism.threads().min(items.len())));
+    let states = Mutex::new((0..members).map(|_| init()).collect::<Vec<S>>());
+    // Every index is claimed once, so each lock is taken exactly once and
+    // can be neither contended nor poisoned.
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    parallel_tasks_with(
+        parallelism,
+        slots.len(),
+        || {
+            let spare = states.lock().expect("states are only popped").pop();
+            spare.unwrap_or_else(&init)
+        },
+        |state, i| {
+            let mut item = slots[i].lock().expect("each item is locked once");
+            f(state, i, &mut item);
+        },
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_mut_fills_disjoint_items_at_any_thread_count() {
+        let expect: Vec<u64> = (0..37u64).map(|i| i * i + 1).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut out = vec![0u64; 37];
+            let mut chunks: Vec<&mut [u64]> = out.chunks_mut(5).collect();
+            parallel_for_each_mut_with(
+                &Parallelism::new(threads),
+                &mut chunks,
+                Vec::<u64>::new,
+                |scratch, i, chunk| {
+                    for (j, v) in chunk.iter_mut().enumerate() {
+                        let x = (i * 5 + j) as u64;
+                        scratch.push(x);
+                        *v = x * x + 1;
+                    }
+                },
+            );
+            assert_eq!(out, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_builds_every_state_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let built = Mutex::new(Vec::new());
+        let mut items = vec![0u8; 16];
+        parallel_for_each_mut_with(
+            &Parallelism::new(4),
+            &mut items,
+            || built.lock().unwrap().push(std::thread::current().id()),
+            |(), _, item| *item += 1,
+        );
+        assert_eq!(items, vec![1u8; 16]);
+        let built = built.into_inner().unwrap();
+        assert!(!built.is_empty());
+        assert!(built.iter().all(|&id| id == caller), "{built:?}");
+    }
 
     #[test]
     fn sequential_and_parallel_agree() {

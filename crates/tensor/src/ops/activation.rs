@@ -1,5 +1,7 @@
 //! Activation functions and the softmax / cross-entropy pair.
 
+use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
+
 use crate::Tensor;
 
 /// Rectified linear unit: `max(x, 0)` elementwise.
@@ -99,25 +101,74 @@ pub fn silu(x: &Tensor) -> Tensor {
     x.map(|v| v * stable_sigmoid(v))
 }
 
-/// [`silu`] into a caller-provided same-length tensor.
+/// [`silu`] into a caller-provided same-length tensor, in blocks fanned
+/// out over `parallelism` (see [`silu_backward`]).
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn silu_into(x: &Tensor, out: &mut Tensor) {
-    map_into(x, out, |v| v * stable_sigmoid(v));
+pub fn silu_into(x: &Tensor, out: &mut Tensor, parallelism: &Parallelism) {
+    assert_eq!(
+        x.len(),
+        out.len(),
+        "activation output length {} does not match input {}",
+        out.len(),
+        x.len()
+    );
+    par_blocks(out.data_mut(), parallelism, |from, dst| {
+        for (o, &v) in dst.iter_mut().zip(&x.data()[from..]) {
+            *o = v * stable_sigmoid(v);
+        }
+    });
 }
 
 /// Backward pass of [`silu`] given the *input* of the forward pass.
 ///
+/// A large tensor is cut into blocks fanned out over `parallelism`; every
+/// element depends on its own inputs only, so the result is the same at
+/// any worker count.
+///
 /// # Panics
 ///
 /// Panics if shapes differ.
-pub fn silu_backward(input: &Tensor, grad_out: &Tensor) -> Tensor {
-    input.zip(grad_out, |x, g| {
-        let s = stable_sigmoid(x);
-        g * (s + x * s * (1.0 - s))
-    })
+pub fn silu_backward(input: &Tensor, grad_out: &Tensor, parallelism: &Parallelism) -> Tensor {
+    assert_eq!(
+        input.shape(),
+        grad_out.shape(),
+        "silu_backward shape mismatch"
+    );
+    let mut out = Tensor::zeros(input.shape().dims());
+    par_blocks(out.data_mut(), parallelism, |from, dst| {
+        let xs = input.data()[from..].iter().zip(&grad_out.data()[from..]);
+        for (o, (&x, &g)) in dst.iter_mut().zip(xs) {
+            let s = stable_sigmoid(x);
+            *o = g * (s + x * s * (1.0 - s));
+        }
+    });
+    out
+}
+
+/// Elements per task when an elementwise kernel fans out: large enough
+/// that a task outweighs its hand-off, small enough to balance members.
+const ELEMENTWISE_BLOCK: usize = 1 << 14;
+
+/// Runs `f(offset, block)` over `ELEMENTWISE_BLOCK`-sized blocks of
+/// `out`, fanned out over `parallelism` when there is more than one block
+/// and more than one worker; `offset` is the block's first element.
+fn par_blocks(out: &mut [f32], parallelism: &Parallelism, f: impl Fn(usize, &mut [f32]) + Sync) {
+    if parallelism.threads() < 2 || out.len() <= ELEMENTWISE_BLOCK {
+        for (i, dst) in out.chunks_mut(ELEMENTWISE_BLOCK).enumerate() {
+            f(i * ELEMENTWISE_BLOCK, dst);
+        }
+        return;
+    }
+    let mut blocks: Vec<&mut [f32]> = out.chunks_mut(ELEMENTWISE_BLOCK).collect();
+    parallel_for_each_mut_with(
+        parallelism,
+        &mut blocks,
+        || (),
+        |(), i, dst| f(i * ELEMENTWISE_BLOCK, dst),
+    );
 }
 
 /// Row-wise softmax over a `[n, c]` tensor.
@@ -314,7 +365,7 @@ mod tests {
         for &x0 in &xs {
             let x = Tensor::from_slice(&[x0]);
             let g = Tensor::from_slice(&[1.0]);
-            let analytic = silu_backward(&x, &g).data()[0];
+            let analytic = silu_backward(&x, &g, &Parallelism::sequential()).data()[0];
             let eps = 1e-3;
             let f = |v: f32| v * stable_sigmoid(v);
             let numeric = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);

@@ -1,8 +1,12 @@
 //! 2-D convolution kernels (standard and depthwise) via im2col + GEMM.
 
+use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
+
 use crate::{Shape, Tensor};
 
-use super::gemm::{gemm_packed_bias_into, PackedWeights};
+use super::gemm::{
+    gemm_packed_bias_into, linear_packed_bias_into, transpose, KernelVariant, PackedWeights,
+};
 use super::linear::{matmul_at, matmul_bt, matmul_into};
 
 /// Geometry of a 2-D convolution.
@@ -149,18 +153,19 @@ fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out
     }
 }
 
-/// Scatters an im2col-shaped gradient back onto the input image (col2im).
-fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
+/// Scatters an im2col-shaped gradient back onto the input image (col2im),
+/// adding into `img` in the fixed channel, kernel-row, kernel-column,
+/// output-position order.
+fn col2im_add(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, img: &mut [f32]) {
     let k = spec.kernel;
     let (oh, ow) = spec.out_hw(h, w);
     let ncols = oh * ow;
-    let mut img = vec![0.0f32; c * h * w];
-    let cd = cols.data();
+    debug_assert_eq!(img.len(), c * h * w);
     for ch in 0..c {
         for ky in 0..k {
             for kx in 0..k {
                 let row = (ch * k + ky) * k + kx;
-                let crow = &cd[row * ncols..(row + 1) * ncols];
+                let crow = &cols[row * ncols..(row + 1) * ncols];
                 for oy in 0..oh {
                     let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
                     if iy < 0 || iy >= h as isize {
@@ -178,7 +183,6 @@ fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec
             }
         }
     }
-    img
 }
 
 /// Standard 2-D convolution over an NCHW batch.
@@ -292,6 +296,11 @@ pub fn conv2d_into(
 /// Bit-for-bit identical to [`conv2d_into`] for any
 /// [`super::gemm::KernelVariant`].
 ///
+/// A batch of more than one image fans out over `parallelism`, one image
+/// per task, each member lowering into an im2col buffer of its own. A
+/// single image, or a sequential `parallelism`, runs on the calling thread
+/// through `scratch` alone.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`, `scratch` was built for a
@@ -303,6 +312,7 @@ pub fn conv2d_packed_into(
     bias: &Tensor,
     spec: &Conv2dSpec,
     scratch: &mut Conv2dScratch,
+    parallelism: &Parallelism,
     out: &mut Tensor,
 ) {
     let (n, c, h, w) = input.shape().as_nchw();
@@ -334,30 +344,149 @@ pub fn conv2d_packed_into(
         "conv2d scratch built for a different geometry"
     );
     let in_stride = c * h * w;
-    let out_stride = spec.out_channels * oh * ow;
     let plane = oh * ow;
-    for img in 0..n {
-        im2col_into(
-            &input.data()[img * in_stride..(img + 1) * in_stride],
-            c,
-            h,
-            w,
-            spec,
-            &mut scratch.cols,
-        );
-        let dst = &mut out.data_mut()[img * out_stride..(img + 1) * out_stride];
+    let image = |scratch: &mut Conv2dScratch, img: usize, dst: &mut [f32]| {
+        let x = &input.data()[img * in_stride..(img + 1) * in_stride];
+        im2col_into(x, c, h, w, spec, &mut scratch.cols);
         gemm_packed_bias_into(packed, scratch.cols.data(), plane, bias.data(), dst);
+    };
+    let out_stride = (spec.out_channels * plane).max(1);
+    if n > 1 && parallelism.threads() > 1 {
+        let mut images: Vec<&mut [f32]> = out.data_mut().chunks_mut(out_stride).collect();
+        parallel_for_each_mut_with(
+            parallelism,
+            &mut images,
+            || Conv2dScratch::new(c, h, w, spec),
+            |scratch, img, dst| image(scratch, img, dst),
+        );
+    } else {
+        for (img, dst) in out.data_mut().chunks_mut(out_stride).enumerate() {
+            image(scratch, img, dst);
+        }
     }
+}
+
+/// Per-member scratch of [`conv2d_backward`]: one image's im2col lowering,
+/// its `dcols` product and its `dY` packed as panels.
+struct ConvBackwardScratch {
+    cols: Tensor,
+    dcols: Vec<f32>,
+    grad_panels: PackedWeights,
 }
 
 /// Backward pass of [`conv2d`].
 ///
 /// Returns `(grad_input, grad_weight, grad_bias)`.
 ///
+/// Images fan out over `parallelism`; each member keeps one image's im2col,
+/// `dcols` and packed-`dY` buffers for the whole call. Per image, through
+/// the packed kernel families of [`super::gemm`]:
+///
+/// * `dWᵀ_img = cols · dYᵀ` runs the split-k4 linear discipline with the
+///   small `dY` packed as panels. Every product commutes, so each element
+///   is bit-for-bit the `dot(dY row, cols row)` of
+///   [`matmul_bt`]`(dY, cols)`;
+/// * `dcols = Wᵀ · dY` runs the ascending-k conv discipline over `Wᵀ`,
+///   packed once per call: bit-for-bit [`matmul_at`]`(W, dY)`;
+/// * `dcols` is scattered back onto the image's (disjoint) slice of
+///   `grad_input` in the fixed col2im order.
+///
+/// The calling thread then adds each image's `dW` and bias row sums in
+/// ascending image order, the reduction [`conv2d_backward_reference`]
+/// performs. The result is bit-identical to that reference at any worker
+/// count, for finite operands (the zero-skip contract of [`super::gemm`]).
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`.
 pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    parallelism: &Parallelism,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = input.shape().as_nchw();
+    let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
+    assert_eq!(gn, n, "grad_out batch mismatch");
+    assert_eq!(goc, spec.out_channels, "grad_out channel mismatch");
+    assert_eq!((oh, ow), spec.out_hw(h, w), "grad_out spatial mismatch");
+    assert_eq!(spec.in_channels, c, "input channels do not match spec");
+    let oc = spec.out_channels;
+    let rows = c * spec.kernel * spec.kernel;
+    assert_eq!(
+        weight.shape().dims(),
+        &[oc, rows],
+        "conv weight shape does not match spec"
+    );
+    let plane = oh * ow;
+    let in_stride = c * h * w;
+    let out_stride = oc * plane;
+    let weight_t = PackedWeights::pack(
+        &transpose(weight.data(), oc, rows),
+        rows,
+        oc,
+        KernelVariant::TRAINING,
+    );
+    let zeros = vec![0.0f32; rows.max(oc)];
+    // Per image: dWᵀ (`rows × oc`) then the `oc` bias row sums.
+    let slot = rows * oc + oc;
+    let mut partials = vec![0.0f32; n * slot];
+    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let mut jobs: Vec<(&mut [f32], &mut [f32])> = grad_input
+        .data_mut()
+        .chunks_mut(in_stride.max(1))
+        .zip(partials.chunks_mut(slot.max(1)))
+        .collect();
+    parallel_for_each_mut_with(
+        parallelism,
+        &mut jobs,
+        || ConvBackwardScratch {
+            cols: Tensor::zeros(&[rows, plane]),
+            dcols: vec![0.0; rows * plane],
+            grad_panels: PackedWeights::zeros(oc, plane, KernelVariant::TRAINING),
+        },
+        |s, img, (gimg, partial)| {
+            let x = &input.data()[img * in_stride..(img + 1) * in_stride];
+            let gy = &grad_out.data()[img * out_stride..(img + 1) * out_stride];
+            im2col_into(x, c, h, w, spec, &mut s.cols);
+            s.grad_panels.repack(gy);
+            let (gw_t, gb) = partial.split_at_mut(rows * oc);
+            linear_packed_bias_into(&s.grad_panels, s.cols.data(), rows, &zeros[..oc], gw_t);
+            for (b, row) in gb.iter_mut().zip(gy.chunks_exact(plane.max(1))) {
+                *b = row.iter().sum::<f32>();
+            }
+            gemm_packed_bias_into(&weight_t, gy, plane, &zeros[..rows], &mut s.dcols);
+            col2im_add(&s.dcols, c, h, w, spec, gimg);
+        },
+    );
+    let mut grad_weight = Tensor::zeros(&[oc, rows]);
+    let mut grad_bias = Tensor::zeros(&[oc]);
+    for partial in partials.chunks_exact(slot.max(1)) {
+        let (gw_t, gb) = partial.split_at(rows * oc);
+        // `add_scaled(&gw, 1.0)` in the reference: scaling by exactly 1.0
+        // is the identity, so this is the same sum.
+        for (o, grow) in grad_weight.data_mut().chunks_exact_mut(rows).enumerate() {
+            for (g, &v) in grow.iter_mut().zip(gw_t[o..].iter().step_by(oc)) {
+                *g += v;
+            }
+        }
+        for (g, &v) in grad_bias.data_mut().iter_mut().zip(gb) {
+            *g += v;
+        }
+    }
+    (grad_input, grad_weight, grad_bias)
+}
+
+/// The reference backward pass of [`conv2d`]: per image, im2col,
+/// `dW += matmul_bt(dY, cols)`, bias row sums, `dcols = matmul_at(W, dY)`
+/// and col2im, one image after another. Kept as the bit-exact oracle of
+/// [`conv2d_backward`].
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`.
+pub fn conv2d_backward_reference(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
@@ -400,7 +529,8 @@ pub fn conv2d_backward(
         }
         // dcols = Wᵀ · dY, then scatter back with col2im.
         let dcols = matmul_at(weight, &gy);
-        let gimg = col2im(&dcols, c, h, w, spec);
+        let mut gimg = vec![0.0f32; in_stride];
+        col2im_add(dcols.data(), c, h, w, spec, &mut gimg);
         grad_input.data_mut()[img * in_stride..(img + 1) * in_stride]
             .iter_mut()
             .zip(gimg.iter())
@@ -553,6 +683,11 @@ fn dwconv2d_plane<const S: usize>(
 
 /// Backward pass of [`dwconv2d`]; returns `(grad_input, grad_weight, grad_bias)`.
 ///
+/// Channels fan out over `parallelism`, one task per channel: a channel's
+/// filter and bias gradients sum over the images in ascending order, and
+/// its input-gradient planes belong to no other channel, so every element
+/// is accumulated in the same order at any worker count.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`.
@@ -561,6 +696,7 @@ pub fn dwconv2d_backward(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
+    parallelism: &Parallelism,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = input.shape().as_nchw();
     let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
@@ -575,49 +711,69 @@ pub fn dwconv2d_backward(
         "depthwise grad_out spatial mismatch"
     );
     let k = spec.kernel;
+    assert_eq!(weight.shape().dims(), &[c, k * k], "depthwise weight shape");
     let mut grad_input = Tensor::zeros(&[n, c, h, w]);
     let mut grad_weight = Tensor::zeros(&[c, k * k]);
+    let mut grad_bias = Tensor::zeros(&[c]);
+    let mut planes: Vec<Vec<&mut [f32]>> = (0..c).map(|_| Vec::with_capacity(n)).collect();
+    for (i, plane) in grad_input.data_mut().chunks_mut((h * w).max(1)).enumerate() {
+        planes[i % c].push(plane);
+    }
+    let mut channels: Vec<_> = planes
+        .into_iter()
+        .zip(grad_weight.data_mut().chunks_mut((k * k).max(1)))
+        .zip(grad_bias.data_mut().iter_mut())
+        .collect();
     let id = input.data();
-    let wd = weight.data();
     let gd = grad_out.data();
-    for img in 0..n {
-        for ch in 0..c {
-            let wrow = &wd[ch * k * k..(ch + 1) * k * k];
-            let ibase = (img * c + ch) * h * w;
-            let obase = (img * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[obase + oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
+    parallel_for_each_mut_with(
+        parallelism,
+        &mut channels,
+        Vec::new,
+        |acc: &mut Vec<f32>, ch, ((gplanes, gw_out), gb)| {
+            // Accumulate the filter gradient in member-local memory: rows
+            // of neighbouring channels share cache lines.
+            acc.clear();
+            acc.resize(k * k, 0.0);
+            let gw = acc.as_mut_slice();
+            let wrow = &weight.data()[ch * k * k..(ch + 1) * k * k];
+            for (img, gx) in gplanes.iter_mut().enumerate() {
+                let ibase = (img * c + ch) * h * w;
+                let obase = (img * c + ch) * oh * ow;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = gd[obase + oy * ow + ox];
+                        if g == 0.0 {
                             continue;
                         }
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
+                        for ky in 0..k {
+                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                            if iy < 0 || iy >= h as isize {
                                 continue;
                             }
-                            let ii = ibase + iy as usize * w + ix as usize;
-                            grad_weight.data_mut()[ch * k * k + ky * k + kx] += g * id[ii];
-                            grad_input.data_mut()[ii] += g * wrow[ky * k + kx];
+                            for kx in 0..k {
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let ii = iy as usize * w + ix as usize;
+                                gw[ky * k + kx] += g * id[ibase + ii];
+                                gx[ii] += g * wrow[ky * k + kx];
+                            }
                         }
                     }
                 }
             }
-        }
-    }
-    // Bias gradient is the per-channel sum of grad_out.
-    let mut grad_bias = Tensor::zeros(&[c]);
-    for img in 0..n {
-        for ch in 0..c {
-            let obase = (img * c + ch) * oh * ow;
-            grad_bias.data_mut()[ch] += gd[obase..obase + oh * ow].iter().sum::<f32>();
-        }
-    }
+            gw_out.copy_from_slice(gw);
+            // Bias gradient is the per-channel sum of grad_out.
+            let mut b = 0.0f32;
+            for img in 0..n {
+                let obase = (img * c + ch) * oh * ow;
+                b += gd[obase..obase + oh * ow].iter().sum::<f32>();
+            }
+            **gb = b;
+        },
+    );
     (grad_input, grad_weight, grad_bias)
 }
 
@@ -711,7 +867,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = conv2d_backward(&x, &w, &g, &spec);
+        let (gx, gw, gb) = conv2d_backward(&x, &w, &g, &spec, &Parallelism::sequential());
         let eps = 1e-2;
         for i in (0..x.len()).step_by(7) {
             let mut xp = x.clone();
@@ -781,7 +937,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = dwconv2d_backward(&x, &w, &g, &spec);
+        let (gx, gw, gb) = dwconv2d_backward(&x, &w, &g, &spec, &Parallelism::sequential());
         let eps = 1e-2;
         for i in (0..x.len()).step_by(5) {
             let mut xp = x.clone();

@@ -8,6 +8,10 @@
 //! * **linear**: `x[rows,k] · weightᵀ[m,k]ᵀ` followed by a bias add
 //!   ([`super::linear::linear_into`]).
 //!
+//! Training reuses both disciplines for its backward products (see
+//! [`super::conv::conv2d_backward`] and [`super::linear::linear_backward`]),
+//! packing operands that change every step with [`KernelVariant::TRAINING`].
+//!
 //! This module packs the weight operand once into an MR-row, k-major panel
 //! layout ([`PackedPanels`]) and dispatches register-blocked microkernels
 //! over it ([`KernelVariant`]): MR×NR output accumulators live in registers
@@ -36,6 +40,8 @@
 //! Row blocking (MR) and column blocking (NR) only change *which* elements
 //! are computed together, never the order of any element's own reduction,
 //! so the variant choice is observationally irrelevant.
+
+use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
 
 use crate::Tensor;
 
@@ -110,6 +116,12 @@ impl KernelVariant {
     /// Every variant, in stable order.
     pub const ALL: [Self; 3] = [Self::Mr4Nr16, Self::Mr8Nr8, Self::Mr6Nr8];
 
+    /// The variant of the training GEMMs, whose operands are repacked on
+    /// every step or call rather than tuned: eight-row panels fill AVX2
+    /// vectors in both disciplines (about 2.5× the 4-row panels on the
+    /// backward products).
+    pub const TRAINING: Self = Self::Mr8Nr8;
+
     /// Rows per packed panel.
     pub fn mr(self) -> usize {
         match self {
@@ -181,25 +193,40 @@ impl PackedWeights {
     ///
     /// Panics if `a.len() != rows * k`.
     pub fn pack(a: &[f32], rows: usize, k: usize, variant: KernelVariant) -> Self {
+        let mut packed = Self::zeros(rows, k, variant);
+        packed.repack(a);
+        packed
+    }
+
+    /// Panels for a `rows × k` all-zero matrix: a buffer that
+    /// [`repack`](Self::repack) refills without allocating.
+    pub fn zeros(rows: usize, k: usize, variant: KernelVariant) -> Self {
+        Self {
+            data: vec![0.0f32; rows.div_ceil(variant.mr()) * k * variant.mr()],
+            variant,
+            rows,
+            k,
+        }
+    }
+
+    /// Repacks a row-major matrix of the same `rows × k` geometry into
+    /// these panels in place. The tail panel's padding lanes are never
+    /// written, so they stay zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != rows * k`.
+    pub fn repack(&mut self, a: &[f32]) {
+        let (rows, k, mr) = (self.rows, self.k, self.variant.mr());
         assert_eq!(a.len(), rows * k, "packing a non-{rows}x{k} matrix");
-        let mr = variant.mr();
-        let panels = rows.div_ceil(mr);
-        let mut data = vec![0.0f32; panels * k * mr];
-        for p in 0..panels {
-            let base = p * k * mr;
+        for (p, panel) in self.data.chunks_exact_mut(k * mr).enumerate() {
             let live = mr.min(rows - p * mr);
             for r in 0..live {
                 let row = &a[(p * mr + r) * k..(p * mr + r + 1) * k];
                 for (kk, &v) in row.iter().enumerate() {
-                    data[base + kk * mr + r] = v;
+                    panel[kk * mr + r] = v;
                 }
             }
-        }
-        Self {
-            data,
-            variant,
-            rows,
-            k,
         }
     }
 
@@ -367,6 +394,8 @@ fn conv_panels<const MR: usize, const NR: usize>(
 ///
 /// Per lane this is exactly [`dot`]: four interleaved partial sums over the
 /// `k/4` chunks (ascending), summed left-associatively, tail ascending.
+/// Each panel is applied to every input row before the next panel loads,
+/// so a many-row batch streams the weights once instead of once per row.
 fn linear_panels<const MR: usize>(
     packed: &PackedWeights,
     x: &[f32],
@@ -376,13 +405,13 @@ fn linear_panels<const MR: usize>(
 ) {
     let (rows, k) = (packed.rows, packed.k);
     let chunks = k / 4;
-    for i in 0..xrows {
-        let xrow = &x[i * k..(i + 1) * k];
-        let orow = &mut out[i * rows..(i + 1) * rows];
-        for p in 0..rows.div_ceil(MR) {
-            let panel = packed.panel(p);
-            let r0 = p * MR;
-            let live = MR.min(rows - r0);
+    for p in 0..rows.div_ceil(MR) {
+        let panel = packed.panel(p);
+        let r0 = p * MR;
+        let live = MR.min(rows - r0);
+        for i in 0..xrows {
+            let xrow = &x[i * k..(i + 1) * k];
+            let orow = &mut out[i * rows..(i + 1) * rows];
             let mut acc = [[0.0f32; MR]; 4];
             for c in 0..chunks {
                 let base = c * 4;
@@ -412,6 +441,64 @@ fn linear_panels<const MR: usize>(
             }
         }
     }
+}
+
+/// Conv-discipline product `out[rows, n] = a[rows, k] · b[k, n]`, each
+/// element accumulated in ascending-k order from `0.0` — bit-for-bit
+/// [`matmul_into`](super::linear::matmul_into) and
+/// [`matmul_at`](super::linear::matmul_at) over the same operands (adding
+/// the zero bias leaves an accumulator that started at `+0.0` unchanged).
+///
+/// The output rows are cut into blocks that fan out over `parallelism`,
+/// each with its own rows of `a` packed on the calling thread. Blocking
+/// never changes an element's own reduction, so the result is the same at
+/// any worker count.
+pub(super) fn gemm_rows_par(
+    a: &[f32],
+    (rows, k, n): (usize, usize, usize),
+    b: &[f32],
+    parallelism: &Parallelism,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), rows * k, "gemm lhs must be {rows}x{k}");
+    assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
+    if rows == 0 || n == 0 {
+        return;
+    }
+    let variant = KernelVariant::TRAINING;
+    let mr = variant.mr();
+    let block = rows.div_ceil(parallelism.threads()).div_ceil(mr) * mr;
+    let zeros = vec![0.0f32; block];
+    let mut blocks: Vec<(&mut [f32], PackedWeights)> = out
+        .chunks_mut(block * n)
+        .zip(a.chunks((block * k).max(1)))
+        .map(|(dst, rows_a)| {
+            (
+                dst,
+                PackedWeights::pack(rows_a, rows_a.len() / k, k, variant),
+            )
+        })
+        .collect();
+    parallel_for_each_mut_with(
+        parallelism,
+        &mut blocks,
+        || (),
+        |(), _, (dst, packed)| {
+            gemm_packed_bias_into(packed, b, n, &zeros[..packed.rows()], dst);
+        },
+    );
+}
+
+/// The row-major transpose of a row-major `rows × cols` matrix.
+pub(super) fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(a.len(), rows * cols);
+    let mut t = vec![0.0f32; a.len()];
+    for (r, row) in a.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
 }
 
 /// Split-k4 dot product — the linear discipline's reduction order.

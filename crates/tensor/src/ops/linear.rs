@@ -6,7 +6,11 @@
 //! ([`dot`](super::gemm::dot), [`axpy_skip_zero`](super::gemm::axpy_skip_zero))
 //! live in that module so reference and packed paths cannot drift apart.
 
-use super::gemm::{axpy_skip_zero, dot, linear_packed_bias_into, PackedWeights};
+use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
+
+use super::gemm::{
+    axpy_skip_zero, dot, gemm_rows_par, linear_packed_bias_into, transpose, PackedWeights,
+};
 use crate::Tensor;
 
 /// Matrix product `a[m,k] · b[k,n] -> [m,n]`.
@@ -269,11 +273,20 @@ pub fn linear_into(x: &Tensor, weight: &Tensor, bias: &Tensor, out: &mut Tensor)
 /// microkernel family instead of the reference loops. Bit-for-bit identical
 /// to [`linear_into`] for any [`super::gemm::KernelVariant`].
 ///
+/// A multi-row batch is cut into one block of rows per worker of
+/// `parallelism`; each output element is still one whole split-k4 dot.
+///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches, or if `packed` was built for a
 /// different weight geometry.
-pub fn linear_packed_into(x: &Tensor, packed: &PackedWeights, bias: &Tensor, out: &mut Tensor) {
+pub fn linear_packed_into(
+    x: &Tensor,
+    packed: &PackedWeights,
+    bias: &Tensor,
+    parallelism: &Parallelism,
+    out: &mut Tensor,
+) {
     let (out_f, in_f) = (packed.rows(), packed.k());
     let (n, xin) = mat_dims(x, "linear input");
     assert_eq!(xin, in_f, "linear input features {xin} vs packed {in_f}");
@@ -282,7 +295,22 @@ pub fn linear_packed_into(x: &Tensor, packed: &PackedWeights, bias: &Tensor, out
         &[n, out_f],
         "linear output must be [{n}, {out_f}]"
     );
-    linear_packed_bias_into(packed, x.data(), n, bias.data(), out.data_mut());
+    if n < 2 || parallelism.threads() < 2 || out_f == 0 {
+        linear_packed_bias_into(packed, x.data(), n, bias.data(), out.data_mut());
+        return;
+    }
+    let block = n.div_ceil(parallelism.threads());
+    let mut blocks: Vec<&mut [f32]> = out.data_mut().chunks_mut(block * out_f).collect();
+    parallel_for_each_mut_with(
+        parallelism,
+        &mut blocks,
+        || (),
+        |(), i, dst| {
+            let rows = dst.len() / out_f;
+            let xs = &x.data()[i * block * in_f..(i * block + rows) * in_f];
+            linear_packed_bias_into(packed, xs, rows, bias.data(), dst);
+        },
+    );
 }
 
 /// Backward pass of [`linear`].
@@ -290,21 +318,54 @@ pub fn linear_packed_into(x: &Tensor, packed: &PackedWeights, bias: &Tensor, out
 /// Returns `(grad_input, grad_weight, grad_bias)` given the stored input and
 /// the gradient of the loss with respect to the output.
 ///
+/// Both products run the packed conv discipline with their output rows
+/// fanned out over `parallelism`, bit-for-bit the reference loops at any
+/// worker count (for finite operands, the contract of
+/// [`super::gemm`]):
+///
+/// * `dX = dY · W` accumulates over the output features in ascending order,
+///   exactly [`matmul`]`(grad_out, weight)`;
+/// * `dW = dYᵀ · X` accumulates over the batch rows in ascending order,
+///   exactly [`matmul_at`]`(grad_out, x)`;
+/// * `db` is the column sum of `dY`, added row by row.
+///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches.
-pub fn linear_backward(x: &Tensor, weight: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor, Tensor) {
-    let (out_f, _in_f) = mat_dims(weight, "linear weight");
+pub fn linear_backward(
+    x: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    parallelism: &Parallelism,
+) -> (Tensor, Tensor, Tensor) {
+    let (out_f, in_f) = mat_dims(weight, "linear weight");
     let (n, gout) = mat_dims(grad_out, "linear grad_out");
     assert_eq!(gout, out_f, "grad_out features {gout} vs weight {out_f}");
-    // dX = dY · W ; dW = dYᵀ · X ; db = column-sum of dY
-    let grad_input = matmul(grad_out, weight);
-    let grad_weight = matmul_at(grad_out, x);
+    assert_eq!(
+        x.shape().dims(),
+        &[n, in_f],
+        "linear input must be [{n}, {in_f}]"
+    );
+    let mut grad_input = Tensor::zeros(&[n, in_f]);
+    gemm_rows_par(
+        grad_out.data(),
+        (n, out_f, in_f),
+        weight.data(),
+        parallelism,
+        grad_input.data_mut(),
+    );
+    let mut grad_weight = Tensor::zeros(&[out_f, in_f]);
+    gemm_rows_par(
+        &transpose(grad_out.data(), n, out_f),
+        (out_f, n, in_f),
+        x.data(),
+        parallelism,
+        grad_weight.data_mut(),
+    );
     let mut grad_bias = Tensor::zeros(&[out_f]);
     let gb = grad_bias.data_mut();
-    let gd = grad_out.data();
-    for row in 0..n {
-        for (b, &g) in gb.iter_mut().zip(&gd[row * out_f..(row + 1) * out_f]) {
+    for row in grad_out.data().chunks_exact(out_f.max(1)) {
+        for (b, &g) in gb.iter_mut().zip(row) {
             *b += g;
         }
     }
@@ -389,7 +450,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = linear_backward(&x, &w, &grad_out);
+        let (gx, gw, gb) = linear_backward(&x, &w, &grad_out, &Parallelism::sequential());
         let eps = 1e-3;
         for i in 0..x.len() {
             let mut xp = x.clone();

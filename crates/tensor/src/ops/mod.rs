@@ -3,9 +3,12 @@
 //! for gradient-based adversarial attacks.
 //!
 //! Kernels operate on [`Tensor`](crate::Tensor)s in NCHW layout (batch,
-//! channels, height, width) and are written as straightforward loops that the
-//! compiler auto-vectorizes; at the micro-CNN scale of this reproduction that
-//! is fast enough for full training runs on one core.
+//! channels, height, width). The reference kernels are straightforward
+//! loops that the compiler auto-vectorizes; the training and inference hot
+//! paths run the packed-panel GEMMs of the `gemm` module instead, and the
+//! training kernels fan images, rows and channels out over an
+//! `advhunter_runtime::Parallelism`, bit-identical to the reference loops
+//! at any worker count.
 
 mod activation;
 mod conv;
@@ -19,8 +22,8 @@ pub use activation::{
     silu_into, softmax_rows, tanh, tanh_backward, tanh_into,
 };
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_into, conv2d_packed_into, dwconv2d, dwconv2d_backward,
-    dwconv2d_into, Conv2dScratch, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_packed_into, dwconv2d,
+    dwconv2d_backward, dwconv2d_into, Conv2dScratch, Conv2dSpec,
 };
 pub use gemm::{
     gemm_packed_bias_into, linear_packed_bias_into, GemmGeometry, GemmOpKind, KernelVariant,

@@ -1,0 +1,183 @@
+//! Bit-exactness of the training backward kernels against the reference
+//! loops they replaced, at one, two and three workers.
+//!
+//! Training is pinned by trained-weight digests, so the parallel packed
+//! backward passes must reproduce the sequential reference loops to the
+//! bit: `conv2d_backward` against `conv2d_backward_reference`,
+//! `linear_backward` against `matmul` / `matmul_at` / column sums, and the
+//! channel-parallel `dwconv2d_backward` against the per-image loop it was
+//! before. Shapes are ragged (reduction, plane and row counts off every
+//! multiple of 4, MR and NR), operands carry exact zeros at two densities
+//! (the reference loops' skip paths), batches run from 1 to 5, and
+//! convolutions cover stride 1/2 and padding 0/1.
+
+use advhunter_runtime::Parallelism;
+use advhunter_tensor::ops::{
+    conv2d_backward, conv2d_backward_reference, dwconv2d_backward, linear_backward, matmul,
+    matmul_at, Conv2dSpec,
+};
+use advhunter_tensor::Tensor;
+use proptest::prelude::*;
+
+/// Deterministic operand fill; one value in `zero_every` is an exact zero.
+fn fill(len: usize, seed: u64, zero_every: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if (state >> 8).is_multiple_of(zero_every) {
+                0.0
+            } else {
+                ((state >> 40) as i32 - (1 << 23)) as f32 / (1 << 24) as f32
+            }
+        })
+        .collect()
+}
+
+fn tensor(dims: &[usize], seed: u64, zero_every: u64) -> Tensor {
+    Tensor::from_vec(fill(dims.iter().product(), seed, zero_every), dims).unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `dwconv2d_backward` as it was before its channels fanned out: one pass
+/// over images and channels, then the bias sums.
+fn dwconv2d_backward_oracle(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = input.shape().as_nchw();
+    let (_, _, oh, ow) = grad_out.shape().as_nchw();
+    let k = spec.kernel;
+    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let mut grad_weight = Tensor::zeros(&[c, k * k]);
+    let (id, wd, gd) = (input.data(), weight.data(), grad_out.data());
+    for img in 0..n {
+        for ch in 0..c {
+            let ibase = (img * c + ch) * h * w;
+            let obase = (img * c + ch) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = gd[obase + oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ky in 0..k {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let ii = ibase + iy as usize * w + ix as usize;
+                            grad_weight.data_mut()[ch * k * k + ky * k + kx] += g * id[ii];
+                            grad_input.data_mut()[ii] += g * wd[ch * k * k + ky * k + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut grad_bias = Tensor::zeros(&[c]);
+    for img in 0..n {
+        for ch in 0..c {
+            let obase = (img * c + ch) * oh * ow;
+            grad_bias.data_mut()[ch] += gd[obase..obase + oh * ow].iter().sum::<f32>();
+        }
+    }
+    (grad_input, grad_weight, grad_bias)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn conv2d_backward_matches_reference(
+        batch in 1usize..6,
+        c in 1usize..5,
+        h in 3usize..12,
+        w in 3usize..12,
+        out_c in 1usize..12,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..2,
+        threads in 1usize..4,
+        dense in any::<bool>(),
+        seed in any::<u64>()
+    ) {
+        let zero_every = if dense { 7 } else { 2 };
+        let spec = Conv2dSpec::new(c, out_c, kernel, stride, padding);
+        let (oh, ow) = spec.out_hw(h, w);
+        let input = tensor(&[batch, c, h, w], seed, zero_every);
+        let weight = tensor(&[out_c, c * kernel * kernel], seed ^ 1, zero_every);
+        let grad = tensor(&[batch, out_c, oh, ow], seed ^ 2, zero_every);
+
+        let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
+        let got = conv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+    }
+
+    #[test]
+    fn linear_backward_matches_reference(
+        rows in 1usize..6,
+        in_f in 1usize..45,
+        out_f in 1usize..30,
+        threads in 1usize..4,
+        dense in any::<bool>(),
+        seed in any::<u64>()
+    ) {
+        let zero_every = if dense { 7 } else { 2 };
+        let x = tensor(&[rows, in_f], seed, zero_every);
+        let weight = tensor(&[out_f, in_f], seed ^ 1, zero_every);
+        let grad = tensor(&[rows, out_f], seed ^ 2, zero_every);
+
+        let mut grad_bias = Tensor::zeros(&[out_f]);
+        for row in grad.data().chunks_exact(out_f) {
+            for (b, &g) in grad_bias.data_mut().iter_mut().zip(row) {
+                *b += g;
+            }
+        }
+        let got = linear_backward(&x, &weight, &grad, &Parallelism::new(threads));
+        prop_assert_eq!(bits(&got.0), bits(&matmul(&grad, &weight)), "grad_input");
+        prop_assert_eq!(bits(&got.1), bits(&matmul_at(&grad, &x)), "grad_weight");
+        prop_assert_eq!(bits(&got.2), bits(&grad_bias), "grad_bias");
+    }
+
+    #[test]
+    fn dwconv2d_backward_matches_reference(
+        batch in 1usize..6,
+        c in 1usize..7,
+        h in 3usize..12,
+        w in 3usize..12,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..2,
+        threads in 1usize..4,
+        dense in any::<bool>(),
+        seed in any::<u64>()
+    ) {
+        let zero_every = if dense { 7 } else { 2 };
+        let spec = Conv2dSpec::new(c, c, kernel, stride, padding);
+        let (oh, ow) = spec.out_hw(h, w);
+        let input = tensor(&[batch, c, h, w], seed, zero_every);
+        let weight = tensor(&[c, kernel * kernel], seed ^ 1, zero_every);
+        let grad = tensor(&[batch, c, oh, ow], seed ^ 2, zero_every);
+
+        let want = dwconv2d_backward_oracle(&input, &weight, &grad, &spec);
+        let got = dwconv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+    }
+}

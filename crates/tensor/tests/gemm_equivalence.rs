@@ -10,6 +10,7 @@
 //! operands that exercise the sparsity skip — and require exact
 //! `to_bits` equality, not tolerance.
 
+use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
     conv2d_into, conv2d_packed_into, gemm_packed_bias_into, linear_into, linear_packed_into,
     matmul_into, Conv2dScratch, Conv2dSpec, KernelVariant, PackedWeights,
@@ -72,8 +73,8 @@ proptest! {
         }
     }
 
-    /// Linear layer: every variant, ragged feature counts, multiple rows,
-    /// bit-identical to `linear_into`.
+    /// Linear layer: every variant, ragged feature counts, multiple rows
+    /// split over one to three workers, bit-identical to `linear_into`.
     #[test]
     fn packed_linear_matches_reference(
         rows in 1usize..5, out_f in 1usize..24, in_f in 1usize..48, seed in any::<u64>()
@@ -86,24 +87,26 @@ proptest! {
         let mut reference = Tensor::zeros(&[rows, out_f]);
         linear_into(&x, &tw, &bias, &mut reference);
 
-        for variant in KernelVariant::ALL {
+        for (variant, threads) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
             let packed = PackedWeights::pack(&w, out_f, in_f, variant);
             let mut out = Tensor::full(&[rows, out_f], f32::NAN);
-            linear_packed_into(&x, &packed, &bias, &mut out);
+            linear_packed_into(&x, &packed, &bias, &Parallelism::new(threads), &mut out);
             prop_assert_eq!(
                 bits(out.data()),
                 bits(reference.data()),
-                "variant {:?}",
-                variant
+                "variant {:?}, {} workers",
+                variant,
+                threads
             );
         }
     }
 
     /// Whole convolutions: random stride/padding/kernel geometry (every
-    /// im2col edge case), batch > 1, bit-identical to `conv2d_into`.
+    /// im2col edge case), batch > 1, bit-identical to `conv2d_into` with the
+    /// images fanned out over one to three workers.
     #[test]
     fn packed_conv2d_matches_reference(
-        batch in 1usize..3,
+        batch in 1usize..4,
         c in 1usize..4,
         h in 3usize..10,
         w in 3usize..10,
@@ -125,16 +128,25 @@ proptest! {
         let mut reference = Tensor::zeros(&[batch, out_c, oh, ow]);
         conv2d_into(&input, &weight, &bias, &spec, &mut scratch, &mut reference);
 
-        for variant in KernelVariant::ALL {
+        for (variant, threads) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
             let packed = PackedWeights::pack_tensor(&weight, variant);
             let mut packed_scratch = Conv2dScratch::new(c, h, w, &spec);
             let mut out = Tensor::full(&[batch, out_c, oh, ow], f32::NAN);
-            conv2d_packed_into(&input, &packed, &bias, &spec, &mut packed_scratch, &mut out);
+            conv2d_packed_into(
+                &input,
+                &packed,
+                &bias,
+                &spec,
+                &mut packed_scratch,
+                &Parallelism::new(threads),
+                &mut out,
+            );
             prop_assert_eq!(
                 bits(out.data()),
                 bits(reference.data()),
-                "variant {:?}",
-                variant
+                "variant {:?}, {} workers",
+                variant,
+                threads
             );
         }
     }

@@ -2,14 +2,17 @@
 //! bit-identically (so the content digest is stable), the four scenario
 //! specs address the store exactly like the pre-redesign hardcoded
 //! builders did, and the models they compile to are pinned by parameter
-//! digest and trace counts.
+//! digest and trace counts, before and after training.
 
 use std::sync::Arc;
 
+use advhunter::persist::model_to_bytes;
 use advhunter::scenario::ScenarioId;
-use advhunter::{GraphSpec, PipelineConfig, Stage};
+use advhunter::{GraphSpec, Parallelism, PipelineConfig, Stage};
+use advhunter_data::SplitSizes;
 use advhunter_exec::TraceEngine;
 use advhunter_nn::spec::{SpecNode, SpecOp, SpecSrc};
+use advhunter_nn::train::{fit, TrainConfig};
 use advhunter_nn::Graph;
 use advhunter_tensor::init;
 use advhunter_uarch::HpcEvent;
@@ -181,16 +184,72 @@ fn scenario_stage_fingerprints_are_golden() {
 
 /// FNV-1a over the f32 bit patterns of every parameter, in node order.
 fn param_digest(graph: &Graph) -> u64 {
+    fnv1a(
+        graph
+            .param_tensors()
+            .into_iter()
+            .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes())),
+    )
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in graph.param_tensors() {
-        for v in t.data() {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+    for byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+#[test]
+fn canonical_spec_models_train_to_pinned_weights() {
+    // Captured with the sequential reference training loop (per-image
+    // matmul_bt / matmul_at convolution gradients, reference forward):
+    // FNV-1a over the persisted model bytes (parameters and batch-norm
+    // running statistics) after two epochs on three images per class,
+    // batch 8, so every epoch ends on a partial batch.
+    let expected: [(ScenarioId, u64); 4] = [
+        (ScenarioId::S1, 0xd833_01ac_0479_9276),
+        (ScenarioId::S2, 0x790f_63df_0b61_0925),
+        (ScenarioId::S3, 0xeb68_7ab1_2ed2_ff19),
+        (ScenarioId::CaseStudy, 0xc078_5f18_b366_2b16),
+    ];
+    let sizes = SplitSizes {
+        train: 3,
+        val: 2,
+        test: 1,
+    };
+    for (id, want) in expected {
+        let spec = id.spec();
+        let split =
+            id.dataset_family()
+                .generate(spec.input, spec.classes, spec.dataset_seed, &sizes);
+        assert_ne!(split.train.len() % 8, 0, "the last batch must be partial");
+        let config = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            ..spec.train
+        };
+        for threads in [1, 2, 4] {
+            let mut graph = spec
+                .build_graph(&mut StdRng::seed_from_u64(spec.model_seed))
+                .expect("spec compiles");
+            fit(
+                &mut graph,
+                split.train.images(),
+                split.train.labels(),
+                &config,
+                &Parallelism::new(threads),
+                &mut StdRng::seed_from_u64(5),
+            );
+            assert_eq!(
+                fnv1a(model_to_bytes(&graph)),
+                want,
+                "{}: trained weights drifted at {threads} threads",
+                id.label()
+            );
+        }
+    }
 }
 
 #[test]
