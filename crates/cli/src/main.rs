@@ -545,7 +545,8 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
 
     // Offline phase through the staged pipeline: on a warm store every
     // stage is a load, so the monitor boots without training, measuring,
-    // or fitting anything.
+    // or fitting anything. This is the full `run`, not the serving boot
+    // `serve` uses, because the stream below draws from the test split.
     println!("offline phase: running the staged pipeline (cached stages load) ...");
     let (config, store) = flags.pipeline.resolve(&model)?;
     let (art, report) = Pipeline::new(config, store)
@@ -816,7 +817,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if drift {
         builder = builder.drift(drift_config);
     }
-    println!("offline phase: running the staged pipeline (cached stages load) ...");
+    println!(
+        "offline phase: loading the stored stage artifacts and building the engine \
+         (a missing or corrupt stage is recomputed) ..."
+    );
     let monitor = builder
         .spawn_from_store(config, store)
         .map_err(|e| e.to_string())?;

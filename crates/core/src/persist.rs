@@ -131,6 +131,7 @@ impl From<WeightsError> for PersistError {
             WeightsError::ShapeMismatch { expected, actual } => {
                 Self::ShapeMismatch { expected, actual }
             }
+            WeightsError::TrailingBytes { .. } => Self::Malformed("trailing bytes"),
             // `WeightsError` is non_exhaustive; any future variant is a
             // content-level failure.
             _ => Self::Malformed("unrecognized weight payload error"),
@@ -232,34 +233,36 @@ pub fn detector_from_bytes(data: &[u8]) -> Result<Detector, PersistError> {
             .ok_or(PersistError::Malformed("bad event index"))?;
         events.push(event);
     }
+    // Every category takes at least one tag byte per event.
+    ensure(data, cur, num_classes, HpcEvent::ALL.len())?;
     let mut models: Vec<Vec<Option<EventModel>>> = Vec::with_capacity(num_classes);
     for _ in 0..num_classes {
         let mut row: Vec<Option<EventModel>> = Vec::with_capacity(HpcEvent::ALL.len());
         for _ in HpcEvent::ALL {
-            let tag = take(data, &mut cur, 1)?[0];
-            if tag == 0 {
-                row.push(None);
-                continue;
+            match take(data, &mut cur, 1)?[0] {
+                0 => {
+                    row.push(None);
+                    continue;
+                }
+                1 => {}
+                _ => return Err(PersistError::Malformed("bad event-model tag")),
             }
             let threshold = read_f64(data, &mut cur)?;
             let k = read_u32(data, &mut cur)? as usize;
             if k == 0 || k > 64 {
                 return Err(PersistError::Malformed("bad component count"));
             }
-            let mut weights = Vec::with_capacity(k);
-            for _ in 0..k {
-                weights.push(read_f64(data, &mut cur)?);
-            }
-            let mut means = Vec::with_capacity(k);
-            for _ in 0..k {
-                means.push(read_f64(data, &mut cur)?);
-            }
-            let mut variances = Vec::with_capacity(k);
-            for _ in 0..k {
-                variances.push(read_f64(data, &mut cur)?);
-            }
+            let mut read_k = || -> Result<Vec<f64>, PersistError> {
+                (0..k).map(|_| read_f64(data, &mut cur)).collect()
+            };
+            let weights: Vec<f64> = read_k()?;
+            let means: Vec<f64> = read_k()?;
+            let variances: Vec<f64> = read_k()?;
+            // Exactly the invariants `Gmm1d::from_parameters` asserts, so a
+            // corrupt mixture fails typed instead of panicking there.
             let wsum: f64 = weights.iter().sum();
-            if !(0.999..=1.001).contains(&wsum) || variances.iter().any(|&v| v <= 0.0) {
+            let valid = (wsum - 1.0).abs() < 1e-6 && variances.iter().all(|&v| v > 0.0);
+            if !valid {
                 return Err(PersistError::Malformed("invalid mixture parameters"));
             }
             row.push(Some(EventModel {
@@ -269,6 +272,7 @@ pub fn detector_from_bytes(data: &[u8]) -> Result<Detector, PersistError> {
         }
         models.push(row);
     }
+    finish(data, cur)?;
     Ok(Detector::from_parts(models, events))
 }
 
@@ -317,8 +321,9 @@ pub fn template_to_bytes(template: &OfflineTemplate) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`PersistError::BadMagic`] for non-template data,
-/// [`PersistError::UnsupportedVersion`] for a newer format, or
-/// [`PersistError::Truncated`] for short payloads.
+/// [`PersistError::UnsupportedVersion`] for a newer format,
+/// [`PersistError::Truncated`] for short payloads, or
+/// [`PersistError::Malformed`] when bytes follow the last sample.
 pub fn template_from_bytes(data: &[u8]) -> Result<OfflineTemplate, PersistError> {
     let mut cur = 0usize;
     if take(data, &mut cur, TEMPLATE_MAGIC.len())? != TEMPLATE_MAGIC {
@@ -332,10 +337,13 @@ pub fn template_from_bytes(data: &[u8]) -> Result<OfflineTemplate, PersistError>
         });
     }
     let num_classes = read_u32(data, &mut cur)? as usize;
-    let mut per_class: Vec<Vec<HpcSample>> = Vec::with_capacity(num_classes.min(1 << 16));
+    // Every category takes at least its four-byte sample count.
+    ensure(data, cur, num_classes, 4)?;
+    let mut per_class: Vec<Vec<HpcSample>> = Vec::with_capacity(num_classes);
     for _ in 0..num_classes {
         let num_samples = read_u32(data, &mut cur)? as usize;
-        let mut samples = Vec::with_capacity(num_samples.min(1 << 16));
+        ensure(data, cur, num_samples, 8 * HpcEvent::ALL.len())?;
+        let mut samples = Vec::with_capacity(num_samples);
         for _ in 0..num_samples {
             let mut sample = HpcSample::default();
             for event in HpcEvent::ALL {
@@ -345,6 +353,7 @@ pub fn template_from_bytes(data: &[u8]) -> Result<OfflineTemplate, PersistError>
         }
         per_class.push(samples);
     }
+    finish(data, cur)?;
     Ok(OfflineTemplate::from_samples(per_class))
 }
 
@@ -366,6 +375,28 @@ fn take<'d>(data: &'d [u8], cur: &mut usize, n: usize) -> Result<&'d [u8], Persi
     let s = &data[*cur..*cur + n];
     *cur += n;
     Ok(s)
+}
+
+/// Fails with [`PersistError::Truncated`] unless `count` records of at
+/// least `min_size` bytes each fit in what remains after `cur` — checked
+/// before any allocation is sized by `count`.
+fn ensure(data: &[u8], cur: usize, count: usize, min_size: usize) -> Result<(), PersistError> {
+    let available = data.len() - cur;
+    let needed = count.saturating_mul(min_size);
+    if needed > available {
+        return Err(PersistError::Truncated { needed, available });
+    }
+    Ok(())
+}
+
+/// Fails with [`PersistError::Malformed`] if bytes follow the decoded
+/// structure.
+fn finish(data: &[u8], cur: usize) -> Result<(), PersistError> {
+    if cur == data.len() {
+        Ok(())
+    } else {
+        Err(PersistError::Malformed("trailing bytes"))
+    }
 }
 
 fn read_u32(data: &[u8], cur: &mut usize) -> Result<u32, PersistError> {
@@ -637,6 +668,23 @@ mod tests {
         assert!(matches!(
             template_from_bytes(&bytes[..bytes.len() - 5]),
             Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn trailing_bytes_are_malformed() {
+        let mut detector = detector_to_bytes(&fitted());
+        detector.push(0);
+        assert!(matches!(
+            detector_from_bytes(&detector),
+            Err(PersistError::Malformed("trailing bytes"))
+        ));
+        let template = OfflineTemplate::from_samples(vec![vec![HpcSample::default()]]);
+        let mut bytes = template_to_bytes(&template);
+        bytes.push(0);
+        assert!(matches!(
+            template_from_bytes(&bytes),
+            Err(PersistError::Malformed("trailing bytes"))
         ));
     }
 

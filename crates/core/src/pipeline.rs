@@ -24,10 +24,18 @@
 //! mixtures). Because every stage is thread-count-deterministic, cached
 //! and freshly computed artifacts are bit-identical, so hits are exact.
 //!
+//! The data split is regenerated, never stored, and only on demand: a
+//! stage's compute closure builds it the first time it is needed, so a
+//! fully warm store never touches the dataset. [`Pipeline::run`] then adds
+//! the split and clean test accuracy; [`Pipeline::run_for_serving`] stops
+//! at the engine, model and detector a monitor needs.
+//!
 //! Stage wall-times land in the global telemetry registry
-//! (`advhunter_pipeline_<stage>_ns`), alongside the store's hit/miss/evict
-//! counters.
+//! (`advhunter_pipeline_<stage>_ns`, plus `advhunter_pipeline_split_ns`
+//! and `advhunter_pipeline_clean_accuracy_ns`), alongside the store's
+//! hit/miss/evict counters.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -544,6 +552,8 @@ struct StageTimers {
     template: Arc<Histogram>,
     fit: Arc<Histogram>,
     calibrate: Arc<Histogram>,
+    split: Arc<Histogram>,
+    clean_accuracy: Arc<Histogram>,
 }
 
 fn timers() -> &'static StageTimers {
@@ -566,6 +576,14 @@ fn timers() -> &'static StageTimers {
             calibrate: r.histogram(
                 "advhunter_pipeline_calibrate_ns",
                 "Wall time of the Calibrate stage (load or compute)",
+            ),
+            split: r.histogram(
+                "advhunter_pipeline_split_ns",
+                "Wall time of generating the data split (only when a stage recomputes or run needs it)",
+            ),
+            clean_accuracy: r.histogram(
+                "advhunter_pipeline_clean_accuracy_ns",
+                "Wall time of scoring the test split for clean accuracy",
             ),
         }
     })
@@ -653,6 +671,23 @@ pub struct ModelRun {
     pub clean_accuracy: f32,
     /// What happened at the `TrainModel` stage.
     pub report: StageReport,
+}
+
+/// What the four stages produce, plus the data split if a recomputing
+/// stage had to build it.
+struct Staged {
+    model: Graph,
+    engine: TraceEngine,
+    template: OfflineTemplate,
+    detector: Detector,
+    report: PipelineReport,
+    split: OnceCell<SplitDataset>,
+}
+
+/// Clean accuracy of `model` on the test split.
+fn clean_accuracy(model: &Graph, split: &SplitDataset) -> f32 {
+    let _span = timers().clean_accuracy.span();
+    evaluate(model, split.test.images(), split.test.labels())
 }
 
 /// A configured pipeline bound to a store.
@@ -762,33 +797,48 @@ impl Pipeline {
         ))
     }
 
-    /// Runs (or loads) the `TrainModel` stage: generates the data split,
-    /// compiles the spec into an initialized model, obtains trained
-    /// weights, and records clean test accuracy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Store`] on store I/O failures and
-    /// [`PipelineError::Spec`] if the configured spec fails validation.
-    pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
+    /// Generates the deterministic data split.
+    fn generate_split(&self) -> SplitDataset {
+        let _span = timers().split.span();
+        scenario::generate_data(&self.config.spec, &self.config.sizes, &self.parallelism)
+    }
+
+    /// The split in `cell`, generated on first use. Only a stage that
+    /// recomputes asks for it, so a warm store never builds it.
+    fn split_of<'s>(&self, cell: &'s OnceCell<SplitDataset>) -> &'s SplitDataset {
+        cell.get_or_init(|| self.generate_split())
+    }
+
+    /// The split a stage built into `cell`, or a fresh one if none did.
+    fn take_split(&self, cell: OnceCell<SplitDataset>) -> SplitDataset {
+        cell.into_inner().unwrap_or_else(|| self.generate_split())
+    }
+
+    /// The `TrainModel` stage: compiles the spec into an initialized
+    /// model and loads its trained weights, or trains them on the lazily
+    /// generated split.
+    fn train_stage(
+        &self,
+        split: &OnceCell<SplitDataset>,
+    ) -> Result<(Graph, StageReport), PipelineError> {
         let config = &self.config;
-        let split = scenario::generate_data(&config.spec, &config.sizes, &self.parallelism);
         let base = config
             .spec
             .build_graph(&mut StdRng::seed_from_u64(config.spec.model_seed))?;
-        let (model, report) = self.run_stage(
+        self.run_stage(
             Stage::TrainModel,
             |bytes| {
                 let mut m = base.clone();
                 persist::load_model_bytes(&mut m, bytes).ok().map(|()| m)
             },
             || {
+                let train = &self.split_of(split).train;
                 let mut m = base.clone();
                 let mut train_rng = StdRng::seed_from_u64(config.train_seed);
                 fit(
                     &mut m,
-                    split.train.images(),
-                    split.train.labels(),
+                    train.images(),
+                    train.labels(),
                     &config.train,
                     &self.parallelism,
                     &mut train_rng,
@@ -796,39 +846,34 @@ impl Pipeline {
                 Ok(m)
             },
             persist::model_to_bytes,
-        )?;
-        let clean_accuracy = evaluate(&model, split.test.images(), split.test.labels());
-        Ok(ModelRun {
-            split,
-            model,
-            clean_accuracy,
-            report,
-        })
+        )
     }
 
-    /// Runs the full pipeline, loading every stage that hits and computing
-    /// the rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Store`] on store I/O failures and
-    /// [`PipelineError::Fit`] if `FitDetector` must recompute and fails.
-    pub fn run(&self) -> Result<(PipelineArtifacts, PipelineReport), PipelineError> {
-        let config = &self.config;
-        let model_run = self.run_model()?;
-        // Engine construction autotunes against this store's decision
-        // table: warm runs load persisted verdicts, cold runs persist what
-        // they benchmark.
+    /// The instrumented-inference engine over `model` with the configured
+    /// repeat count. Construction autotunes against this store's decision
+    /// table: warm runs load persisted verdicts, cold runs persist what
+    /// they benchmark.
+    fn build_engine(&self, model: &Graph) -> TraceEngine {
         let tuning = StoreTunePersistence::new(self.store.clone());
-        let engine = TraceEngine::with_config_tuned(
-            &model_run.model,
+        TraceEngine::with_config_tuned(
+            model,
             MachineConfig::default(),
             Sampler {
-                repeats: config.repeats,
+                repeats: self.config.repeats,
                 ..Sampler::default()
             },
             Some(&tuning),
-        );
+        )
+    }
+
+    /// The staged core behind every entry point: the four stages in
+    /// order through [`run_stage`](Self::run_stage), with the data split
+    /// generated only if one of them recomputes.
+    fn run_stages(&self) -> Result<Staged, PipelineError> {
+        let config = &self.config;
+        let split = OnceCell::new();
+        let (model, train_report) = self.train_stage(&split)?;
+        let engine = self.build_engine(&model);
         let opts = self.opts();
 
         let (template, template_report) = self.run_stage(
@@ -837,8 +882,8 @@ impl Pipeline {
             || {
                 Ok(collect_template(
                     &engine,
-                    &model_run.model,
-                    &model_run.split.val,
+                    &model,
+                    &self.split_of(&split).val,
                     config.per_class_cap,
                     &opts.stage(0),
                 ))
@@ -864,26 +909,79 @@ impl Pipeline {
             detector_to_bytes,
         )?;
 
-        let report = PipelineReport {
-            stages: vec![
-                model_run.report,
-                template_report,
-                fit_report,
-                calibrate_report,
-            ],
-        };
+        Ok(Staged {
+            model,
+            engine,
+            template,
+            detector,
+            report: PipelineReport {
+                stages: vec![train_report, template_report, fit_report, calibrate_report],
+            },
+            split,
+        })
+    }
+
+    /// Runs (or loads) the `TrainModel` stage and records clean test
+    /// accuracy on the data split.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Store`] on store I/O failures and
+    /// [`PipelineError::Spec`] if the configured spec fails validation.
+    pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
+        let split = OnceCell::new();
+        let (model, report) = self.train_stage(&split)?;
+        let split = self.take_split(split);
+        let clean_accuracy = clean_accuracy(&model, &split);
+        Ok(ModelRun {
+            split,
+            model,
+            clean_accuracy,
+            report,
+        })
+    }
+
+    /// Runs the full pipeline, loading every stage that hits and computing
+    /// the rest, then scores the test split for clean accuracy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Store`] on store I/O failures and
+    /// [`PipelineError::Fit`] if `FitDetector` must recompute and fails.
+    pub fn run(&self) -> Result<(PipelineArtifacts, PipelineReport), PipelineError> {
+        let staged = self.run_stages()?;
+        let split = self.take_split(staged.split);
+        let clean_accuracy = clean_accuracy(&staged.model, &split);
         Ok((
             PipelineArtifacts {
-                spec: Arc::clone(&config.spec),
-                split: model_run.split,
-                model: model_run.model,
-                engine,
-                clean_accuracy: model_run.clean_accuracy,
-                template,
-                detector,
+                spec: Arc::clone(&self.config.spec),
+                split,
+                model: staged.model,
+                engine: staged.engine,
+                clean_accuracy,
+                template: staged.template,
+                detector: staged.detector,
             },
-            report,
+            staged.report,
         ))
+    }
+
+    /// Runs the same four stages as [`run`](Self::run) and returns only
+    /// what the online phase needs: the engine, the model and the
+    /// calibrated detector.
+    ///
+    /// Every stored artifact is still verified and decoded, and a missing
+    /// or corrupt one is recomputed and re-stored exactly as `run` would.
+    /// But the data split is built only when a stage recomputes, and the
+    /// test split is never scored, so a warm boot costs the artifact loads
+    /// and the engine build.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Self::run).
+    pub fn run_for_serving(&self) -> Result<(TraceEngine, Graph, Detector), PipelineError> {
+        let staged = self.run_stages()?;
+        Ok((staged.engine, staged.model, staged.detector))
     }
 
     /// Loads a stored stage artifact, failing with

@@ -175,10 +175,13 @@ impl MonitorBuilder {
         .map_err(MonitorBuildError::Config)
     }
 
-    /// Boots the service from the staged offline pipeline: runs (or, on a
-    /// warm store, merely loads) every offline stage for `pipeline`
-    /// against `store`, then spawns the monitor over the resulting
-    /// engine, model, and calibrated detector.
+    /// Boots the service from the staged offline pipeline through
+    /// [`Pipeline::run_for_serving`]: on a warm store it verifies and
+    /// decodes the four stored stage artifacts and builds the engine,
+    /// without regenerating the dataset or scoring the test split; any
+    /// missing or corrupt stage is recomputed and re-stored first. The
+    /// monitor then spawns over the engine, model, and calibrated
+    /// detector.
     ///
     /// Two conveniences apply:
     ///
@@ -212,11 +215,11 @@ impl MonitorBuilder {
                 store.clone(),
             )));
         }
-        let (art, _report) = Pipeline::new(pipeline, store).run()?;
+        let (engine, model, detector) = Pipeline::new(pipeline, store).run_for_serving()?;
         Monitor::spawn_inner(
-            art.engine,
-            art.model,
-            art.detector,
+            engine,
+            model,
+            detector,
             self.config,
             self.source,
             self.watch_poll,

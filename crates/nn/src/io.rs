@@ -57,6 +57,11 @@ pub enum WeightsError {
         /// What the file contains.
         actual: usize,
     },
+    /// Bytes follow the last tensor the data declares.
+    TrailingBytes {
+        /// How many.
+        extra: usize,
+    },
 }
 
 impl fmt::Display for WeightsError {
@@ -79,6 +84,9 @@ impl fmt::Display for WeightsError {
                     f,
                     "weight file mismatch: expected {expected}, found {actual}"
                 )
+            }
+            Self::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after the last weight tensor")
             }
         }
     }
@@ -152,9 +160,11 @@ pub fn load_weights(graph: &mut Graph, path: &Path) -> Result<(), WeightsError> 
 /// Returns a precise [`WeightsError`]: [`BadMagic`](WeightsError::BadMagic)
 /// when the payload is not a weight encoding at all,
 /// [`UnsupportedVersion`](WeightsError::UnsupportedVersion) on a format
-/// bump, [`Truncated`](WeightsError::Truncated) when it ends early, and
+/// bump, [`Truncated`](WeightsError::Truncated) when it ends early,
 /// [`ShapeMismatch`](WeightsError::ShapeMismatch) when the tensor layout
-/// does not match the graph.
+/// does not match the graph, and
+/// [`TrailingBytes`](WeightsError::TrailingBytes) when data follows the
+/// last tensor. On any error `graph` is left untouched.
 pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsError> {
     let mut cur = 0usize;
 
@@ -178,17 +188,18 @@ pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsE
         });
     }
 
-    // Phase 1: parse every payload (with length checks deferred to phase 2).
-    let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(count);
+    // Phase 1: locate every payload (with length checks deferred to phase
+    // 2). Only slices are kept, so a failure costs a walk over the length
+    // prefixes and nothing is allocated by a length field.
+    let mut payloads: Vec<&[u8]> = Vec::with_capacity(count);
     for _ in 0..count {
         let len = u32::from_le_bytes(take(data, &mut cur, 4)?.try_into().unwrap()) as usize;
-        let bytes = take(data, &mut cur, len * 4)?;
-        payloads.push(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        );
+        payloads.push(take(data, &mut cur, len * 4)?);
+    }
+    if cur != data.len() {
+        return Err(WeightsError::TrailingBytes {
+            extra: data.len() - cur,
+        });
     }
 
     // Phase 2: validate shapes, then copy into the graph.
@@ -196,28 +207,33 @@ pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsE
         let params = graph.param_tensors();
         let running = graph.running_stat_tensors();
         for (t, p) in params.iter().chain(running.iter()).zip(payloads.iter()) {
-            if t.len() != p.len() {
+            if t.len() != p.len() / 4 {
                 return Err(WeightsError::ShapeMismatch {
                     expected: t.len(),
-                    actual: p.len(),
+                    actual: p.len() / 4,
                 });
             }
         }
     }
     let n_params = graph.param_tensors().len();
+    let copy = |t: &mut Tensor, p: &[u8]| {
+        for (v, c) in t.data_mut().iter_mut().zip(p.chunks_exact(4)) {
+            *v = f32::from_le_bytes(c.try_into().unwrap());
+        }
+    };
     for (t, p) in graph
         .param_tensors_mut()
-        .iter_mut()
+        .into_iter()
         .zip(&payloads[..n_params])
     {
-        t.data_mut().copy_from_slice(p);
+        copy(t, p);
     }
     for (t, p) in graph
         .running_stat_tensors_mut()
-        .iter_mut()
+        .into_iter()
         .zip(&payloads[n_params..])
     {
-        t.data_mut().copy_from_slice(p);
+        copy(t, p);
     }
     Ok(())
 }
@@ -373,6 +389,18 @@ mod tests {
         let mut b = model(2);
         weights_from_bytes(&mut b, &file_bytes).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_and_leave_the_graph_untouched() {
+        let mut bytes = weights_to_bytes(&model(1));
+        bytes.push(0);
+        let mut b = model(2);
+        assert!(matches!(
+            weights_from_bytes(&mut b, &bytes),
+            Err(WeightsError::TrailingBytes { extra: 1 })
+        ));
+        assert_eq!(b, model(2));
     }
 
     #[test]

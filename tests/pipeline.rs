@@ -3,7 +3,8 @@
 //! every knob re-addresses exactly its downstream stages), cached bytes
 //! are bit-identical to freshly computed ones, corruption is healed by
 //! recomputation, and a warm run is an order of magnitude faster than a
-//! cold one.
+//! cold one. The serving boot runs the same stages: it stores, heals and
+//! serves exactly what a full run does.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,10 +12,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use advhunter::persist::{detector_to_bytes, model_to_bytes, template_to_bytes};
 use advhunter::scenario::ScenarioId;
 use advhunter::{
-    ArtifactStore, Parallelism, Pipeline, PipelineArtifacts, PipelineConfig, PipelineReport, Stage,
-    StageOutcome,
+    ArtifactKind, ArtifactStore, ExecOptions, Parallelism, Pipeline, PipelineArtifacts,
+    PipelineConfig, PipelineReport, Stage, StageOutcome,
 };
 use advhunter_data::SplitSizes;
+use advhunter_monitor::{Monitor, MonitorBuilder};
 
 /// A fresh, unique store root under the system temp dir.
 fn scratch_store() -> (ArtifactStore, PathBuf) {
@@ -358,5 +360,158 @@ fn warm_run_is_an_order_of_magnitude_faster_than_cold() {
         cold_time,
         warm_time
     );
+    std::fs::remove_dir_all(root).ok();
+}
+
+/// Stored bytes of each stage artifact of `config`.
+fn stage_bytes(store: &ArtifactStore, config: &PipelineConfig) -> Vec<Vec<u8>> {
+    stage_files(store, config)
+        .iter()
+        .map(|p| std::fs::read(p).expect("stage artifact on disk"))
+        .collect()
+}
+
+#[test]
+fn cold_serving_boot_stores_what_a_cold_run_stores() {
+    let config = tiny_config();
+    let (run_store, run_root) = scratch_store();
+    let (art, _) = Pipeline::new(config.clone(), run_store.clone())
+        .run()
+        .expect("cold run");
+    let (boot_store, boot_root) = scratch_store();
+    let (_, model, detector) = Pipeline::new(config.clone(), boot_store.clone())
+        .run_for_serving()
+        .expect("cold serving boot");
+
+    assert_eq!(model_to_bytes(&model), model_to_bytes(&art.model));
+    assert_eq!(
+        detector_to_bytes(&detector),
+        detector_to_bytes(&art.detector)
+    );
+    assert_eq!(
+        stage_bytes(&boot_store, &config),
+        stage_bytes(&run_store, &config),
+        "a cold serving boot must store all four stage artifacts byte for byte"
+    );
+    assert_eq!(tune_artifacts(&boot_store), tune_artifacts(&run_store));
+
+    // Warm, the serving boot loads exactly what the cold run left.
+    let (_, model, detector) = Pipeline::new(config, run_store)
+        .run_for_serving()
+        .expect("warm serving boot");
+    assert_eq!(
+        [model_to_bytes(&model), detector_to_bytes(&detector)],
+        [model_to_bytes(&art.model), detector_to_bytes(&art.detector)]
+    );
+    std::fs::remove_dir_all(run_root).ok();
+    std::fs::remove_dir_all(boot_root).ok();
+}
+
+#[test]
+fn serving_boot_evicts_corrupt_artifacts_and_never_serves_them() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let pipeline = Pipeline::new(config.clone(), store.clone());
+    let (art, _) = pipeline.run().expect("cold run");
+    let [model_bytes, _, detector_bytes] = artifact_bytes(&art);
+    let cold = stage_bytes(&store, &config);
+    let files = stage_files(&store, &config);
+    let boot = || {
+        let (_, model, detector) = pipeline.run_for_serving().expect("serving boot");
+        assert_eq!(model_to_bytes(&model), model_bytes);
+        assert_eq!(detector_to_bytes(&detector), detector_bytes);
+        assert_eq!(stage_bytes(&store, &config), cold, "store must be healed");
+    };
+
+    // A bit-flipped Calibrate file fails its checksum; a truncated
+    // template fails its envelope. Both are evicted and recomputed (the
+    // template from a freshly generated split).
+    let mut flipped = cold[3].clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    std::fs::write(&files[3], &flipped).unwrap();
+    std::fs::write(&files[1], &cold[1][..10]).unwrap();
+    boot();
+
+    // An envelope-valid payload that does not decode as a detector.
+    let calibrate = config.fingerprint(Stage::Calibrate);
+    store
+        .save(ArtifactKind::Detector, calibrate, b"AHD1 not a detector")
+        .unwrap();
+    boot();
+
+    // A corrupt model retrains from the split, bit for bit.
+    let mut flipped = cold[0].clone();
+    flipped[40] ^= 0x80;
+    std::fs::write(&files[0], &flipped).unwrap();
+    boot();
+    std::fs::remove_dir_all(root).ok();
+}
+
+#[test]
+fn forced_serving_boot_recomputes_over_a_valid_stored_detector() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let (art, _) = Pipeline::new(config.clone(), store.clone())
+        .run()
+        .expect("cold run");
+    let cold = stage_bytes(&store, &config);
+    // A valid but different detector at the Calibrate address: a warm
+    // boot serves it, a forced boot recomputes the calibrated one.
+    let deployed = art.detector.shifted(5.0);
+    let pipeline = Pipeline::new(config.clone(), store.clone());
+    pipeline.deploy_detector(&deployed).unwrap();
+    let (_, _, warm) = pipeline.run_for_serving().expect("warm boot");
+    assert_eq!(warm, deployed);
+    let (_, model, forced) = pipeline.force(true).run_for_serving().expect("forced boot");
+    assert_eq!(forced, art.detector);
+    assert_eq!(model_to_bytes(&model), model_to_bytes(&art.model));
+    assert_eq!(stage_bytes(&store, &config), cold, "forced boot re-stores");
+    std::fs::remove_dir_all(root).ok();
+}
+
+#[test]
+fn warm_serving_boot_serves_the_verdicts_of_a_full_run() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let (art, _) = Pipeline::new(config.clone(), store.clone())
+        .run()
+        .expect("cold run");
+    let images: Vec<_> = art.split.test.images()[..40].to_vec();
+    let exec = ExecOptions::seeded(0xB007).with_threads(2);
+    let verdicts = |monitor: Monitor| {
+        for image in &images {
+            monitor.submit(image.clone()).unwrap();
+        }
+        let mut out: Vec<_> = (0..images.len())
+            .map(|_| monitor.recv().expect("verdict"))
+            .collect();
+        out.sort_by_key(|v| v.request_id);
+        monitor.shutdown();
+        out.iter()
+            .map(|v| {
+                let scores: Vec<_> = v
+                    .verdict
+                    .scores()
+                    .iter()
+                    .map(|s| (s.event, s.nll.to_bits(), s.threshold.to_bits()))
+                    .collect();
+                (v.request_id, v.verdict.predicted(), scores, v.flagged)
+            })
+            .collect::<Vec<_>>()
+    };
+    let from_run = MonitorBuilder::new(exec)
+        .spawn(art.engine, art.model, art.detector)
+        .unwrap();
+    let from_store = MonitorBuilder::new(exec)
+        .spawn_from_store(config, store)
+        .unwrap();
+    let expected = verdicts(from_run);
+    assert_eq!(expected.len(), 40);
+    assert!(
+        expected.iter().filter(|v| !v.2.is_empty()).count() >= 32,
+        "at least 32 verdicts carry per-event scores"
+    );
+    assert_eq!(verdicts(from_store), expected);
     std::fs::remove_dir_all(root).ok();
 }
