@@ -1,7 +1,9 @@
 //! Micro-benchmarks for the substrates: cache-simulator throughput, branch
 //! prediction, convolution (dense and depthwise), SiLU, the training
-//! backward kernels (reference against packed), GMM fitting,
-//! instrumented inference, and online detector scoring. Each row is the best time per iteration of the shared
+//! backward kernels (reference against packed), S1's memory-bound training
+//! kernels (batch norm, SiLU backward, depthwise and pointwise
+//! convolution), GMM fitting, instrumented inference, and online detector
+//! scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
@@ -11,10 +13,11 @@ use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallel
 use advhunter_bench::bench_function;
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
-use advhunter_nn::Mode;
+use advhunter_nn::{GraphBuilder, Mode};
 use advhunter_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_reference, dwconv2d_into, linear_backward, matmul,
-    matmul_at, silu_into, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
+    dwconv2d_into, linear_backward, matmul, matmul_at, silu_backward, silu_into, Conv2dScratch,
+    Conv2dSpec, KernelVariant, PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
@@ -126,6 +129,75 @@ fn bench_silu() {
     });
 }
 
+/// S1's memory-bound training kernels over one 32-image batch: batch norm
+/// in train mode on mb1.expand's output, SiLU backward, the two depthwise
+/// backward passes at one and two workers, and mb1.expand's pointwise conv.
+fn bench_s1_training() {
+    let mut rng = StdRng::seed_from_u64(10);
+    let batch = 32;
+    let mut b = GraphBuilder::new(&[32, 28, 28]);
+    let input = b.input();
+    b.batchnorm("mb1.expand.bn", input);
+    let bn = b.build();
+    let x = init::normal(&mut rng, &[batch, 32, 28, 28], 0.5, 2.0);
+    let g = init::normal(&mut rng, &[batch, 32, 28, 28], 0.0, 1.0);
+    let mut ws = bn.workspace(batch);
+    bench_function("batchnorm_train_forward_s1_mb1_expand_b32", || {
+        bn.forward_with(black_box(&x), Mode::Train, &mut ws);
+        ws.output().data()[0]
+    });
+    let trace = bn.forward(&x, Mode::Train);
+    bench_function("batchnorm_train_backward_s1_mb1_expand_b32", || {
+        bn.backward(black_box(&trace), &g)
+    });
+
+    let sx = init::normal(&mut rng, &[32, 28, 28], 0.0, 2.0);
+    let sg = init::normal(&mut rng, &[32, 28, 28], 0.0, 1.0);
+    bench_function("silu_backward_32x28x28", || {
+        silu_backward(black_box(&sx), &sg, &Parallelism::sequential())
+    });
+
+    for (name, c, hw, stride) in [("mb1", 32, 28, 2), ("mb2", 48, 14, 1)] {
+        let spec = Conv2dSpec::new(c, c, 3, stride, 1);
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let x = init::normal(&mut rng, &[batch, c, hw, hw], 0.0, 1.0);
+        let w = init::normal(&mut rng, &[c, 9], 0.0, 0.3);
+        let g = init::normal(&mut rng, &[batch, c, oh, ow], 0.0, 1.0);
+        for threads in [1, 2] {
+            let par = Parallelism::new(threads);
+            bench_function(
+                &format!("dwconv2d_backward_s1_{name}_b32_{threads}t"),
+                || dwconv2d_backward(black_box(&x), &w, &g, &spec, &par),
+            );
+        }
+    }
+
+    let spec = Conv2dSpec::new(16, 32, 1, 1, 0);
+    let x = init::normal(&mut rng, &[batch, 16, 28, 28], 0.0, 1.0);
+    let w = init::normal(&mut rng, &[32, 16], 0.0, 0.3);
+    let bias = init::normal(&mut rng, &[32], 0.0, 0.1);
+    let g = init::normal(&mut rng, &[batch, 32, 28, 28], 0.0, 1.0);
+    let packed = PackedWeights::pack_tensor(&w, KernelVariant::TRAINING);
+    let mut scratch = Conv2dScratch::new(16, 28, 28, &spec);
+    let mut out = Tensor::zeros(&[batch, 32, 28, 28]);
+    let seq = Parallelism::sequential();
+    bench_function("pointwise_conv_forward_s1_mb1_expand_b32", || {
+        conv2d_packed_into(
+            black_box(&x),
+            &packed,
+            &bias,
+            &spec,
+            &mut scratch,
+            &seq,
+            &mut out,
+        );
+        out.data()[0]
+    });
+    bench_function("pointwise_conv_backward_s1_mb1_expand_b32", || {
+        conv2d_backward(black_box(&x), &w, &g, &spec, &seq)
+    });
+}
+
 fn bench_gmm_fit() {
     let mut rng = StdRng::seed_from_u64(2);
     let data: Vec<f64> = (0..200)
@@ -197,6 +269,7 @@ fn main() {
     bench_dwconv2d();
     bench_silu();
     bench_backward();
+    bench_s1_training();
     bench_gmm_fit();
     bench_instrumented_inference();
     bench_detector_scoring();

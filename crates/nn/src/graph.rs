@@ -9,7 +9,7 @@ use advhunter_tensor::ops::{
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
 
-use crate::MatKernels;
+use crate::{MatKernels, Workspace};
 
 /// Whether a forward pass runs with batch statistics (training) or running
 /// statistics (inference).
@@ -194,12 +194,12 @@ pub enum Aux {
 }
 
 /// Everything the forward pass computed: one output tensor per node plus the
-/// auxiliary state backward needs.
+/// auxiliary state backward needs, held in the [`Workspace`] the pass ran
+/// in.
 #[derive(Debug, Clone)]
 pub struct ForwardTrace {
     input: Tensor,
-    outputs: Vec<Tensor>,
-    aux: Vec<Aux>,
+    ws: Workspace,
     mode: Mode,
 }
 
@@ -211,7 +211,7 @@ impl ForwardTrace {
 
     /// The output of node `i`.
     pub fn node_output(&self, i: usize) -> &Tensor {
-        &self.outputs[i]
+        self.ws.node_output(i)
     }
 
     /// The final output (last node).
@@ -220,12 +220,18 @@ impl ForwardTrace {
     ///
     /// Panics if the graph is empty.
     pub fn output(&self) -> &Tensor {
-        self.outputs.last().expect("graph has at least one node")
+        self.ws.output()
     }
 
     /// The mode the trace was computed in.
     pub fn mode(&self) -> Mode {
         self.mode
+    }
+
+    /// The workspace the pass ran in, for the next pass of the same batch
+    /// size (see [`Graph::forward_packed`]).
+    pub fn into_workspace(self) -> Workspace {
+        self.ws
     }
 }
 
@@ -296,35 +302,6 @@ impl Graph {
     /// Panics if shapes are inconsistent (programming error in the model
     /// definition).
     pub fn forward(&self, x: &Tensor, mode: Mode) -> ForwardTrace {
-        self.trace(x, mode, None, &Parallelism::sequential())
-    }
-
-    /// [`Graph::forward`] with the matrix nodes dispatched through
-    /// `kernels` and each convolution's images fanned out over
-    /// `parallelism`: the training forward pass. Bit-for-bit the trace of
-    /// [`Graph::forward`] for any variant choice and worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`Graph::forward`], or if
-    /// `kernels` was packed for a different graph.
-    pub fn forward_packed(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        kernels: &MatKernels,
-        parallelism: &Parallelism,
-    ) -> ForwardTrace {
-        self.trace(x, mode, Some(kernels), parallelism)
-    }
-
-    fn trace(
-        &self,
-        x: &Tensor,
-        mode: Mode,
-        kernels: Option<&MatKernels>,
-        parallelism: &Parallelism,
-    ) -> ForwardTrace {
         let dims = x.shape().dims();
         let (batch, chw): (usize, &[usize]) = match dims.len() {
             3 => (1, dims),
@@ -332,17 +309,37 @@ impl Graph {
             _ => panic!("graph input must be NCHW or CHW, got {:?}", x.shape()),
         };
         let mut ws = self.workspace_for(batch, chw);
-        ws.parallelism = *parallelism;
-        match kernels {
-            Some(kernels) => self.forward_with_kernels(x, mode, &mut ws, kernels),
-            None => self.forward_with(x, mode, &mut ws),
-        }
+        self.forward_with(x, mode, &mut ws);
         ForwardTrace {
             input: x.clone(),
-            outputs: ws.outputs,
-            aux: ws.aux,
+            ws,
             mode,
         }
+    }
+
+    /// [`Graph::forward`] into `ws` (from [`Graph::workspace`] or a
+    /// previous trace's [`ForwardTrace::into_workspace`]), with the matrix
+    /// nodes dispatched through `kernels` and each convolution's images
+    /// fanned out over `parallelism`: the training forward pass, which
+    /// reuses one batch's buffers for the next. Every kernel overwrites
+    /// its whole output, so the trace is bit-for-bit that of
+    /// [`Graph::forward`] for any variant choice and worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`Graph::forward_with`], or
+    /// if `kernels` was packed for a different graph.
+    pub fn forward_packed(
+        &self,
+        x: Tensor,
+        mode: Mode,
+        kernels: &MatKernels,
+        parallelism: &Parallelism,
+        mut ws: Workspace,
+    ) -> ForwardTrace {
+        ws.parallelism = *parallelism;
+        self.forward_with_kernels(&x, mode, &mut ws, kernels);
+        ForwardTrace { input: x, ws, mode }
     }
 
     /// Convenience: class logits for a batch (eval mode).
@@ -416,14 +413,14 @@ impl Graph {
                 .iter()
                 .map(|src| match src {
                     Src::Input => &trace.input,
-                    Src::Node(j) => &trace.outputs[*j],
+                    Src::Node(j) => &trace.ws.outputs[*j],
                 })
                 .collect();
             let (input_grads, pgrad) = backward_op(
                 &node.op,
                 &ins,
-                &trace.outputs[i],
-                &trace.aux[i],
+                &trace.ws.outputs[i],
+                &trace.ws.aux[i],
                 &gout,
                 trace.mode,
                 parallelism,
@@ -623,7 +620,7 @@ impl Graph {
     /// Updates every batch-norm running statistic from the batch statistics
     /// recorded in `trace` (call after a train-mode forward pass).
     pub fn update_running_stats(&mut self, trace: &ForwardTrace) {
-        for (node, aux) in self.nodes.iter_mut().zip(trace.aux.iter()) {
+        for (node, aux) in self.nodes.iter_mut().zip(trace.ws.aux.iter()) {
             if let (Op::BatchNorm2d(bn), Aux::BatchNorm { mean, var, .. }) = (&mut node.op, aux) {
                 let m = bn.momentum;
                 for (r, &b) in bn.running_mean.data_mut().iter_mut().zip(mean.iter()) {
@@ -724,22 +721,24 @@ fn backward_op(
 fn batchnorm_forward(bn: &BatchNorm2d, x: &Tensor, mode: Mode) -> (Tensor, Aux) {
     let (n, c, h, w) = x.shape().as_nchw();
     let mut out = Tensor::zeros(&[n, c, h, w]);
-    let aux = batchnorm_forward_into(bn, x, mode, &mut out);
+    let mut aux = Aux::None;
+    batchnorm_forward_into(bn, x, mode, &mut out, &mut aux);
     (out, aux)
 }
 
 /// [`BatchNorm2d`] forward into a caller-provided buffer; every output
-/// element is assigned. Returns the [`Aux`] state backward needs (batch
-/// statistics in train mode, nothing in eval mode).
+/// element is assigned. Leaves in `aux` the state backward needs: batch
+/// statistics and `x̂` in train mode, reusing the buffers a previous
+/// train-mode pass left there, nothing in eval mode.
 pub(crate) fn batchnorm_forward_into(
     bn: &BatchNorm2d,
     x: &Tensor,
     mode: Mode,
     out: &mut Tensor,
-) -> Aux {
+    aux: &mut Aux,
+) {
     let (n, c, h, w) = x.shape().as_nchw();
     let plane = h * w;
-    let count = (n * plane) as f32;
     assert_eq!(
         out.len(),
         n * c * plane,
@@ -760,30 +759,26 @@ pub(crate) fn batchnorm_forward_into(
                     }
                 }
             }
-            Aux::None
+            *aux = Aux::None;
         }
         Mode::Train => {
+            let (mut mean, mut var, mut xhat) = match std::mem::replace(aux, Aux::None) {
+                Aux::BatchNorm { mean, var, xhat } if xhat.shape() == x.shape() => {
+                    (mean, var, xhat)
+                }
+                _ => (vec![0.0; c], vec![0.0; c], Tensor::zeros(&[n, c, h, w])),
+            };
             let xd = x.data();
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ch in 0..c {
-                let mut s = 0.0;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    s += xd[base..base + plane].iter().sum::<f32>();
+            let mut ch = 0;
+            while ch < c {
+                if c - ch >= BN_LANES {
+                    batch_stats::<BN_LANES>(xd, (n, c, plane), ch, &mut mean, &mut var);
+                    ch += BN_LANES;
+                } else {
+                    batch_stats::<1>(xd, (n, c, plane), ch, &mut mean, &mut var);
+                    ch += 1;
                 }
-                mean[ch] = s / count;
-                let mut v = 0.0;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in 0..plane {
-                        let d = xd[base + i] - mean[ch];
-                        v += d * d;
-                    }
-                }
-                var[ch] = v / count;
             }
-            let mut xhat = Tensor::zeros(&[n, c, h, w]);
             {
                 let xh = xhat.data_mut();
                 let od = out.data_mut();
@@ -801,9 +796,126 @@ pub(crate) fn batchnorm_forward_into(
                     }
                 }
             }
-            Aux::BatchNorm { mean, var, xhat }
+            *aux = Aux::BatchNorm { mean, var, xhat };
         }
     }
+}
+
+/// Channels whose batch-norm sums run side by side, one lane each: the
+/// sums are chains of dependent adds, so eight independent chains keep the
+/// adder busy where one channel at a time waits on each add.
+const BN_LANES: usize = 8;
+
+/// Pixels loaded per channel plane at a time, so that the lanes fill from
+/// vector loads rather than one scalar load per channel and pixel.
+const BN_BLOCK: usize = 8;
+
+/// Plane `img` of channels `ch0..ch0 + L` of an NCHW buffer.
+fn channel_planes<const L: usize>(
+    data: &[f32],
+    (c, plane): (usize, usize),
+    img: usize,
+    ch0: usize,
+) -> [&[f32]; L] {
+    std::array::from_fn(|j| &data[(img * c + ch0 + j) * plane..][..plane])
+}
+
+/// Pixels `i..i + BN_BLOCK` of each plane, one lane array per pixel.
+fn pixel_block<const L: usize>(planes: &[&[f32]; L], i: usize) -> [[f32; L]; BN_BLOCK] {
+    let rows: [[f32; BN_BLOCK]; L] =
+        planes.map(|p| p[i..i + BN_BLOCK].try_into().expect("block in bounds"));
+    std::array::from_fn(|px| std::array::from_fn(|j| rows[j][px]))
+}
+
+/// Batch mean and biased variance of channels `ch0..ch0 + L`, each in its
+/// own lane and in the order of a channel-at-a-time loop: the mean's total
+/// starts at `+0.0` and adds every image's plane sum, which starts at `-0.0`
+/// like `Iterator::sum`; the variance adds squared deviations image by
+/// image, pixel by pixel, from `+0.0`.
+fn batch_stats<const L: usize>(
+    xd: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    ch0: usize,
+    mean: &mut [f32],
+    var: &mut [f32],
+) {
+    let count = (n * plane) as f32;
+    let full = plane - plane % BN_BLOCK;
+    let mut total = [0.0f32; L];
+    for img in 0..n {
+        let xs = channel_planes::<L>(xd, (c, plane), img, ch0);
+        let mut sum = [-0.0f32; L];
+        for i in (0..full).step_by(BN_BLOCK) {
+            for px in pixel_block(&xs, i) {
+                for (s, x) in sum.iter_mut().zip(px) {
+                    *s += x;
+                }
+            }
+        }
+        for i in full..plane {
+            for (s, x) in sum.iter_mut().zip(&xs) {
+                *s += x[i];
+            }
+        }
+        for (t, s) in total.iter_mut().zip(sum) {
+            *t += s;
+        }
+    }
+    let m = total.map(|t| t / count);
+    let mut v = [0.0f32; L];
+    for img in 0..n {
+        let xs = channel_planes::<L>(xd, (c, plane), img, ch0);
+        for i in (0..full).step_by(BN_BLOCK) {
+            for px in pixel_block(&xs, i) {
+                for ((v, x), m) in v.iter_mut().zip(px).zip(m) {
+                    let d = x - m;
+                    *v += d * d;
+                }
+            }
+        }
+        for i in full..plane {
+            for ((v, x), m) in v.iter_mut().zip(&xs).zip(m) {
+                let d = x[i] - m;
+                *v += d * d;
+            }
+        }
+    }
+    mean[ch0..ch0 + L].copy_from_slice(&m);
+    var[ch0..ch0 + L].copy_from_slice(&v.map(|v| v / count));
+}
+
+/// `(Σ g, Σ g·x̂)` over the batch for channels `ch0..ch0 + L`, each in its
+/// own lane, from `+0.0` in image, pixel order.
+fn grad_sums<const L: usize>(
+    gd: &[f32],
+    xh: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    ch0: usize,
+    sum_g: &mut [f32],
+    sum_gx: &mut [f32],
+) {
+    let full = plane - plane % BN_BLOCK;
+    let (mut sg, mut sgx) = ([0.0f32; L], [0.0f32; L]);
+    let mut add = |g: [f32; L], x: [f32; L]| {
+        for j in 0..L {
+            sg[j] += g[j];
+            sgx[j] += g[j] * x[j];
+        }
+    };
+    for img in 0..n {
+        let gs = channel_planes::<L>(gd, (c, plane), img, ch0);
+        let xs = channel_planes::<L>(xh, (c, plane), img, ch0);
+        for i in (0..full).step_by(BN_BLOCK) {
+            for (g, x) in pixel_block(&gs, i).into_iter().zip(pixel_block(&xs, i)) {
+                add(g, x);
+            }
+        }
+        for i in full..plane {
+            add(gs.map(|g| g[i]), xs.map(|x| x[i]));
+        }
+    }
+    sum_g[ch0..ch0 + L].copy_from_slice(&sg);
+    sum_gx[ch0..ch0 + L].copy_from_slice(&sgx);
 }
 
 fn batchnorm_backward(
@@ -859,22 +971,22 @@ fn batchnorm_backward(
             let mut gx = Tensor::zeros(&[n, c, h, w]);
             let mut ggamma = Tensor::zeros(&[c]);
             let mut gbeta = Tensor::zeros(&[c]);
+            let mut ch = 0;
+            while ch < c {
+                let (sum_g, sum_gx) = (gbeta.data_mut(), ggamma.data_mut());
+                if c - ch >= BN_LANES {
+                    grad_sums::<BN_LANES>(gd, xh, (n, c, plane), ch, sum_g, sum_gx);
+                    ch += BN_LANES;
+                } else {
+                    grad_sums::<1>(gd, xh, (n, c, plane), ch, sum_g, sum_gx);
+                    ch += 1;
+                }
+            }
             let gxd = gx.data_mut();
             for (ch, &var_ch) in var.iter().enumerate().take(c) {
                 let inv = 1.0 / (var_ch + bn.eps).sqrt();
                 let gamma = bn.gamma.data()[ch];
-                // Sums over the batch and spatial dims.
-                let mut sum_g = 0.0f32;
-                let mut sum_gx = 0.0f32;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in 0..plane {
-                        sum_g += gd[base + i];
-                        sum_gx += gd[base + i] * xh[base + i];
-                    }
-                }
-                ggamma.data_mut()[ch] = sum_gx;
-                gbeta.data_mut()[ch] = sum_g;
+                let (sum_g, sum_gx) = (gbeta.data()[ch], ggamma.data()[ch]);
                 let k1 = gamma * inv / count;
                 for img in 0..n {
                     let base = (img * c + ch) * plane;

@@ -6,7 +6,7 @@ use advhunter_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Graph, MatKernels, Mode};
+use crate::{Graph, MatKernels, Mode, Workspace};
 
 /// Adam optimizer state (Kingma & Ba) over a fixed parameter list.
 ///
@@ -186,7 +186,8 @@ pub struct EpochStats {
 ///
 /// Every optimizer step packs the current weights into GEMM panels once
 /// ([`KernelVariant::TRAINING`]), runs the forward pass through them
-/// ([`Graph::forward_packed`]) and the backward pass with
+/// ([`Graph::forward_packed`], into one batch-sized workspace kept across
+/// steps) and the backward pass with
 /// [`Graph::backward_with`], fanning per-image and per-row work out over
 /// `parallelism`. Cross-image reductions stay on the calling thread in
 /// image order, so the trained weights are bit-for-bit the same at every
@@ -208,6 +209,7 @@ pub fn fit(
     let mut opt = Adam::new(config.learning_rate);
     let mut order: Vec<usize> = (0..images.len()).collect();
     let mut history = Vec::with_capacity(config.epochs);
+    let mut workspace: Option<Workspace> = None;
 
     for epoch in 0..config.epochs {
         order.shuffle(rng);
@@ -219,7 +221,17 @@ pub fn fit(
             let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             let x = Tensor::stack(&batch_imgs);
             let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
-            let trace = graph.forward_packed(&x, Mode::Train, &kernels, parallelism);
+            // Free a workspace of another batch size (the ragged last batch's
+            // or the one before it) before allocating, so that two
+            // batch-sized workspaces are never alive together.
+            let ws = match workspace.take() {
+                Some(ws) if ws.batch() == chunk.len() => ws,
+                stale => {
+                    drop(stale);
+                    graph.workspace(chunk.len())
+                }
+            };
+            let trace = graph.forward_packed(x, Mode::Train, &kernels, parallelism, ws);
             let (loss, dlogits) = cross_entropy_with_logits(trace.output(), &batch_labels);
             total_loss += loss as f64;
             batches += 1;
@@ -242,6 +254,7 @@ pub fn fit(
 
             let grads = graph.backward_with(&trace, &dlogits, parallelism);
             graph.update_running_stats(&trace);
+            workspace = Some(trace.into_workspace());
             let flat: Vec<&Tensor> = grads.flat();
             let mut params = graph.param_tensors_mut();
             opt.step(&mut params, &flat);

@@ -249,7 +249,7 @@ fn forward_op_into(
             *aux = Aux::None;
         }
         Op::BatchNorm2d(bn) => {
-            *aux = batchnorm_forward_into(bn, ins[0], mode, out);
+            batchnorm_forward_into(bn, ins[0], mode, out, aux);
         }
         Op::ReLU => {
             relu_into(ins[0], out);

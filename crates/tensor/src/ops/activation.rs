@@ -2,6 +2,7 @@
 
 use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
 
+use super::exp::{exp_lanes, LANES};
 use crate::Tensor;
 
 /// Rectified linear unit: `max(x, 0)` elementwise.
@@ -75,7 +76,9 @@ pub fn tanh_backward(output: &Tensor, grad_out: &Tensor) -> Tensor {
 
 /// Logistic sigmoid `1 / (1 + e^-x)` elementwise.
 pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(stable_sigmoid)
+    let mut out = Tensor::zeros(x.shape().dims());
+    sigmoid_into(x, &mut out);
+    out
 }
 
 /// [`sigmoid`] into a caller-provided same-length tensor.
@@ -84,7 +87,8 @@ pub fn sigmoid(x: &Tensor) -> Tensor {
 ///
 /// Panics if the lengths differ.
 pub fn sigmoid_into(x: &Tensor, out: &mut Tensor) {
-    map_into(x, out, stable_sigmoid);
+    check_len(x, out);
+    map_lanes([x.data()], out.data_mut(), |[v]| sigmoid_lanes(v));
 }
 
 /// Backward pass of [`sigmoid`] given the *output* of the forward pass.
@@ -98,7 +102,9 @@ pub fn sigmoid_backward(output: &Tensor, grad_out: &Tensor) -> Tensor {
 
 /// SiLU / swish: `x * sigmoid(x)` elementwise.
 pub fn silu(x: &Tensor) -> Tensor {
-    x.map(|v| v * stable_sigmoid(v))
+    let mut out = Tensor::zeros(x.shape().dims());
+    silu_into(x, &mut out, &Parallelism::sequential());
+    out
 }
 
 /// [`silu`] into a caller-provided same-length tensor, in blocks fanned
@@ -108,17 +114,13 @@ pub fn silu(x: &Tensor) -> Tensor {
 ///
 /// Panics if the lengths differ.
 pub fn silu_into(x: &Tensor, out: &mut Tensor, parallelism: &Parallelism) {
-    assert_eq!(
-        x.len(),
-        out.len(),
-        "activation output length {} does not match input {}",
-        out.len(),
-        x.len()
-    );
+    check_len(x, out);
     par_blocks(out.data_mut(), parallelism, |from, dst| {
-        for (o, &v) in dst.iter_mut().zip(&x.data()[from..]) {
-            *o = v * stable_sigmoid(v);
-        }
+        let xs = &x.data()[from..from + dst.len()];
+        map_lanes([xs], dst, |[v]| {
+            let s = sigmoid_lanes(v);
+            std::array::from_fn(|l| v[l] * s[l])
+        });
     });
 }
 
@@ -139,11 +141,12 @@ pub fn silu_backward(input: &Tensor, grad_out: &Tensor, parallelism: &Parallelis
     );
     let mut out = Tensor::zeros(input.shape().dims());
     par_blocks(out.data_mut(), parallelism, |from, dst| {
-        let xs = input.data()[from..].iter().zip(&grad_out.data()[from..]);
-        for (o, (&x, &g)) in dst.iter_mut().zip(xs) {
-            let s = stable_sigmoid(x);
-            *o = g * (s + x * s * (1.0 - s));
-        }
+        let to = from + dst.len();
+        let ins = [&input.data()[from..to], &grad_out.data()[from..to]];
+        map_lanes(ins, dst, |[x, g]| {
+            let s = sigmoid_lanes(x);
+            std::array::from_fn(|l| g[l] * (s[l] + x[l] * s[l] * (1.0 - s[l])))
+        });
     });
     out
 }
@@ -179,14 +182,16 @@ fn par_blocks(out: &mut [f32], parallelism: &Parallelism, f: impl Fn(usize, &mut
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let (n, c) = row_dims(x);
     let mut out = x.clone();
-    let od = out.data_mut();
-    for row in 0..n {
-        let r = &mut od[row * c..(row + 1) * c];
+    let mut shifted = vec![0.0; c];
+    for r in out.data_mut().chunks_exact_mut(c.max(1)).take(n) {
         let m = r.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for (d, &v) in shifted.iter_mut().zip(r.iter()) {
+            *d = v - m;
+        }
+        map_lanes([shifted.as_slice()], r, |[d]| exp_lanes(d));
         let mut sum = 0.0;
-        for v in r.iter_mut() {
-            *v = (*v - m).exp();
-            sum += *v;
+        for &v in r.iter() {
+            sum += v;
         }
         for v in r.iter_mut() {
             *v /= sum;
@@ -203,11 +208,14 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
 pub fn log_softmax_rows(x: &Tensor) -> Tensor {
     let (n, c) = row_dims(x);
     let mut out = x.clone();
-    let od = out.data_mut();
-    for row in 0..n {
-        let r = &mut od[row * c..(row + 1) * c];
+    let (mut shifted, mut exps) = (vec![0.0; c], vec![0.0; c]);
+    for r in out.data_mut().chunks_exact_mut(c.max(1)).take(n) {
         let m = r.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = m + r.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+        for (d, &v) in shifted.iter_mut().zip(r.iter()) {
+            *d = v - m;
+        }
+        map_lanes([shifted.as_slice()], &mut exps, |[d]| exp_lanes(d));
+        let lse = m + exps.iter().sum::<f32>().ln();
         for v in r.iter_mut() {
             *v -= lse;
         }
@@ -247,6 +255,13 @@ pub fn cross_entropy_with_logits(logits: &Tensor, labels: &[usize]) -> (f32, Ten
 /// Writes `f` applied to every element of `x` into `out`, which may hold
 /// any shape of the same total length (activations are shape-agnostic).
 fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+    check_len(x, out);
+    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
+        *o = f(v);
+    }
+}
+
+fn check_len(x: &Tensor, out: &Tensor) {
     assert_eq!(
         x.len(),
         out.len(),
@@ -254,8 +269,29 @@ fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
         out.len(),
         x.len()
     );
-    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
-        *o = f(v);
+}
+
+/// Writes `f` of `K` same-length inputs into `out`, [`LANES`] elements per
+/// call; the last call's missing lanes are zeros whose results are
+/// dropped. Every lane of `f` must depend on its own inputs only.
+fn map_lanes<const K: usize>(
+    ins: [&[f32]; K],
+    out: &mut [f32],
+    f: impl Fn([[f32; LANES]; K]) -> [f32; LANES],
+) {
+    let full = out.len() - out.len() % LANES;
+    for (i, dst) in out.chunks_exact_mut(LANES).enumerate() {
+        let args = ins.map(|x| <[f32; LANES]>::try_from(&x[i * LANES..][..LANES]).expect("lanes"));
+        dst.copy_from_slice(&f(args));
+    }
+    let tail = &mut out[full..];
+    if !tail.is_empty() {
+        let args = ins.map(|x| {
+            let mut block = [0.0; LANES];
+            block[..tail.len()].copy_from_slice(&x[full..][..tail.len()]);
+            block
+        });
+        tail.copy_from_slice(&f(args)[..tail.len()]);
     }
 }
 
@@ -265,13 +301,15 @@ fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
 /// This is bit-identical to the textbook two-branch form (`exp(-x)` above
 /// zero, `exp(x)` below): both branches take `exp` of exactly `-|x|` (and
 /// `exp(+0) == exp(-0)`), so only the numerator depends on the sign. Picking
-/// the numerator with a select instead of a branch keeps one `exp` call per
+/// the numerator with a select instead of a branch keeps one `exp` per
 /// element and no sign-dependent jump, which mispredicts on activations.
 #[inline]
-fn stable_sigmoid(x: f32) -> f32 {
-    let e = (-x.abs()).exp();
-    let num = if x >= 0.0 { 1.0 } else { e };
-    num / (1.0 + e)
+fn sigmoid_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
+    let e = exp_lanes(x.map(|v| -v.abs()));
+    std::array::from_fn(|l| {
+        let num = if x[l] >= 0.0 { 1.0 } else { e[l] };
+        num / (1.0 + e[l])
+    })
 }
 
 fn row_dims(t: &Tensor) -> (usize, usize) {
@@ -367,7 +405,7 @@ mod tests {
             let g = Tensor::from_slice(&[1.0]);
             let analytic = silu_backward(&x, &g, &Parallelism::sequential()).data()[0];
             let eps = 1e-3;
-            let f = |v: f32| v * stable_sigmoid(v);
+            let f = |v: f32| v * sigmoid_lanes([v])[0];
             let numeric = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 1e-3,
@@ -405,6 +443,46 @@ mod tests {
         let b = softmax_rows(&x).map(f32::ln);
         for (u, v) in a.data().iter().zip(b.data().iter()) {
             assert!((u - v).abs() < 1e-5);
+        }
+    }
+
+    /// Softmax and log-softmax as they were written over the host
+    /// `f32::exp`, on random rows and on rows with infinities, NaN, huge
+    /// and tiny logits, and more columns than one block of lanes.
+    #[test]
+    fn softmax_matches_the_libm_formulas() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut rows: Vec<Vec<f32>> = (0..64)
+            .map(|i| {
+                (0..1 + i % 19)
+                    .map(|_| rng.gen_range(-40.0..40.0))
+                    .collect()
+            })
+            .collect();
+        rows.push(vec![f32::NEG_INFINITY, 0.0, -1e-30, 1e30, -1e30]);
+        rows.push(vec![f32::INFINITY, 1.0]);
+        rows.push(vec![f32::NAN, 1.0, 2.0]);
+        rows.push(vec![-103.0, 0.0, -87.5, -100.0, -0.0]);
+        for row in rows {
+            let x = Tensor::from_vec(row.clone(), &[1, row.len()]).unwrap();
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
+            let mut sum = 0.0;
+            for &e in &exps {
+                sum += e;
+            }
+            let lse = m + exps.iter().sum::<f32>().ln();
+            let soft: Vec<f32> = exps.iter().map(|&e| e / sum).collect();
+            let log_soft: Vec<f32> = row.iter().map(|&v| v - lse).collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(softmax_rows(&x).data()), bits(&soft), "{row:?}");
+            assert_eq!(
+                bits(log_softmax_rows(&x).data()),
+                bits(&log_soft),
+                "{row:?}"
+            );
         }
     }
 

@@ -76,6 +76,12 @@ impl Conv2dSpec {
         )
     }
 
+    /// Whether this is a 1×1, stride-1, unpadded convolution, whose im2col
+    /// matrix is the input image itself.
+    fn is_pointwise(&self) -> bool {
+        (self.kernel, self.stride, self.padding) == (1, 1, 0)
+    }
+
     /// Number of weight elements: `out_c * in_c * k * k`.
     pub fn weight_len(&self) -> usize {
         self.out_channels * self.in_channels * self.kernel * self.kernel
@@ -345,10 +351,19 @@ pub fn conv2d_packed_into(
     );
     let in_stride = c * h * w;
     let plane = oh * ow;
-    let image = |scratch: &mut Conv2dScratch, img: usize, dst: &mut [f32]| {
+    // A pointwise convolution's im2col matrix is the image itself: no
+    // lowering, no scratch.
+    let pointwise = spec.is_pointwise();
+    let image = |cols: Option<&mut Tensor>, img: usize, dst: &mut [f32]| {
         let x = &input.data()[img * in_stride..(img + 1) * in_stride];
-        im2col_into(x, c, h, w, spec, &mut scratch.cols);
-        gemm_packed_bias_into(packed, scratch.cols.data(), plane, bias.data(), dst);
+        let cols = match cols {
+            Some(cols) => {
+                im2col_into(x, c, h, w, spec, cols);
+                cols.data()
+            }
+            None => x,
+        };
+        gemm_packed_bias_into(packed, cols, plane, bias.data(), dst);
     };
     let out_stride = (spec.out_channels * plane).max(1);
     if n > 1 && parallelism.threads() > 1 {
@@ -356,20 +371,21 @@ pub fn conv2d_packed_into(
         parallel_for_each_mut_with(
             parallelism,
             &mut images,
-            || Conv2dScratch::new(c, h, w, spec),
-            |scratch, img, dst| image(scratch, img, dst),
+            || (!pointwise).then(|| Conv2dScratch::new(c, h, w, spec)),
+            |scratch, img, dst| image(scratch.as_mut().map(|s| &mut s.cols), img, dst),
         );
     } else {
         for (img, dst) in out.data_mut().chunks_mut(out_stride).enumerate() {
-            image(scratch, img, dst);
+            image((!pointwise).then_some(&mut scratch.cols), img, dst);
         }
     }
 }
 
-/// Per-member scratch of [`conv2d_backward`]: one image's im2col lowering,
-/// its `dcols` product and its `dY` packed as panels.
+/// Per-member scratch of [`conv2d_backward`]: one image's im2col lowering
+/// (none for a pointwise convolution), its `dcols` product and its `dY`
+/// packed as panels.
 struct ConvBackwardScratch {
-    cols: Tensor,
+    cols: Option<Tensor>,
     dcols: Vec<f32>,
     grad_panels: PackedWeights,
 }
@@ -390,6 +406,11 @@ struct ConvBackwardScratch {
 ///   packed once per call: bit-for-bit [`matmul_at`]`(W, dY)`;
 /// * `dcols` is scattered back onto the image's (disjoint) slice of
 ///   `grad_input` in the fixed col2im order.
+///
+/// A pointwise convolution (1×1, stride 1, no padding) skips both the
+/// lowering, its im2col matrix being the image itself, and the scatter,
+/// whose order is then element order: `dcols` is added straight onto the
+/// zeroed gradient, which still turns a `-0.0` into `+0.0`.
 ///
 /// The calling thread then adds each image's `dW` and bias row sums in
 /// ascending image order, the reduction [`conv2d_backward_reference`]
@@ -422,6 +443,7 @@ pub fn conv2d_backward(
     let plane = oh * ow;
     let in_stride = c * h * w;
     let out_stride = oc * plane;
+    let pointwise = spec.is_pointwise();
     let weight_t = PackedWeights::pack(
         &transpose(weight.data(), oc, rows),
         rows,
@@ -442,22 +464,34 @@ pub fn conv2d_backward(
         parallelism,
         &mut jobs,
         || ConvBackwardScratch {
-            cols: Tensor::zeros(&[rows, plane]),
+            cols: (!pointwise).then(|| Tensor::zeros(&[rows, plane])),
             dcols: vec![0.0; rows * plane],
             grad_panels: PackedWeights::zeros(oc, plane, KernelVariant::TRAINING),
         },
         |s, img, (gimg, partial)| {
             let x = &input.data()[img * in_stride..(img + 1) * in_stride];
             let gy = &grad_out.data()[img * out_stride..(img + 1) * out_stride];
-            im2col_into(x, c, h, w, spec, &mut s.cols);
+            let cols = match &mut s.cols {
+                Some(cols) => {
+                    im2col_into(x, c, h, w, spec, cols);
+                    cols.data()
+                }
+                None => x,
+            };
             s.grad_panels.repack(gy);
             let (gw_t, gb) = partial.split_at_mut(rows * oc);
-            linear_packed_bias_into(&s.grad_panels, s.cols.data(), rows, &zeros[..oc], gw_t);
+            linear_packed_bias_into(&s.grad_panels, cols, rows, &zeros[..oc], gw_t);
             for (b, row) in gb.iter_mut().zip(gy.chunks_exact(plane.max(1))) {
                 *b = row.iter().sum::<f32>();
             }
             gemm_packed_bias_into(&weight_t, gy, plane, &zeros[..rows], &mut s.dcols);
-            col2im_add(&s.dcols, c, h, w, spec, gimg);
+            if pointwise {
+                for (g, &d) in gimg.iter_mut().zip(&s.dcols) {
+                    *g += d;
+                }
+            } else {
+                col2im_add(&s.dcols, c, h, w, spec, gimg);
+            }
         },
     );
     let mut grad_weight = Tensor::zeros(&[oc, rows]);
@@ -688,6 +722,20 @@ fn dwconv2d_plane<const S: usize>(
 /// its input-gradient planes belong to no other channel, so every element
 /// is accumulated in the same order at any worker count.
 ///
+/// The order is that of the scatter loop this replaced (kept as the oracle
+/// of `tests/backward_exactness.rs`), which walks output pixels in raster
+/// order, skips those whose gradient is exactly zero, and adds each
+/// in-bounds tap's products into the filter and input gradients:
+///
+/// * the filter gradient accumulates in the same raster order, one
+///   accumulator per tap;
+/// * at stride 1 the input gradient is a gather: each input pixel sums its
+///   taps from `+0.0` in ascending output-pixel order, which is kernel rows
+///   and then columns descending. Interior columns, whose taps all land
+///   inside the output row, run eight at a time with zero-gradient taps
+///   selected away; border columns run the plain tap loop. Other strides
+///   keep the scatter, whose taps interleave by column parity.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`.
@@ -735,36 +783,18 @@ pub fn dwconv2d_backward(
             // of neighbouring channels share cache lines.
             acc.clear();
             acc.resize(k * k, 0.0);
-            let gw = acc.as_mut_slice();
-            let wrow = &weight.data()[ch * k * k..(ch + 1) * k * k];
+            let taps = &weight.data()[ch * k * k..(ch + 1) * k * k];
             for (img, gx) in gplanes.iter_mut().enumerate() {
-                let ibase = (img * c + ch) * h * w;
-                let obase = (img * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gd[obase + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ky in 0..k {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let ii = iy as usize * w + ix as usize;
-                                gw[ky * k + kx] += g * id[ibase + ii];
-                                gx[ii] += g * wrow[ky * k + kx];
-                            }
-                        }
-                    }
+                let x = &id[(img * c + ch) * h * w..][..h * w];
+                let g = &gd[(img * c + ch) * oh * ow..][..oh * ow];
+                dwconv2d_weight_grad(x, g, (h, w), spec, acc);
+                if spec.stride == 1 {
+                    dwconv2d_input_grad_gather(g, taps, (h, w), spec, gx);
+                } else {
+                    dwconv2d_input_grad_scatter(g, taps, (h, w), spec, gx);
                 }
             }
-            gw_out.copy_from_slice(gw);
+            gw_out.copy_from_slice(acc);
             // Bias gradient is the per-channel sum of grad_out.
             let mut b = 0.0f32;
             for img in 0..n {
@@ -775,6 +805,227 @@ pub fn dwconv2d_backward(
         },
     );
     (grad_input, grad_weight, grad_bias)
+}
+
+/// Kernel rows (or columns) `lo..hi` whose taps land inside an input of
+/// side `len` for output row (or column) `o`.
+fn valid_taps(o: usize, len: usize, spec: &Conv2dSpec) -> (usize, usize) {
+    let (k, p) = (spec.kernel, spec.padding);
+    let lo = p.saturating_sub(o * spec.stride).min(k);
+    let hi = (len + p).saturating_sub(o * spec.stride).min(k).max(lo);
+    (lo, hi)
+}
+
+/// Kernel taps per side of the block whose filter-gradient accumulators
+/// stay in registers through a pass over the output plane.
+const DW_TAP_BLOCK: usize = 3;
+
+/// Output columns `lo..hi` (of `ow`) whose taps `kx0..kx0 + taps` all
+/// land inside an input row of width `w`.
+fn interior_columns(
+    kx0: usize,
+    taps: usize,
+    (w, ow): (usize, usize),
+    spec: &Conv2dSpec,
+) -> (usize, usize) {
+    let (s, p) = (spec.stride, spec.padding);
+    let lo = p.saturating_sub(kx0).div_ceil(s).min(ow);
+    let hi = if w + p >= kx0 + taps {
+        ((w + p - kx0 - taps) / s + 1).min(ow)
+    } else {
+        0
+    };
+    (lo, hi.max(lo))
+}
+
+/// Adds one image's filter gradient for one channel into `gw`: output
+/// pixels in raster order, zero gradients skipped, in-bounds taps in
+/// kernel order.
+///
+/// Each tap's sum is a chain of dependent adds, so the taps run side by
+/// side: one pass over the output plane per 3×3 block of taps, with the
+/// block's accumulators in registers (a 3×3 kernel is one pass). Output
+/// columns whose block taps all land inside the input skip the bounds
+/// checks.
+fn dwconv2d_weight_grad(
+    x: &[f32],
+    g: &[f32],
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+    gw: &mut [f32],
+) {
+    const B: usize = DW_TAP_BLOCK;
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (_, ow) = spec.out_hw(h, w);
+    for ky0 in (0..k).step_by(B) {
+        for kx0 in (0..k).step_by(B) {
+            let tap =
+                |a: usize, b: usize| (ky0 + a < k && kx0 + b < k).then(|| (ky0 + a) * k + kx0 + b);
+            let mut acc: [[f32; B]; B] =
+                std::array::from_fn(|a| std::array::from_fn(|b| tap(a, b).map_or(0.0, |t| gw[t])));
+            let (cx_lo, cx_hi) = interior_columns(kx0, B, (w, ow), spec);
+            for (oy, grow) in g.chunks_exact(ow).enumerate() {
+                let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
+                let checked = |acc: &mut [[f32; B]; B], ox: usize| {
+                    let gv = grow[ox];
+                    if gv == 0.0 {
+                        return;
+                    }
+                    let (kx_lo, kx_hi) = valid_taps(ox, w, spec);
+                    for (a, acc) in acc.iter_mut().enumerate() {
+                        let ky = ky0 + a;
+                        if ky < ky_lo || ky >= ky_hi {
+                            continue;
+                        }
+                        let row = &x[(oy * s + ky - p) * w..][..w];
+                        for (b, acc) in acc.iter_mut().enumerate() {
+                            let kx = kx0 + b;
+                            if kx >= kx_lo && kx < kx_hi {
+                                *acc += gv * row[ox * s + kx - p];
+                            }
+                        }
+                    }
+                };
+                if ky0 < ky_lo || ky0 + B > ky_hi || kx0 + B > k {
+                    for ox in 0..ow {
+                        checked(&mut acc, ox);
+                    }
+                    continue;
+                }
+                for ox in 0..cx_lo {
+                    checked(&mut acc, ox);
+                }
+                let rows: [&[f32]; B] =
+                    std::array::from_fn(|a| &x[(oy * s + ky0 + a - p) * w..][..w]);
+                for (ox, &gv) in grow.iter().enumerate().take(cx_hi).skip(cx_lo) {
+                    if gv == 0.0 {
+                        continue;
+                    }
+                    let ix = ox * s + kx0 - p;
+                    for (acc, row) in acc.iter_mut().zip(&rows) {
+                        for (a, &xv) in acc.iter_mut().zip(&row[ix..ix + B]) {
+                            *a += gv * xv;
+                        }
+                    }
+                }
+                for ox in cx_hi..ow {
+                    checked(&mut acc, ox);
+                }
+            }
+            for (a, row) in acc.iter().enumerate() {
+                for (b, &v) in row.iter().enumerate() {
+                    if let Some(t) = tap(a, b) {
+                        gw[t] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One image's input gradient for one channel at stride 1, as a gather
+/// (see [`dwconv2d_backward`]); every element of `gx` is assigned.
+fn dwconv2d_input_grad_gather(
+    g: &[f32],
+    taps: &[f32],
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+    gx: &mut [f32],
+) {
+    let (k, p) = (spec.kernel, spec.padding);
+    let (oh, ow) = spec.out_hw(h, w);
+    // Input column ix reads output columns ix + p - kx; all k are inside
+    // the output row for ix in ix_lo..ix_hi.
+    let ix_lo = (k - 1).saturating_sub(p).min(w);
+    let ix_hi = ow.saturating_sub(p).min(w).max(ix_lo);
+    for (iy, xrow) in gx.chunks_exact_mut(w).enumerate() {
+        // Kernel rows whose output row iy + p - ky exists.
+        let ky_lo = (iy + p + 1).saturating_sub(oh).min(k);
+        let ky_hi = (iy + p + 1).min(k).max(ky_lo);
+        let grow = |ky: usize| &g[(iy + p - ky) * ow..][..ow];
+        let tap = |ix: usize| {
+            let mut acc = 0.0f32;
+            for ky in (ky_lo..ky_hi).rev() {
+                let row = grow(ky);
+                for kx in (0..k).rev() {
+                    let ox = (ix + p).wrapping_sub(kx);
+                    if ox < ow && row[ox] != 0.0 {
+                        acc += row[ox] * taps[ky * k + kx];
+                    }
+                }
+            }
+            acc
+        };
+        if ix_hi - ix_lo < DW_LANES {
+            for (ix, o) in xrow.iter_mut().enumerate() {
+                *o = tap(ix);
+            }
+            continue;
+        }
+        for ix in (0..ix_lo).chain(ix_hi..w) {
+            xrow[ix] = tap(ix);
+        }
+        let mut ix0 = ix_lo;
+        loop {
+            let mut acc = [0.0f32; DW_LANES];
+            for ky in (ky_lo..ky_hi).rev() {
+                let row = grow(ky);
+                for kx in (0..k).rev() {
+                    let wv = taps[ky * k + kx];
+                    let gs = &row[ix0 + p - kx..][..DW_LANES];
+                    for (a, &gv) in acc.iter_mut().zip(gs) {
+                        // A zero gradient adds +0.0, which leaves the sum
+                        // (never -0.0, it starts at +0.0) as skipping did.
+                        *a += if gv == 0.0 { 0.0 } else { gv * wv };
+                    }
+                }
+            }
+            xrow[ix0..ix0 + DW_LANES].copy_from_slice(&acc);
+            if ix0 + DW_LANES == ix_hi {
+                break;
+            }
+            ix0 = (ix0 + DW_LANES).min(ix_hi - DW_LANES);
+        }
+    }
+}
+
+/// One image's input gradient for one channel at any stride, scattered
+/// from the output pixels in raster order into the zeroed `gx`. Output
+/// columns whose taps all land inside the input skip the bounds checks.
+fn dwconv2d_input_grad_scatter(
+    g: &[f32],
+    taps: &[f32],
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+    gx: &mut [f32],
+) {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (_, ow) = spec.out_hw(h, w);
+    let (cx_lo, cx_hi) = interior_columns(0, k, (w, ow), spec);
+    for (oy, grow) in g.chunks_exact(ow).enumerate() {
+        let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
+        for (ox, &gv) in grow.iter().enumerate() {
+            if gv == 0.0 {
+                continue;
+            }
+            let (kx_lo, kx_hi) = if (cx_lo..cx_hi).contains(&ox) {
+                (0, k)
+            } else {
+                valid_taps(ox, w, spec)
+            };
+            for ky in ky_lo..ky_hi {
+                let row = &mut gx[(oy * s + ky - p) * w..][..w];
+                let wrow = &taps[ky * k..][..k];
+                let ix0 = ox * s + kx_lo - p;
+                for (o, &wv) in row[ix0..ix0 + (kx_hi - kx_lo)]
+                    .iter_mut()
+                    .zip(&wrow[kx_lo..kx_hi])
+                {
+                    *o += gv * wv;
+                }
+            }
+        }
+    }
 }
 
 fn check_weights(weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec, in_c: usize) {

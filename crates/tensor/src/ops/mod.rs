@@ -12,6 +12,7 @@
 
 mod activation;
 mod conv;
+mod exp;
 mod gemm;
 mod linear;
 mod pool;

@@ -4,12 +4,14 @@
 //! Training is pinned by trained-weight digests, so the parallel packed
 //! backward passes must reproduce the sequential reference loops to the
 //! bit: `conv2d_backward` against `conv2d_backward_reference`,
-//! `linear_backward` against `matmul` / `matmul_at` / column sums, and the
-//! channel-parallel `dwconv2d_backward` against the per-image loop it was
-//! before. Shapes are ragged (reduction, plane and row counts off every
-//! multiple of 4, MR and NR), operands carry exact zeros at two densities
-//! (the reference loops' skip paths), batches run from 1 to 5, and
-//! convolutions cover stride 1/2 and padding 0/1.
+//! `linear_backward` against `matmul` / `matmul_at` / column sums, and
+//! `dwconv2d_backward` (a gather with register-blocked filter sums)
+//! against the scatter loop it was. Shapes are ragged (reduction, plane
+//! and row counts off every multiple of 4, MR and NR), operands carry
+//! exact zeros at two densities (the reference loops' skip paths),
+//! batches run from 1 to 5, and convolutions cover stride 1/2 and padding
+//! 0/1. Pointwise convolutions, which skip im2col and col2im, get a
+//! property of their own.
 
 use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
@@ -44,8 +46,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// `dwconv2d_backward` as it was before its channels fanned out: one pass
-/// over images and channels, then the bias sums.
+/// `dwconv2d_backward` as it was before its channels fanned out and its
+/// input gradient became a gather: one scatter pass over images and
+/// channels, output pixels in raster order, zero gradients skipped, then
+/// the bias sums.
 fn dwconv2d_backward_oracle(
     input: &Tensor,
     weight: &Tensor,
@@ -155,19 +159,51 @@ proptest! {
     }
 
     #[test]
+    fn pointwise_conv2d_backward_matches_reference(
+        batch in 1usize..6,
+        c in 1usize..20,
+        h in 1usize..12,
+        w in 1usize..12,
+        out_c in 1usize..20,
+        threads in 1usize..4,
+        dense in any::<bool>(),
+        seed in any::<u64>()
+    ) {
+        let zero_every = if dense { 7 } else { 2 };
+        let spec = Conv2dSpec::new(c, out_c, 1, 1, 0);
+        let input = tensor(&[batch, c, h, w], seed, zero_every);
+        let weight = tensor(&[out_c, c], seed ^ 1, zero_every);
+        let grad = tensor(&[batch, out_c, h, w], seed ^ 2, zero_every);
+
+        let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
+        let got = conv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+    }
+
+    /// Channel counts off the lanes of the other kernels, planes from 1×1
+    /// (every tap in the padding) to wider than two 8-column blocks (the
+    /// vectorized gather interior), kernels 1 to 4 (one and several 3×3
+    /// tap blocks).
+    #[test]
     fn dwconv2d_backward_matches_reference(
         batch in 1usize..6,
-        c in 1usize..7,
-        h in 3usize..12,
-        w in 3usize..12,
-        kernel in 1usize..4,
+        ci in 0usize..7,
+        h in 1usize..20,
+        w in 1usize..20,
+        kernel in 1usize..5,
         stride in 1usize..3,
         padding in 0usize..2,
         threads in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
+        let c = [1, 3, 7, 8, 9, 13, 48][ci];
         let zero_every = if dense { 7 } else { 2 };
+        // The padded input must hold one kernel.
+        let fit = kernel.saturating_sub(2 * padding);
+        let (h, w) = (h.max(fit), w.max(fit));
         let spec = Conv2dSpec::new(c, c, kernel, stride, padding);
         let (oh, ow) = spec.out_hw(h, w);
         let input = tensor(&[batch, c, h, w], seed, zero_every);

@@ -150,4 +150,40 @@ proptest! {
             );
         }
     }
+
+    /// Pointwise convolutions (1×1, stride 1, no padding) feed the image
+    /// itself to the GEMM instead of an im2col copy: still bit-identical to
+    /// the im2col path of `conv2d_into`.
+    #[test]
+    fn packed_pointwise_conv2d_matches_im2col_path(
+        batch in 1usize..5,
+        c in 1usize..20,
+        h in 1usize..12,
+        w in 1usize..12,
+        out_c in 1usize..20,
+        threads in 1usize..4,
+        seed in any::<u64>()
+    ) {
+        let spec = Conv2dSpec::new(c, out_c, 1, 1, 0);
+        let input = Tensor::from_vec(fill(batch * c * h * w, seed), &[batch, c, h, w]).unwrap();
+        let weight = Tensor::from_vec(fill(out_c * c, seed ^ 1), &[out_c, c]).unwrap();
+        let bias = Tensor::from_vec(fill(out_c, seed ^ 2), &[out_c]).unwrap();
+
+        let mut scratch = Conv2dScratch::new(c, h, w, &spec);
+        let mut reference = Tensor::zeros(&[batch, out_c, h, w]);
+        conv2d_into(&input, &weight, &bias, &spec, &mut scratch, &mut reference);
+
+        let packed = PackedWeights::pack_tensor(&weight, KernelVariant::TRAINING);
+        let mut out = Tensor::full(&[batch, out_c, h, w], f32::NAN);
+        conv2d_packed_into(
+            &input,
+            &packed,
+            &bias,
+            &spec,
+            &mut Conv2dScratch::new(c, h, w, &spec),
+            &Parallelism::new(threads),
+            &mut out,
+        );
+        prop_assert_eq!(bits(out.data()), bits(reference.data()), "{} workers", threads);
+    }
 }
