@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the substrates: cache-simulator throughput, branch
-//! prediction, convolution (dense and depthwise), SiLU, the training
-//! backward kernels (reference against packed), S1's memory-bound training
+//! prediction, convolution (dense and depthwise), max pooling, SiLU, the
+//! training backward kernels (reference against packed) and the packed
+//! training forward of S1's widest linear layer, S1's memory-bound training
 //! kernels (batch norm, SiLU backward, depthwise and pointwise
 //! convolution), GMM fitting, instrumented inference, and online detector
 //! scoring. Each row is the best time per iteration of the shared
@@ -16,8 +17,9 @@ use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::{GraphBuilder, Mode};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
-    dwconv2d_into, linear_backward, matmul, matmul_at, silu_backward, silu_into, Conv2dScratch,
-    Conv2dSpec, KernelVariant, PackedWeights,
+    dwconv2d_into, linear_backward, linear_packed_into, matmul, matmul_at, maxpool2d_into,
+    silu_backward, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
+    PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
@@ -78,14 +80,35 @@ fn bench_dwconv2d() {
     }
 }
 
+/// CaseStudy's pool1 (16 channels, 32x32, 2x2 windows, stride 2) over one
+/// training batch and over the single image of the serving path.
+fn bench_maxpool() {
+    let mut rng = StdRng::seed_from_u64(11);
+    for batch in [32, 1] {
+        let x = init::normal(&mut rng, &[batch, 16, 32, 32], 0.0, 1.0);
+        let mut out = Tensor::zeros(&[batch, 16, 16, 16]);
+        let mut idx = MaxPoolIndices::empty();
+        bench_function(&format!("maxpool2d_case_pool1_b{batch}"), || {
+            maxpool2d_into(black_box(&x), 2, 2, &mut out, &mut idx);
+            out.data()[0]
+        });
+    }
+}
+
 /// The training backward kernels, reference loops against the packed
 /// kernels at one and two workers, over one training batch: CaseStudy's
-/// conv2 (16→16 at 32x32) and conv4 (32→32 at 16x16), and S1's head.fc1
-/// (12544→96).
+/// four convolutions, conv1 (3→16 at 32x32), conv2 (16→16 at 32x32), conv3
+/// (16→32 at 16x16) and conv4 (32→32 at 16x16), and S1's head.fc1
+/// (12544→96), whose packed training forward pass is timed too.
 fn bench_backward() {
     let mut rng = StdRng::seed_from_u64(9);
     let batch = 32;
-    for (name, c, oc, hw) in [("case_conv2", 16, 16, 32), ("case_conv4", 32, 32, 16)] {
+    for (name, c, oc, hw) in [
+        ("case_conv1", 3, 16, 32),
+        ("case_conv2", 16, 16, 32),
+        ("case_conv3", 16, 32, 16),
+        ("case_conv4", 32, 32, 16),
+    ] {
         let spec = Conv2dSpec::new(c, oc, 3, 1, 1);
         let x = init::normal(&mut rng, &[batch, c, hw, hw], 0.0, 1.0);
         let w = init::normal(&mut rng, &[oc, c * 9], 0.0, 0.1);
@@ -105,6 +128,19 @@ fn bench_backward() {
     let x = init::normal(&mut rng, &[batch, in_f], 0.0, 1.0);
     let w = init::normal(&mut rng, &[out_f, in_f], 0.0, 0.01);
     let g = init::normal(&mut rng, &[batch, out_f], 0.0, 1.0);
+    let bias = init::normal(&mut rng, &[out_f], 0.0, 0.1);
+    let packed = PackedWeights::pack_tensor(&w, KernelVariant::TRAINING);
+    let mut out = Tensor::zeros(&[batch, out_f]);
+    for threads in [1, 2] {
+        let par = Parallelism::new(threads);
+        bench_function(
+            &format!("linear_forward_s1_head_fc1_b32_packed_{threads}t"),
+            || {
+                linear_packed_into(black_box(&x), &packed, &bias, &par, &mut out);
+                out.data()[0]
+            },
+        );
+    }
     bench_function("linear_backward_s1_head_fc1_b32_reference", || {
         (matmul(black_box(&g), &w), matmul_at(&g, &x))
     });
@@ -267,6 +303,7 @@ fn main() {
     bench_branch_predictor();
     bench_conv2d();
     bench_dwconv2d();
+    bench_maxpool();
     bench_silu();
     bench_backward();
     bench_s1_training();

@@ -685,9 +685,9 @@ struct Staged {
 }
 
 /// Clean accuracy of `model` on the test split.
-fn clean_accuracy(model: &Graph, split: &SplitDataset) -> f32 {
+fn clean_accuracy(model: &Graph, split: &SplitDataset, parallelism: &Parallelism) -> f32 {
     let _span = timers().clean_accuracy.span();
-    evaluate(model, split.test.images(), split.test.labels())
+    evaluate(model, split.test.images(), split.test.labels(), parallelism)
 }
 
 /// A configured pipeline bound to a store.
@@ -932,7 +932,7 @@ impl Pipeline {
         let split = OnceCell::new();
         let (model, report) = self.train_stage(&split)?;
         let split = self.take_split(split);
-        let clean_accuracy = clean_accuracy(&model, &split);
+        let clean_accuracy = clean_accuracy(&model, &split, &self.parallelism);
         Ok(ModelRun {
             split,
             model,
@@ -951,7 +951,7 @@ impl Pipeline {
     pub fn run(&self) -> Result<(PipelineArtifacts, PipelineReport), PipelineError> {
         let staged = self.run_stages()?;
         let split = self.take_split(staged.split);
-        let clean_accuracy = clean_accuracy(&staged.model, &split);
+        let clean_accuracy = clean_accuracy(&staged.model, &split, &self.parallelism);
         Ok((
             PipelineArtifacts {
                 spec: Arc::clone(&self.config.spec),

@@ -2,9 +2,9 @@
 
 use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
-    avgpool2d_backward, conv2d_backward, dwconv2d_backward, global_avgpool_backward,
-    leaky_relu_backward, linear_backward, maxpool2d_backward, relu_backward, sigmoid_backward,
-    silu_backward, tanh_backward, Conv2dSpec, MaxPoolIndices,
+    avgpool2d_backward, conv2d_backward, conv2d_param_backward, dwconv2d_backward,
+    global_avgpool_backward, leaky_relu_backward, linear_backward, maxpool2d_backward,
+    relu_backward, sigmoid_backward, silu_backward, tanh_backward, Conv2dSpec, MaxPoolIndices,
 };
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
@@ -152,6 +152,14 @@ impl Op {
             Op::ReLU | Op::LeakyReLU { .. } | Op::SiLU | Op::Sigmoid | Op::Tanh
         )
     }
+
+    /// Whether the op holds trainable parameters.
+    fn has_params(&self) -> bool {
+        matches!(
+            self,
+            Op::Conv2d(_) | Op::DwConv2d(_) | Op::Linear(_) | Op::BatchNorm2d(_)
+        )
+    }
 }
 
 /// Where a node reads its input from.
@@ -258,13 +266,17 @@ impl Gradients {
     /// [`Graph::param_tensors_mut`]: for each parameterized node, weight
     /// then bias.
     pub fn flat(&self) -> Vec<&Tensor> {
-        let mut out = Vec::new();
-        for pg in self.params.iter().flatten() {
-            out.push(&pg.weight);
-            out.push(&pg.bias);
-        }
-        out
+        flatten_params(&self.params)
     }
+}
+
+/// Per-node parameter gradients flattened like [`Gradients::flat`].
+pub(crate) fn flatten_params(params: &[Option<ParamGrad>]) -> Vec<&Tensor> {
+    params
+        .iter()
+        .flatten()
+        .flat_map(|pg| [&pg.weight, &pg.bias])
+        .collect()
 }
 
 /// A directed acyclic computation graph over NCHW image batches.
@@ -349,18 +361,7 @@ impl Graph {
 
     /// Convenience: predicted class per image in the batch (eval mode).
     pub fn predict(&self, x: &Tensor) -> Vec<usize> {
-        let logits = self.logits(x);
-        let (n, c) = (logits.shape().dim(0), logits.shape().dim(1));
-        (0..n)
-            .map(|row| {
-                let r = &logits.data()[row * c..(row + 1) * c];
-                r.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        argmax_rows(&self.logits(x)).collect()
     }
 
     /// Backpropagates `grad_output` through the trace.
@@ -392,14 +393,65 @@ impl Graph {
         grad_output: &Tensor,
         parallelism: &Parallelism,
     ) -> Gradients {
+        let (input, params) = self.backward_impl(trace, grad_output, parallelism, true);
+        let input = input.unwrap_or_else(|| Tensor::zeros(trace.input.shape().dims()));
+        Gradients { input, params }
+    }
+
+    /// The parameter gradients of [`Graph::backward_with`], bit for bit,
+    /// without the gradient with respect to the graph input: what a
+    /// training step needs.
+    ///
+    /// Gradients that reach no parameter are not computed: nodes upstream
+    /// of every parameter are skipped, and a convolution reading the graph
+    /// input computes only its filter and bias gradients. Other
+    /// parameterized nodes on the input still compute their input gradient
+    /// and drop it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output`'s shape differs from the trace's final output.
+    pub fn param_gradients(
+        &self,
+        trace: &ForwardTrace,
+        grad_output: &Tensor,
+        parallelism: &Parallelism,
+    ) -> Vec<Option<ParamGrad>> {
+        self.backward_impl(trace, grad_output, parallelism, false).1
+    }
+
+    /// The one backward loop: per-node parameter gradients, plus the input
+    /// gradient when `input_grad` is set.
+    fn backward_impl(
+        &self,
+        trace: &ForwardTrace,
+        grad_output: &Tensor,
+        parallelism: &Parallelism,
+        input_grad: bool,
+    ) -> (Option<Tensor>, Vec<Option<ParamGrad>>) {
         assert_eq!(
             grad_output.shape(),
             trace.output().shape(),
             "grad_output shape mismatch"
         );
         let n_nodes = self.nodes.len();
+        // Whether the gradient of a node's output reaches a parameter or,
+        // with `input_grad`, the graph input.
+        let mut wanted: Vec<bool> = Vec::with_capacity(n_nodes);
+        for node in &self.nodes {
+            let reaches = node.op.has_params()
+                || node.inputs.iter().any(|src| match src {
+                    Src::Input => input_grad,
+                    Src::Node(j) => wanted[*j],
+                });
+            wanted.push(reaches);
+        }
+        let src_wanted = |src: &Src| match src {
+            Src::Input => input_grad,
+            Src::Node(j) => wanted[*j],
+        };
         let mut node_grads: Vec<Option<Tensor>> = vec![None; n_nodes];
-        let mut input_grad: Option<Tensor> = None;
+        let mut input = None;
         node_grads[n_nodes - 1] = Some(grad_output.clone());
         let mut params: Vec<Option<ParamGrad>> = vec![None; n_nodes];
 
@@ -407,6 +459,9 @@ impl Graph {
             let Some(gout) = node_grads[i].take() else {
                 continue;
             };
+            if !wanted[i] {
+                continue;
+            }
             let node = &self.nodes[i];
             let ins: Vec<&Tensor> = node
                 .inputs
@@ -424,18 +479,18 @@ impl Graph {
                 &gout,
                 trace.mode,
                 parallelism,
+                node.inputs.iter().any(src_wanted),
             );
             params[i] = pgrad;
-            for (src, g) in node.inputs.iter().zip(input_grads) {
+            let grads = node.inputs.iter().zip(input_grads);
+            for (src, g) in grads.filter(|(src, _)| src_wanted(src)) {
                 match src {
-                    Src::Input => accumulate(&mut input_grad, g),
+                    Src::Input => accumulate(&mut input, g),
                     Src::Node(j) => accumulate(&mut node_grads[*j], g),
                 }
             }
         }
-
-        let input = input_grad.unwrap_or_else(|| Tensor::zeros(trace.input.shape().dims()));
-        Gradients { input, params }
+        (input, params)
     }
 
     /// Mutable references to every parameter tensor, in node order (weight
@@ -634,6 +689,20 @@ impl Graph {
     }
 }
 
+/// The predicted class of each row of a `[n, classes]` logit matrix: the
+/// last maximum under `total_cmp`.
+pub(crate) fn argmax_rows(logits: &Tensor) -> impl Iterator<Item = usize> + '_ {
+    let (n, c) = (logits.shape().dim(0), logits.shape().dim(1));
+    (0..n).map(move |row| {
+        logits.data()[row * c..(row + 1) * c]
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    })
+}
+
 fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     match slot {
         Some(existing) => existing.add_scaled(&g, 1.0),
@@ -641,6 +710,10 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
+/// One node's backward pass: the gradient of each input and of the
+/// node's parameters. Without `input_grads` a convolution returns no input
+/// gradients at all; every other op ignores the flag.
+#[allow(clippy::too_many_arguments)]
 fn backward_op(
     op: &Op,
     ins: &[&Tensor],
@@ -649,8 +722,19 @@ fn backward_op(
     gout: &Tensor,
     mode: Mode,
     parallelism: &Parallelism,
+    input_grads: bool,
 ) -> (Vec<Tensor>, Option<ParamGrad>) {
     match op {
+        Op::Conv2d(l) if !input_grads => {
+            let (gw, gb) = conv2d_param_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
+            (
+                Vec::new(),
+                Some(ParamGrad {
+                    weight: gw,
+                    bias: gb,
+                }),
+            )
+        }
         Op::Conv2d(l) => {
             let (gx, gw, gb) = conv2d_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
             (

@@ -6,6 +6,7 @@ use advhunter_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::graph::{argmax_rows, flatten_params};
 use crate::{Graph, MatKernels, Mode, Workspace};
 
 /// Adam optimizer state (Kingma & Ba) over a fixed parameter list.
@@ -187,9 +188,9 @@ pub struct EpochStats {
 /// Every optimizer step packs the current weights into GEMM panels once
 /// ([`KernelVariant::TRAINING`]), runs the forward pass through them
 /// ([`Graph::forward_packed`], into one batch-sized workspace kept across
-/// steps) and the backward pass with
-/// [`Graph::backward_with`], fanning per-image and per-row work out over
-/// `parallelism`. Cross-image reductions stay on the calling thread in
+/// steps) and the backward pass with [`Graph::param_gradients`] (no
+/// gradient with respect to the images), fanning per-image and per-row
+/// work out over `parallelism`. Cross-image reductions stay on the calling thread in
 /// image order, so the trained weights are bit-for-bit the same at every
 /// worker count.
 ///
@@ -221,43 +222,23 @@ pub fn fit(
             let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             let x = Tensor::stack(&batch_imgs);
             let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
-            // Free a workspace of another batch size (the ragged last batch's
-            // or the one before it) before allocating, so that two
-            // batch-sized workspaces are never alive together.
-            let ws = match workspace.take() {
-                Some(ws) if ws.batch() == chunk.len() => ws,
-                stale => {
-                    drop(stale);
-                    graph.workspace(chunk.len())
-                }
-            };
+            let ws = batch_workspace(graph, workspace.take(), chunk.len());
             let trace = graph.forward_packed(x, Mode::Train, &kernels, parallelism, ws);
             let (loss, dlogits) = cross_entropy_with_logits(trace.output(), &batch_labels);
             total_loss += loss as f64;
             batches += 1;
 
             // Track training accuracy from the same forward pass.
-            let logits = trace.output();
-            let c = logits.shape().dim(1);
-            for (row, &label) in batch_labels.iter().enumerate() {
-                let r = &logits.data()[row * c..(row + 1) * c];
-                let pred = r
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                if pred == label {
-                    correct += 1;
-                }
-            }
+            correct += argmax_rows(trace.output())
+                .zip(&batch_labels)
+                .filter(|(pred, label)| pred == *label)
+                .count();
 
-            let grads = graph.backward_with(&trace, &dlogits, parallelism);
+            let grads = graph.param_gradients(&trace, &dlogits, parallelism);
             graph.update_running_stats(&trace);
             workspace = Some(trace.into_workspace());
-            let flat: Vec<&Tensor> = grads.flat();
             let mut params = graph.param_tensors_mut();
-            opt.step(&mut params, &flat);
+            opt.step(&mut params, &flatten_params(&grads));
         }
         opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
         history.push(EpochStats {
@@ -269,26 +250,56 @@ pub fn fit(
     history
 }
 
+/// `held` if it was sized for `batch` images, else a fresh workspace.
+/// A workspace of another size (a ragged last batch's, or the one before
+/// it) is freed before the new one is allocated, so that two batch-sized
+/// workspaces are never alive together.
+fn batch_workspace(graph: &Graph, held: Option<Workspace>, batch: usize) -> Workspace {
+    match held {
+        Some(ws) if ws.batch() == batch => ws,
+        stale => {
+            drop(stale);
+            graph.workspace(batch)
+        }
+    }
+}
+
+/// Images per forward pass of [`evaluate`].
+const EVAL_BATCH: usize = 64;
+
 /// Classification accuracy of `graph` on `(images, labels)`, evaluated in
 /// mini-batches.
+///
+/// The weights are packed once and every batch runs in eval mode through
+/// the packed kernels ([`Graph::forward_packed`]) over `parallelism`. The
+/// logits are bit-for-bit those of [`Graph::logits`], so the accuracy is
+/// that of [`Graph::predict`] at any worker count.
 ///
 /// # Panics
 ///
 /// Panics if `images` and `labels` differ in length.
-pub fn evaluate(graph: &Graph, images: &[Tensor], labels: &[usize]) -> f32 {
+pub fn evaluate(
+    graph: &Graph,
+    images: &[Tensor],
+    labels: &[usize],
+    parallelism: &Parallelism,
+) -> f32 {
     assert_eq!(images.len(), labels.len(), "one label per image");
     if images.is_empty() {
         return 0.0;
     }
+    let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
+    let mut workspace: Option<Workspace> = None;
     let mut correct = 0usize;
-    for (chunk_imgs, chunk_labels) in images.chunks(64).zip(labels.chunks(64)) {
+    for (chunk_imgs, chunk_labels) in images.chunks(EVAL_BATCH).zip(labels.chunks(EVAL_BATCH)) {
+        let ws = batch_workspace(graph, workspace.take(), chunk_imgs.len());
         let x = Tensor::stack(chunk_imgs);
-        let preds = graph.predict(&x);
-        correct += preds
-            .iter()
-            .zip(chunk_labels.iter())
-            .filter(|(p, l)| p == l)
+        let trace = graph.forward_packed(x, Mode::Eval, &kernels, parallelism, ws);
+        correct += argmax_rows(trace.output())
+            .zip(chunk_labels)
+            .filter(|(pred, label)| pred == *label)
             .count();
+        workspace = Some(trace.into_workspace());
     }
     correct as f32 / images.len() as f32
 }
@@ -348,8 +359,35 @@ mod tests {
             hist.last().unwrap().mean_loss < hist.first().unwrap().mean_loss,
             "loss decreased"
         );
-        let test_acc = evaluate(&model, &images, &labels);
+        let test_acc = evaluate(&model, &images, &labels, &Parallelism::new(2));
         assert!(test_acc > 0.95, "eval accuracy {test_acc}");
+    }
+
+    /// `evaluate` runs the packed kernels; its logits, and so the accuracy,
+    /// are those of the reference `Graph::logits` / `Graph::predict` at any
+    /// worker count, over a full and a ragged batch.
+    #[test]
+    fn evaluate_matches_the_reference_forward_pass() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (images, _) = toy_problem(&mut rng, 70);
+        let labels: Vec<usize> = (0..70).map(|i| (i / 3) % 2).collect();
+        let model = toy_model(&mut rng);
+        let mut correct = 0;
+        for (imgs, lbls) in images.chunks(EVAL_BATCH).zip(labels.chunks(EVAL_BATCH)) {
+            let preds = model.predict(&Tensor::stack(imgs));
+            correct += preds.iter().zip(lbls).filter(|(p, l)| p == l).count();
+        }
+        let want = correct as f32 / images.len() as f32;
+        let kernels = MatKernels::pack_with(&model, &mut |_| KernelVariant::TRAINING);
+        let x = Tensor::stack(&images[..EVAL_BATCH]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 3] {
+            let par = Parallelism::new(threads);
+            assert_eq!(evaluate(&model, &images, &labels, &par), want);
+            let ws = model.workspace(EVAL_BATCH);
+            let trace = model.forward_packed(x.clone(), Mode::Eval, &kernels, &par, ws);
+            assert_eq!(bits(trace.output()), bits(&model.logits(&x)));
+        }
     }
 
     #[test]
@@ -397,7 +435,7 @@ mod tests {
     fn evaluate_empty_set_is_zero() {
         let mut rng = StdRng::seed_from_u64(1);
         let model = toy_model(&mut rng);
-        assert_eq!(evaluate(&model, &[], &[]), 0.0);
+        assert_eq!(evaluate(&model, &[], &[], &Parallelism::sequential()), 0.0);
     }
 
     #[test]

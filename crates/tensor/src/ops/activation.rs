@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn silu_matches_definition() {
         let x = Tensor::from_slice(&[1.5]);
-        let expect = 1.5 / (1.0 + (-1.5f32).exp());
+        let expect = 1.5 / (1.0 + std::hint::black_box(-1.5f32).exp());
         assert!((silu(&x).data()[0] - expect).abs() < 1e-6);
     }
 
@@ -468,7 +468,11 @@ mod tests {
         for row in rows {
             let x = Tensor::from_vec(row.clone(), &[1, row.len()]).unwrap();
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
+            // Opaque inputs: LLVM must not fold these through its own `exp`.
+            let exps: Vec<f32> = row
+                .iter()
+                .map(|&v| std::hint::black_box(v - m).exp())
+                .collect();
             let mut sum = 0.0;
             for &e in &exps {
                 sum += e;

@@ -122,14 +122,7 @@ fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out
             for kx in 0..k {
                 let row = (ch * k + ky) * k + kx;
                 let orow = &mut od[row * cols..(row + 1) * cols];
-                // In-bounds ox range for this kx, hoisted out of the inner
-                // loop: ix = ox*s + kx - pad must land in [0, w).
-                let ox_lo = pad.saturating_sub(kx).div_ceil(s);
-                let ox_hi = if w + pad > kx {
-                    ((w + pad - kx - 1) / s + 1).min(ow)
-                } else {
-                    0
-                };
+                let (ox_lo, ox_hi) = interior_outputs(kx, 1, (w, ow), spec);
                 if ox_lo >= ox_hi {
                     orow.fill(0.0);
                     continue;
@@ -162,7 +155,58 @@ fn im2col_into(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out
 /// Scatters an im2col-shaped gradient back onto the input image (col2im),
 /// adding into `img` in the fixed channel, kernel-row, kernel-column,
 /// output-position order.
+///
+/// The in-bounds output rows and columns of each kernel tap are hoisted out
+/// of the inner loop, as in [`im2col_into`]: at stride 1 each output row's
+/// run is one contiguous slice add. Within one tap every input pixel is hit
+/// at most once, so each pixel still receives its adds in ascending tap
+/// order and the sums are bit-identical to the per-element bounds-checked
+/// loop (kept as [`col2im_add_reference`]).
 fn col2im_add(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, img: &mut [f32]) {
+    let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+    let (oh, ow) = spec.out_hw(h, w);
+    let ncols = oh * ow;
+    debug_assert_eq!(img.len(), c * h * w);
+    for (ch, plane) in img.chunks_exact_mut((h * w).max(1)).enumerate() {
+        for ky in 0..k {
+            let (oy_lo, oy_hi) = interior_outputs(ky, 1, (h, oh), spec);
+            for kx in 0..k {
+                let (ox_lo, ox_hi) = interior_outputs(kx, 1, (w, ow), spec);
+                if ox_lo >= ox_hi {
+                    continue;
+                }
+                let row = (ch * k + ky) * k + kx;
+                let crow = &cols[row * ncols..(row + 1) * ncols];
+                let ix0 = ox_lo * s + kx - pad;
+                let run = ox_hi - ox_lo;
+                for oy in oy_lo..oy_hi {
+                    let irow = &mut plane[(oy * s + ky - pad) * w..][..w];
+                    let src = &crow[oy * ow + ox_lo..][..run];
+                    if s == 1 {
+                        for (d, &v) in irow[ix0..ix0 + run].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in irow[ix0..].iter_mut().step_by(s).zip(src) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-element, bounds-checked col2im loop that [`col2im_add`]
+/// replaced: the oracle of [`conv2d_backward_reference`].
+fn col2im_add_reference(
+    cols: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    img: &mut [f32],
+) {
     let k = spec.kernel;
     let (oh, ow) = spec.out_hw(h, w);
     let ncols = oh * ow;
@@ -382,8 +426,8 @@ pub fn conv2d_packed_into(
 }
 
 /// Per-member scratch of [`conv2d_backward`]: one image's im2col lowering
-/// (none for a pointwise convolution), its `dcols` product and its `dY`
-/// packed as panels.
+/// (none for a pointwise convolution), its `dcols` product (empty when no
+/// input gradient is asked for) and its `dY` packed as panels.
 struct ConvBackwardScratch {
     cols: Option<Tensor>,
     dcols: Vec<f32>,
@@ -405,7 +449,8 @@ struct ConvBackwardScratch {
 /// * `dcols = Wᵀ · dY` runs the ascending-k conv discipline over `Wᵀ`,
 ///   packed once per call: bit-for-bit [`matmul_at`]`(W, dY)`;
 /// * `dcols` is scattered back onto the image's (disjoint) slice of
-///   `grad_input` in the fixed col2im order.
+///   `grad_input` in the fixed col2im order, one contiguous run per output
+///   row and kernel tap.
 ///
 /// A pointwise convolution (1×1, stride 1, no padding) skips both the
 /// lowering, its im2col matrix being the image itself, and the scatter,
@@ -428,6 +473,47 @@ pub fn conv2d_backward(
     parallelism: &Parallelism,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = input.shape().as_nchw();
+    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let (grad_weight, grad_bias) = conv2d_backward_images(
+        input,
+        weight,
+        grad_out,
+        spec,
+        parallelism,
+        Some(&mut grad_input),
+    );
+    (grad_input, grad_weight, grad_bias)
+}
+
+/// [`conv2d_backward`] without the input gradient: `(grad_weight,
+/// grad_bias)`, bit for bit the same, with the `dcols` product and the
+/// col2im scatter left out. This is all training needs of a convolution
+/// that reads the graph input.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`.
+pub fn conv2d_param_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    parallelism: &Parallelism,
+) -> (Tensor, Tensor) {
+    conv2d_backward_images(input, weight, grad_out, spec, parallelism, None)
+}
+
+/// The per-image loop of [`conv2d_backward`], writing the input gradient
+/// into `grad_input` (zeroed, input-shaped) when one is given.
+fn conv2d_backward_images(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    parallelism: &Parallelism,
+    grad_input: Option<&mut Tensor>,
+) -> (Tensor, Tensor) {
+    let (n, c, h, w) = input.shape().as_nchw();
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
     assert_eq!(gn, n, "grad_out batch mismatch");
     assert_eq!(goc, spec.out_channels, "grad_out channel mismatch");
@@ -444,28 +530,37 @@ pub fn conv2d_backward(
     let in_stride = c * h * w;
     let out_stride = oc * plane;
     let pointwise = spec.is_pointwise();
-    let weight_t = PackedWeights::pack(
-        &transpose(weight.data(), oc, rows),
-        rows,
-        oc,
-        KernelVariant::TRAINING,
-    );
+    let weight_t = grad_input.is_some().then(|| {
+        PackedWeights::pack(
+            &transpose(weight.data(), oc, rows),
+            rows,
+            oc,
+            KernelVariant::TRAINING,
+        )
+    });
     let zeros = vec![0.0f32; rows.max(oc)];
     // Per image: dWᵀ (`rows × oc`) then the `oc` bias row sums.
     let slot = rows * oc + oc;
     let mut partials = vec![0.0f32; n * slot];
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-    let mut jobs: Vec<(&mut [f32], &mut [f32])> = grad_input
-        .data_mut()
-        .chunks_mut(in_stride.max(1))
+    let gimgs: Vec<Option<&mut [f32]>> = match grad_input {
+        Some(g) => g
+            .data_mut()
+            .chunks_mut(in_stride.max(1))
+            .map(Some)
+            .collect(),
+        None => (0..n).map(|_| None).collect(),
+    };
+    let mut jobs: Vec<(Option<&mut [f32]>, &mut [f32])> = gimgs
+        .into_iter()
         .zip(partials.chunks_mut(slot.max(1)))
         .collect();
+    let dcols_len = if weight_t.is_some() { rows * plane } else { 0 };
     parallel_for_each_mut_with(
         parallelism,
         &mut jobs,
         || ConvBackwardScratch {
             cols: (!pointwise).then(|| Tensor::zeros(&[rows, plane])),
-            dcols: vec![0.0; rows * plane],
+            dcols: vec![0.0; dcols_len],
             grad_panels: PackedWeights::zeros(oc, plane, KernelVariant::TRAINING),
         },
         |s, img, (gimg, partial)| {
@@ -484,7 +579,10 @@ pub fn conv2d_backward(
             for (b, row) in gb.iter_mut().zip(gy.chunks_exact(plane.max(1))) {
                 *b = row.iter().sum::<f32>();
             }
-            gemm_packed_bias_into(&weight_t, gy, plane, &zeros[..rows], &mut s.dcols);
+            let (Some(gimg), Some(weight_t)) = (gimg, &weight_t) else {
+                return;
+            };
+            gemm_packed_bias_into(weight_t, gy, plane, &zeros[..rows], &mut s.dcols);
             if pointwise {
                 for (g, &d) in gimg.iter_mut().zip(&s.dcols) {
                     *g += d;
@@ -509,13 +607,13 @@ pub fn conv2d_backward(
             *g += v;
         }
     }
-    (grad_input, grad_weight, grad_bias)
+    (grad_weight, grad_bias)
 }
 
 /// The reference backward pass of [`conv2d`]: per image, im2col,
 /// `dW += matmul_bt(dY, cols)`, bias row sums, `dcols = matmul_at(W, dY)`
-/// and col2im, one image after another. Kept as the bit-exact oracle of
-/// [`conv2d_backward`].
+/// and the bounds-checked col2im loop, one image after another. Kept as the
+/// bit-exact oracle of [`conv2d_backward`].
 ///
 /// # Panics
 ///
@@ -564,7 +662,7 @@ pub fn conv2d_backward_reference(
         // dcols = Wᵀ · dY, then scatter back with col2im.
         let dcols = matmul_at(weight, &gy);
         let mut gimg = vec![0.0f32; in_stride];
-        col2im_add(dcols.data(), c, h, w, spec, &mut gimg);
+        col2im_add_reference(dcols.data(), c, h, w, spec, &mut gimg);
         grad_input.data_mut()[img * in_stride..(img + 1) * in_stride]
             .iter_mut()
             .zip(gimg.iter())
@@ -821,8 +919,9 @@ fn valid_taps(o: usize, len: usize, spec: &Conv2dSpec) -> (usize, usize) {
 const DW_TAP_BLOCK: usize = 3;
 
 /// Output columns `lo..hi` (of `ow`) whose taps `kx0..kx0 + taps` all
-/// land inside an input row of width `w`.
-fn interior_columns(
+/// land inside an input row of width `w`; the same for output rows, given
+/// kernel rows and the input height.
+fn interior_outputs(
     kx0: usize,
     taps: usize,
     (w, ow): (usize, usize),
@@ -863,7 +962,7 @@ fn dwconv2d_weight_grad(
                 |a: usize, b: usize| (ky0 + a < k && kx0 + b < k).then(|| (ky0 + a) * k + kx0 + b);
             let mut acc: [[f32; B]; B] =
                 std::array::from_fn(|a| std::array::from_fn(|b| tap(a, b).map_or(0.0, |t| gw[t])));
-            let (cx_lo, cx_hi) = interior_columns(kx0, B, (w, ow), spec);
+            let (cx_lo, cx_hi) = interior_outputs(kx0, B, (w, ow), spec);
             for (oy, grow) in g.chunks_exact(ow).enumerate() {
                 let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
                 let checked = |acc: &mut [[f32; B]; B], ox: usize| {
@@ -1001,7 +1100,7 @@ fn dwconv2d_input_grad_scatter(
 ) {
     let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
     let (_, ow) = spec.out_hw(h, w);
-    let (cx_lo, cx_hi) = interior_columns(0, k, (w, ow), spec);
+    let (cx_lo, cx_hi) = interior_outputs(0, k, (w, ow), spec);
     for (oy, grow) in g.chunks_exact(ow).enumerate() {
         let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
         for (ox, &gv) in grow.iter().enumerate() {

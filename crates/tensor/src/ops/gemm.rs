@@ -395,7 +395,9 @@ fn conv_panels<const MR: usize, const NR: usize>(
 /// Per lane this is exactly [`dot`]: four interleaved partial sums over the
 /// `k/4` chunks (ascending), summed left-associatively, tail ascending.
 /// Each panel is applied to every input row before the next panel loads,
-/// so a many-row batch streams the weights once instead of once per row.
+/// so a many-row batch streams the weights once instead of once per row;
+/// the rows go through in pairs, so each panel load feeds two rows, and an
+/// odd last row runs alone.
 fn linear_panels<const MR: usize>(
     packed: &PackedWeights,
     x: &[f32],
@@ -404,43 +406,88 @@ fn linear_panels<const MR: usize>(
     out: &mut [f32],
 ) {
     let (rows, k) = (packed.rows, packed.k);
-    let chunks = k / 4;
     for p in 0..rows.div_ceil(MR) {
         let panel = packed.panel(p);
         let r0 = p * MR;
         let live = MR.min(rows - r0);
-        for i in 0..xrows {
-            let xrow = &x[i * k..(i + 1) * k];
-            let orow = &mut out[i * rows..(i + 1) * rows];
-            let mut acc = [[0.0f32; MR]; 4];
-            for c in 0..chunks {
-                let base = c * 4;
-                for (q, lane) in acc.iter_mut().enumerate() {
-                    let xv = xrow[base + q];
-                    let a: &[f32; MR] = panel[(base + q) * MR..(base + q + 1) * MR]
-                        .try_into()
-                        .expect("MR-sized panel slice");
-                    for (dst, &av) in lane.iter_mut().zip(a) {
-                        *dst += av * xv;
-                    }
-                }
+        let bias = &bias[r0..r0 + live];
+        let mut store = |i: usize, s: &[f32; MR]| {
+            for ((o, &acc), &b) in out[i * rows + r0..][..live].iter_mut().zip(s).zip(bias) {
+                *o = acc + b;
             }
-            let mut s = [0.0f32; MR];
+        };
+        let xrow = |i: usize| &x[i * k..(i + 1) * k];
+        let mut i = 0;
+        while i + 2 <= xrows {
+            let [s0, s1] = split_k4_pair::<MR>(panel, xrow(i), xrow(i + 1));
+            store(i, &s0);
+            store(i + 1, &s1);
+            i += 2;
+        }
+        if i < xrows {
+            store(i, &split_k4_row::<MR>(panel, xrow(i)));
+        }
+    }
+}
+
+/// The split-k4 reduction of [`dot`] of two input rows against every lane
+/// of one packed panel: per row and lane, four interleaved partial sums
+/// over the `k / 4` chunks, summed left to right, then the tail in
+/// ascending order. Both rows share each panel load.
+#[inline(always)]
+fn split_k4_pair<const MR: usize>(panel: &[f32], x0: &[f32], x1: &[f32]) -> [[f32; MR]; 2] {
+    let (lanes, _) = panel.as_chunks::<MR>();
+    let (body, tail) = lanes.as_chunks::<4>();
+    let (h0, t0) = x0.as_chunks::<4>();
+    let (h1, t1) = x1.as_chunks::<4>();
+    let mut a0 = [[0.0f32; MR]; 4];
+    let mut a1 = [[0.0f32; MR]; 4];
+    for ((a, v0), v1) in body.iter().zip(h0).zip(h1) {
+        for q in 0..4 {
             for r in 0..MR {
-                s[r] = acc[0][r] + acc[1][r] + acc[2][r] + acc[3][r];
-            }
-            for t in chunks * 4..k {
-                let xv = xrow[t];
-                let a = &panel[t * MR..(t + 1) * MR];
-                for (dst, &av) in s.iter_mut().zip(a) {
-                    *dst += av * xv;
-                }
-            }
-            for r in 0..live {
-                orow[r0 + r] = s[r] + bias[r0 + r];
+                a0[q][r] += a[q][r] * v0[q];
+                a1[q][r] += a[q][r] * v1[q];
             }
         }
     }
+    let mut s = [[0.0f32; MR]; 2];
+    for r in 0..MR {
+        s[0][r] = a0[0][r] + a0[1][r] + a0[2][r] + a0[3][r];
+        s[1][r] = a1[0][r] + a1[1][r] + a1[2][r] + a1[3][r];
+    }
+    for ((a, &v0), &v1) in tail.iter().zip(t0).zip(t1) {
+        for r in 0..MR {
+            s[0][r] += a[r] * v0;
+            s[1][r] += a[r] * v1;
+        }
+    }
+    s
+}
+
+/// [`split_k4_pair`] for a single input row.
+#[inline(always)]
+fn split_k4_row<const MR: usize>(panel: &[f32], x: &[f32]) -> [f32; MR] {
+    let (lanes, _) = panel.as_chunks::<MR>();
+    let (body, tail) = lanes.as_chunks::<4>();
+    let (head, rest) = x.as_chunks::<4>();
+    let mut acc = [[0.0f32; MR]; 4];
+    for (a, v) in body.iter().zip(head) {
+        for q in 0..4 {
+            for r in 0..MR {
+                acc[q][r] += a[q][r] * v[q];
+            }
+        }
+    }
+    let mut s = [0.0f32; MR];
+    for r in 0..MR {
+        s[r] = acc[0][r] + acc[1][r] + acc[2][r] + acc[3][r];
+    }
+    for (a, &v) in tail.iter().zip(rest) {
+        for r in 0..MR {
+            s[r] += a[r] * v;
+        }
+    }
+    s
 }
 
 /// Conv-discipline product `out[rows, n] = a[rows, k] · b[k, n]`, each
@@ -503,8 +550,10 @@ pub(super) fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 
 /// Split-k4 dot product — the linear discipline's reduction order.
 ///
-/// Shared by [`matmul_bt_into`](super::linear::matmul_bt_into) (reference)
-/// and [`linear_panels`] (packed), so the two can only ever agree.
+/// The reference [`matmul_bt_into`](super::linear::matmul_bt_into) and
+/// [`linear_into`](super::linear::linear_into) run it; the packed
+/// [`linear_panels`] replicates it per row and lane, which the
+/// `gemm_equivalence` proptests pin.
 #[inline]
 pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

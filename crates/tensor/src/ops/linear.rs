@@ -2,9 +2,9 @@
 //!
 //! These are the reference kernels: straightforward loops whose reduction
 //! orders define the bit-exact contract the packed-panel microkernels in
-//! [`super::gemm`] must reproduce. The shared scalar primitives
+//! [`super::gemm`] must reproduce. Their scalar primitives
 //! ([`dot`](super::gemm::dot), [`axpy_skip_zero`](super::gemm::axpy_skip_zero))
-//! live in that module so reference and packed paths cannot drift apart.
+//! live in that module, beside the packed kernels that replicate them.
 
 use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
 

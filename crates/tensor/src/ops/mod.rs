@@ -23,8 +23,8 @@ pub use activation::{
     silu_into, softmax_rows, tanh, tanh_backward, tanh_into,
 };
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_packed_into, dwconv2d,
-    dwconv2d_backward, dwconv2d_into, Conv2dScratch, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_reference, conv2d_into, conv2d_packed_into,
+    conv2d_param_backward, dwconv2d, dwconv2d_backward, dwconv2d_into, Conv2dScratch, Conv2dSpec,
 };
 pub use gemm::{
     gemm_packed_bias_into, linear_packed_bias_into, GemmGeometry, GemmOpKind, KernelVariant,

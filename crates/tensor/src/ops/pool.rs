@@ -78,34 +78,73 @@ pub fn maxpool2d_into(
     record.indices.clear();
     record.indices.resize(n * c * oh * ow, 0);
     record.input_dims = [n, c, h, w];
-    let indices = &mut record.indices;
     let id = input.data();
-    let od = out.data_mut();
-    for img in 0..n {
-        for ch in 0..c {
-            let ibase = (img * c + ch) * h * w;
-            let obase = (img * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for ky in 0..k {
-                        let iy = oy * s + ky;
-                        for kx in 0..k {
-                            let ix = ox * s + kx;
-                            let idx = ibase + iy * w + ix;
-                            if id[idx] > best {
-                                best = id[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    od[obase + oy * ow + ox] = best;
-                    indices[obase + oy * ow + ox] = best_idx;
+    let planes = out
+        .data_mut()
+        .chunks_exact_mut(oh * ow)
+        .zip(record.indices.chunks_exact_mut(oh * ow));
+    for (p, (oplane, iplane)) in planes.enumerate() {
+        let base = p * h * w;
+        let plane = &id[base..base + h * w];
+        let rows = oplane.chunks_exact_mut(ow).zip(iplane.chunks_exact_mut(ow));
+        for (oy, (orow, irow)) in rows.enumerate() {
+            let mut ox = 0;
+            while ox + POOL_LANES <= ow {
+                let (best, at) = maxpool_windows::<POOL_LANES>(plane, w, (k, s), oy, ox);
+                orow[ox..ox + POOL_LANES].copy_from_slice(&best);
+                for (i, at) in irow[ox..ox + POOL_LANES].iter_mut().zip(at) {
+                    *i = base + at;
                 }
+                ox += POOL_LANES;
+            }
+            for ox in ox..ow {
+                let ([best], [at]) = maxpool_windows::<1>(plane, w, (k, s), oy, ox);
+                orow[ox] = best;
+                irow[ox] = base + at;
             }
         }
     }
+}
+
+/// Output columns of one max-pool row computed side by side.
+const POOL_LANES: usize = 8;
+
+/// The maxima of the `L` pooling windows of output row `oy` from column
+/// `ox0` on, and the index of each winner in `plane`.
+///
+/// The winner is picked with selects, not branches: it is the first strict
+/// maximum in raster order, and a window with nothing above −∞ (or only
+/// NaN) records its own first pixel.
+#[inline(always)]
+fn maxpool_windows<const L: usize>(
+    plane: &[f32],
+    w: usize,
+    (k, s): (usize, usize),
+    oy: usize,
+    ox0: usize,
+) -> ([f32; L], [usize; L]) {
+    let mut best = [f32::NEG_INFINITY; L];
+    // Offsets from each window's first pixel: 32-bit, so one vector holds
+    // all lanes.
+    let mut at = [0u32; L];
+    for ky in 0..k {
+        let row = &plane[(oy * s + ky) * w..][..w];
+        for kx in 0..k {
+            let off = (ky * w + kx) as u32;
+            let xs = &row[ox0 * s + kx..][..(L - 1) * s + 1];
+            for l in 0..L {
+                let v = xs[l * s];
+                let wins = v > best[l];
+                best[l] = if wins { v } else { best[l] };
+                at[l] = if wins { off } else { at[l] };
+            }
+        }
+    }
+    let first = oy * s * w + ox0 * s;
+    (
+        best,
+        std::array::from_fn(|l| first + l * s + at[l] as usize),
+    )
 }
 
 /// Backward pass of [`maxpool2d`]: gradients flow only to each window winner.
@@ -321,6 +360,82 @@ mod tests {
         let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
         let gx = maxpool2d_backward(&g, &idx);
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_finite_value_routes_to_itself() {
+        // Image 0 is ordinary; image 1's only window holds -inf and NaN, so
+        // nothing beats the -inf start: its winner is its own first pixel,
+        // and its gradient stays in image 1.
+        let x = Tensor::from_vec(
+            vec![
+                1.0,
+                2.0,
+                3.0,
+                4.0,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::NAN,
+                -f32::INFINITY,
+            ],
+            &[2, 1, 2, 2],
+        )
+        .unwrap();
+        let (y, idx) = maxpool2d(&x, 2, 2);
+        assert_eq!(y.data(), &[4.0, f32::NEG_INFINITY]);
+        assert_eq!(idx.indices(), &[3, 4]);
+        let g = Tensor::from_vec(vec![1.0, 10.0], &[2, 1, 1, 1]).unwrap();
+        let gx = maxpool2d_backward(&g, &idx);
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// The branchy window loop the select-based kernel replaced (with each
+    /// window's first pixel as its starting winner): same maxima, same
+    /// indices, over ragged rows (full lane blocks and a tail), strides
+    /// below, at and above the window, ties, -inf and NaN.
+    #[test]
+    fn maxpool_matches_the_branchy_loop() {
+        for (n, c, h, w, k, s) in [
+            (1, 1, 2, 2, 2, 2),
+            (2, 3, 9, 21, 2, 2),
+            (1, 2, 7, 19, 3, 1),
+            (3, 1, 11, 35, 3, 2),
+            (1, 2, 6, 30, 2, 3),
+            (2, 16, 32, 32, 2, 2),
+        ] {
+            let len = n * c * h * w;
+            let data = (0..len)
+                .map(|i| match (i * 7919) % 23 {
+                    0 => f32::NEG_INFINITY,
+                    1 => f32::NAN,
+                    r => (r % 5) as f32 - 2.0,
+                })
+                .collect();
+            let x = Tensor::from_vec(data, &[n, c, h, w]).unwrap();
+            let (y, idx) = maxpool2d(&x, k, s);
+            let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+            let mut at = 0;
+            for p in 0..n * c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let first = p * h * w + oy * s * w + ox * s;
+                        let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let i = first + ky * w + kx;
+                                if x.data()[i] > best {
+                                    best = x.data()[i];
+                                    best_idx = i;
+                                }
+                            }
+                        }
+                        assert_eq!(y.data()[at].to_bits(), best.to_bits(), "{n}x{c}x{h}x{w}");
+                        assert_eq!(idx.indices()[at], best_idx, "{n}x{c}x{h}x{w} k{k} s{s}");
+                        at += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

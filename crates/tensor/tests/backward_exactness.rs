@@ -9,14 +9,16 @@
 //! against the scatter loop it was. Shapes are ragged (reduction, plane
 //! and row counts off every multiple of 4, MR and NR), operands carry
 //! exact zeros at two densities (the reference loops' skip paths),
-//! batches run from 1 to 5, and convolutions cover stride 1/2 and padding
-//! 0/1. Pointwise convolutions, which skip im2col and col2im, get a
-//! property of their own.
+//! batches run from 1 to 5, and convolutions cover strides 1 to 3 and
+//! padding 0 to 2, on planes small enough that some kernel taps reach no
+//! input pixel (every such plane up to 3×3 is swept exhaustively).
+//! Pointwise convolutions, which skip im2col and col2im, get a property of
+//! their own.
 
 use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
-    conv2d_backward, conv2d_backward_reference, dwconv2d_backward, linear_backward, matmul,
-    matmul_at, Conv2dSpec,
+    conv2d_backward, conv2d_backward_reference, conv2d_param_backward, dwconv2d_backward,
+    linear_backward, matmul, matmul_at, Conv2dSpec,
 };
 use advhunter_tensor::Tensor;
 use proptest::prelude::*;
@@ -101,24 +103,83 @@ fn dwconv2d_backward_oracle(
     (grad_input, grad_weight, grad_bias)
 }
 
+/// Whether some kernel column of `spec` reads no input column of a
+/// `w`-wide plane from any output column.
+fn has_dead_kernel_column(w: usize, spec: &Conv2dSpec) -> bool {
+    let (_, ow) = spec.out_hw(w, w);
+    (0..spec.kernel).any(|kx| {
+        (0..ow).all(|ox| {
+            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+            ix < 0 || ix >= w as isize
+        })
+    })
+}
+
+/// Every plane up to 3×3 under kernels 1–4, strides 1–3 and padding 0–2,
+/// at one and three workers: the shapes whose col2im runs are empty or one
+/// pixel long.
+#[test]
+fn conv2d_backward_matches_reference_on_tiny_planes() {
+    let mut dead = 0;
+    for (h, w) in (1..=3).flat_map(|h| (1..=3).map(move |w| (h, w))) {
+        for kernel in 1..=4 {
+            for stride in 1..=3 {
+                for padding in 0..=2 {
+                    if h + 2 * padding < kernel || w + 2 * padding < kernel {
+                        continue;
+                    }
+                    let spec = Conv2dSpec::new(2, 3, kernel, stride, padding);
+                    dead += usize::from(has_dead_kernel_column(w, &spec));
+                    let (oh, ow) = spec.out_hw(h, w);
+                    let seed = (h * 31 + w * 7 + kernel * 3 + stride) as u64 + padding as u64 * 97;
+                    let input = tensor(&[2, 2, h, w], seed, 5);
+                    let weight = tensor(&[3, 2 * kernel * kernel], seed ^ 1, 5);
+                    let grad = tensor(&[2, 3, oh, ow], seed ^ 2, 5);
+                    let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
+                    for threads in [1, 3] {
+                        let got = conv2d_backward(
+                            &input,
+                            &weight,
+                            &grad,
+                            &spec,
+                            &Parallelism::new(threads),
+                        );
+                        let at =
+                            format!("{h}x{w} k{kernel} s{stride} p{padding}, {threads} workers");
+                        assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {at}");
+                        assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {at}");
+                        assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {at}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(dead > 0, "no plane with a dead kernel column was swept");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
+    /// Planes from 1×1 up, padding 0 to 2 and strides 1 to 3, so some
+    /// kernel rows and columns reach no input pixel at all.
     #[test]
     fn conv2d_backward_matches_reference(
         batch in 1usize..6,
         c in 1usize..5,
-        h in 3usize..12,
-        w in 3usize..12,
+        h in 1usize..12,
+        w in 1usize..12,
         out_c in 1usize..12,
         kernel in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..2,
+        stride in 1usize..4,
+        padding in 0usize..3,
         threads in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
         let zero_every = if dense { 7 } else { 2 };
+        // The padded input must hold one kernel.
+        let fit = kernel.saturating_sub(2 * padding);
+        let (h, w) = (h.max(fit), w.max(fit));
         let spec = Conv2dSpec::new(c, out_c, kernel, stride, padding);
         let (oh, ow) = spec.out_hw(h, w);
         let input = tensor(&[batch, c, h, w], seed, zero_every);
@@ -126,10 +187,14 @@ proptest! {
         let grad = tensor(&[batch, out_c, oh, ow], seed ^ 2, zero_every);
 
         let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
-        let got = conv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
+        let par = Parallelism::new(threads);
+        let got = conv2d_backward(&input, &weight, &grad, &spec, &par);
         prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
         prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
         prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+        let (gw, gb) = conv2d_param_backward(&input, &weight, &grad, &spec, &par);
+        prop_assert_eq!(bits(&gw), bits(&want.1), "param-only grad_weight");
+        prop_assert_eq!(bits(&gb), bits(&want.2), "param-only grad_bias");
     }
 
     #[test]

@@ -73,11 +73,12 @@ proptest! {
         }
     }
 
-    /// Linear layer: every variant, ragged feature counts, multiple rows
-    /// split over one to three workers, bit-identical to `linear_into`.
+    /// Linear layer: every variant, ragged feature counts, one to nine
+    /// rows split over one to three workers (so every worker count sees
+    /// row pairs and an odd last row), bit-identical to `linear_into`.
     #[test]
     fn packed_linear_matches_reference(
-        rows in 1usize..5, out_f in 1usize..24, in_f in 1usize..48, seed in any::<u64>()
+        rows in 1usize..10, out_f in 1usize..24, in_f in 1usize..48, seed in any::<u64>()
     ) {
         let x = Tensor::from_vec(fill(rows * in_f, seed), &[rows, in_f]).unwrap();
         let w = fill(out_f * in_f, seed ^ 1);
