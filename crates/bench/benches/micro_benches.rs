@@ -3,7 +3,8 @@
 //! training backward kernels (reference against packed) and the packed
 //! training forward of S1's widest linear layer, S1's memory-bound training
 //! kernels (batch norm, SiLU backward, depthwise and pointwise
-//! convolution), GMM fitting, instrumented inference, and online detector
+//! convolution), four full optimizer steps of S1 and CaseStudy at one and
+//! two workers, GMM fitting, instrumented inference, and online detector
 //! scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
@@ -14,11 +15,12 @@ use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallel
 use advhunter_bench::bench_function;
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
+use advhunter_nn::train::{fit, TrainConfig};
 use advhunter_nn::{GraphBuilder, Mode};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
     dwconv2d_into, linear_backward, linear_packed_into, matmul, matmul_at, maxpool2d_into,
-    silu_backward, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
+    silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
     PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
@@ -96,7 +98,7 @@ fn bench_maxpool() {
 }
 
 /// The training backward kernels, reference loops against the packed
-/// kernels at one and two workers, over one training batch: CaseStudy's
+/// kernels, over one training batch: CaseStudy's
 /// four convolutions, conv1 (3→16 at 32x32), conv2 (16→16 at 32x32), conv3
 /// (16→32 at 16x16) and conv4 (32→32 at 16x16), and S1's head.fc1
 /// (12544→96), whose packed training forward pass is timed too.
@@ -116,13 +118,9 @@ fn bench_backward() {
         bench_function(&format!("conv2d_backward_{name}_b32_reference"), || {
             conv2d_backward_reference(black_box(&x), &w, &g, &spec)
         });
-        for threads in [1, 2] {
-            let par = Parallelism::new(threads);
-            bench_function(
-                &format!("conv2d_backward_{name}_b32_packed_{threads}t"),
-                || conv2d_backward(black_box(&x), &w, &g, &spec, &par),
-            );
-        }
+        bench_function(&format!("conv2d_backward_{name}_b32_packed_1t"), || {
+            conv2d_backward(black_box(&x), &w, &g, &spec)
+        });
     }
     let (in_f, out_f) = (64 * 14 * 14, 96);
     let x = init::normal(&mut rng, &[batch, in_f], 0.0, 1.0);
@@ -131,25 +129,51 @@ fn bench_backward() {
     let bias = init::normal(&mut rng, &[out_f], 0.0, 0.1);
     let packed = PackedWeights::pack_tensor(&w, KernelVariant::TRAINING);
     let mut out = Tensor::zeros(&[batch, out_f]);
-    for threads in [1, 2] {
-        let par = Parallelism::new(threads);
-        bench_function(
-            &format!("linear_forward_s1_head_fc1_b32_packed_{threads}t"),
-            || {
-                linear_packed_into(black_box(&x), &packed, &bias, &par, &mut out);
-                out.data()[0]
-            },
-        );
-    }
+    bench_function("linear_forward_s1_head_fc1_b32_packed_1t", || {
+        linear_packed_into(black_box(&x), &packed, &bias, &mut out);
+        out.data()[0]
+    });
     bench_function("linear_backward_s1_head_fc1_b32_reference", || {
         (matmul(black_box(&g), &w), matmul_at(&g, &x))
     });
-    for threads in [1, 2] {
-        let par = Parallelism::new(threads);
-        bench_function(
-            &format!("linear_backward_s1_head_fc1_b32_packed_{threads}t"),
-            || linear_backward(black_box(&x), &w, &g, &par),
-        );
+    bench_function("linear_backward_s1_head_fc1_b32_packed_1t", || {
+        linear_backward(black_box(&x), &w, &g)
+    });
+}
+
+/// Four optimizer steps of `fit` (a one-epoch run over four batches of
+/// 32), on the S1 and CaseStudy specs at one and two workers: a quarter of
+/// the row is one step, with the shard buffers cut once per run as `fit`
+/// cuts them once per batch size.
+fn bench_train_step() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let config = TrainConfig {
+        epochs: 1,
+        batch_size: 32,
+        ..TrainConfig::default()
+    };
+    for (name, id) in [("s1", ScenarioId::S1), ("case", ScenarioId::CaseStudy)] {
+        let spec = id.spec();
+        let mut model = spec
+            .build_graph(&mut rng)
+            .expect("checked-in spec compiles");
+        let images: Vec<Tensor> = (0..128)
+            .map(|_| init::uniform(&mut rng, model.input_dims(), 0.0, 1.0))
+            .collect();
+        let labels: Vec<usize> = (0..128).map(|i| i % 10).collect();
+        for threads in [1, 2] {
+            let par = Parallelism::new(threads);
+            bench_function(&format!("train_4_steps_{name}_b32_{threads}t"), || {
+                fit(
+                    &mut model,
+                    black_box(&images),
+                    &labels,
+                    &config,
+                    &par,
+                    &mut rng,
+                )
+            });
+        }
     }
 }
 
@@ -160,14 +184,14 @@ fn bench_silu() {
     let x = init::normal(&mut rng, &[32, 28, 28], 0.0, 2.0);
     let mut out = Tensor::zeros(&[32, 28, 28]);
     bench_function("silu_32x28x28", || {
-        silu_into(black_box(&x), &mut out, &Parallelism::sequential());
+        silu_into(black_box(&x), &mut out);
         out.data()[0]
     });
 }
 
 /// S1's memory-bound training kernels over one 32-image batch: batch norm
 /// in train mode on mb1.expand's output, SiLU backward, the two depthwise
-/// backward passes at one and two workers, and mb1.expand's pointwise conv.
+/// backward passes, and mb1.expand's pointwise conv.
 fn bench_s1_training() {
     let mut rng = StdRng::seed_from_u64(10);
     let batch = 32;
@@ -189,8 +213,10 @@ fn bench_s1_training() {
 
     let sx = init::normal(&mut rng, &[32, 28, 28], 0.0, 2.0);
     let sg = init::normal(&mut rng, &[32, 28, 28], 0.0, 1.0);
+    let mut sgx = Tensor::zeros(&[32, 28, 28]);
     bench_function("silu_backward_32x28x28", || {
-        silu_backward(black_box(&sx), &sg, &Parallelism::sequential())
+        silu_backward_into(black_box(&sx), &sg, &mut sgx);
+        sgx.data()[0]
     });
 
     for (name, c, hw, stride) in [("mb1", 32, 28, 2), ("mb2", 48, 14, 1)] {
@@ -199,13 +225,9 @@ fn bench_s1_training() {
         let x = init::normal(&mut rng, &[batch, c, hw, hw], 0.0, 1.0);
         let w = init::normal(&mut rng, &[c, 9], 0.0, 0.3);
         let g = init::normal(&mut rng, &[batch, c, oh, ow], 0.0, 1.0);
-        for threads in [1, 2] {
-            let par = Parallelism::new(threads);
-            bench_function(
-                &format!("dwconv2d_backward_s1_{name}_b32_{threads}t"),
-                || dwconv2d_backward(black_box(&x), &w, &g, &spec, &par),
-            );
-        }
+        bench_function(&format!("dwconv2d_backward_s1_{name}_b32_1t"), || {
+            dwconv2d_backward(black_box(&x), &w, &g, &spec)
+        });
     }
 
     let spec = Conv2dSpec::new(16, 32, 1, 1, 0);
@@ -216,21 +238,12 @@ fn bench_s1_training() {
     let packed = PackedWeights::pack_tensor(&w, KernelVariant::TRAINING);
     let mut scratch = Conv2dScratch::new(16, 28, 28, &spec);
     let mut out = Tensor::zeros(&[batch, 32, 28, 28]);
-    let seq = Parallelism::sequential();
     bench_function("pointwise_conv_forward_s1_mb1_expand_b32", || {
-        conv2d_packed_into(
-            black_box(&x),
-            &packed,
-            &bias,
-            &spec,
-            &mut scratch,
-            &seq,
-            &mut out,
-        );
+        conv2d_packed_into(black_box(&x), &packed, &bias, &spec, &mut scratch, &mut out);
         out.data()[0]
     });
     bench_function("pointwise_conv_backward_s1_mb1_expand_b32", || {
-        conv2d_backward(black_box(&x), &w, &g, &spec, &seq)
+        conv2d_backward(black_box(&x), &w, &g, &spec)
     });
 }
 
@@ -307,6 +320,7 @@ fn main() {
     bench_silu();
     bench_backward();
     bench_s1_training();
+    bench_train_step();
     bench_gmm_fit();
     bench_instrumented_inference();
     bench_detector_scoring();

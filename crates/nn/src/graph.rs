@@ -1,15 +1,18 @@
 //! The computation graph: ops, forward traces, and backpropagation.
 
-use advhunter_runtime::Parallelism;
+use std::ops::Range;
+
 use advhunter_tensor::ops::{
-    avgpool2d_backward, conv2d_backward, conv2d_param_backward, dwconv2d_backward,
-    global_avgpool_backward, leaky_relu_backward, linear_backward, maxpool2d_backward,
-    relu_backward, sigmoid_backward, silu_backward, tanh_backward, Conv2dSpec, MaxPoolIndices,
+    avgpool2d_backward_into, conv2d_input_grad_into, conv2d_sum_partials, conv2d_weight_partials,
+    dwconv2d_input_grad_into, dwconv2d_param_grads, global_avgpool_backward_into,
+    leaky_relu_backward_into, linear_bias_grad, linear_input_grad_into, linear_weight_grad_rows,
+    maxpool2d_backward_into, relu_backward_into, sigmoid_backward_into, silu_backward_into,
+    tanh_backward_into, Conv2dScratch, Conv2dSpec, MaxPoolIndices,
 };
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
 
-use crate::{MatKernels, Workspace};
+use crate::Workspace;
 
 /// Whether a forward pass runs with batch statistics (training) or running
 /// statistics (inference).
@@ -153,12 +156,15 @@ impl Op {
         )
     }
 
-    /// Whether the op holds trainable parameters.
-    fn has_params(&self) -> bool {
-        matches!(
-            self,
-            Op::Conv2d(_) | Op::DwConv2d(_) | Op::Linear(_) | Op::BatchNorm2d(_)
-        )
+    /// The op's trainable parameters: weight and bias, or γ and β.
+    pub(crate) fn params(&self) -> Option<[&Tensor; 2]> {
+        match self {
+            Op::Conv2d(l) => Some([&l.weight, &l.bias]),
+            Op::DwConv2d(l) => Some([&l.weight, &l.bias]),
+            Op::Linear(l) => Some([&l.weight, &l.bias]),
+            Op::BatchNorm2d(bn) => Some([&bn.gamma, &bn.beta]),
+            _ => None,
+        }
     }
 }
 
@@ -189,15 +195,15 @@ pub enum Aux {
     None,
     /// Max-pool winner indices.
     MaxPool(MaxPoolIndices),
-    /// Batch-norm cache: per-channel batch mean, batch variance and the
-    /// normalized activations (train mode only).
+    /// Batch-norm cache: per-channel batch mean and batch variance (train
+    /// mode only). Backward recomputes the normalized activations `x̂`
+    /// from them and the node's input, with the forward pass's expression,
+    /// so they need not be kept.
     BatchNorm {
         /// Batch mean per channel.
         mean: Vec<f32>,
         /// Batch (biased) variance per channel.
         var: Vec<f32>,
-        /// Normalized activations `x̂`.
-        xhat: Tensor,
     },
 }
 
@@ -234,12 +240,6 @@ impl ForwardTrace {
     /// The mode the trace was computed in.
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// The workspace the pass ran in, for the next pass of the same batch
-    /// size (see [`Graph::forward_packed`]).
-    pub fn into_workspace(self) -> Workspace {
-        self.ws
     }
 }
 
@@ -329,31 +329,6 @@ impl Graph {
         }
     }
 
-    /// [`Graph::forward`] into `ws` (from [`Graph::workspace`] or a
-    /// previous trace's [`ForwardTrace::into_workspace`]), with the matrix
-    /// nodes dispatched through `kernels` and each convolution's images
-    /// fanned out over `parallelism`: the training forward pass, which
-    /// reuses one batch's buffers for the next. Every kernel overwrites
-    /// its whole output, so the trace is bit-for-bit that of
-    /// [`Graph::forward`] for any variant choice and worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`Graph::forward_with`], or
-    /// if `kernels` was packed for a different graph.
-    pub fn forward_packed(
-        &self,
-        x: Tensor,
-        mode: Mode,
-        kernels: &MatKernels,
-        parallelism: &Parallelism,
-        mut ws: Workspace,
-    ) -> ForwardTrace {
-        ws.parallelism = *parallelism;
-        self.forward_with_kernels(&x, mode, &mut ws, kernels);
-        ForwardTrace { input: x, ws, mode }
-    }
-
     /// Convenience: class logits for a batch (eval mode).
     pub fn logits(&self, x: &Tensor) -> Tensor {
         self.forward(x, Mode::Eval).output().clone()
@@ -371,85 +346,20 @@ impl Graph {
     /// its running statistics (the correct linearization of the deployed
     /// network, which is what attacks need).
     ///
+    /// This is the reference pass, one node after another on the calling
+    /// thread. A training step computes the same parameter gradients, bit
+    /// for bit, on image shards (see [`crate::train::fit`]).
+    ///
     /// # Panics
     ///
     /// Panics if `grad_output`'s shape differs from the trace's final output.
     pub fn backward(&self, trace: &ForwardTrace, grad_output: &Tensor) -> Gradients {
-        self.backward_with(trace, grad_output, &Parallelism::sequential())
-    }
-
-    /// [`Graph::backward`] with the convolution and fully-connected
-    /// gradients fanned out over `parallelism`. Every cross-image sum is
-    /// still taken on the calling thread in ascending image order, so the
-    /// gradients are bit-for-bit those of [`Graph::backward`] at any worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_output`'s shape differs from the trace's final output.
-    pub fn backward_with(
-        &self,
-        trace: &ForwardTrace,
-        grad_output: &Tensor,
-        parallelism: &Parallelism,
-    ) -> Gradients {
-        let (input, params) = self.backward_impl(trace, grad_output, parallelism, true);
-        let input = input.unwrap_or_else(|| Tensor::zeros(trace.input.shape().dims()));
-        Gradients { input, params }
-    }
-
-    /// The parameter gradients of [`Graph::backward_with`], bit for bit,
-    /// without the gradient with respect to the graph input: what a
-    /// training step needs.
-    ///
-    /// Gradients that reach no parameter are not computed: nodes upstream
-    /// of every parameter are skipped, and a convolution reading the graph
-    /// input computes only its filter and bias gradients. Other
-    /// parameterized nodes on the input still compute their input gradient
-    /// and drop it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_output`'s shape differs from the trace's final output.
-    pub fn param_gradients(
-        &self,
-        trace: &ForwardTrace,
-        grad_output: &Tensor,
-        parallelism: &Parallelism,
-    ) -> Vec<Option<ParamGrad>> {
-        self.backward_impl(trace, grad_output, parallelism, false).1
-    }
-
-    /// The one backward loop: per-node parameter gradients, plus the input
-    /// gradient when `input_grad` is set.
-    fn backward_impl(
-        &self,
-        trace: &ForwardTrace,
-        grad_output: &Tensor,
-        parallelism: &Parallelism,
-        input_grad: bool,
-    ) -> (Option<Tensor>, Vec<Option<ParamGrad>>) {
         assert_eq!(
             grad_output.shape(),
             trace.output().shape(),
             "grad_output shape mismatch"
         );
         let n_nodes = self.nodes.len();
-        // Whether the gradient of a node's output reaches a parameter or,
-        // with `input_grad`, the graph input.
-        let mut wanted: Vec<bool> = Vec::with_capacity(n_nodes);
-        for node in &self.nodes {
-            let reaches = node.op.has_params()
-                || node.inputs.iter().any(|src| match src {
-                    Src::Input => input_grad,
-                    Src::Node(j) => wanted[*j],
-                });
-            wanted.push(reaches);
-        }
-        let src_wanted = |src: &Src| match src {
-            Src::Input => input_grad,
-            Src::Node(j) => wanted[*j],
-        };
         let mut node_grads: Vec<Option<Tensor>> = vec![None; n_nodes];
         let mut input = None;
         node_grads[n_nodes - 1] = Some(grad_output.clone());
@@ -459,9 +369,6 @@ impl Graph {
             let Some(gout) = node_grads[i].take() else {
                 continue;
             };
-            if !wanted[i] {
-                continue;
-            }
             let node = &self.nodes[i];
             let ins: Vec<&Tensor> = node
                 .inputs
@@ -471,26 +378,31 @@ impl Graph {
                     Src::Node(j) => &trace.ws.outputs[*j],
                 })
                 .collect();
-            let (input_grads, pgrad) = backward_op(
-                &node.op,
-                &ins,
-                &trace.ws.outputs[i],
-                &trace.ws.aux[i],
-                &gout,
-                trace.mode,
-                parallelism,
-                node.inputs.iter().any(src_wanted),
-            );
-            params[i] = pgrad;
-            let grads = node.inputs.iter().zip(input_grads);
-            for (src, g) in grads.filter(|(src, _)| src_wanted(src)) {
+            let mut grad = OpGrad {
+                op: &node.op,
+                ins: &ins,
+                output: &trace.ws.outputs[i],
+                aux: &trace.ws.aux[i],
+                gout: &gout,
+                mode: trace.mode,
+                bn_sums: None,
+            };
+            params[i] = grad.param_grads();
+            if let (Some(pg), Aux::BatchNorm { .. }) = (&params[i], grad.aux) {
+                let (n, _, h, w) = ins[0].shape().as_nchw();
+                grad.bn_sums = Some((pg.weight.data(), pg.bias.data(), (n * h * w) as f32));
+            }
+            for (k, (src, x)) in node.inputs.iter().zip(&ins).enumerate() {
+                let mut g = Tensor::zeros(x.shape().dims());
+                grad.input_grad_into(k, &mut g, None);
                 match src {
                     Src::Input => accumulate(&mut input, g),
                     Src::Node(j) => accumulate(&mut node_grads[*j], g),
                 }
             }
         }
-        (input, params)
+        let input = input.unwrap_or_else(|| Tensor::zeros(trace.input.shape().dims()));
+        Gradients { input, params }
     }
 
     /// Mutable references to every parameter tensor, in node order (weight
@@ -525,29 +437,11 @@ impl Graph {
     /// Immutable view of every parameter tensor, in the same order as
     /// [`param_tensors_mut`](Self::param_tensors_mut).
     pub fn param_tensors(&self) -> Vec<&Tensor> {
-        let mut out: Vec<&Tensor> = Vec::new();
-        for node in &self.nodes {
-            match &node.op {
-                Op::Conv2d(l) => {
-                    out.push(&l.weight);
-                    out.push(&l.bias);
-                }
-                Op::DwConv2d(l) => {
-                    out.push(&l.weight);
-                    out.push(&l.bias);
-                }
-                Op::Linear(l) => {
-                    out.push(&l.weight);
-                    out.push(&l.bias);
-                }
-                Op::BatchNorm2d(bn) => {
-                    out.push(&bn.gamma);
-                    out.push(&bn.beta);
-                }
-                _ => {}
-            }
-        }
-        out
+        self.nodes
+            .iter()
+            .filter_map(|n| n.op.params())
+            .flatten()
+            .collect()
     }
 
     /// Immutable view of the batch-norm running statistics, in the same
@@ -634,13 +528,7 @@ impl Graph {
             "layer", "op", "output (CHW)", "params"
         );
         for (node, shape) in self.nodes.iter().zip(shapes.iter()) {
-            let params: usize = match &node.op {
-                Op::Conv2d(l) => l.weight.len() + l.bias.len(),
-                Op::DwConv2d(l) => l.weight.len() + l.bias.len(),
-                Op::Linear(l) => l.weight.len() + l.bias.len(),
-                Op::BatchNorm2d(bn) => bn.gamma.len() + bn.beta.len(),
-                _ => 0,
-            };
+            let params: usize = node.op.params().map_or(0, |[w, b]| w.len() + b.len());
             let kind = match &node.op {
                 Op::Conv2d(_) => "Conv2d",
                 Op::DwConv2d(_) => "DwConv2d",
@@ -675,7 +563,13 @@ impl Graph {
     /// Updates every batch-norm running statistic from the batch statistics
     /// recorded in `trace` (call after a train-mode forward pass).
     pub fn update_running_stats(&mut self, trace: &ForwardTrace) {
-        for (node, aux) in self.nodes.iter_mut().zip(trace.ws.aux.iter()) {
+        self.update_running_stats_from(&trace.ws);
+    }
+
+    /// [`Graph::update_running_stats`] from the batch statistics a
+    /// train-mode pass left in `ws`.
+    pub(crate) fn update_running_stats_from(&mut self, ws: &Workspace) {
+        for (node, aux) in self.nodes.iter_mut().zip(ws.aux.iter()) {
             if let (Op::BatchNorm2d(bn), Aux::BatchNorm { mean, var, .. }) = (&mut node.op, aux) {
                 let m = bn.momentum;
                 for (r, &b) in bn.running_mean.data_mut().iter_mut().zip(mean.iter()) {
@@ -710,91 +604,107 @@ fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
     }
 }
 
-/// One node's backward pass: the gradient of each input and of the
-/// node's parameters. Without `input_grads` a convolution returns no input
-/// gradients at all; every other op ignores the flag.
-#[allow(clippy::too_many_arguments)]
-fn backward_op(
-    op: &Op,
-    ins: &[&Tensor],
-    output: &Tensor,
-    aux: &Aux,
-    gout: &Tensor,
-    mode: Mode,
-    parallelism: &Parallelism,
-    input_grads: bool,
-) -> (Vec<Tensor>, Option<ParamGrad>) {
-    match op {
-        Op::Conv2d(l) if !input_grads => {
-            let (gw, gb) = conv2d_param_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
-            (
-                Vec::new(),
-                Some(ParamGrad {
-                    weight: gw,
-                    bias: gb,
-                }),
-            )
+/// What one node's backward pass reads: its op, inputs, output and forward
+/// cache, and the gradient of its output.
+pub(crate) struct OpGrad<'a> {
+    pub(crate) op: &'a Op,
+    pub(crate) ins: &'a [&'a Tensor],
+    pub(crate) output: &'a Tensor,
+    pub(crate) aux: &'a Aux,
+    pub(crate) gout: &'a Tensor,
+    pub(crate) mode: Mode,
+    /// A train-mode batch norm's parameter gradients `(Σ g·x̂, Σ g)` over
+    /// the whole batch and the values per channel it holds: its input
+    /// gradient needs them.
+    pub(crate) bn_sums: Option<(&'a [f32], &'a [f32], f32)>,
+}
+
+impl OpGrad<'_> {
+    /// The gradient with respect to input `k` into the input-shaped `out`;
+    /// every element is assigned. Every op computes it image by image, so
+    /// a batch can be differentiated in shards. A convolution works in
+    /// `scratch`, its forward pass's, or else in scratch of its own.
+    pub(crate) fn input_grad_into(
+        &self,
+        k: usize,
+        out: &mut Tensor,
+        scratch: Option<&mut Conv2dScratch>,
+    ) {
+        let (ins, gout) = (self.ins, self.gout);
+        match self.op {
+            Op::Conv2d(l) => {
+                let mut own = None;
+                let scratch = scratch.unwrap_or_else(|| own.insert(conv_scratch(ins[0], &l.spec)));
+                conv2d_input_grad_into(&l.weight, gout, &l.spec, out, scratch);
+            }
+            Op::DwConv2d(l) => dwconv2d_input_grad_into(&l.weight, gout, &l.spec, out),
+            Op::Linear(l) => linear_input_grad_into(&l.weight, gout, out),
+            Op::BatchNorm2d(bn) => match (self.mode, self.aux) {
+                (Mode::Eval, _) => bn_eval_input_grad_into(bn, gout, out),
+                (Mode::Train, Aux::BatchNorm { mean, var }) => {
+                    let sums = self.bn_sums.expect("batch-norm gradient sums");
+                    bn_input_grad_into(bn, (ins[0], mean, var), gout, sums, out);
+                }
+                (Mode::Train, _) => panic!("batch-norm node missing its cache"),
+            },
+            Op::ReLU => relu_backward_into(ins[0], gout, out),
+            Op::LeakyReLU { alpha } => leaky_relu_backward_into(ins[0], gout, *alpha, out),
+            Op::SiLU => silu_backward_into(ins[0], gout, out),
+            Op::Sigmoid => sigmoid_backward_into(self.output, gout, out),
+            Op::Tanh => tanh_backward_into(self.output, gout, out),
+            Op::MaxPool2d { .. } => {
+                let Aux::MaxPool(idx) = self.aux else {
+                    panic!("max-pool node missing its index cache");
+                };
+                maxpool2d_backward_into(gout, idx, out);
+            }
+            Op::AvgPool2d { k, s } => avgpool2d_backward_into(gout, *k, *s, out),
+            Op::GlobalAvgPool => global_avgpool_backward_into(gout, out),
+            Op::Flatten | Op::Add => {
+                assert_eq!(out.len(), gout.len(), "gradient buffer size mismatch");
+                out.data_mut().copy_from_slice(gout.data());
+            }
+            Op::ConcatChannels => concat_channels_backward_into(ins[0], ins[1], gout, k, out),
+            Op::ScaleChannels => scale_channels_backward_into(ins[0], ins[1], gout, k, out),
         }
-        Op::Conv2d(l) => {
-            let (gx, gw, gb) = conv2d_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
-            (
-                vec![gx],
-                Some(ParamGrad {
-                    weight: gw,
-                    bias: gb,
-                }),
-            )
-        }
-        Op::DwConv2d(l) => {
-            let (gx, gw, gb) = dwconv2d_backward(ins[0], &l.weight, gout, &l.spec, parallelism);
-            (
-                vec![gx],
-                Some(ParamGrad {
-                    weight: gw,
-                    bias: gb,
-                }),
-            )
-        }
-        Op::Linear(l) => {
-            let (gx, gw, gb) = linear_backward(ins[0], &l.weight, gout, parallelism);
-            (
-                vec![gx],
-                Some(ParamGrad {
-                    weight: gw,
-                    bias: gb,
-                }),
-            )
-        }
-        Op::BatchNorm2d(bn) => batchnorm_backward(bn, ins[0], aux, gout, mode),
-        Op::ReLU => (vec![relu_backward(ins[0], gout)], None),
-        Op::LeakyReLU { alpha } => (vec![leaky_relu_backward(ins[0], gout, *alpha)], None),
-        Op::SiLU => (vec![silu_backward(ins[0], gout, parallelism)], None),
-        Op::Sigmoid => (vec![sigmoid_backward(output, gout)], None),
-        Op::Tanh => (vec![tanh_backward(output, gout)], None),
-        Op::MaxPool2d { .. } => {
-            let Aux::MaxPool(idx) = aux else {
-                panic!("max-pool node missing its index cache");
-            };
-            (vec![maxpool2d_backward(gout, idx)], None)
-        }
-        Op::AvgPool2d { k, s } => {
-            let dims = ins[0].shape().as_nchw();
-            (vec![avgpool2d_backward(gout, dims, *k, *s)], None)
-        }
-        Op::GlobalAvgPool => {
-            let dims = ins[0].shape().as_nchw();
-            (vec![global_avgpool_backward(gout, dims)], None)
-        }
-        Op::Flatten => (vec![gout.reshape(ins[0].shape().dims())], None),
-        Op::Add => (vec![gout.clone(), gout.clone()], None),
-        Op::ConcatChannels => {
-            let (ga, gb) = concat_channels_backward(ins[0], ins[1], gout);
-            (vec![ga, gb], None)
-        }
-        Op::ScaleChannels => {
-            let (gx, gs) = scale_channels_backward(ins[0], ins[1], gout);
-            (vec![gx, gs], None)
-        }
+    }
+
+    /// The node's parameter gradients over its whole batch, `None` for a
+    /// parameter-free op: the one-batch reference of the sharded
+    /// reductions a training step runs.
+    fn param_grads(&self) -> Option<ParamGrad> {
+        let (x, gout) = (self.ins[0], self.gout);
+        let (weight, bias) = match self.op {
+            Op::Conv2d(l) => {
+                let mut partials = vec![0.0f32; x.shape().dim(0) * l.spec.partial_len()];
+                let mut scratch = conv_scratch(x, &l.spec);
+                conv2d_weight_partials(x, gout, &l.spec, &mut partials, &mut scratch);
+                let (gw, gb) = conv2d_sum_partials(&[&partials], &l.spec);
+                (gw.into_vec(), gb.into_vec())
+            }
+            Op::DwConv2d(l) => dwconv2d_param_grads(&[(x, gout)], &l.spec, 0..l.spec.in_channels),
+            Op::Linear(l) => {
+                let mut gw = vec![0.0f32; l.weight.len()];
+                linear_weight_grad_rows(&[(x, gout)], 0..l.weight.shape().dim(0), &mut gw);
+                (gw, linear_bias_grad(&[gout]).into_vec())
+            }
+            Op::BatchNorm2d(bn) => match (self.mode, self.aux) {
+                (Mode::Eval, _) => bn_eval_param_grads(bn, x, gout),
+                (Mode::Train, Aux::BatchNorm { mean, var }) => {
+                    let (_, c, h, w) = x.shape().as_nchw();
+                    let (gs, xs) = (image_slices([gout]), image_slices([x]));
+                    let norm = BnNorm::new(bn, mean, var);
+                    bn_grad_sums(&gs, &xs, &norm, (c, h * w), 0..c)
+                }
+                (Mode::Train, _) => panic!("batch-norm node missing its cache"),
+            },
+            _ => return None,
+        };
+        let [w, b] = self.op.params().expect("a parameterized op");
+        Some(ParamGrad {
+            weight: Tensor::from_vec(weight, w.shape().dims()).expect("weight-shaped"),
+            bias: Tensor::from_vec(bias, b.shape().dims()).expect("bias-shaped"),
+        })
     }
 }
 
@@ -806,14 +716,50 @@ fn batchnorm_forward(bn: &BatchNorm2d, x: &Tensor, mode: Mode) -> (Tensor, Aux) 
     let (n, c, h, w) = x.shape().as_nchw();
     let mut out = Tensor::zeros(&[n, c, h, w]);
     let mut aux = Aux::None;
+    if mode == Mode::Train {
+        let (mean, var) = bn_batch_stats(&image_slices([x]), (c, h * w), 0..c);
+        set_batch_stats(&mut aux, &mean, &var);
+    }
     batchnorm_forward_into(bn, x, mode, &mut out, &mut aux);
     (out, aux)
 }
 
+/// Each image's `[c, h, w]` slice of NCHW `parts` given in batch order.
+pub(crate) fn image_slices<'a>(parts: impl IntoIterator<Item = &'a Tensor>) -> Vec<&'a [f32]> {
+    parts
+        .into_iter()
+        .flat_map(|t| {
+            let n = t.shape().dim(0);
+            let stride = t.len() / n.max(1);
+            t.data().chunks_exact(stride.max(1)).take(n)
+        })
+        .collect()
+}
+
+/// Stores a batch's per-channel statistics in a batch-norm node's `aux`
+/// for [`batchnorm_forward_into`], reusing the buffers a previous
+/// train-mode pass left there.
+pub(crate) fn set_batch_stats(aux: &mut Aux, mean: &[f32], var: &[f32]) {
+    match aux {
+        Aux::BatchNorm { mean: m, var: v } if m.len() == mean.len() => {
+            m.copy_from_slice(mean);
+            v.copy_from_slice(var);
+        }
+        _ => {
+            *aux = Aux::BatchNorm {
+                mean: mean.to_vec(),
+                var: var.to_vec(),
+            }
+        }
+    }
+}
+
 /// [`BatchNorm2d`] forward into a caller-provided buffer; every output
-/// element is assigned. Leaves in `aux` the state backward needs: batch
-/// statistics and `x̂` in train mode, reusing the buffers a previous
-/// train-mode pass left there, nothing in eval mode.
+/// element is assigned. In train mode `aux` must hold the batch statistics
+/// ([`set_batch_stats`]); in eval mode it is left empty.
+///
+/// Every element depends only on its own input and its channel's
+/// statistics, so a batch can be normalized in shards.
 pub(crate) fn batchnorm_forward_into(
     bn: &BatchNorm2d,
     x: &Tensor,
@@ -846,62 +792,58 @@ pub(crate) fn batchnorm_forward_into(
             *aux = Aux::None;
         }
         Mode::Train => {
-            let (mut mean, mut var, mut xhat) = match std::mem::replace(aux, Aux::None) {
-                Aux::BatchNorm { mean, var, xhat } if xhat.shape() == x.shape() => {
-                    (mean, var, xhat)
-                }
-                _ => (vec![0.0; c], vec![0.0; c], Tensor::zeros(&[n, c, h, w])),
+            let Aux::BatchNorm { mean, var } = aux else {
+                panic!("batch-norm node has no batch statistics");
             };
+            let norm = BnNorm::new(bn, mean, var);
             let xd = x.data();
-            let mut ch = 0;
-            while ch < c {
-                if c - ch >= BN_LANES {
-                    batch_stats::<BN_LANES>(xd, (n, c, plane), ch, &mut mean, &mut var);
-                    ch += BN_LANES;
-                } else {
-                    batch_stats::<1>(xd, (n, c, plane), ch, &mut mean, &mut var);
-                    ch += 1;
-                }
-            }
-            {
-                let xh = xhat.data_mut();
-                let od = out.data_mut();
-                for ch in 0..c {
-                    let inv = 1.0 / (var[ch] + bn.eps).sqrt();
-                    let g = bn.gamma.data()[ch];
-                    let b = bn.beta.data()[ch];
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        for i in 0..plane {
-                            let nx = (xd[base + i] - mean[ch]) * inv;
-                            xh[base + i] = nx;
-                            od[base + i] = nx * g + b;
-                        }
+            let od = out.data_mut();
+            for ch in 0..c {
+                let g = bn.gamma.data()[ch];
+                let b = bn.beta.data()[ch];
+                for img in 0..n {
+                    let base = (img * c + ch) * plane;
+                    for i in 0..plane {
+                        od[base + i] = norm.xhat(ch, xd[base + i]) * g + b;
                     }
                 }
             }
-            *aux = Aux::BatchNorm { mean, var, xhat };
         }
+    }
+}
+
+/// A train-mode batch norm's per-channel normalization `x̂ = (x − μ) · inv`
+/// with `inv = 1 / sqrt(σ² + ε)`: forward computes `x̂` with it, and
+/// backward recomputes the very same values from the node's input.
+pub(crate) struct BnNorm<'a> {
+    mean: &'a [f32],
+    inv: Vec<f32>,
+}
+
+impl<'a> BnNorm<'a> {
+    pub(crate) fn new(bn: &BatchNorm2d, mean: &'a [f32], var: &[f32]) -> Self {
+        let inv = var.iter().map(|&v| 1.0 / (v + bn.eps).sqrt()).collect();
+        Self { mean, inv }
+    }
+
+    #[inline]
+    fn xhat(&self, ch: usize, x: f32) -> f32 {
+        (x - self.mean[ch]) * self.inv[ch]
     }
 }
 
 /// Channels whose batch-norm sums run side by side, one lane each: the
 /// sums are chains of dependent adds, so eight independent chains keep the
 /// adder busy where one channel at a time waits on each add.
-const BN_LANES: usize = 8;
+pub(crate) const BN_LANES: usize = 8;
 
 /// Pixels loaded per channel plane at a time, so that the lanes fill from
 /// vector loads rather than one scalar load per channel and pixel.
 const BN_BLOCK: usize = 8;
 
-/// Plane `img` of channels `ch0..ch0 + L` of an NCHW buffer.
-fn channel_planes<const L: usize>(
-    data: &[f32],
-    (c, plane): (usize, usize),
-    img: usize,
-    ch0: usize,
-) -> [&[f32]; L] {
-    std::array::from_fn(|j| &data[(img * c + ch0 + j) * plane..][..plane])
+/// Plane of channels `ch0..ch0 + L` of one image's `[c, plane]` slice.
+fn channel_planes<const L: usize>(img: &[f32], plane: usize, ch0: usize) -> [&[f32]; L] {
+    std::array::from_fn(|j| &img[(ch0 + j) * plane..][..plane])
 }
 
 /// Pixels `i..i + BN_BLOCK` of each plane, one lane array per pixel.
@@ -911,23 +853,62 @@ fn pixel_block<const L: usize>(planes: &[&[f32]; L], i: usize) -> [[f32; L]; BN_
     std::array::from_fn(|px| std::array::from_fn(|j| rows[j][px]))
 }
 
+/// Runs `group(ch0, lanes)` over `channels` in groups of [`BN_LANES`]
+/// channels, then one channel at a time: every lane computes the same sums
+/// as a one-channel loop, so any cut of the channels gives the same bits.
+fn lane_groups(channels: Range<usize>, mut group: impl FnMut(usize, usize)) {
+    let mut ch = channels.start;
+    while ch < channels.end {
+        let lanes = if channels.end - ch >= BN_LANES {
+            BN_LANES
+        } else {
+            1
+        };
+        group(ch, lanes);
+        ch += lanes;
+    }
+}
+
+/// Batch mean and biased variance of `channels`, over the batch's images
+/// (`[c, plane]` slices in batch order), as `(mean, var)` of
+/// `channels.len()` entries each.
+pub(crate) fn bn_batch_stats(
+    images: &[&[f32]],
+    (c, plane): (usize, usize),
+    channels: Range<usize>,
+) -> (Vec<f32>, Vec<f32>) {
+    debug_assert!(images.iter().all(|img| img.len() == c * plane));
+    let base = channels.start;
+    let mut mean = vec![0.0f32; channels.len()];
+    let mut var = vec![0.0f32; channels.len()];
+    lane_groups(channels, |ch0, lanes| {
+        let at = ch0 - base..ch0 - base + lanes;
+        let (m, v) = (&mut mean[at.clone()], &mut var[at]);
+        match lanes {
+            BN_LANES => batch_stats::<BN_LANES>(images, plane, ch0, m, v),
+            _ => batch_stats::<1>(images, plane, ch0, m, v),
+        }
+    });
+    (mean, var)
+}
+
 /// Batch mean and biased variance of channels `ch0..ch0 + L`, each in its
 /// own lane and in the order of a channel-at-a-time loop: the mean's total
 /// starts at `+0.0` and adds every image's plane sum, which starts at `-0.0`
 /// like `Iterator::sum`; the variance adds squared deviations image by
 /// image, pixel by pixel, from `+0.0`.
 fn batch_stats<const L: usize>(
-    xd: &[f32],
-    (n, c, plane): (usize, usize, usize),
+    images: &[&[f32]],
+    plane: usize,
     ch0: usize,
     mean: &mut [f32],
     var: &mut [f32],
 ) {
-    let count = (n * plane) as f32;
+    let count = (images.len() * plane) as f32;
     let full = plane - plane % BN_BLOCK;
     let mut total = [0.0f32; L];
-    for img in 0..n {
-        let xs = channel_planes::<L>(xd, (c, plane), img, ch0);
+    for img in images {
+        let xs = channel_planes::<L>(img, plane, ch0);
         let mut sum = [-0.0f32; L];
         for i in (0..full).step_by(BN_BLOCK) {
             for px in pixel_block(&xs, i) {
@@ -947,8 +928,8 @@ fn batch_stats<const L: usize>(
     }
     let m = total.map(|t| t / count);
     let mut v = [0.0f32; L];
-    for img in 0..n {
-        let xs = channel_planes::<L>(xd, (c, plane), img, ch0);
+    for img in images {
+        let xs = channel_planes::<L>(img, plane, ch0);
         for i in (0..full).step_by(BN_BLOCK) {
             for px in pixel_block(&xs, i) {
                 for ((v, x), m) in v.iter_mut().zip(px).zip(m) {
@@ -964,31 +945,60 @@ fn batch_stats<const L: usize>(
             }
         }
     }
-    mean[ch0..ch0 + L].copy_from_slice(&m);
-    var[ch0..ch0 + L].copy_from_slice(&v.map(|v| v / count));
+    mean.copy_from_slice(&m);
+    var.copy_from_slice(&v.map(|v| v / count));
+}
+
+/// The parameter gradients of a train-mode batch norm for `channels`:
+/// `(Σ g·x̂, Σ g)` (γ, then β) over the batch, from `grads` and the node's
+/// inputs `xs` (`[c, plane]` image slices in batch order), `x̂` recomputed
+/// with `norm`.
+pub(crate) fn bn_grad_sums(
+    grads: &[&[f32]],
+    xs: &[&[f32]],
+    norm: &BnNorm<'_>,
+    (c, plane): (usize, usize),
+    channels: Range<usize>,
+) -> (Vec<f32>, Vec<f32>) {
+    debug_assert_eq!(grads.len(), xs.len());
+    debug_assert!(grads.iter().all(|img| img.len() == c * plane));
+    let base = channels.start;
+    let mut sum_gx = vec![0.0f32; channels.len()];
+    let mut sum_g = vec![0.0f32; channels.len()];
+    lane_groups(channels, |ch0, lanes| {
+        let at = ch0 - base..ch0 - base + lanes;
+        let (sg, sgx) = (&mut sum_g[at.clone()], &mut sum_gx[at]);
+        match lanes {
+            BN_LANES => grad_sums::<BN_LANES>(grads, xs, norm, (plane, ch0), sg, sgx),
+            _ => grad_sums::<1>(grads, xs, norm, (plane, ch0), sg, sgx),
+        }
+    });
+    (sum_gx, sum_g)
 }
 
 /// `(Σ g, Σ g·x̂)` over the batch for channels `ch0..ch0 + L`, each in its
 /// own lane, from `+0.0` in image, pixel order.
 fn grad_sums<const L: usize>(
-    gd: &[f32],
-    xh: &[f32],
-    (n, c, plane): (usize, usize, usize),
-    ch0: usize,
+    grads: &[&[f32]],
+    xs: &[&[f32]],
+    norm: &BnNorm<'_>,
+    (plane, ch0): (usize, usize),
     sum_g: &mut [f32],
     sum_gx: &mut [f32],
 ) {
     let full = plane - plane % BN_BLOCK;
+    let mean: [f32; L] = std::array::from_fn(|j| norm.mean[ch0 + j]);
+    let inv: [f32; L] = std::array::from_fn(|j| norm.inv[ch0 + j]);
     let (mut sg, mut sgx) = ([0.0f32; L], [0.0f32; L]);
     let mut add = |g: [f32; L], x: [f32; L]| {
         for j in 0..L {
             sg[j] += g[j];
-            sgx[j] += g[j] * x[j];
+            sgx[j] += g[j] * ((x[j] - mean[j]) * inv[j]);
         }
     };
-    for img in 0..n {
-        let gs = channel_planes::<L>(gd, (c, plane), img, ch0);
-        let xs = channel_planes::<L>(xh, (c, plane), img, ch0);
+    for (gimg, ximg) in grads.iter().zip(xs) {
+        let gs = channel_planes::<L>(gimg, plane, ch0);
+        let xs = channel_planes::<L>(ximg, plane, ch0);
         for i in (0..full).step_by(BN_BLOCK) {
             for (g, x) in pixel_block(&gs, i).into_iter().zip(pixel_block(&xs, i)) {
                 add(g, x);
@@ -998,96 +1008,95 @@ fn grad_sums<const L: usize>(
             add(gs.map(|g| g[i]), xs.map(|x| x[i]));
         }
     }
-    sum_g[ch0..ch0 + L].copy_from_slice(&sg);
-    sum_gx[ch0..ch0 + L].copy_from_slice(&sgx);
+    sum_g.copy_from_slice(&sg);
+    sum_gx.copy_from_slice(&sgx);
 }
 
-fn batchnorm_backward(
+/// The input gradient of a train-mode batch norm into `out`, given its
+/// input `x` with the batch statistics, and its parameter gradients
+/// `(Σ g·x̂, Σ g)` over the whole batch ([`bn_grad_sums`]) with the `count`
+/// values per channel they sum. Every element depends only on its own
+/// gradient and input, so a batch can be differentiated in shards.
+fn bn_input_grad_into(
     bn: &BatchNorm2d,
-    x: &Tensor,
-    aux: &Aux,
+    (x, mean, var): (&Tensor, &[f32], &[f32]),
     gout: &Tensor,
-    mode: Mode,
-) -> (Vec<Tensor>, Option<ParamGrad>) {
+    (sum_gx, sum_g, count): (&[f32], &[f32], f32),
+    out: &mut Tensor,
+) {
     let (n, c, h, w) = x.shape().as_nchw();
     let plane = h * w;
-    match mode {
-        Mode::Eval => {
-            // y = γ (x − μ_r) / sqrt(σ²_r + ε) + β is affine in x.
-            let mut gx = Tensor::zeros(&[n, c, h, w]);
-            let mut ggamma = Tensor::zeros(&[c]);
-            let mut gbeta = Tensor::zeros(&[c]);
-            let gd = gout.data();
-            let xd = x.data();
-            let gxd = gx.data_mut();
-            for ch in 0..c {
-                let inv = 1.0 / (bn.running_var.data()[ch] + bn.eps).sqrt();
-                let g = bn.gamma.data()[ch] * inv;
-                let mu = bn.running_mean.data()[ch];
-                let mut sg = 0.0;
-                let mut sb = 0.0;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in 0..plane {
-                        gxd[base + i] = gd[base + i] * g;
-                        sg += gd[base + i] * (xd[base + i] - mu) * inv;
-                        sb += gd[base + i];
-                    }
-                }
-                ggamma.data_mut()[ch] = sg;
-                gbeta.data_mut()[ch] = sb;
+    assert_eq!(out.shape(), x.shape(), "batch-norm gradient shape mismatch");
+    let norm = BnNorm::new(bn, mean, var);
+    let (gd, xd) = (gout.data(), x.data());
+    let gxd = out.data_mut();
+    for ch in 0..c {
+        let gamma = bn.gamma.data()[ch];
+        let (sum_g, sum_gx) = (sum_g[ch], sum_gx[ch]);
+        let k1 = gamma * norm.inv[ch] / count;
+        for img in 0..n {
+            let base = (img * c + ch) * plane;
+            for i in 0..plane {
+                let xh = norm.xhat(ch, xd[base + i]);
+                gxd[base + i] = k1 * (count * gd[base + i] - sum_g - xh * sum_gx);
             }
-            (
-                vec![gx],
-                Some(ParamGrad {
-                    weight: ggamma,
-                    bias: gbeta,
-                }),
-            )
-        }
-        Mode::Train => {
-            let Aux::BatchNorm { var, xhat, .. } = aux else {
-                panic!("batch-norm node missing its cache");
-            };
-            let count = (n * plane) as f32;
-            let gd = gout.data();
-            let xh = xhat.data();
-            let mut gx = Tensor::zeros(&[n, c, h, w]);
-            let mut ggamma = Tensor::zeros(&[c]);
-            let mut gbeta = Tensor::zeros(&[c]);
-            let mut ch = 0;
-            while ch < c {
-                let (sum_g, sum_gx) = (gbeta.data_mut(), ggamma.data_mut());
-                if c - ch >= BN_LANES {
-                    grad_sums::<BN_LANES>(gd, xh, (n, c, plane), ch, sum_g, sum_gx);
-                    ch += BN_LANES;
-                } else {
-                    grad_sums::<1>(gd, xh, (n, c, plane), ch, sum_g, sum_gx);
-                    ch += 1;
-                }
-            }
-            let gxd = gx.data_mut();
-            for (ch, &var_ch) in var.iter().enumerate().take(c) {
-                let inv = 1.0 / (var_ch + bn.eps).sqrt();
-                let gamma = bn.gamma.data()[ch];
-                let (sum_g, sum_gx) = (gbeta.data()[ch], ggamma.data()[ch]);
-                let k1 = gamma * inv / count;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in 0..plane {
-                        gxd[base + i] = k1 * (count * gd[base + i] - sum_g - xh[base + i] * sum_gx);
-                    }
-                }
-            }
-            (
-                vec![gx],
-                Some(ParamGrad {
-                    weight: ggamma,
-                    bias: gbeta,
-                }),
-            )
         }
     }
+}
+
+/// The input gradient of an eval-mode batch norm into `out`:
+/// y = γ (x − μ_r) / sqrt(σ²_r + ε) + β is affine in x.
+fn bn_eval_input_grad_into(bn: &BatchNorm2d, gout: &Tensor, out: &mut Tensor) {
+    let (n, c, h, w) = gout.shape().as_nchw();
+    let plane = h * w;
+    assert_eq!(
+        out.shape(),
+        gout.shape(),
+        "batch-norm gradient shape mismatch"
+    );
+    let gd = gout.data();
+    let gxd = out.data_mut();
+    for ch in 0..c {
+        let inv = 1.0 / (bn.running_var.data()[ch] + bn.eps).sqrt();
+        let g = bn.gamma.data()[ch] * inv;
+        for img in 0..n {
+            let base = (img * c + ch) * plane;
+            for i in 0..plane {
+                gxd[base + i] = gd[base + i] * g;
+            }
+        }
+    }
+}
+
+/// Scratch for a convolution `spec` over the images of `x`.
+fn conv_scratch(x: &Tensor, spec: &Conv2dSpec) -> Conv2dScratch {
+    let (_, c, h, w) = x.shape().as_nchw();
+    Conv2dScratch::new(c, h, w, spec)
+}
+
+/// An eval-mode batch norm's `(γ, β)` gradients.
+fn bn_eval_param_grads(bn: &BatchNorm2d, x: &Tensor, gout: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    let (n, c, h, w) = x.shape().as_nchw();
+    let plane = h * w;
+    let (gd, xd) = (gout.data(), x.data());
+    let mut ggamma = vec![0.0f32; c];
+    let mut gbeta = vec![0.0f32; c];
+    for ch in 0..c {
+        let inv = 1.0 / (bn.running_var.data()[ch] + bn.eps).sqrt();
+        let mu = bn.running_mean.data()[ch];
+        let mut sg = 0.0;
+        let mut sb = 0.0;
+        for img in 0..n {
+            let base = (img * c + ch) * plane;
+            for i in 0..plane {
+                sg += gd[base + i] * (xd[base + i] - mu) * inv;
+                sb += gd[base + i];
+            }
+        }
+        ggamma[ch] = sg;
+        gbeta[ch] = sb;
+    }
+    (ggamma, gbeta)
 }
 
 /// Channel concatenation into a caller-provided `[n, ca + cb, h, w]`
@@ -1114,19 +1123,27 @@ pub(crate) fn concat_channels_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     }
 }
 
-fn concat_channels_backward(a: &Tensor, b: &Tensor, gout: &Tensor) -> (Tensor, Tensor) {
+/// The gradient of concatenation input `k` (`a` or `b`) into `out`.
+fn concat_channels_backward_into(
+    a: &Tensor,
+    b: &Tensor,
+    gout: &Tensor,
+    k: usize,
+    out: &mut Tensor,
+) {
     let (n, ca, h, w) = a.shape().as_nchw();
-    let (_, cb, _, _) = b.shape().as_nchw();
+    let cb = b.shape().dim(1);
     let plane = h * w;
-    let mut ga = Tensor::zeros(a.shape().dims());
-    let mut gb = Tensor::zeros(b.shape().dims());
-    let gd = gout.data();
-    for img in 0..n {
-        let src = &gd[img * (ca + cb) * plane..(img + 1) * (ca + cb) * plane];
-        ga.data_mut()[img * ca * plane..(img + 1) * ca * plane].copy_from_slice(&src[..ca * plane]);
-        gb.data_mut()[img * cb * plane..(img + 1) * cb * plane].copy_from_slice(&src[ca * plane..]);
+    let (skip, take) = if k == 0 { (0, ca) } else { (ca, cb) };
+    assert_eq!(out.len(), n * take * plane, "concat gradient size mismatch");
+    let rows = gout.data().chunks_exact(((ca + cb) * plane).max(1));
+    for (dst, src) in out
+        .data_mut()
+        .chunks_exact_mut((take * plane).max(1))
+        .zip(rows)
+    {
+        dst.copy_from_slice(&src[skip * plane..(skip + take) * plane]);
     }
-    (ga, gb)
 }
 
 /// Per-channel scaling into a caller-provided `[n, c, h, w]` buffer; every
@@ -1154,29 +1171,37 @@ pub(crate) fn scale_channels_into(x: &Tensor, s: &Tensor, out: &mut Tensor) {
     }
 }
 
-fn scale_channels_backward(x: &Tensor, s: &Tensor, gout: &Tensor) -> (Tensor, Tensor) {
+/// The gradient of per-channel scaling's input `k` into `out`: of the
+/// scaled tensor `x` (`k == 0`) or of the `[n, c]` scales.
+fn scale_channels_backward_into(x: &Tensor, s: &Tensor, gout: &Tensor, k: usize, out: &mut Tensor) {
     let (n, c, h, w) = x.shape().as_nchw();
     let plane = h * w;
-    let mut gx = Tensor::zeros(&[n, c, h, w]);
-    let mut gs = Tensor::zeros(&[n, c]);
     let xd = x.data();
     let sd = s.data();
     let gd = gout.data();
-    let gxd = gx.data_mut();
-    let gsd = gs.data_mut();
+    let od = out.data_mut();
+    assert_eq!(
+        od.len(),
+        if k == 0 { x.len() } else { n * c },
+        "scale gradient size mismatch"
+    );
     for img in 0..n {
         for ch in 0..c {
-            let scale = sd[img * c + ch];
             let base = (img * c + ch) * plane;
-            let mut acc = 0.0;
-            for i in 0..plane {
-                gxd[base + i] = gd[base + i] * scale;
-                acc += gd[base + i] * xd[base + i];
+            if k == 0 {
+                let scale = sd[img * c + ch];
+                for i in 0..plane {
+                    od[base + i] = gd[base + i] * scale;
+                }
+            } else {
+                let mut acc = 0.0;
+                for i in 0..plane {
+                    acc += gd[base + i] * xd[base + i];
+                }
+                od[img * c + ch] = acc;
             }
-            gsd[img * c + ch] = acc;
         }
     }
-    (gx, gs)
 }
 
 /// Incrementally constructs a [`Graph`] in topological order.

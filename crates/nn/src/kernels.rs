@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use advhunter_tensor::ops::{GemmGeometry, GemmOpKind, KernelVariant, PackedWeights};
 
-use crate::graph::{Graph, Op, Src};
+use crate::graph::{Conv2dLayer, Graph, LinearLayer, Op, Src};
 
 /// One matrix node's packed weights and the variant they were packed for.
 #[derive(Debug, Clone)]
@@ -61,6 +61,26 @@ impl MatKernels {
             })
             .collect();
         Self { per_node }
+    }
+
+    /// Refills every node's panels in place from `graph`'s current
+    /// weights: what a training step does with weights that change every
+    /// step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not the graph the kernels were packed for.
+    pub(crate) fn repack(&mut self, graph: &Graph) {
+        for (node, kernel) in graph.nodes().iter().zip(&mut self.per_node) {
+            let (
+                Some(kernel),
+                Op::Conv2d(Conv2dLayer { weight, .. }) | Op::Linear(LinearLayer { weight, .. }),
+            ) = (kernel, &node.op)
+            else {
+                continue;
+            };
+            Arc::make_mut(&mut kernel.packed).repack(weight.data());
+        }
     }
 
     /// Packs every matrix node with the default variant (no tuning).

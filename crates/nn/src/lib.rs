@@ -44,6 +44,7 @@
 
 mod graph;
 mod kernels;
+mod shard;
 mod workspace;
 
 pub mod augment;

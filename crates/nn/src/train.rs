@@ -1,13 +1,13 @@
 //! Optimizers and the batched training loop.
 
 use advhunter_runtime::Parallelism;
-use advhunter_tensor::ops::{cross_entropy_with_logits, KernelVariant};
 use advhunter_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::graph::{argmax_rows, flatten_params};
-use crate::{Graph, MatKernels, Mode, Workspace};
+use crate::shard::with_shards;
+use crate::{Graph, Mode, ParamGrad};
 
 /// Adam optimizer state (Kingma & Ba) over a fixed parameter list.
 ///
@@ -185,14 +185,17 @@ pub struct EpochStats {
 /// updates, and learning-rate decay are handled internally. Returns per-epoch
 /// statistics.
 ///
-/// Every optimizer step packs the current weights into GEMM panels once
-/// ([`KernelVariant::TRAINING`]), runs the forward pass through them
-/// ([`Graph::forward_packed`], into one batch-sized workspace kept across
-/// steps) and the backward pass with [`Graph::param_gradients`] (no
-/// gradient with respect to the images), fanning per-image and per-row
-/// work out over `parallelism`. Cross-image reductions stay on the calling thread in
-/// image order, so the trained weights are bit-for-bit the same at every
-/// worker count.
+/// One crew of `parallelism` runs the whole training. Every optimizer step
+/// packs the current weights into GEMM panels once
+/// ([`KernelVariant::TRAINING`](advhunter_tensor::ops::KernelVariant::TRAINING))
+/// and runs the forward and backward pass on image shards, one per crew
+/// member, kept with their buffers from one
+/// step to the next. Per-image ops run on the shards side by side;
+/// batch-norm statistics, the loss and the parameter gradients read every
+/// shard in image order and reduce in the order of the one-batch kernels,
+/// so the trained weights are bit-for-bit the same at every worker count.
+/// No gradient with respect to the images is computed. The running
+/// statistics and the Adam update stay on the calling thread.
 ///
 /// # Panics
 ///
@@ -209,71 +212,85 @@ pub fn fit(
     assert!(!images.is_empty(), "training set is empty");
     let mut opt = Adam::new(config.learning_rate);
     let mut order: Vec<usize> = (0..images.len()).collect();
-    let mut history = Vec::with_capacity(config.epochs);
-    let mut workspace: Option<Workspace> = None;
-
-    for epoch in 0..config.epochs {
-        order.shuffle(rng);
-        let mut total_loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size) {
-            let batch_imgs: Vec<Tensor> = chunk.iter().map(|&i| images[i].clone()).collect();
-            let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-            let x = Tensor::stack(&batch_imgs);
-            let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
-            let ws = batch_workspace(graph, workspace.take(), chunk.len());
-            let trace = graph.forward_packed(x, Mode::Train, &kernels, parallelism, ws);
-            let (loss, dlogits) = cross_entropy_with_logits(trace.output(), &batch_labels);
-            total_loss += loss as f64;
-            batches += 1;
-
-            // Track training accuracy from the same forward pass.
-            correct += argmax_rows(trace.output())
-                .zip(&batch_labels)
-                .filter(|(pred, label)| pred == *label)
-                .count();
-
-            let grads = graph.param_gradients(&trace, &dlogits, parallelism);
-            graph.update_running_stats(&trace);
-            workspace = Some(trace.into_workspace());
-            let mut params = graph.param_tensors_mut();
-            opt.step(&mut params, &flatten_params(&grads));
+    with_shards(graph, images, Mode::Train, parallelism, |shards| {
+        let mut history = Vec::with_capacity(config.epochs);
+        for epoch in 0..config.epochs {
+            order.shuffle(rng);
+            let mut total_loss = 0.0f64;
+            let mut correct = 0usize;
+            let mut batches = 0usize;
+            for chunk in order.chunks(config.batch_size) {
+                let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                let (loss, right, grads) = shards.train_step(chunk, &batch_labels);
+                total_loss += loss as f64;
+                correct += right;
+                batches += 1;
+                shards.update_graph(|graph| {
+                    opt.step(&mut graph.param_tensors_mut(), &flatten_params(&grads));
+                });
+            }
+            opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
+            history.push(EpochStats {
+                epoch,
+                mean_loss: (total_loss / batches.max(1) as f64) as f32,
+                accuracy: correct as f32 / images.len() as f32,
+            });
         }
-        opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
-        history.push(EpochStats {
-            epoch,
-            mean_loss: (total_loss / batches.max(1) as f64) as f32,
-            accuracy: correct as f32 / images.len() as f32,
-        });
-    }
-    history
+        history
+    })
 }
 
-/// `held` if it was sized for `batch` images, else a fresh workspace.
-/// A workspace of another size (a ragged last batch's, or the one before
-/// it) is freed before the new one is allocated, so that two batch-sized
-/// workspaces are never alive together.
-fn batch_workspace(graph: &Graph, held: Option<Workspace>, batch: usize) -> Workspace {
-    match held {
-        Some(ws) if ws.batch() == batch => ws,
-        stale => {
-            drop(stale);
-            graph.workspace(batch)
-        }
-    }
+/// The step [`fit`] takes on one batch, without the optimizer update: the
+/// mean cross-entropy loss of `images` against `labels` and every node's
+/// parameter gradient (`None` for parameter-free nodes), with the
+/// batch-norm running statistics moved toward the batch's.
+///
+/// The images are one batch, run on image shards over `parallelism`; the
+/// result is bit-for-bit the same at every worker count.
+///
+/// # Panics
+///
+/// Panics if `images` and `labels` differ in length or are empty.
+pub fn step(
+    graph: &mut Graph,
+    images: &[Tensor],
+    labels: &[usize],
+    parallelism: &Parallelism,
+) -> (f32, Vec<Option<ParamGrad>>) {
+    assert_eq!(images.len(), labels.len(), "one label per image");
+    assert!(!images.is_empty(), "training batch is empty");
+    let batch: Vec<usize> = (0..images.len()).collect();
+    with_shards(graph, images, Mode::Train, parallelism, |shards| {
+        let (loss, _, grads) = shards.train_step(&batch, labels);
+        (loss, grads)
+    })
 }
 
-/// Images per forward pass of [`evaluate`].
+/// Images per forward pass of [`logits`].
 const EVAL_BATCH: usize = 64;
 
-/// Classification accuracy of `graph` on `(images, labels)`, evaluated in
+/// Eval-mode logits of `images`, one row per image, computed in
 /// mini-batches.
 ///
-/// The weights are packed once and every batch runs in eval mode through
-/// the packed kernels ([`Graph::forward_packed`]) over `parallelism`. The
-/// logits are bit-for-bit those of [`Graph::logits`], so the accuracy is
-/// that of [`Graph::predict`] at any worker count.
+/// The weights are packed once and every batch runs through the packed
+/// kernels on image shards, one per member of a crew of `parallelism`
+/// opened for the call (see [`fit`]). The rows are bit-for-bit those of
+/// [`Graph::logits`] at any worker count.
+pub fn logits(graph: &Graph, images: &[Tensor], parallelism: &Parallelism) -> Tensor {
+    let order: Vec<usize> = (0..images.len()).collect();
+    let rows: Vec<f32> = with_shards(graph, images, Mode::Eval, parallelism, |shards| {
+        let chunks = order.chunks(EVAL_BATCH);
+        chunks
+            .flat_map(|chunk| shards.logits(chunk).into_vec())
+            .collect()
+    });
+    let classes = rows.len() / images.len().max(1);
+    Tensor::from_vec(rows, &[images.len(), classes]).expect("one row per image")
+}
+
+/// Classification accuracy of `graph` on `(images, labels)`: the share of
+/// rows of [`logits`] whose prediction matches the label, the accuracy of
+/// [`Graph::predict`] at any worker count.
 ///
 /// # Panics
 ///
@@ -288,19 +305,10 @@ pub fn evaluate(
     if images.is_empty() {
         return 0.0;
     }
-    let kernels = MatKernels::pack_with(graph, &mut |_| KernelVariant::TRAINING);
-    let mut workspace: Option<Workspace> = None;
-    let mut correct = 0usize;
-    for (chunk_imgs, chunk_labels) in images.chunks(EVAL_BATCH).zip(labels.chunks(EVAL_BATCH)) {
-        let ws = batch_workspace(graph, workspace.take(), chunk_imgs.len());
-        let x = Tensor::stack(chunk_imgs);
-        let trace = graph.forward_packed(x, Mode::Eval, &kernels, parallelism, ws);
-        correct += argmax_rows(trace.output())
-            .zip(chunk_labels)
-            .filter(|(pred, label)| pred == *label)
-            .count();
-        workspace = Some(trace.into_workspace());
-    }
+    let correct = argmax_rows(&logits(graph, images, parallelism))
+        .zip(labels)
+        .filter(|(pred, label)| pred == *label)
+        .count();
     correct as f32 / images.len() as f32
 }
 
@@ -363,9 +371,10 @@ mod tests {
         assert!(test_acc > 0.95, "eval accuracy {test_acc}");
     }
 
-    /// `evaluate` runs the packed kernels; its logits, and so the accuracy,
-    /// are those of the reference `Graph::logits` / `Graph::predict` at any
-    /// worker count, over a full and a ragged batch.
+    /// `evaluate` runs the packed kernels on shards; its accuracy is that
+    /// of the reference `Graph::predict` at any worker count, over a full
+    /// and a ragged batch (the logits themselves are pinned by
+    /// `tests/shard_equivalence.rs`).
     #[test]
     fn evaluate_matches_the_reference_forward_pass() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -378,15 +387,9 @@ mod tests {
             correct += preds.iter().zip(lbls).filter(|(p, l)| p == l).count();
         }
         let want = correct as f32 / images.len() as f32;
-        let kernels = MatKernels::pack_with(&model, &mut |_| KernelVariant::TRAINING);
-        let x = Tensor::stack(&images[..EVAL_BATCH]);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for threads in [1, 2, 3] {
             let par = Parallelism::new(threads);
             assert_eq!(evaluate(&model, &images, &labels, &par), want);
-            let ws = model.workspace(EVAL_BATCH);
-            let trace = model.forward_packed(x.clone(), Mode::Eval, &kernels, &par, ws);
-            assert_eq!(bits(trace.output()), bits(&model.logits(&x)));
         }
     }
 

@@ -11,7 +11,8 @@
 //! `advhunter_tensor::ops` is a thin wrapper over its `_into` variant, so
 //! `forward` is literally `forward_with` over fresh buffers.
 
-use advhunter_runtime::Parallelism;
+use std::ops::Range;
+
 use advhunter_tensor::ops::{
     avgpool2d_into, conv2d_into, conv2d_packed_into, dwconv2d_into, global_avgpool_into,
     leaky_relu_into, linear_into, linear_packed_into, maxpool2d_into, relu_into, sigmoid_into,
@@ -20,7 +21,8 @@ use advhunter_tensor::ops::{
 use advhunter_tensor::Tensor;
 
 use crate::graph::{
-    batchnorm_forward_into, concat_channels_into, scale_channels_into, Aux, Graph, Mode, Op, Src,
+    batchnorm_forward_into, bn_batch_stats, concat_channels_into, image_slices,
+    scale_channels_into, set_batch_stats, Aux, Graph, Mode, Op, Src,
 };
 use crate::kernels::{MatKernels, NodeKernel};
 
@@ -57,10 +59,8 @@ pub struct Workspace {
     pub(crate) input_chw: Vec<usize>,
     pub(crate) outputs: Vec<Tensor>,
     pub(crate) aux: Vec<Aux>,
-    pub(crate) conv_scratch: Vec<Option<Conv2dScratch>>,
-    /// How the packed matrix nodes and SiLU of a multi-image batch fan out
-    /// (sequential unless a training pass asks otherwise).
-    pub(crate) parallelism: Parallelism,
+    /// The convolutions' im2col scratch, one for every convolution.
+    pub(crate) conv_scratch: Conv2dScratch,
 }
 
 impl Workspace {
@@ -100,28 +100,23 @@ impl Graph {
         let n = self.nodes().len();
         let mut outputs = Vec::with_capacity(n);
         let mut aux = Vec::with_capacity(n);
-        let mut conv_scratch = Vec::with_capacity(n);
+        let mut conv_scratch = Conv2dScratch::default();
         for (node, shape) in self.nodes().iter().zip(shapes.iter()) {
             let mut dims = Vec::with_capacity(shape.len() + 1);
             dims.push(batch);
             dims.extend_from_slice(shape);
             outputs.push(Tensor::zeros(&dims));
             aux.push(Aux::None);
-            conv_scratch.push(match &node.op {
-                Op::Conv2d(l) => {
-                    let in_shape: &[usize] = match node.inputs[0] {
-                        Src::Input => input_chw,
-                        Src::Node(j) => &shapes[j],
-                    };
-                    Some(Conv2dScratch::new(
-                        in_shape[0],
-                        in_shape[1],
-                        in_shape[2],
-                        &l.spec,
-                    ))
-                }
-                _ => None,
-            });
+            if let Op::Conv2d(l) = &node.op {
+                let in_shape: &[usize] = match node.inputs[0] {
+                    Src::Input => input_chw,
+                    Src::Node(j) => &shapes[j],
+                };
+                let [c, h, w] = in_shape[..] else {
+                    panic!("conv input must be CHW, got {in_shape:?}");
+                };
+                conv_scratch.reserve(c, h, w, &l.spec);
+            }
         }
         Workspace {
             batch,
@@ -129,7 +124,6 @@ impl Graph {
             outputs,
             aux,
             conv_scratch,
-            parallelism: Parallelism::sequential(),
         }
     }
 
@@ -185,7 +179,40 @@ impl Graph {
             ws.input_chw.as_slice(),
             "workspace sized for a different input shape"
         );
-        for (i, node) in self.nodes().iter().enumerate() {
+        for i in 0..self.nodes().len() {
+            if mode == Mode::Train && matches!(self.nodes()[i].op, Op::BatchNorm2d(_)) {
+                let x = self.node_input(x, ws, i);
+                let (_, c, h, w) = x.shape().as_nchw();
+                let (mean, var) = bn_batch_stats(&image_slices([x]), (c, h * w), 0..c);
+                ws.set_batch_stats(i, &mean, &var);
+            }
+            self.forward_span(x, mode, ws, kernels, i..i + 1);
+        }
+    }
+
+    /// The first input of node `i` in a pass over `x` into `ws`.
+    pub(crate) fn node_input<'a>(&self, x: &'a Tensor, ws: &'a Workspace, i: usize) -> &'a Tensor {
+        match self.nodes()[i].inputs[0] {
+            Src::Input => x,
+            Src::Node(j) => &ws.outputs[j],
+        }
+    }
+
+    /// Runs nodes `span` of a pass over `x` into `ws`, whose earlier nodes
+    /// already hold their outputs. A train-mode batch norm in `span`
+    /// normalizes with the batch statistics stored in `ws` by
+    /// [`Workspace::set_batch_stats`]: those of this batch alone, or of a
+    /// whole batch `ws` holds a shard of.
+    pub(crate) fn forward_span(
+        &self,
+        x: &Tensor,
+        mode: Mode,
+        ws: &mut Workspace,
+        kernels: Option<&MatKernels>,
+        span: Range<usize>,
+    ) {
+        for i in span {
+            let node = &self.nodes()[i];
             let (done, rest) = ws.outputs.split_at_mut(i);
             let out = &mut rest[0];
             let mut ins: [&Tensor; 2] = [x; 2];
@@ -200,39 +227,35 @@ impl Graph {
                 &ins[..node.inputs.len()],
                 out,
                 &mut ws.aux[i],
-                ws.conv_scratch[i].as_mut(),
+                &mut ws.conv_scratch,
                 mode,
                 kernels.and_then(|k| k.node(i)),
-                &ws.parallelism,
             );
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+impl Workspace {
+    /// Stores the batch mean and variance of batch-norm node `i` for a
+    /// train-mode pass.
+    pub(crate) fn set_batch_stats(&mut self, i: usize, mean: &[f32], var: &[f32]) {
+        set_batch_stats(&mut self.aux[i], mean, var);
+    }
+}
+
 fn forward_op_into(
     op: &Op,
     ins: &[&Tensor],
     out: &mut Tensor,
     aux: &mut Aux,
-    scratch: Option<&mut Conv2dScratch>,
+    scratch: &mut Conv2dScratch,
     mode: Mode,
     kernel: Option<&NodeKernel>,
-    parallelism: &Parallelism,
 ) {
     match op {
         Op::Conv2d(l) => {
-            let scratch = scratch.expect("conv node has an im2col scratch");
             match kernel {
-                Some(k) => conv2d_packed_into(
-                    ins[0],
-                    &k.packed,
-                    &l.bias,
-                    &l.spec,
-                    scratch,
-                    parallelism,
-                    out,
-                ),
+                Some(k) => conv2d_packed_into(ins[0], &k.packed, &l.bias, &l.spec, scratch, out),
                 None => conv2d_into(ins[0], &l.weight, &l.bias, &l.spec, scratch, out),
             }
             *aux = Aux::None;
@@ -243,7 +266,7 @@ fn forward_op_into(
         }
         Op::Linear(l) => {
             match kernel {
-                Some(k) => linear_packed_into(ins[0], &k.packed, &l.bias, parallelism, out),
+                Some(k) => linear_packed_into(ins[0], &k.packed, &l.bias, out),
                 None => linear_into(ins[0], &l.weight, &l.bias, out),
             }
             *aux = Aux::None;
@@ -260,7 +283,7 @@ fn forward_op_into(
             *aux = Aux::None;
         }
         Op::SiLU => {
-            silu_into(ins[0], out, parallelism);
+            silu_into(ins[0], out);
             *aux = Aux::None;
         }
         Op::Sigmoid => {

@@ -1,17 +1,28 @@
-//! The training step's parameter gradients against the full backward pass.
+//! The training step against the one-batch reference pass, at every
+//! shard count.
 //!
-//! `fit` differentiates with `Graph::param_gradients`, which computes no
-//! gradient with respect to the images: it skips nodes upstream of every
-//! parameter and a convolution on the graph input computes only its filter
-//! and bias gradients. Every parameter gradient must still be bit-for-bit
-//! what `Graph::backward_with` (the attacks' pass, input gradient included)
-//! returns, at one, two and three workers, over graphs whose first node is
-//! a convolution, a parameter-free op, a linear layer on the flattened
-//! input, and an input shared by a residual sum.
+//! `train::step` (the step `fit` takes) runs a batch on image shards, one
+//! per crew member, and computes no gradient with respect to the images:
+//! it skips nodes upstream of every parameter, and a convolution, depthwise
+//! convolution, linear layer or batch norm on the graph input computes only
+//! its parameter gradients. Its loss, every parameter gradient and the
+//! batch-norm running statistics must still be bit-for-bit those of the
+//! reference pass (`Graph::forward` in train mode, `Graph::backward`,
+//! `Graph::update_running_stats`) at one to four workers, over ragged
+//! batches of 5 and 7 images, and `train::logits` must equal
+//! `Graph::logits` row for row. The graphs start with a convolution, a
+//! parameter-free op, a linear layer on the flattened input, a depthwise
+//! convolution and a batch norm; one shares its input with a residual sum,
+//! and one is an S1 block, with linear layers between batch norms.
+//!
+//! The shard count is min(crew members, batch), and crews never run more
+//! members than cores unless `ADVHUNTER_OVERSUBSCRIBE=1`: CI runs this
+//! file with it set, so that three and four shards really run.
 
-use advhunter_nn::{Graph, GraphBuilder, MatKernels, Mode};
+use advhunter_nn::train::{logits, step};
+use advhunter_nn::{Graph, GraphBuilder, Mode};
 use advhunter_runtime::Parallelism;
-use advhunter_tensor::ops::{cross_entropy_with_logits, KernelVariant};
+use advhunter_tensor::ops::cross_entropy_with_logits;
 use advhunter_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,54 +79,137 @@ fn residual_input(rng: &mut StdRng) -> Graph {
     b.build()
 }
 
+/// A depthwise convolution on the input, at stride 2.
+fn depthwise_first(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[4, 9, 9]);
+    let input = b.input();
+    let d = b.dwconv2d("dw", input, 3, 2, 1, rng);
+    let bn = b.batchnorm("bn", d);
+    let a = b.relu("act", bn);
+    let f = b.flatten("flatten", a);
+    b.linear("fc", f, 3, rng);
+    b.build()
+}
+
+/// A batch norm on the input, and one more between a convolution and an
+/// activation.
+fn batchnorm_first(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[3, 6, 6]);
+    let input = b.input();
+    let bn = b.batchnorm("bn", input);
+    let c = b.conv2d("conv", bn, 4, 3, 1, 1, rng);
+    let bn2 = b.batchnorm("bn2", c);
+    let a = b.silu("act", bn2);
+    let g = b.global_avgpool("gap", a);
+    b.linear("fc", g, 3, rng);
+    b.build()
+}
+
+/// An S1 block in miniature: batch norms with a squeeze-and-excitation
+/// branch of linear layers between them, and a residual sum.
+fn squeeze_excite(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[3, 8, 8]);
+    let input = b.input();
+    let c = b.conv2d("stem", input, 8, 3, 1, 1, rng);
+    let bn = b.batchnorm("stem.bn", c);
+    let a = b.silu("stem.act", bn);
+    let d = b.dwconv2d("dw", a, 3, 2, 1, rng);
+    let bn2 = b.batchnorm("dw.bn", d);
+    let a2 = b.silu("dw.act", bn2);
+    let gap = b.global_avgpool("se.gap", a2);
+    let fc1 = b.linear("se.fc1", gap, 4, rng);
+    let act = b.silu("se.act", fc1);
+    let fc2 = b.linear("se.fc2", act, 8, rng);
+    let gate = b.sigmoid("se.gate", fc2);
+    let scaled = b.scale_channels("se.scale", a2, gate);
+    let p = b.conv2d("project", scaled, 8, 1, 1, 0, rng);
+    let bn3 = b.batchnorm("project.bn", p);
+    let skip = b.add("skip", bn3, a2);
+    let f = b.flatten("flatten", skip);
+    b.linear("fc", f, 3, rng);
+    b.build()
+}
+
 type Build = fn(&mut StdRng) -> Graph;
+
+const GRAPHS: [(&str, Build); 7] = [
+    ("conv_first", conv_first),
+    ("pool_first", pool_first),
+    ("linear_first", linear_first),
+    ("residual_input", residual_input),
+    ("depthwise_first", depthwise_first),
+    ("batchnorm_first", batchnorm_first),
+    ("squeeze_excite", squeeze_excite),
+];
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+fn images(graph: &Graph, n: usize, rng: &mut StdRng) -> Vec<Tensor> {
+    (0..n)
+        .map(|_| init::normal(rng, graph.input_dims(), 0.0, 1.0))
+        .collect()
+}
+
 #[test]
-fn training_step_param_gradients_match_backward_with() {
-    let builders: [(&str, Build); 4] = [
-        ("conv_first", conv_first),
-        ("pool_first", pool_first),
-        ("linear_first", linear_first),
-        ("residual_input", residual_input),
-    ];
-    for (seed, (name, build)) in builders.into_iter().enumerate() {
+fn training_step_matches_the_reference_at_every_shard_count() {
+    for (seed, (name, build)) in GRAPHS.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed as u64 + 40);
         let graph = build(&mut rng);
-        let mut dims = vec![5];
-        dims.extend_from_slice(graph.input_dims());
-        let x = init::normal(&mut rng, &dims, 0.0, 1.0);
         let classes = graph.single_image_shapes().last().expect("nodes")[0];
-        let labels: Vec<usize> = (0..5).map(|i| i % classes).collect();
-        let kernels = MatKernels::pack_with(&graph, &mut |_| KernelVariant::TRAINING);
-        for threads in [1, 2, 3] {
-            let par = Parallelism::new(threads);
-            let trace =
-                graph.forward_packed(x.clone(), Mode::Train, &kernels, &par, graph.workspace(5));
-            let (_, dlogits) = cross_entropy_with_logits(trace.output(), &labels);
-            let want = graph.backward_with(&trace, &dlogits, &par);
-            let got = graph.param_gradients(&trace, &dlogits, &par);
-            assert_eq!(got.len(), want.params.len(), "{name}");
-            for (i, (g, w)) in got.iter().zip(&want.params).enumerate() {
-                match (g, w) {
-                    (None, None) => {}
-                    (Some(g), Some(w)) => {
-                        let at = format!("{name} node {i}, {threads} workers");
-                        assert_eq!(bits(&g.weight), bits(&w.weight), "weight, {at}");
-                        assert_eq!(bits(&g.bias), bits(&w.bias), "bias, {at}");
-                    }
-                    _ => panic!("{name} node {i}: parameter gradient presence differs"),
+        for batch in [5, 7] {
+            let imgs = images(&graph, batch, &mut rng);
+            let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
+
+            let mut reference = graph.clone();
+            let trace = reference.forward(&Tensor::stack(&imgs), Mode::Train);
+            let (want_loss, dlogits) = cross_entropy_with_logits(trace.output(), &labels);
+            let want = reference.backward(&trace, &dlogits).params;
+            reference.update_running_stats(&trace);
+
+            for threads in 1..=4 {
+                let at = format!("{name}, batch {batch}, {threads} workers");
+                let mut stepped = graph.clone();
+                let (loss, got) = step(&mut stepped, &imgs, &labels, &Parallelism::new(threads));
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss, {at}");
+                assert_eq!(got.len(), want.len(), "{at}");
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let (g, w) = match (g, w) {
+                        (Some(g), Some(w)) => (g, w),
+                        (None, None) => continue,
+                        _ => panic!("node {i}: parameter gradient presence differs, {at}"),
+                    };
+                    assert_eq!(bits(&g.weight), bits(&w.weight), "node {i} weight, {at}");
+                    assert_eq!(bits(&g.bias), bits(&w.bias), "node {i} bias, {at}");
                 }
+                let stats = |g: &Graph| {
+                    g.running_stat_tensors()
+                        .into_iter()
+                        .flat_map(bits)
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    stats(&stepped),
+                    stats(&reference),
+                    "running statistics, {at}"
+                );
             }
-            let sequential = graph.backward(&trace, &dlogits);
-            assert_eq!(
-                bits(&want.input),
-                bits(&sequential.input),
-                "{name} input gradient, {threads} workers"
-            );
+        }
+    }
+}
+
+/// Two evaluation batches, the second ragged.
+#[test]
+fn sharded_logits_match_graph_logits() {
+    for (seed, (name, build)) in GRAPHS.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed as u64 + 60);
+        let graph = build(&mut rng);
+        let imgs = images(&graph, 70, &mut rng);
+        let want = graph.logits(&Tensor::stack(&imgs));
+        for threads in 1..=4 {
+            let got = logits(&graph, &imgs, &Parallelism::new(threads));
+            assert_eq!(bits(&got), bits(&want), "{name}, {threads} workers");
         }
     }
 }

@@ -145,6 +145,18 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         self.threads.get()
     }
+
+    /// How many members [`with_crew`] runs for this parallelism: the
+    /// thread count, capped at the available cores unless
+    /// `ADVHUNTER_OVERSUBSCRIBE=1` lifts the cap.
+    pub fn crew_members(&self) -> usize {
+        let core_cap = if oversubscribe_requested() {
+            usize::MAX
+        } else {
+            std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
+        };
+        self.threads().min(core_cap)
+    }
 }
 
 impl Default for Parallelism {
@@ -427,7 +439,7 @@ where
     // cap for harnesses that deliberately run more members than cores
     // (e.g. exercising the real crew topology on a single-core CI
     // container); results are unchanged, only scheduling.
-    let members = crew_members(parallelism);
+    let members = parallelism.crew_members();
     let hub = Hub::new();
     std::thread::scope(|scope| {
         let _close = CloseOnDrop(&hub);
@@ -446,18 +458,6 @@ where
             members,
         })
     })
-}
-
-/// How many members [`with_crew`] runs for `parallelism`: the thread
-/// count, capped at the available cores unless oversubscription was asked
-/// for.
-fn crew_members(parallelism: &Parallelism) -> usize {
-    let core_cap = if oversubscribe_requested() {
-        usize::MAX
-    } else {
-        std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
-    };
-    parallelism.threads().min(core_cap)
 }
 
 /// A persistent crew: the calling thread plus helper threads parked
@@ -780,7 +780,7 @@ pub fn parallel_for_each_mut_with<S, T, I, F>(
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut T) + Sync,
 {
-    let members = crew_members(&Parallelism::new(parallelism.threads().min(items.len())));
+    let members = Parallelism::new(parallelism.threads().min(items.len())).crew_members();
     let states = Mutex::new((0..members).map(|_| init()).collect::<Vec<S>>());
     // Every index is claimed once, so each lock is taken exactly once and
     // can be neither contended nor poisoned.

@@ -1,7 +1,5 @@
 //! Activation functions and the softmax / cross-entropy pair.
 
-use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
-
 use super::exp::{exp_lanes, LANES};
 use crate::Tensor;
 
@@ -19,13 +17,14 @@ pub fn relu_into(x: &Tensor, out: &mut Tensor) {
     map_into(x, out, |v| v.max(0.0));
 }
 
-/// Backward pass of [`relu`]: passes gradient where the input was positive.
+/// Backward pass of [`relu`] into `out`: passes gradient where the input
+/// was positive.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn relu_backward(input: &Tensor, grad_out: &Tensor) -> Tensor {
-    input.zip(grad_out, |x, g| if x > 0.0 { g } else { 0.0 })
+/// Panics if the lengths differ.
+pub fn relu_backward_into(input: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
+    zip_into(input, grad_out, out, |x, g| if x > 0.0 { g } else { 0.0 });
 }
 
 /// Leaky rectified linear unit: `x` if positive, `alpha * x` otherwise.
@@ -42,13 +41,18 @@ pub fn leaky_relu_into(x: &Tensor, alpha: f32, out: &mut Tensor) {
     map_into(x, out, |v| if v > 0.0 { v } else { alpha * v });
 }
 
-/// Backward pass of [`leaky_relu`].
+/// Backward pass of [`leaky_relu`] into `out`.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn leaky_relu_backward(input: &Tensor, grad_out: &Tensor, alpha: f32) -> Tensor {
-    input.zip(grad_out, |x, g| if x > 0.0 { g } else { alpha * g })
+/// Panics if the lengths differ.
+pub fn leaky_relu_backward_into(input: &Tensor, grad_out: &Tensor, alpha: f32, out: &mut Tensor) {
+    zip_into(
+        input,
+        grad_out,
+        out,
+        |x, g| if x > 0.0 { g } else { alpha * g },
+    );
 }
 
 /// Hyperbolic tangent elementwise.
@@ -65,13 +69,14 @@ pub fn tanh_into(x: &Tensor, out: &mut Tensor) {
     map_into(x, out, f32::tanh);
 }
 
-/// Backward pass of [`tanh`] given the *output* of the forward pass.
+/// Backward pass of [`tanh`] into `out`, given the *output* of the
+/// forward pass.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn tanh_backward(output: &Tensor, grad_out: &Tensor) -> Tensor {
-    output.zip(grad_out, |y, g| g * (1.0 - y * y))
+/// Panics if the lengths differ.
+pub fn tanh_backward_into(output: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
+    zip_into(output, grad_out, out, |y, g| g * (1.0 - y * y));
 }
 
 /// Logistic sigmoid `1 / (1 + e^-x)` elementwise.
@@ -91,87 +96,49 @@ pub fn sigmoid_into(x: &Tensor, out: &mut Tensor) {
     map_lanes([x.data()], out.data_mut(), |[v]| sigmoid_lanes(v));
 }
 
-/// Backward pass of [`sigmoid`] given the *output* of the forward pass.
+/// Backward pass of [`sigmoid`] into `out`, given the *output* of the
+/// forward pass.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn sigmoid_backward(output: &Tensor, grad_out: &Tensor) -> Tensor {
-    output.zip(grad_out, |y, g| g * y * (1.0 - y))
+/// Panics if the lengths differ.
+pub fn sigmoid_backward_into(output: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
+    zip_into(output, grad_out, out, |y, g| g * y * (1.0 - y));
 }
 
 /// SiLU / swish: `x * sigmoid(x)` elementwise.
 pub fn silu(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(x.shape().dims());
-    silu_into(x, &mut out, &Parallelism::sequential());
+    silu_into(x, &mut out);
     out
 }
 
-/// [`silu`] into a caller-provided same-length tensor, in blocks fanned
-/// out over `parallelism` (see [`silu_backward`]).
+/// [`silu`] into a caller-provided same-length tensor.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn silu_into(x: &Tensor, out: &mut Tensor, parallelism: &Parallelism) {
+pub fn silu_into(x: &Tensor, out: &mut Tensor) {
     check_len(x, out);
-    par_blocks(out.data_mut(), parallelism, |from, dst| {
-        let xs = &x.data()[from..from + dst.len()];
-        map_lanes([xs], dst, |[v]| {
-            let s = sigmoid_lanes(v);
-            std::array::from_fn(|l| v[l] * s[l])
-        });
+    map_lanes([x.data()], out.data_mut(), |[v]| {
+        let s = sigmoid_lanes(v);
+        std::array::from_fn(|l| v[l] * s[l])
     });
 }
 
-/// Backward pass of [`silu`] given the *input* of the forward pass.
-///
-/// A large tensor is cut into blocks fanned out over `parallelism`; every
-/// element depends on its own inputs only, so the result is the same at
-/// any worker count.
+/// Backward pass of [`silu`] into `out`, given the *input* of the forward
+/// pass.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn silu_backward(input: &Tensor, grad_out: &Tensor, parallelism: &Parallelism) -> Tensor {
-    assert_eq!(
-        input.shape(),
-        grad_out.shape(),
-        "silu_backward shape mismatch"
-    );
-    let mut out = Tensor::zeros(input.shape().dims());
-    par_blocks(out.data_mut(), parallelism, |from, dst| {
-        let to = from + dst.len();
-        let ins = [&input.data()[from..to], &grad_out.data()[from..to]];
-        map_lanes(ins, dst, |[x, g]| {
-            let s = sigmoid_lanes(x);
-            std::array::from_fn(|l| g[l] * (s[l] + x[l] * s[l] * (1.0 - s[l])))
-        });
+/// Panics if the lengths differ.
+pub fn silu_backward_into(input: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
+    check_len(input, grad_out);
+    check_len(input, out);
+    map_lanes([input.data(), grad_out.data()], out.data_mut(), |[x, g]| {
+        let s = sigmoid_lanes(x);
+        std::array::from_fn(|l| g[l] * (s[l] + x[l] * s[l] * (1.0 - s[l])))
     });
-    out
-}
-
-/// Elements per task when an elementwise kernel fans out: large enough
-/// that a task outweighs its hand-off, small enough to balance members.
-const ELEMENTWISE_BLOCK: usize = 1 << 14;
-
-/// Runs `f(offset, block)` over `ELEMENTWISE_BLOCK`-sized blocks of
-/// `out`, fanned out over `parallelism` when there is more than one block
-/// and more than one worker; `offset` is the block's first element.
-fn par_blocks(out: &mut [f32], parallelism: &Parallelism, f: impl Fn(usize, &mut [f32]) + Sync) {
-    if parallelism.threads() < 2 || out.len() <= ELEMENTWISE_BLOCK {
-        for (i, dst) in out.chunks_mut(ELEMENTWISE_BLOCK).enumerate() {
-            f(i * ELEMENTWISE_BLOCK, dst);
-        }
-        return;
-    }
-    let mut blocks: Vec<&mut [f32]> = out.chunks_mut(ELEMENTWISE_BLOCK).collect();
-    parallel_for_each_mut_with(
-        parallelism,
-        &mut blocks,
-        || (),
-        |(), i, dst| f(i * ELEMENTWISE_BLOCK, dst),
-    );
 }
 
 /// Row-wise softmax over a `[n, c]` tensor.
@@ -261,6 +228,14 @@ fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
     }
 }
 
+fn zip_into(a: &Tensor, b: &Tensor, out: &mut Tensor, f: impl Fn(f32, f32) -> f32) {
+    check_len(a, b);
+    check_len(a, out);
+    for (o, (&x, &y)) in out.data_mut().iter_mut().zip(a.data().iter().zip(b.data())) {
+        *o = f(x, y);
+    }
+}
+
 fn check_len(x: &Tensor, out: &Tensor) {
     assert_eq!(
         x.len(),
@@ -326,6 +301,14 @@ fn row_dims(t: &Tensor) -> (usize, usize) {
 mod tests {
     use super::*;
 
+    /// The output of an `_into` kernel run into a fresh tensor shaped like
+    /// `like`.
+    fn into(like: &Tensor, f: impl FnOnce(&mut Tensor)) -> Tensor {
+        let mut out = Tensor::full(like.shape().dims(), f32::NAN);
+        f(&mut out);
+        out
+    }
+
     #[test]
     fn relu_clamps_negatives() {
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
@@ -336,7 +319,10 @@ mod tests {
     fn relu_backward_gates_gradient() {
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
         let g = Tensor::from_slice(&[5.0, 5.0, 5.0]);
-        assert_eq!(relu_backward(&x, &g).data(), &[0.0, 0.0, 5.0]);
+        assert_eq!(
+            into(&x, |o| relu_backward_into(&x, &g, o)).data(),
+            &[0.0, 0.0, 5.0]
+        );
     }
 
     #[test]
@@ -351,7 +337,7 @@ mod tests {
         for &x0 in &[-1.5f32, -0.1, 0.1, 2.0] {
             let x = Tensor::from_slice(&[x0]);
             let g = Tensor::from_slice(&[1.0]);
-            let ana = leaky_relu_backward(&x, &g, alpha).data()[0];
+            let ana = into(&x, |o| leaky_relu_backward_into(&x, &g, alpha, o)).data()[0];
             let eps = 1e-3;
             let f = |v: f32| if v > 0.0 { v } else { alpha * v };
             let num = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);
@@ -374,7 +360,7 @@ mod tests {
             let x = Tensor::from_slice(&[x0]);
             let y = tanh(&x);
             let g = Tensor::from_slice(&[1.0]);
-            let ana = tanh_backward(&y, &g).data()[0];
+            let ana = into(&y, |o| tanh_backward_into(&y, &g, o)).data()[0];
             let eps = 1e-3;
             let num = ((x0 + eps).tanh() - (x0 - eps).tanh()) / (2.0 * eps);
             assert!((ana - num).abs() < 1e-3, "at {x0}: {ana} vs {num}");
@@ -403,7 +389,7 @@ mod tests {
         for &x0 in &xs {
             let x = Tensor::from_slice(&[x0]);
             let g = Tensor::from_slice(&[1.0]);
-            let analytic = silu_backward(&x, &g, &Parallelism::sequential()).data()[0];
+            let analytic = into(&x, |o| silu_backward_into(&x, &g, o)).data()[0];
             let eps = 1e-3;
             let f = |v: f32| v * sigmoid_lanes([v])[0];
             let numeric = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);

@@ -1,6 +1,6 @@
 //! 2-D convolution kernels (standard and depthwise) via im2col + GEMM.
 
-use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
+use std::ops::Range;
 
 use crate::{Shape, Tensor};
 
@@ -85,6 +85,12 @@ impl Conv2dSpec {
     /// Number of weight elements: `out_c * in_c * k * k`.
     pub fn weight_len(&self) -> usize {
         self.out_channels * self.in_channels * self.kernel * self.kernel
+    }
+
+    /// Floats of one image's slot of [`conv2d_weight_partials`]: the
+    /// transposed filter gradient, then one bias sum per output channel.
+    pub fn partial_len(&self) -> usize {
+        self.weight_len() + self.out_channels
     }
 
     /// Multiply-accumulate count for an `h × w` input (dense execution).
@@ -252,30 +258,84 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
     out
 }
 
-/// Reusable intermediate buffers for [`conv2d_into`]: the im2col lowering
-/// and the pre-bias GEMM product, both sized for one image of a fixed
-/// input geometry.
+/// Reusable intermediate buffers of the convolution kernels: the im2col
+/// lowering, the pre-bias GEMM product of [`conv2d_into`], and what the
+/// backward pieces use. Each call shapes them to its own geometry, so one
+/// scratch serves every convolution of a graph; sized by
+/// [`Conv2dScratch::new`] or [`Conv2dScratch::reserve`] for the largest,
+/// calls allocate nothing.
 #[derive(Debug, Clone)]
 pub struct Conv2dScratch {
-    /// `[C*k*k, oh*ow]` im2col matrix.
+    /// `[C*k*k, oh*ow]` im2col matrix; backward's `dcols` product too.
     cols: Tensor,
     /// `[out_c, oh*ow]` GEMM product before the bias is applied. Allocated
     /// lazily on the first reference-path convolution: the packed-panel
     /// path ([`conv2d_packed_into`]) fuses the bias into its store and
     /// never needs it, so packed workspaces stay that much smaller.
     gemm: Option<Tensor>,
+    /// One image's output gradient packed as panels and its partial, for
+    /// [`conv2d_weight_partials`]; grown on first use, or ahead of it by
+    /// [`Conv2dScratch::reserve_backward`].
+    panels: Vec<f32>,
+    partial: Vec<f32>,
+}
+
+impl Default for Conv2dScratch {
+    /// Empty scratch, grown by [`Conv2dScratch::reserve`] or on first use.
+    fn default() -> Self {
+        Self {
+            cols: Tensor::zeros(&[0, 0]),
+            gemm: None,
+            panels: Vec::new(),
+            partial: Vec::new(),
+        }
+    }
 }
 
 impl Conv2dScratch {
     /// Allocates scratch for convolving one `c × h × w` image under `spec`.
     pub fn new(c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Self {
-        let k = spec.kernel;
+        let mut scratch = Self::default();
+        scratch.reserve(c, h, w, spec);
+        scratch
+    }
+
+    /// Grows the im2col buffer to what convolving one `c × h × w` image
+    /// under `spec` needs.
+    pub fn reserve(&mut self, c: usize, h: usize, w: usize, spec: &Conv2dSpec) {
         let (oh, ow) = spec.out_hw(h, w);
-        Self {
-            cols: Tensor::zeros(&[c * k * k, oh * ow]),
-            gemm: None,
+        let rows = c * spec.kernel * spec.kernel;
+        if self.cols.len() < rows * oh * ow {
+            self.cols = Tensor::zeros(&[rows, oh * ow]);
         }
     }
+
+    /// Grows every buffer to what the backward pieces of the convolution
+    /// `spec` over `c × h × w` images need.
+    pub fn reserve_backward(&mut self, c: usize, h: usize, w: usize, spec: &Conv2dSpec) {
+        self.reserve(c, h, w, spec);
+        let (oh, ow) = spec.out_hw(h, w);
+        let mr = KernelVariant::TRAINING.mr();
+        let len = spec.out_channels.div_ceil(mr) * mr * oh * ow;
+        self.panels.reserve(len.saturating_sub(self.panels.len()));
+        let len = spec.partial_len();
+        self.partial.reserve(len.saturating_sub(self.partial.len()));
+    }
+
+    /// The im2col buffer shaped `[rows, plane]`.
+    fn cols_for(&mut self, rows: usize, plane: usize) -> &mut Tensor {
+        reshape_in_place(&mut self.cols, &[rows, plane])
+    }
+}
+
+/// `t` with `dims`, reusing its buffer (contents unspecified).
+fn reshape_in_place<'t>(t: &'t mut Tensor, dims: &[usize]) -> &'t mut Tensor {
+    if t.shape().dims() != dims {
+        let mut buf = std::mem::replace(t, Tensor::zeros(&[0])).into_vec();
+        buf.resize(dims.iter().product(), 0.0);
+        *t = Tensor::from_vec(buf, dims).expect("buffer resized to the shape");
+    }
+    t
 }
 
 /// [`conv2d`] into a caller-provided `[n, out_c, oh, ow]` output tensor,
@@ -305,26 +365,22 @@ pub fn conv2d_into(
         &[n, spec.out_channels, oh, ow],
         "conv2d output shape mismatch"
     );
-    assert_eq!(
-        scratch.cols.shape().dims(),
-        &[c * spec.kernel * spec.kernel, oh * ow],
-        "conv2d scratch built for a different geometry"
-    );
     let in_stride = c * h * w;
     let out_stride = spec.out_channels * oh * ow;
     let plane = oh * ow;
+    let rows = c * spec.kernel * spec.kernel;
     for img in 0..n {
+        let cols = scratch.cols_for(rows, plane);
         im2col_into(
             &input.data()[img * in_stride..(img + 1) * in_stride],
             c,
             h,
             w,
             spec,
-            &mut scratch.cols,
+            cols,
         );
-        let gemm = scratch
-            .gemm
-            .get_or_insert_with(|| Tensor::zeros(&[spec.out_channels, plane]));
+        let gemm = scratch.gemm.get_or_insert_with(|| Tensor::zeros(&[0]));
+        let gemm = reshape_in_place(gemm, &[spec.out_channels, plane]);
         matmul_into(weight, &scratch.cols, gemm); // [out_c, oh*ow]
         let od = out.data_mut();
         let dst = &mut od[img * out_stride..(img + 1) * out_stride];
@@ -346,11 +402,6 @@ pub fn conv2d_into(
 /// Bit-for-bit identical to [`conv2d_into`] for any
 /// [`super::gemm::KernelVariant`].
 ///
-/// A batch of more than one image fans out over `parallelism`, one image
-/// per task, each member lowering into an im2col buffer of its own. A
-/// single image, or a sequential `parallelism`, runs on the calling thread
-/// through `scratch` alone.
-///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`, `scratch` was built for a
@@ -362,7 +413,6 @@ pub fn conv2d_packed_into(
     bias: &Tensor,
     spec: &Conv2dSpec,
     scratch: &mut Conv2dScratch,
-    parallelism: &Parallelism,
     out: &mut Tensor,
 ) {
     let (n, c, h, w) = input.shape().as_nchw();
@@ -388,79 +438,33 @@ pub fn conv2d_packed_into(
         &[n, spec.out_channels, oh, ow],
         "conv2d output shape mismatch"
     );
-    assert_eq!(
-        scratch.cols.shape().dims(),
-        &[c * spec.kernel * spec.kernel, oh * ow],
-        "conv2d scratch built for a different geometry"
-    );
     let in_stride = c * h * w;
     let plane = oh * ow;
     // A pointwise convolution's im2col matrix is the image itself: no
     // lowering, no scratch.
     let pointwise = spec.is_pointwise();
-    let image = |cols: Option<&mut Tensor>, img: usize, dst: &mut [f32]| {
+    let out_stride = (spec.out_channels * plane).max(1);
+    let rows = c * spec.kernel * spec.kernel;
+    for (img, dst) in out.data_mut().chunks_mut(out_stride).enumerate() {
         let x = &input.data()[img * in_stride..(img + 1) * in_stride];
-        let cols = match cols {
-            Some(cols) => {
-                im2col_into(x, c, h, w, spec, cols);
-                cols.data()
-            }
-            None => x,
+        let cols = if pointwise {
+            x
+        } else {
+            let cols = scratch.cols_for(rows, plane);
+            im2col_into(x, c, h, w, spec, cols);
+            cols.data()
         };
         gemm_packed_bias_into(packed, cols, plane, bias.data(), dst);
-    };
-    let out_stride = (spec.out_channels * plane).max(1);
-    if n > 1 && parallelism.threads() > 1 {
-        let mut images: Vec<&mut [f32]> = out.data_mut().chunks_mut(out_stride).collect();
-        parallel_for_each_mut_with(
-            parallelism,
-            &mut images,
-            || (!pointwise).then(|| Conv2dScratch::new(c, h, w, spec)),
-            |scratch, img, dst| image(scratch.as_mut().map(|s| &mut s.cols), img, dst),
-        );
-    } else {
-        for (img, dst) in out.data_mut().chunks_mut(out_stride).enumerate() {
-            image((!pointwise).then_some(&mut scratch.cols), img, dst);
-        }
     }
-}
-
-/// Per-member scratch of [`conv2d_backward`]: one image's im2col lowering
-/// (none for a pointwise convolution), its `dcols` product (empty when no
-/// input gradient is asked for) and its `dY` packed as panels.
-struct ConvBackwardScratch {
-    cols: Option<Tensor>,
-    dcols: Vec<f32>,
-    grad_panels: PackedWeights,
 }
 
 /// Backward pass of [`conv2d`].
 ///
-/// Returns `(grad_input, grad_weight, grad_bias)`.
-///
-/// Images fan out over `parallelism`; each member keeps one image's im2col,
-/// `dcols` and packed-`dY` buffers for the whole call. Per image, through
-/// the packed kernel families of [`super::gemm`]:
-///
-/// * `dWᵀ_img = cols · dYᵀ` runs the split-k4 linear discipline with the
-///   small `dY` packed as panels. Every product commutes, so each element
-///   is bit-for-bit the `dot(dY row, cols row)` of
-///   [`matmul_bt`]`(dY, cols)`;
-/// * `dcols = Wᵀ · dY` runs the ascending-k conv discipline over `Wᵀ`,
-///   packed once per call: bit-for-bit [`matmul_at`]`(W, dY)`;
-/// * `dcols` is scattered back onto the image's (disjoint) slice of
-///   `grad_input` in the fixed col2im order, one contiguous run per output
-///   row and kernel tap.
-///
-/// A pointwise convolution (1×1, stride 1, no padding) skips both the
-/// lowering, its im2col matrix being the image itself, and the scatter,
-/// whose order is then element order: `dcols` is added straight onto the
-/// zeroed gradient, which still turns a `-0.0` into `+0.0`.
-///
-/// The calling thread then adds each image's `dW` and bias row sums in
-/// ascending image order, the reduction [`conv2d_backward_reference`]
-/// performs. The result is bit-identical to that reference at any worker
-/// count, for finite operands (the zero-skip contract of [`super::gemm`]).
+/// Returns `(grad_input, grad_weight, grad_bias)`: the per-image
+/// [`conv2d_weight_partials`] summed by [`conv2d_sum_partials`], and
+/// [`conv2d_input_grad`]. The result is bit-identical to
+/// [`conv2d_backward_reference`] for finite operands (the zero-skip
+/// contract of [`super::gemm`]).
 ///
 /// # Panics
 ///
@@ -470,144 +474,213 @@ pub fn conv2d_backward(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
-    parallelism: &Parallelism,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = input.shape().as_nchw();
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-    let (grad_weight, grad_bias) = conv2d_backward_images(
-        input,
-        weight,
-        grad_out,
-        spec,
-        parallelism,
-        Some(&mut grad_input),
-    );
+    let mut scratch = Conv2dScratch::new(c, h, w, spec);
+    let mut partials = vec![0.0f32; n * spec.partial_len()];
+    conv2d_weight_partials(input, grad_out, spec, &mut partials, &mut scratch);
+    let (grad_weight, grad_bias) = conv2d_sum_partials(&[&partials], spec);
+    let mut grad_input = Tensor::zeros(input.shape().dims());
+    conv2d_input_grad_into(weight, grad_out, spec, &mut grad_input, &mut scratch);
     (grad_input, grad_weight, grad_bias)
 }
 
-/// [`conv2d_backward`] without the input gradient: `(grad_weight,
-/// grad_bias)`, bit for bit the same, with the `dcols` product and the
-/// col2im scatter left out. This is all training needs of a convolution
-/// that reads the graph input.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent with `spec`.
-pub fn conv2d_param_backward(
-    input: &Tensor,
-    weight: &Tensor,
+/// Checks `grad_out` against a convolution of `input_dims` under `spec`
+/// and returns `(rows, plane)`: the im2col rows `in_c·k·k` and the output
+/// plane `oh·ow`.
+fn check_grad_out(
+    input_dims: (usize, usize, usize, usize),
     grad_out: &Tensor,
     spec: &Conv2dSpec,
-    parallelism: &Parallelism,
-) -> (Tensor, Tensor) {
-    conv2d_backward_images(input, weight, grad_out, spec, parallelism, None)
-}
-
-/// The per-image loop of [`conv2d_backward`], writing the input gradient
-/// into `grad_input` (zeroed, input-shaped) when one is given.
-fn conv2d_backward_images(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    spec: &Conv2dSpec,
-    parallelism: &Parallelism,
-    grad_input: Option<&mut Tensor>,
-) -> (Tensor, Tensor) {
-    let (n, c, h, w) = input.shape().as_nchw();
+) -> (usize, usize) {
+    let (n, c, h, w) = input_dims;
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
     assert_eq!(gn, n, "grad_out batch mismatch");
     assert_eq!(goc, spec.out_channels, "grad_out channel mismatch");
     assert_eq!((oh, ow), spec.out_hw(h, w), "grad_out spatial mismatch");
     assert_eq!(spec.in_channels, c, "input channels do not match spec");
+    (c * spec.kernel * spec.kernel, oh * ow)
+}
+
+/// Each image's parameter-gradient partial of [`conv2d_backward`], one
+/// [`Conv2dSpec::partial_len`] slot per image of `partials`: `dWᵀ_img =
+/// cols · dYᵀ` (`in_c·k·k × out_c`), then the `out_c` bias row sums.
+///
+/// `dWᵀ_img` runs the split-k4 linear discipline with the small `dY`
+/// packed as panels. Every product commutes, so each element is
+/// bit-for-bit the `dot(dY row, cols row)` of [`matmul_bt`]`(dY, cols)`.
+/// A pointwise convolution (1×1, stride 1, no padding) skips the lowering:
+/// its im2col matrix is the image itself. Images are independent, so any
+/// split of a batch gives the same slots.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`, `scratch` was built for
+/// a different geometry, or `partials` holds another number of slots.
+pub fn conv2d_weight_partials(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    partials: &mut [f32],
+    scratch: &mut Conv2dScratch,
+) {
+    let n = input.shape().dim(0);
+    assert_eq!(
+        partials.len(),
+        n * spec.partial_len(),
+        "one partial slot per image"
+    );
+    weight_partials(input, grad_out, spec, scratch, |img, partial| {
+        partials[img * partial.len()..][..partial.len()].copy_from_slice(partial);
+    });
+}
+
+/// The first images of a batch in one slot: their [`conv2d_weight_partials`]
+/// added element by element in image order from `+0.0`, the order of
+/// [`conv2d_sum_partials`]. Summed on with the later images' slots, it
+/// gives that reduction's very bits: an accumulator that starts at `+0.0`
+/// never becomes `-0.0`, so adding it to a zero changes nothing.
+///
+/// # Panics
+///
+/// Panics as [`conv2d_weight_partials`] does, for one slot.
+pub fn conv2d_weight_partial_sum(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    sum: &mut [f32],
+    scratch: &mut Conv2dScratch,
+) {
+    assert_eq!(sum.len(), spec.partial_len(), "one partial slot");
+    sum.fill(0.0);
+    weight_partials(input, grad_out, spec, scratch, |_, partial| {
+        for (s, &p) in sum.iter_mut().zip(partial.iter()) {
+            *s += p;
+        }
+    });
+}
+
+/// Computes each image's partial in turn and hands it to `take`.
+fn weight_partials(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    scratch: &mut Conv2dScratch,
+    mut take: impl FnMut(usize, &[f32]),
+) {
+    let (n, c, h, w) = input.shape().as_nchw();
+    let (rows, plane) = check_grad_out((n, c, h, w), grad_out, spec);
     let oc = spec.out_channels;
-    let rows = c * spec.kernel * spec.kernel;
+    let in_stride = c * h * w;
+    let mut partial = std::mem::take(&mut scratch.partial);
+    partial.resize(spec.partial_len(), 0.0);
+    let panels = std::mem::take(&mut scratch.panels);
+    let mut grad_panels = PackedWeights::zeros_in(panels, oc, plane, KernelVariant::TRAINING);
+    let mut cols = (!spec.is_pointwise()).then(|| scratch.cols_for(rows, plane));
+    let zeros = vec![0.0f32; oc];
+    for img in 0..n {
+        let x = &input.data()[img * in_stride..(img + 1) * in_stride];
+        let gy = &grad_out.data()[img * oc * plane..(img + 1) * oc * plane];
+        let cols = match &mut cols {
+            Some(cols) => {
+                im2col_into(x, c, h, w, spec, cols);
+                cols.data()
+            }
+            None => x,
+        };
+        grad_panels.repack(gy);
+        let (gw_t, gb) = partial.split_at_mut(rows * oc);
+        linear_packed_bias_into(&grad_panels, cols, rows, &zeros, gw_t);
+        for (b, row) in gb.iter_mut().zip(gy.chunks_exact(plane.max(1))) {
+            *b = row.iter().sum::<f32>();
+        }
+        take(img, &partial);
+    }
+    scratch.panels = grad_panels.into_buffer();
+    scratch.partial = partial;
+}
+
+/// Sums per-image [`conv2d_weight_partials`] slots into `(grad_weight,
+/// grad_bias)` in ascending image order, the reduction
+/// [`conv2d_backward_reference`] performs. `parts` hold consecutive runs of
+/// images in batch order, so the sum is the same however the batch is cut.
+///
+/// # Panics
+///
+/// Panics if a part is not a whole number of slots.
+pub fn conv2d_sum_partials(parts: &[&[f32]], spec: &Conv2dSpec) -> (Tensor, Tensor) {
+    let oc = spec.out_channels;
+    let rows = spec.in_channels * spec.kernel * spec.kernel;
+    let slot = spec.partial_len();
+    let mut grad_weight = Tensor::zeros(&[oc, rows]);
+    let mut grad_bias = Tensor::zeros(&[oc]);
+    for part in parts {
+        assert_eq!(part.len() % slot, 0, "partials hold whole image slots");
+        for partial in part.chunks_exact(slot) {
+            let (gw_t, gb) = partial.split_at(rows * oc);
+            // `add_scaled(&gw, 1.0)` in the reference: scaling by exactly
+            // 1.0 is the identity, so this is the same sum.
+            for (o, grow) in grad_weight.data_mut().chunks_exact_mut(rows).enumerate() {
+                for (g, &v) in grow.iter_mut().zip(gw_t[o..].iter().step_by(oc)) {
+                    *g += v;
+                }
+            }
+            for (g, &v) in grad_bias.data_mut().iter_mut().zip(gb) {
+                *g += v;
+            }
+        }
+    }
+    (grad_weight, grad_bias)
+}
+
+/// The input gradient of [`conv2d_backward`] into the input-shaped
+/// `grad_input`; every element is assigned. Per image, `dcols = Wᵀ · dY`
+/// runs the ascending-k conv
+/// discipline over `Wᵀ`, packed once per call: bit-for-bit
+/// [`matmul_at`]`(W, dY)`. `dcols` is then scattered back onto the image's
+/// slice of the gradient in the fixed col2im order, one contiguous run per
+/// output row and kernel tap. A pointwise convolution skips the scatter,
+/// whose order is then element order: `dcols` is added straight onto the
+/// zeroed gradient, which still turns a `-0.0` into `+0.0`.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`.
+pub fn conv2d_input_grad_into(
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    grad_input: &mut Tensor,
+    scratch: &mut Conv2dScratch,
+) {
+    let (n, c, h, w) = grad_input.shape().as_nchw();
+    let oc = spec.out_channels;
+    let (rows, plane) = check_grad_out((n, c, h, w), grad_out, spec);
     assert_eq!(
         weight.shape().dims(),
         &[oc, rows],
         "conv weight shape does not match spec"
     );
-    let plane = oh * ow;
-    let in_stride = c * h * w;
-    let out_stride = oc * plane;
-    let pointwise = spec.is_pointwise();
-    let weight_t = grad_input.is_some().then(|| {
-        PackedWeights::pack(
-            &transpose(weight.data(), oc, rows),
-            rows,
-            oc,
-            KernelVariant::TRAINING,
-        )
-    });
-    let zeros = vec![0.0f32; rows.max(oc)];
-    // Per image: dWᵀ (`rows × oc`) then the `oc` bias row sums.
-    let slot = rows * oc + oc;
-    let mut partials = vec![0.0f32; n * slot];
-    let gimgs: Vec<Option<&mut [f32]>> = match grad_input {
-        Some(g) => g
-            .data_mut()
-            .chunks_mut(in_stride.max(1))
-            .map(Some)
-            .collect(),
-        None => (0..n).map(|_| None).collect(),
-    };
-    let mut jobs: Vec<(Option<&mut [f32]>, &mut [f32])> = gimgs
-        .into_iter()
-        .zip(partials.chunks_mut(slot.max(1)))
-        .collect();
-    let dcols_len = if weight_t.is_some() { rows * plane } else { 0 };
-    parallel_for_each_mut_with(
-        parallelism,
-        &mut jobs,
-        || ConvBackwardScratch {
-            cols: (!pointwise).then(|| Tensor::zeros(&[rows, plane])),
-            dcols: vec![0.0; dcols_len],
-            grad_panels: PackedWeights::zeros(oc, plane, KernelVariant::TRAINING),
-        },
-        |s, img, (gimg, partial)| {
-            let x = &input.data()[img * in_stride..(img + 1) * in_stride];
-            let gy = &grad_out.data()[img * out_stride..(img + 1) * out_stride];
-            let cols = match &mut s.cols {
-                Some(cols) => {
-                    im2col_into(x, c, h, w, spec, cols);
-                    cols.data()
-                }
-                None => x,
-            };
-            s.grad_panels.repack(gy);
-            let (gw_t, gb) = partial.split_at_mut(rows * oc);
-            linear_packed_bias_into(&s.grad_panels, cols, rows, &zeros[..oc], gw_t);
-            for (b, row) in gb.iter_mut().zip(gy.chunks_exact(plane.max(1))) {
-                *b = row.iter().sum::<f32>();
-            }
-            let (Some(gimg), Some(weight_t)) = (gimg, &weight_t) else {
-                return;
-            };
-            gemm_packed_bias_into(weight_t, gy, plane, &zeros[..rows], &mut s.dcols);
-            if pointwise {
-                for (g, &d) in gimg.iter_mut().zip(&s.dcols) {
-                    *g += d;
-                }
-            } else {
-                col2im_add(&s.dcols, c, h, w, spec, gimg);
-            }
-        },
+    let weight_t = PackedWeights::pack(
+        &transpose(weight.data(), oc, rows),
+        rows,
+        oc,
+        KernelVariant::TRAINING,
     );
-    let mut grad_weight = Tensor::zeros(&[oc, rows]);
-    let mut grad_bias = Tensor::zeros(&[oc]);
-    for partial in partials.chunks_exact(slot.max(1)) {
-        let (gw_t, gb) = partial.split_at(rows * oc);
-        // `add_scaled(&gw, 1.0)` in the reference: scaling by exactly 1.0
-        // is the identity, so this is the same sum.
-        for (o, grow) in grad_weight.data_mut().chunks_exact_mut(rows).enumerate() {
-            for (g, &v) in grow.iter_mut().zip(gw_t[o..].iter().step_by(oc)) {
-                *g += v;
+    let zeros = vec![0.0f32; rows];
+    let dcols = scratch.cols_for(rows, plane).data_mut();
+    grad_input.fill_zero();
+    let gimgs = grad_input.data_mut().chunks_mut((c * h * w).max(1));
+    for (gimg, gy) in gimgs.zip(grad_out.data().chunks((oc * plane).max(1))) {
+        gemm_packed_bias_into(&weight_t, gy, plane, &zeros, dcols);
+        if spec.is_pointwise() {
+            for (g, &d) in gimg.iter_mut().zip(dcols.iter()) {
+                *g += d;
             }
-        }
-        for (g, &v) in grad_bias.data_mut().iter_mut().zip(gb) {
-            *g += v;
+        } else {
+            col2im_add(dcols, c, h, w, spec, gimg);
         }
     }
-    (grad_weight, grad_bias)
 }
 
 /// The reference backward pass of [`conv2d`]: per image, im2col,
@@ -813,12 +886,9 @@ fn dwconv2d_plane<const S: usize>(
     }
 }
 
-/// Backward pass of [`dwconv2d`]; returns `(grad_input, grad_weight, grad_bias)`.
-///
-/// Channels fan out over `parallelism`, one task per channel: a channel's
-/// filter and bias gradients sum over the images in ascending order, and
-/// its input-gradient planes belong to no other channel, so every element
-/// is accumulated in the same order at any worker count.
+/// Backward pass of [`dwconv2d`]; returns `(grad_input, grad_weight, grad_bias)`:
+/// [`dwconv2d_input_grad_into`] and [`dwconv2d_param_grads`] over every
+/// channel.
 ///
 /// The order is that of the scatter loop this replaced (kept as the oracle
 /// of `tests/backward_exactness.rs`), which walks output pixels in raster
@@ -826,7 +896,7 @@ fn dwconv2d_plane<const S: usize>(
 /// in-bounds tap's products into the filter and input gradients:
 ///
 /// * the filter gradient accumulates in the same raster order, one
-///   accumulator per tap;
+///   accumulator per tap, image after image;
 /// * at stride 1 the input gradient is a gather: each input pixel sums its
 ///   taps from `+0.0` in ascending output-pixel order, which is kernel rows
 ///   and then columns descending. Interior columns, whose taps all land
@@ -842,67 +912,107 @@ pub fn dwconv2d_backward(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
-    parallelism: &Parallelism,
 ) -> (Tensor, Tensor, Tensor) {
-    let (n, c, h, w) = input.shape().as_nchw();
-    let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
+    let c = input.shape().dim(1);
+    let k2 = spec.kernel * spec.kernel;
+    let mut grad_input = Tensor::zeros(input.shape().dims());
+    dwconv2d_input_grad_into(weight, grad_out, spec, &mut grad_input);
+    let (gw, gb) = dwconv2d_param_grads(&[(input, grad_out)], spec, 0..c);
+    let grad_weight = Tensor::from_vec(gw, &[c, k2]).expect("one filter per channel");
+    let grad_bias = Tensor::from_vec(gb, &[c]).expect("one bias per channel");
+    (grad_input, grad_weight, grad_bias)
+}
+
+/// The input gradient of [`dwconv2d_backward`] into the input-shaped
+/// `grad_input`, every image and channel on its own plane; every element
+/// is assigned.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`.
+pub fn dwconv2d_input_grad_into(
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    grad_input: &mut Tensor,
+) {
+    let (n, c, oh, ow) = grad_out.shape().as_nchw();
+    let (gn, gc, h, w) = grad_input.shape().as_nchw();
     assert_eq!(
         (gn, gc),
         (n, c),
-        "depthwise grad_out batch/channel mismatch"
+        "depthwise grad_input batch/channel mismatch"
     );
+    assert_eq!(c, spec.in_channels, "depthwise grad_out channel mismatch");
     assert_eq!(
         (oh, ow),
         spec.out_hw(h, w),
         "depthwise grad_out spatial mismatch"
     );
-    let k = spec.kernel;
-    assert_eq!(weight.shape().dims(), &[c, k * k], "depthwise weight shape");
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-    let mut grad_weight = Tensor::zeros(&[c, k * k]);
-    let mut grad_bias = Tensor::zeros(&[c]);
-    let mut planes: Vec<Vec<&mut [f32]>> = (0..c).map(|_| Vec::with_capacity(n)).collect();
-    for (i, plane) in grad_input.data_mut().chunks_mut((h * w).max(1)).enumerate() {
-        planes[i % c].push(plane);
+    let k2 = spec.kernel * spec.kernel;
+    assert_eq!(weight.shape().dims(), &[c, k2], "depthwise weight shape");
+    if spec.stride != 1 {
+        // The scatter adds into its planes.
+        grad_input.fill_zero();
     }
-    let mut channels: Vec<_> = planes
-        .into_iter()
-        .zip(grad_weight.data_mut().chunks_mut((k * k).max(1)))
-        .zip(grad_bias.data_mut().iter_mut())
-        .collect();
-    let id = input.data();
-    let gd = grad_out.data();
-    parallel_for_each_mut_with(
-        parallelism,
-        &mut channels,
-        Vec::new,
-        |acc: &mut Vec<f32>, ch, ((gplanes, gw_out), gb)| {
-            // Accumulate the filter gradient in member-local memory: rows
-            // of neighbouring channels share cache lines.
-            acc.clear();
-            acc.resize(k * k, 0.0);
-            let taps = &weight.data()[ch * k * k..(ch + 1) * k * k];
-            for (img, gx) in gplanes.iter_mut().enumerate() {
-                let x = &id[(img * c + ch) * h * w..][..h * w];
-                let g = &gd[(img * c + ch) * oh * ow..][..oh * ow];
-                dwconv2d_weight_grad(x, g, (h, w), spec, acc);
-                if spec.stride == 1 {
-                    dwconv2d_input_grad_gather(g, taps, (h, w), spec, gx);
-                } else {
-                    dwconv2d_input_grad_scatter(g, taps, (h, w), spec, gx);
-                }
-            }
-            gw_out.copy_from_slice(acc);
-            // Bias gradient is the per-channel sum of grad_out.
-            let mut b = 0.0f32;
+    let gplanes = grad_input.data_mut().chunks_mut((h * w).max(1));
+    for (i, (gx, g)) in gplanes
+        .zip(grad_out.data().chunks((oh * ow).max(1)))
+        .enumerate()
+    {
+        let taps = &weight.data()[(i % c) * k2..][..k2];
+        if spec.stride == 1 {
+            dwconv2d_input_grad_gather(g, taps, (h, w), spec, gx);
+        } else {
+            dwconv2d_input_grad_scatter(g, taps, (h, w), spec, gx);
+        }
+    }
+}
+
+/// The filter and bias gradients of [`dwconv2d_backward`] for `channels`,
+/// over a batch held as `(input, grad_out)` parts in batch order: the
+/// filter rows (`channels.len() × k·k`) and the bias sums. A channel's
+/// filter gradient accumulates image after image, carrying on from one
+/// part into the next, and its bias adds each image's plane sum from
+/// `+0.0`, so the result is the same however the batch is cut.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `spec`.
+pub fn dwconv2d_param_grads(
+    parts: &[(&Tensor, &Tensor)],
+    spec: &Conv2dSpec,
+    channels: Range<usize>,
+) -> (Vec<f32>, Vec<f32>) {
+    let k2 = spec.kernel * spec.kernel;
+    let mut grad_weight = vec![0.0f32; channels.len() * k2];
+    let mut grad_bias = vec![0.0f32; channels.len()];
+    for &(input, grad_out) in parts {
+        let (n, c, h, w) = input.shape().as_nchw();
+        let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
+        assert_eq!(
+            (gn, gc),
+            (n, c),
+            "depthwise grad_out batch/channel mismatch"
+        );
+        assert_eq!(
+            (oh, ow),
+            spec.out_hw(h, w),
+            "depthwise grad_out spatial mismatch"
+        );
+        let planes = channels
+            .clone()
+            .zip(grad_weight.chunks_exact_mut(k2.max(1)));
+        for ((ch, acc), gb) in planes.zip(grad_bias.iter_mut()) {
             for img in 0..n {
-                let obase = (img * c + ch) * oh * ow;
-                b += gd[obase..obase + oh * ow].iter().sum::<f32>();
+                let x = &input.data()[(img * c + ch) * h * w..][..h * w];
+                let g = &grad_out.data()[(img * c + ch) * oh * ow..][..oh * ow];
+                dwconv2d_weight_grad(x, g, (h, w), spec, acc);
+                *gb += g.iter().sum::<f32>();
             }
-            **gb = b;
-        },
-    );
-    (grad_input, grad_weight, grad_bias)
+        }
+    }
+    (grad_weight, grad_bias)
 }
 
 /// Kernel rows (or columns) `lo..hi` whose taps land inside an input of
@@ -1217,7 +1327,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = conv2d_backward(&x, &w, &g, &spec, &Parallelism::sequential());
+        let (gx, gw, gb) = conv2d_backward(&x, &w, &g, &spec);
         let eps = 1e-2;
         for i in (0..x.len()).step_by(7) {
             let mut xp = x.clone();
@@ -1287,7 +1397,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = dwconv2d_backward(&x, &w, &g, &spec, &Parallelism::sequential());
+        let (gx, gw, gb) = dwconv2d_backward(&x, &w, &g, &spec);
         let eps = 1e-2;
         for i in (0..x.len()).step_by(5) {
             let mut xp = x.clone();

@@ -41,8 +41,6 @@
 //! are computed together, never the order of any element's own reduction,
 //! so the variant choice is observationally irrelevant.
 
-use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
-
 use crate::Tensor;
 
 /// Which matrix discipline a GEMM call site uses (reduction-order contract).
@@ -201,12 +199,25 @@ impl PackedWeights {
     /// Panels for a `rows × k` all-zero matrix: a buffer that
     /// [`repack`](Self::repack) refills without allocating.
     pub fn zeros(rows: usize, k: usize, variant: KernelVariant) -> Self {
+        Self::zeros_in(Vec::new(), rows, k, variant)
+    }
+
+    /// [`zeros`](Self::zeros) in `buf`'s allocation, which
+    /// [`into_buffer`](Self::into_buffer) hands back.
+    pub fn zeros_in(mut buf: Vec<f32>, rows: usize, k: usize, variant: KernelVariant) -> Self {
+        buf.clear();
+        buf.resize(rows.div_ceil(variant.mr()) * k * variant.mr(), 0.0);
         Self {
-            data: vec![0.0f32; rows.div_ceil(variant.mr()) * k * variant.mr()],
+            data: buf,
             variant,
             rows,
             k,
         }
+    }
+
+    /// The panels' buffer, for [`zeros_in`](Self::zeros_in) to reuse.
+    pub fn into_buffer(self) -> Vec<f32> {
+        self.data
     }
 
     /// Repacks a row-major matrix of the same `rows × k` geometry into
@@ -290,9 +301,33 @@ pub fn gemm_packed_bias_into(
     assert_eq!(bias.len(), rows, "gemm bias must have {rows} entries");
     assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
     match packed.variant {
-        KernelVariant::Mr4Nr16 => conv_panels::<4, 16>(packed, b, n, bias, out),
-        KernelVariant::Mr8Nr8 => conv_panels::<8, 8>(packed, b, n, bias, out),
-        KernelVariant::Mr6Nr8 => conv_panels::<6, 8>(packed, b, n, bias, out),
+        KernelVariant::Mr4Nr16 => conv_panels::<4, 16>(packed, b, n, Some(bias), out),
+        KernelVariant::Mr8Nr8 => conv_panels::<8, 8>(packed, b, n, Some(bias), out),
+        KernelVariant::Mr6Nr8 => conv_panels::<6, 8>(packed, b, n, Some(bias), out),
+    }
+}
+
+/// Conv-discipline packed GEMM that continues each output element's
+/// reduction: the accumulator starts from `out[r, j]`, adds the products
+/// in ascending-k order and is stored back, with no bias.
+///
+/// Over a zeroed `out`, calls on consecutive row blocks of `b` (with the
+/// matching column blocks of the packed operand) give bit for bit one
+/// [`gemm_packed_bias_into`] over the whole reduction with a zero bias: an
+/// accumulator that starts at `+0.0` never becomes `-0.0`, so that final
+/// `+ 0.0` changes nothing.
+///
+/// # Panics
+///
+/// Panics if `b` or `out` do not match the packed geometry.
+pub(super) fn gemm_packed_acc_into(packed: &PackedWeights, b: &[f32], n: usize, out: &mut [f32]) {
+    let (rows, k) = (packed.rows, packed.k);
+    assert_eq!(b.len(), k * n, "gemm data operand must be {k}x{n}");
+    assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
+    match packed.variant {
+        KernelVariant::Mr4Nr16 => conv_panels::<4, 16>(packed, b, n, None, out),
+        KernelVariant::Mr8Nr8 => conv_panels::<8, 8>(packed, b, n, None, out),
+        KernelVariant::Mr6Nr8 => conv_panels::<6, 8>(packed, b, n, None, out),
     }
 }
 
@@ -333,12 +368,13 @@ pub fn linear_packed_bias_into(
 ///
 /// The accumulator block lives in registers for the whole k loop; each
 /// element's own reduction is ascending-k, so blocking is invisible in the
-/// bits.
+/// bits. With a `bias` the accumulators start at zero and the store adds
+/// the bias; without one they start from `out` and are stored as they are.
 fn conv_panels<const MR: usize, const NR: usize>(
     packed: &PackedWeights,
     b: &[f32],
     n: usize,
-    bias: &[f32],
+    bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
     let (rows, k) = (packed.rows, packed.k);
@@ -349,6 +385,11 @@ fn conv_panels<const MR: usize, const NR: usize>(
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [[0.0f32; NR]; MR];
+            if bias.is_none() {
+                for (r, acc) in acc.iter_mut().enumerate().take(live) {
+                    acc.copy_from_slice(&out[(r0 + r) * n + j..][..NR]);
+                }
+            }
             for kk in 0..k {
                 let brow: &[f32; NR] = b[kk * n + j..kk * n + j + NR]
                     .try_into()
@@ -364,10 +405,14 @@ fn conv_panels<const MR: usize, const NR: usize>(
                 }
             }
             for r in 0..live {
-                let bv = bias[r0 + r];
                 let orow = &mut out[(r0 + r) * n + j..(r0 + r) * n + j + NR];
-                for (o, &s) in orow.iter_mut().zip(acc[r].iter()) {
-                    *o = s + bv;
+                match bias {
+                    Some(bias) => {
+                        for (o, &s) in orow.iter_mut().zip(acc[r].iter()) {
+                            *o = s + bias[r0 + r];
+                        }
+                    }
+                    None => orow.copy_from_slice(&acc[r]),
                 }
             }
             j += NR;
@@ -375,6 +420,11 @@ fn conv_panels<const MR: usize, const NR: usize>(
         // Tail columns: one scalar ascending-k reduction per element.
         while j < n {
             let mut acc = [0.0f32; MR];
+            if bias.is_none() {
+                for (r, acc) in acc.iter_mut().enumerate().take(live) {
+                    *acc = out[(r0 + r) * n + j];
+                }
+            }
             for kk in 0..k {
                 let bv = b[kk * n + j];
                 let a = &panel[kk * MR..(kk + 1) * MR];
@@ -383,7 +433,7 @@ fn conv_panels<const MR: usize, const NR: usize>(
                 }
             }
             for r in 0..live {
-                out[(r0 + r) * n + j] = acc[r] + bias[r0 + r];
+                out[(r0 + r) * n + j] = bias.map_or(acc[r], |bias| acc[r] + bias[r0 + r]);
             }
             j += 1;
         }
@@ -488,52 +538,6 @@ fn split_k4_row<const MR: usize>(panel: &[f32], x: &[f32]) -> [f32; MR] {
         }
     }
     s
-}
-
-/// Conv-discipline product `out[rows, n] = a[rows, k] · b[k, n]`, each
-/// element accumulated in ascending-k order from `0.0` — bit-for-bit
-/// [`matmul_into`](super::linear::matmul_into) and
-/// [`matmul_at`](super::linear::matmul_at) over the same operands (adding
-/// the zero bias leaves an accumulator that started at `+0.0` unchanged).
-///
-/// The output rows are cut into blocks that fan out over `parallelism`,
-/// each with its own rows of `a` packed on the calling thread. Blocking
-/// never changes an element's own reduction, so the result is the same at
-/// any worker count.
-pub(super) fn gemm_rows_par(
-    a: &[f32],
-    (rows, k, n): (usize, usize, usize),
-    b: &[f32],
-    parallelism: &Parallelism,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), rows * k, "gemm lhs must be {rows}x{k}");
-    assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
-    if rows == 0 || n == 0 {
-        return;
-    }
-    let variant = KernelVariant::TRAINING;
-    let mr = variant.mr();
-    let block = rows.div_ceil(parallelism.threads()).div_ceil(mr) * mr;
-    let zeros = vec![0.0f32; block];
-    let mut blocks: Vec<(&mut [f32], PackedWeights)> = out
-        .chunks_mut(block * n)
-        .zip(a.chunks((block * k).max(1)))
-        .map(|(dst, rows_a)| {
-            (
-                dst,
-                PackedWeights::pack(rows_a, rows_a.len() / k, k, variant),
-            )
-        })
-        .collect();
-    parallel_for_each_mut_with(
-        parallelism,
-        &mut blocks,
-        || (),
-        |(), _, (dst, packed)| {
-            gemm_packed_bias_into(packed, b, n, &zeros[..packed.rows()], dst);
-        },
-    );
 }
 
 /// The row-major transpose of a row-major `rows × cols` matrix.

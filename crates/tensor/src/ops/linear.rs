@@ -6,10 +6,11 @@
 //! ([`dot`](super::gemm::dot), [`axpy_skip_zero`](super::gemm::axpy_skip_zero))
 //! live in that module, beside the packed kernels that replicate them.
 
-use advhunter_runtime::{parallel_for_each_mut_with, Parallelism};
+use std::ops::Range;
 
 use super::gemm::{
-    axpy_skip_zero, dot, gemm_rows_par, linear_packed_bias_into, transpose, PackedWeights,
+    axpy_skip_zero, dot, gemm_packed_acc_into, gemm_packed_bias_into, linear_packed_bias_into,
+    KernelVariant, PackedWeights,
 };
 use crate::Tensor;
 
@@ -273,20 +274,11 @@ pub fn linear_into(x: &Tensor, weight: &Tensor, bias: &Tensor, out: &mut Tensor)
 /// microkernel family instead of the reference loops. Bit-for-bit identical
 /// to [`linear_into`] for any [`super::gemm::KernelVariant`].
 ///
-/// A multi-row batch is cut into one block of rows per worker of
-/// `parallelism`; each output element is still one whole split-k4 dot.
-///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches, or if `packed` was built for a
 /// different weight geometry.
-pub fn linear_packed_into(
-    x: &Tensor,
-    packed: &PackedWeights,
-    bias: &Tensor,
-    parallelism: &Parallelism,
-    out: &mut Tensor,
-) {
+pub fn linear_packed_into(x: &Tensor, packed: &PackedWeights, bias: &Tensor, out: &mut Tensor) {
     let (out_f, in_f) = (packed.rows(), packed.k());
     let (n, xin) = mat_dims(x, "linear input");
     assert_eq!(xin, in_f, "linear input features {xin} vs packed {in_f}");
@@ -295,81 +287,111 @@ pub fn linear_packed_into(
         &[n, out_f],
         "linear output must be [{n}, {out_f}]"
     );
-    if n < 2 || parallelism.threads() < 2 || out_f == 0 {
-        linear_packed_bias_into(packed, x.data(), n, bias.data(), out.data_mut());
-        return;
-    }
-    let block = n.div_ceil(parallelism.threads());
-    let mut blocks: Vec<&mut [f32]> = out.data_mut().chunks_mut(block * out_f).collect();
-    parallel_for_each_mut_with(
-        parallelism,
-        &mut blocks,
-        || (),
-        |(), i, dst| {
-            let rows = dst.len() / out_f;
-            let xs = &x.data()[i * block * in_f..(i * block + rows) * in_f];
-            linear_packed_bias_into(packed, xs, rows, bias.data(), dst);
-        },
-    );
+    linear_packed_bias_into(packed, x.data(), n, bias.data(), out.data_mut());
 }
 
 /// Backward pass of [`linear`].
 ///
 /// Returns `(grad_input, grad_weight, grad_bias)` given the stored input and
-/// the gradient of the loss with respect to the output.
-///
-/// Both products run the packed conv discipline with their output rows
-/// fanned out over `parallelism`, bit-for-bit the reference loops at any
-/// worker count (for finite operands, the contract of
-/// [`super::gemm`]):
-///
-/// * `dX = dY · W` accumulates over the output features in ascending order,
-///   exactly [`matmul`]`(grad_out, weight)`;
-/// * `dW = dYᵀ · X` accumulates over the batch rows in ascending order,
-///   exactly [`matmul_at`]`(grad_out, x)`;
-/// * `db` is the column sum of `dY`, added row by row.
+/// the gradient of the loss with respect to the output: the three pieces
+/// of [`linear_input_grad_into`], [`linear_weight_grad_rows`] over every row
+/// and [`linear_bias_grad`], bit-for-bit the reference loops (for finite
+/// operands, the contract of [`super::gemm`]).
 ///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches.
-pub fn linear_backward(
-    x: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    parallelism: &Parallelism,
-) -> (Tensor, Tensor, Tensor) {
+pub fn linear_backward(x: &Tensor, weight: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor, Tensor) {
+    let (out_f, in_f) = mat_dims(weight, "linear weight");
+    let mut grad_input = Tensor::zeros(&[grad_out.shape().dim(0), in_f]);
+    linear_input_grad_into(weight, grad_out, &mut grad_input);
+    let mut grad_weight = Tensor::zeros(&[out_f, in_f]);
+    linear_weight_grad_rows(&[(x, grad_out)], 0..out_f, grad_weight.data_mut());
+    (grad_input, grad_weight, linear_bias_grad(&[grad_out]))
+}
+
+/// `dX = dY · W` of [`linear_backward`] into `grad_input` (`[n, in]`,
+/// every element assigned), with the rows of `dY` packed as panels: every
+/// element accumulates over the output features in ascending order,
+/// exactly [`matmul`]`(grad_out, weight)`. Rows are independent, so any
+/// split of the batch into row blocks gives the same rows.
+///
+/// # Panics
+///
+/// Panics on rank or dimension mismatches.
+pub fn linear_input_grad_into(weight: &Tensor, grad_out: &Tensor, grad_input: &mut Tensor) {
     let (out_f, in_f) = mat_dims(weight, "linear weight");
     let (n, gout) = mat_dims(grad_out, "linear grad_out");
     assert_eq!(gout, out_f, "grad_out features {gout} vs weight {out_f}");
     assert_eq!(
-        x.shape().dims(),
+        grad_input.shape().dims(),
         &[n, in_f],
-        "linear input must be [{n}, {in_f}]"
+        "linear grad_input must be [{n}, {in_f}]"
     );
-    let mut grad_input = Tensor::zeros(&[n, in_f]);
-    gemm_rows_par(
-        grad_out.data(),
-        (n, out_f, in_f),
-        weight.data(),
-        parallelism,
-        grad_input.data_mut(),
-    );
-    let mut grad_weight = Tensor::zeros(&[out_f, in_f]);
-    gemm_rows_par(
-        &transpose(grad_out.data(), n, out_f),
-        (out_f, n, in_f),
-        x.data(),
-        parallelism,
-        grad_weight.data_mut(),
-    );
+    if n > 0 && in_f > 0 {
+        let packed = PackedWeights::pack(grad_out.data(), n, out_f, KernelVariant::TRAINING);
+        let zeros = vec![0.0f32; n];
+        gemm_packed_bias_into(&packed, weight.data(), in_f, &zeros, grad_input.data_mut());
+    }
+}
+
+/// Rows `rows` of `dW = dYᵀ · X` of [`linear_backward`] into the zeroed
+/// `out` (`rows.len() × in_f`), for a batch held as `(X, dY)` parts in
+/// batch order. Each element accumulates its products over the batch rows
+/// in ascending order, carrying on from one part into the next, so the
+/// rows are bit-for-bit those of [`matmul_at`]`(dY, X)` over the whole
+/// batch however it is cut into parts.
+///
+/// # Panics
+///
+/// Panics on rank or dimension mismatches.
+pub fn linear_weight_grad_rows(parts: &[(&Tensor, &Tensor)], rows: Range<usize>, out: &mut [f32]) {
+    for &(x, grad_out) in parts {
+        let (n, in_f) = mat_dims(x, "linear input");
+        let (gn, out_f) = mat_dims(grad_out, "linear grad_out");
+        assert_eq!(gn, n, "linear input must have {gn} rows, got {n}");
+        assert!(rows.end <= out_f, "weight rows {rows:?} out of {out_f}");
+        assert_eq!(out.len(), rows.len() * in_f, "dW block size mismatch");
+        if n == 0 || rows.is_empty() {
+            continue;
+        }
+        // The block's rows of dYᵀ, `rows.len() × n`.
+        let mut grad_t = vec![0.0f32; rows.len() * n];
+        for (i, grow) in grad_out.data().chunks_exact(out_f).enumerate() {
+            for (r, &g) in grow[rows.clone()].iter().enumerate() {
+                grad_t[r * n + i] = g;
+            }
+        }
+        let packed = PackedWeights::pack(&grad_t, rows.len(), n, KernelVariant::TRAINING);
+        gemm_packed_acc_into(&packed, x.data(), in_f, out);
+    }
+}
+
+/// `db` of [`linear_backward`]: the column sums of `dY`, added row by row
+/// from `+0.0` over parts given in batch order.
+///
+/// # Panics
+///
+/// Panics on rank mismatches or parts of different widths.
+pub fn linear_bias_grad(grads: &[&Tensor]) -> Tensor {
+    let out_f = grads
+        .first()
+        .map_or(0, |g| mat_dims(g, "linear grad_out").1);
     let mut grad_bias = Tensor::zeros(&[out_f]);
     let gb = grad_bias.data_mut();
-    for row in grad_out.data().chunks_exact(out_f.max(1)) {
-        for (b, &g) in gb.iter_mut().zip(row) {
-            *b += g;
+    for g in grads {
+        assert_eq!(
+            mat_dims(g, "linear grad_out").1,
+            out_f,
+            "grad_out widths differ"
+        );
+        for row in g.data().chunks_exact(out_f.max(1)) {
+            for (b, &v) in gb.iter_mut().zip(row) {
+                *b += v;
+            }
         }
     }
-    (grad_input, grad_weight, grad_bias)
+    grad_bias
 }
 
 fn mat_dims(t: &Tensor, what: &str) -> (usize, usize) {
@@ -450,7 +472,7 @@ mod tests {
                 .sum()
         };
 
-        let (gx, gw, gb) = linear_backward(&x, &w, &grad_out, &Parallelism::sequential());
+        let (gx, gw, gb) = linear_backward(&x, &w, &grad_out);
         let eps = 1e-3;
         for i in 0..x.len() {
             let mut xp = x.clone();

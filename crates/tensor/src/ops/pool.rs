@@ -3,7 +3,7 @@
 use crate::Tensor;
 
 /// Flat argmax indices recorded by [`maxpool2d`], consumed by
-/// [`maxpool2d_backward`] to route gradients to the winning inputs.
+/// [`maxpool2d_backward_into`] to route gradients to the winning inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxPoolIndices {
     indices: Vec<usize>,
@@ -147,25 +147,34 @@ fn maxpool_windows<const L: usize>(
     )
 }
 
-/// Backward pass of [`maxpool2d`]: gradients flow only to each window winner.
+/// Backward pass of [`maxpool2d`] into the input-shaped `grad_input`:
+/// gradients flow only to each window winner, every other element is
+/// zero.
 ///
 /// # Panics
 ///
 /// Panics if `grad_out` does not match the pooling output that produced
-/// `indices`.
-pub fn maxpool2d_backward(grad_out: &Tensor, indices: &MaxPoolIndices) -> Tensor {
+/// `indices`, or `grad_input` its input.
+pub fn maxpool2d_backward_into(
+    grad_out: &Tensor,
+    indices: &MaxPoolIndices,
+    grad_input: &mut Tensor,
+) {
     assert_eq!(
         grad_out.len(),
         indices.indices.len(),
         "grad_out does not match recorded pooling output"
     );
-    let [n, c, h, w] = indices.input_dims;
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    assert_eq!(
+        grad_input.shape().dims(),
+        &indices.input_dims[..],
+        "grad_input does not match the pooled input"
+    );
+    grad_input.fill_zero();
     let gi = grad_input.data_mut();
     for (&idx, &g) in indices.indices.iter().zip(grad_out.data().iter()) {
         gi[idx] += g;
     }
-    grad_input
 }
 
 /// Average pooling with square window `k` and stride `s` over an NCHW batch.
@@ -228,19 +237,14 @@ pub fn avgpool2d_into(input: &Tensor, k: usize, s: usize, out: &mut Tensor) {
     }
 }
 
-/// Backward pass of [`avgpool2d`]: spreads each gradient uniformly over its
-/// window.
+/// Backward pass of [`avgpool2d`] into the input-shaped `grad_input`:
+/// spreads each gradient uniformly over its window.
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` is inconsistent with the given input geometry.
-pub fn avgpool2d_backward(
-    grad_out: &Tensor,
-    input_dims: (usize, usize, usize, usize),
-    k: usize,
-    s: usize,
-) -> Tensor {
-    let (n, c, h, w) = input_dims;
+/// Panics if `grad_out` is inconsistent with `grad_input`'s geometry.
+pub fn avgpool2d_backward_into(grad_out: &Tensor, k: usize, s: usize, grad_input: &mut Tensor) {
+    let (n, c, h, w) = grad_input.shape().as_nchw();
     let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
     assert_eq!((gn, gc), (n, c), "grad_out batch/channel mismatch");
     assert_eq!(
@@ -249,7 +253,7 @@ pub fn avgpool2d_backward(
         "grad_out spatial mismatch"
     );
     let norm = 1.0 / (k * k) as f32;
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    grad_input.fill_zero();
     let gd = grad_out.data();
     let gi = grad_input.data_mut();
     for img in 0..n {
@@ -269,7 +273,6 @@ pub fn avgpool2d_backward(
             }
         }
     }
-    grad_input
 }
 
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
@@ -307,20 +310,17 @@ pub fn global_avgpool_into(input: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Backward pass of [`global_avgpool`].
+/// Backward pass of [`global_avgpool`] into the input-shaped
+/// `grad_input`; every element is assigned.
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` is not `[n, c]` for the given input geometry.
-pub fn global_avgpool_backward(
-    grad_out: &Tensor,
-    input_dims: (usize, usize, usize, usize),
-) -> Tensor {
-    let (n, c, h, w) = input_dims;
+/// Panics if `grad_out` is not `[n, c]` for `grad_input`'s geometry.
+pub fn global_avgpool_backward_into(grad_out: &Tensor, grad_input: &mut Tensor) {
+    let (n, c, h, w) = grad_input.shape().as_nchw();
     assert_eq!(grad_out.shape().dims(), &[n, c], "grad_out must be [n, c]");
     let plane = h * w;
     let norm = 1.0 / plane as f32;
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
     let gd = grad_out.data();
     let gi = grad_input.data_mut();
     for img in 0..n {
@@ -332,12 +332,19 @@ pub fn global_avgpool_backward(
             }
         }
     }
-    grad_input
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The output of a backward `_into` kernel run into a fresh tensor of
+    /// `dims`, poisoned so that an element it leaves unassigned shows.
+    fn into(dims: &[usize], f: impl FnOnce(&mut Tensor)) -> Tensor {
+        let mut out = Tensor::full(dims, f32::NAN);
+        f(&mut out);
+        out
+    }
 
     #[test]
     fn maxpool_picks_window_maxima() {
@@ -358,7 +365,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
         let (_, idx) = maxpool2d(&x, 2, 2);
         let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
-        let gx = maxpool2d_backward(&g, &idx);
+        let gx = into(&[1, 1, 2, 2], |o| maxpool2d_backward_into(&g, &idx, o));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 
@@ -385,7 +392,7 @@ mod tests {
         assert_eq!(y.data(), &[4.0, f32::NEG_INFINITY]);
         assert_eq!(idx.indices(), &[3, 4]);
         let g = Tensor::from_vec(vec![1.0, 10.0], &[2, 1, 1, 1]).unwrap();
-        let gx = maxpool2d_backward(&g, &idx);
+        let gx = into(&[2, 1, 2, 2], |o| maxpool2d_backward_into(&g, &idx, o));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
     }
 
@@ -448,7 +455,7 @@ mod tests {
     #[test]
     fn avgpool_backward_spreads_uniformly() {
         let g = Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]).unwrap();
-        let gx = avgpool2d_backward(&g, (1, 1, 2, 2), 2, 2);
+        let gx = into(&[1, 1, 2, 2], |o| avgpool2d_backward_into(&g, 2, 2, o));
         assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -467,7 +474,7 @@ mod tests {
     #[test]
     fn global_avgpool_backward_is_uniform() {
         let g = Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap();
-        let gx = global_avgpool_backward(&g, (1, 2, 2, 2));
+        let gx = into(&[1, 2, 2, 2], |o| global_avgpool_backward_into(&g, o));
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 

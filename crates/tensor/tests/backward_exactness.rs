@@ -1,9 +1,12 @@
 //! Bit-exactness of the training backward kernels against the reference
-//! loops they replaced, at one, two and three workers.
+//! loops they replaced, over the whole batch and over the batch cut into
+//! one, two and three parts.
 //!
-//! Training is pinned by trained-weight digests, so the parallel packed
-//! backward passes must reproduce the sequential reference loops to the
-//! bit: `conv2d_backward` against `conv2d_backward_reference`,
+//! Training is pinned by trained-weight digests, and a training step runs
+//! the backward pieces on image shards: the per-image pieces on each
+//! shard, the cross-image reductions over all shards in batch order. Both
+//! must reproduce the sequential reference loops to the bit:
+//! `conv2d_backward` against `conv2d_backward_reference`,
 //! `linear_backward` against `matmul` / `matmul_at` / column sums, and
 //! `dwconv2d_backward` (a gather with register-blocked filter sums)
 //! against the scatter loop it was. Shapes are ragged (reduction, plane
@@ -15,10 +18,11 @@
 //! Pointwise convolutions, which skip im2col and col2im, get a property of
 //! their own.
 
-use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
-    conv2d_backward, conv2d_backward_reference, conv2d_param_backward, dwconv2d_backward,
-    linear_backward, matmul, matmul_at, Conv2dSpec,
+    conv2d_backward, conv2d_backward_reference, conv2d_input_grad_into, conv2d_sum_partials,
+    conv2d_weight_partial_sum, conv2d_weight_partials, dwconv2d_backward, dwconv2d_input_grad_into,
+    dwconv2d_param_grads, linear_backward, linear_bias_grad, linear_input_grad_into,
+    linear_weight_grad_rows, matmul, matmul_at, Conv2dScratch, Conv2dSpec,
 };
 use advhunter_tensor::Tensor;
 use proptest::prelude::*;
@@ -46,6 +50,90 @@ fn tensor(dims: &[usize], seed: u64, zero_every: u64) -> Tensor {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `t` cut along its first axis into `parts` contiguous pieces whose
+/// sizes differ by at most one, the way a training batch is sharded.
+fn split_batch(t: &Tensor, parts: usize) -> Vec<Tensor> {
+    let dims = t.shape().dims();
+    let (n, row) = (dims[0], t.len() / dims[0].max(1));
+    let mut start = 0;
+    (0..parts)
+        .map(|p| {
+            let len = n / parts + usize::from(p < n % parts);
+            let mut part_dims = dims.to_vec();
+            part_dims[0] = len;
+            let data = t.data()[start * row..(start + len) * row].to_vec();
+            start += len;
+            Tensor::from_vec(data, &part_dims).unwrap()
+        })
+        .collect()
+}
+
+/// The output of an `_into` kernel run into a fresh tensor of `dims`,
+/// poisoned so that an element it leaves unassigned shows.
+fn into(dims: &[usize], f: impl FnOnce(&mut Tensor)) -> Tensor {
+    let mut out = Tensor::full(dims, f32::NAN);
+    f(&mut out);
+    out
+}
+
+/// Per-part results joined back into one batch tensor.
+fn join_batch(parts: &[Tensor]) -> Tensor {
+    let mut dims = parts[0].shape().dims().to_vec();
+    dims[0] = parts.iter().map(|p| p.shape().dim(0)).sum();
+    let data = parts
+        .iter()
+        .flat_map(|p| p.data().iter().copied())
+        .collect();
+    Tensor::from_vec(data, &dims).unwrap()
+}
+
+/// `ranges` contiguous ranges covering `0..len`.
+fn cut(len: usize, ranges: usize) -> Vec<std::ops::Range<usize>> {
+    let step = len.div_ceil(ranges).max(1);
+    (0..len)
+        .step_by(step)
+        .map(|lo| lo..(lo + step).min(len))
+        .collect()
+}
+
+/// `conv2d_backward` over the batch cut into `parts` shards: per-shard
+/// weight partials and input gradients, the partials summed over all
+/// shards in batch order.
+fn conv2d_backward_in_parts(
+    input: &Tensor,
+    weight: &Tensor,
+    grad: &Tensor,
+    spec: &Conv2dSpec,
+    parts: usize,
+) -> (Tensor, Tensor, Tensor) {
+    let (xs, gs) = (split_batch(input, parts), split_batch(grad, parts));
+    // One scratch for every part and piece, as a shard keeps it: what one
+    // call leaves in it must not reach the next.
+    let (_, c, h, w) = input.shape().as_nchw();
+    let mut scratch = Conv2dScratch::new(c, h, w, spec);
+    let (mut partials, mut gx) = (Vec::new(), Vec::new());
+    for (x, g) in xs.iter().zip(&gs) {
+        // The first part sums its images into one slot, as the first
+        // shard of a training step does.
+        let p = if partials.is_empty() {
+            let mut p = vec![0.0; spec.partial_len()];
+            conv2d_weight_partial_sum(x, g, spec, &mut p, &mut scratch);
+            p
+        } else {
+            let mut p = vec![0.0; x.shape().dim(0) * spec.partial_len()];
+            conv2d_weight_partials(x, g, spec, &mut p, &mut scratch);
+            p
+        };
+        partials.push(p);
+        gx.push(into(x.shape().dims(), |o| {
+            conv2d_input_grad_into(weight, g, spec, o, &mut scratch)
+        }));
+    }
+    let refs: Vec<&[f32]> = partials.iter().map(Vec::as_slice).collect();
+    let (gw, gb) = conv2d_sum_partials(&refs, spec);
+    (join_batch(&gx), gw, gb)
 }
 
 /// `dwconv2d_backward` as it was before its channels fanned out and its
@@ -116,8 +204,8 @@ fn has_dead_kernel_column(w: usize, spec: &Conv2dSpec) -> bool {
 }
 
 /// Every plane up to 3×3 under kernels 1–4, strides 1–3 and padding 0–2,
-/// at one and three workers: the shapes whose col2im runs are empty or one
-/// pixel long.
+/// whole and in one and two parts: the shapes whose col2im runs are empty
+/// or one pixel long.
 #[test]
 fn conv2d_backward_matches_reference_on_tiny_planes() {
     let mut dead = 0;
@@ -136,16 +224,12 @@ fn conv2d_backward_matches_reference_on_tiny_planes() {
                     let weight = tensor(&[3, 2 * kernel * kernel], seed ^ 1, 5);
                     let grad = tensor(&[2, 3, oh, ow], seed ^ 2, 5);
                     let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
-                    for threads in [1, 3] {
-                        let got = conv2d_backward(
-                            &input,
-                            &weight,
-                            &grad,
-                            &spec,
-                            &Parallelism::new(threads),
-                        );
-                        let at =
-                            format!("{h}x{w} k{kernel} s{stride} p{padding}, {threads} workers");
+                    for parts in [0, 1, 2] {
+                        let got = match parts {
+                            0 => conv2d_backward(&input, &weight, &grad, &spec),
+                            _ => conv2d_backward_in_parts(&input, &weight, &grad, &spec, parts),
+                        };
+                        let at = format!("{h}x{w} k{kernel} s{stride} p{padding}, {parts} parts");
                         assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {at}");
                         assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {at}");
                         assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {at}");
@@ -172,7 +256,7 @@ proptest! {
         kernel in 1usize..4,
         stride in 1usize..4,
         padding in 0usize..3,
-        threads in 1usize..4,
+        parts in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
@@ -187,14 +271,14 @@ proptest! {
         let grad = tensor(&[batch, out_c, oh, ow], seed ^ 2, zero_every);
 
         let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
-        let par = Parallelism::new(threads);
-        let got = conv2d_backward(&input, &weight, &grad, &spec, &par);
-        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
-        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
-        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
-        let (gw, gb) = conv2d_param_backward(&input, &weight, &grad, &spec, &par);
-        prop_assert_eq!(bits(&gw), bits(&want.1), "param-only grad_weight");
-        prop_assert_eq!(bits(&gb), bits(&want.2), "param-only grad_bias");
+        let got = conv2d_backward(&input, &weight, &grad, &spec);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input");
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight");
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias");
+        let got = conv2d_backward_in_parts(&input, &weight, &grad, &spec, parts);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} parts", parts);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} parts", parts);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} parts", parts);
     }
 
     #[test]
@@ -202,7 +286,7 @@ proptest! {
         rows in 1usize..6,
         in_f in 1usize..45,
         out_f in 1usize..30,
-        threads in 1usize..4,
+        parts in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
@@ -217,10 +301,29 @@ proptest! {
                 *b += g;
             }
         }
-        let got = linear_backward(&x, &weight, &grad, &Parallelism::new(threads));
+        let got = linear_backward(&x, &weight, &grad);
         prop_assert_eq!(bits(&got.0), bits(&matmul(&grad, &weight)), "grad_input");
         prop_assert_eq!(bits(&got.1), bits(&matmul_at(&grad, &x)), "grad_weight");
         prop_assert_eq!(bits(&got.2), bits(&grad_bias), "grad_bias");
+
+        // The batch in `parts` shards, the weight rows in `parts` blocks.
+        let (xs, gs) = (split_batch(&x, parts), split_batch(&grad, parts));
+        let gx: Vec<Tensor> = xs
+            .iter()
+            .zip(&gs)
+            .map(|(x, g)| into(x.shape().dims(), |o| linear_input_grad_into(&weight, g, o)))
+            .collect();
+        let pairs: Vec<(&Tensor, &Tensor)> = xs.iter().zip(&gs).collect();
+        let mut gw = vec![0.0f32; out_f * in_f];
+        for rows in cut(out_f, parts) {
+            let block = &mut gw[rows.start * in_f..rows.end * in_f];
+            linear_weight_grad_rows(&pairs, rows, block);
+        }
+        let gw = Tensor::from_vec(gw, &[out_f, in_f]).unwrap();
+        let gb = linear_bias_grad(&gs.iter().collect::<Vec<_>>());
+        prop_assert_eq!(bits(&join_batch(&gx)), bits(&got.0), "grad_input, {} parts", parts);
+        prop_assert_eq!(bits(&gw), bits(&got.1), "grad_weight, {} parts", parts);
+        prop_assert_eq!(bits(&gb), bits(&got.2), "grad_bias, {} parts", parts);
     }
 
     #[test]
@@ -230,7 +333,7 @@ proptest! {
         h in 1usize..12,
         w in 1usize..12,
         out_c in 1usize..20,
-        threads in 1usize..4,
+        parts in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
@@ -241,10 +344,14 @@ proptest! {
         let grad = tensor(&[batch, out_c, h, w], seed ^ 2, zero_every);
 
         let want = conv2d_backward_reference(&input, &weight, &grad, &spec);
-        let got = conv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
-        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
-        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
-        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+        let got = conv2d_backward(&input, &weight, &grad, &spec);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input");
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight");
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias");
+        let got = conv2d_backward_in_parts(&input, &weight, &grad, &spec, parts);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} parts", parts);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} parts", parts);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} parts", parts);
     }
 
     /// Channel counts off the lanes of the other kernels, planes from 1×1
@@ -260,7 +367,7 @@ proptest! {
         kernel in 1usize..5,
         stride in 1usize..3,
         padding in 0usize..2,
-        threads in 1usize..4,
+        parts in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
     ) {
@@ -276,9 +383,27 @@ proptest! {
         let grad = tensor(&[batch, c, oh, ow], seed ^ 2, zero_every);
 
         let want = dwconv2d_backward_oracle(&input, &weight, &grad, &spec);
-        let got = dwconv2d_backward(&input, &weight, &grad, &spec, &Parallelism::new(threads));
-        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} workers", threads);
-        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} workers", threads);
-        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} workers", threads);
+        let got = dwconv2d_backward(&input, &weight, &grad, &spec);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input");
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight");
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias");
+
+        // The batch in `parts` shards, the channels in `parts` blocks.
+        let (xs, gs) = (split_batch(&input, parts), split_batch(&grad, parts));
+        let gx: Vec<Tensor> = xs
+            .iter()
+            .zip(&gs)
+            .map(|(x, g)| into(x.shape().dims(), |o| dwconv2d_input_grad_into(&weight, g, &spec, o)))
+            .collect();
+        let pairs: Vec<(&Tensor, &Tensor)> = xs.iter().zip(&gs).collect();
+        let (mut gw, mut gb) = (Vec::new(), Vec::new());
+        for channels in cut(c, parts) {
+            let (w_rows, b) = dwconv2d_param_grads(&pairs, &spec, channels);
+            gw.extend(w_rows);
+            gb.extend(b);
+        }
+        prop_assert_eq!(bits(&join_batch(&gx)), bits(&want.0), "grad_input, {} parts", parts);
+        prop_assert_eq!(bits(&Tensor::from_slice(&gw)), bits(&want.1), "grad_weight, {} parts", parts);
+        prop_assert_eq!(bits(&Tensor::from_slice(&gb)), bits(&want.2), "grad_bias, {} parts", parts);
     }
 }

@@ -10,7 +10,6 @@
 //! operands that exercise the sparsity skip — and require exact
 //! `to_bits` equality, not tolerance.
 
-use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::{
     conv2d_into, conv2d_packed_into, gemm_packed_bias_into, linear_into, linear_packed_into,
     matmul_into, Conv2dScratch, Conv2dSpec, KernelVariant, PackedWeights,
@@ -38,6 +37,28 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
 
 fn bits(data: &[f32]) -> Vec<u32> {
     data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `f` on `x` cut along its first axis into `parts` contiguous
+/// pieces (sizes differing by at most one, the way a training batch is
+/// sharded) and joins the per-piece outputs.
+fn in_parts(x: &Tensor, parts: usize, f: impl Fn(&Tensor) -> Tensor) -> Vec<f32> {
+    let dims = x.shape().dims();
+    let (n, row) = (dims[0], x.len() / dims[0]);
+    let mut out = Vec::new();
+    let mut start = 0;
+    for p in 0..parts {
+        let len = n / parts + usize::from(p < n % parts);
+        let mut part_dims = dims.to_vec();
+        part_dims[0] = len;
+        let part = Tensor::from_vec(
+            x.data()[start * row..(start + len) * row].to_vec(),
+            &part_dims,
+        );
+        out.extend_from_slice(f(&part.unwrap()).data());
+        start += len;
+    }
+    out
 }
 
 proptest! {
@@ -74,8 +95,8 @@ proptest! {
     }
 
     /// Linear layer: every variant, ragged feature counts, one to nine
-    /// rows split over one to three workers (so every worker count sees
-    /// row pairs and an odd last row), bit-identical to `linear_into`.
+    /// rows cut into one to three shards (so every shard count sees row
+    /// pairs and an odd last row), bit-identical to `linear_into`.
     #[test]
     fn packed_linear_matches_reference(
         rows in 1usize..10, out_f in 1usize..24, in_f in 1usize..48, seed in any::<u64>()
@@ -88,23 +109,26 @@ proptest! {
         let mut reference = Tensor::zeros(&[rows, out_f]);
         linear_into(&x, &tw, &bias, &mut reference);
 
-        for (variant, threads) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
+        for (variant, parts) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
             let packed = PackedWeights::pack(&w, out_f, in_f, variant);
-            let mut out = Tensor::full(&[rows, out_f], f32::NAN);
-            linear_packed_into(&x, &packed, &bias, &Parallelism::new(threads), &mut out);
+            let out = in_parts(&x, parts, |x| {
+                let mut out = Tensor::full(&[x.shape().dim(0), out_f], f32::NAN);
+                linear_packed_into(x, &packed, &bias, &mut out);
+                out
+            });
             prop_assert_eq!(
-                bits(out.data()),
+                bits(&out),
                 bits(reference.data()),
-                "variant {:?}, {} workers",
+                "variant {:?}, {} shards",
                 variant,
-                threads
+                parts
             );
         }
     }
 
     /// Whole convolutions: random stride/padding/kernel geometry (every
     /// im2col edge case), batch > 1, bit-identical to `conv2d_into` with the
-    /// images fanned out over one to three workers.
+    /// images cut into one to three shards.
     #[test]
     fn packed_conv2d_matches_reference(
         batch in 1usize..4,
@@ -129,25 +153,20 @@ proptest! {
         let mut reference = Tensor::zeros(&[batch, out_c, oh, ow]);
         conv2d_into(&input, &weight, &bias, &spec, &mut scratch, &mut reference);
 
-        for (variant, threads) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
+        for (variant, parts) in KernelVariant::ALL.into_iter().zip([1, 2, 3]) {
             let packed = PackedWeights::pack_tensor(&weight, variant);
-            let mut packed_scratch = Conv2dScratch::new(c, h, w, &spec);
-            let mut out = Tensor::full(&[batch, out_c, oh, ow], f32::NAN);
-            conv2d_packed_into(
-                &input,
-                &packed,
-                &bias,
-                &spec,
-                &mut packed_scratch,
-                &Parallelism::new(threads),
-                &mut out,
-            );
+            let out = in_parts(&input, parts, |x| {
+                let mut out = Tensor::full(&[x.shape().dim(0), out_c, oh, ow], f32::NAN);
+                let mut packed_scratch = Conv2dScratch::new(c, h, w, &spec);
+                conv2d_packed_into(x, &packed, &bias, &spec, &mut packed_scratch, &mut out);
+                out
+            });
             prop_assert_eq!(
-                bits(out.data()),
+                bits(&out),
                 bits(reference.data()),
-                "variant {:?}, {} workers",
+                "variant {:?}, {} shards",
                 variant,
-                threads
+                parts
             );
         }
     }
@@ -162,7 +181,7 @@ proptest! {
         h in 1usize..12,
         w in 1usize..12,
         out_c in 1usize..20,
-        threads in 1usize..4,
+        parts in 1usize..4,
         seed in any::<u64>()
     ) {
         let spec = Conv2dSpec::new(c, out_c, 1, 1, 0);
@@ -175,16 +194,12 @@ proptest! {
         conv2d_into(&input, &weight, &bias, &spec, &mut scratch, &mut reference);
 
         let packed = PackedWeights::pack_tensor(&weight, KernelVariant::TRAINING);
-        let mut out = Tensor::full(&[batch, out_c, h, w], f32::NAN);
-        conv2d_packed_into(
-            &input,
-            &packed,
-            &bias,
-            &spec,
-            &mut Conv2dScratch::new(c, h, w, &spec),
-            &Parallelism::new(threads),
-            &mut out,
-        );
-        prop_assert_eq!(bits(out.data()), bits(reference.data()), "{} workers", threads);
+        let out = in_parts(&input, parts, |x| {
+            let mut out = Tensor::full(&[x.shape().dim(0), out_c, h, w], f32::NAN);
+            let mut scratch = Conv2dScratch::new(c, h, w, &spec);
+            conv2d_packed_into(x, &packed, &bias, &spec, &mut scratch, &mut out);
+            out
+        });
+        prop_assert_eq!(bits(&out), bits(reference.data()), "{} shards", parts);
     }
 }

@@ -5,8 +5,9 @@
 //! kernels must be bit-for-bit interchangeable with the loops they replaced:
 //! comparisons are on `to_bits`, never within a tolerance.
 
-use advhunter_runtime::Parallelism;
-use advhunter_tensor::ops::{dwconv2d_into, sigmoid_into, silu_backward, silu_into, Conv2dSpec};
+use advhunter_tensor::ops::{
+    dwconv2d_into, sigmoid_into, silu_backward_into, silu_into, Conv2dSpec,
+};
 use advhunter_tensor::Tensor;
 
 /// Deterministic operand fill. Roughly one value in five is a signed zero
@@ -178,9 +179,10 @@ fn sigmoid_and_silu_match_the_branchy_form_bit_for_bit() {
     let mut sig = Tensor::zeros(&[xs.len()]);
     let mut silu = Tensor::zeros(&[xs.len()]);
     sigmoid_into(&x, &mut sig);
-    silu_into(&x, &mut silu, &Parallelism::sequential());
+    silu_into(&x, &mut silu);
     let grad = Tensor::full(&[xs.len()], 0.75);
-    let dsilu = silu_backward(&x, &grad, &Parallelism::sequential());
+    let mut dsilu = Tensor::full(&[xs.len()], f32::NAN);
+    silu_backward_into(&x, &grad, &mut dsilu);
     for (i, &v) in xs.iter().enumerate() {
         let s = textbook_sigmoid(v);
         assert_eq!(sig.data()[i].to_bits(), s.to_bits(), "sigmoid({v:e})");
