@@ -7,6 +7,9 @@ use advhunter_tensor::Tensor;
 /// Gradient of the cross-entropy loss `CE(f(x), label)` with respect to a
 /// single CHW input image. Also returns the logits.
 ///
+/// Only the input gradient is computed ([`Graph::input_gradient`]), no
+/// parameter gradient.
+///
 /// # Panics
 ///
 /// Panics if `label` is out of range for the model's output.
@@ -15,8 +18,8 @@ pub fn loss_input_gradient(model: &Graph, image: &Tensor, label: usize) -> (Tens
     let trace = model.forward(&batch, Mode::Eval);
     let logits = trace.output().clone();
     let (_, dlogits) = cross_entropy_with_logits(&logits, &[label]);
-    let grads = model.backward(&trace, &dlogits);
-    (grads.input.image(0), logits.reshape(&[logits.len()]))
+    let grad = model.input_gradient(&trace, &dlogits);
+    (grad.image(0), logits.reshape(&[logits.len()]))
 }
 
 /// Gradient of a single logit `f_k(x)` with respect to the input image.
@@ -36,8 +39,8 @@ pub fn logit_input_gradient(model: &Graph, image: &Tensor, k: usize) -> (Tensor,
     );
     let mut seed = Tensor::zeros(&[1, classes]);
     seed.data_mut()[k] = 1.0;
-    let grads = model.backward(&trace, &seed);
-    (grads.input.image(0), logits.reshape(&[logits.len()]))
+    let grad = model.input_gradient(&trace, &seed);
+    (grad.image(0), logits.reshape(&[logits.len()]))
 }
 
 #[cfg(test)]
@@ -78,6 +81,81 @@ mod tests {
             logits_after.data()[2] > logits_before.data()[2],
             "logit 2 should increase"
         );
+    }
+
+    /// An S1 block in miniature, untrained: batch norms (differentiated
+    /// through their running statistics), a depthwise convolution and a
+    /// squeeze-and-excitation branch of linear layers.
+    fn s1_like() -> (Graph, Vec<Tensor>) {
+        use advhunter_nn::GraphBuilder;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut b = GraphBuilder::new(&[1, 8, 8]);
+        let input = b.input();
+        let c = b.conv2d("stem", input, 6, 3, 1, 1, &mut rng);
+        let bn = b.batchnorm("stem.bn", c);
+        let a = b.silu("stem.act", bn);
+        let d = b.dwconv2d("dw", a, 3, 2, 1, &mut rng);
+        let bn2 = b.batchnorm("dw.bn", d);
+        let a2 = b.silu("dw.act", bn2);
+        let gap = b.global_avgpool("se.gap", a2);
+        let fc1 = b.linear("se.fc1", gap, 3, &mut rng);
+        let act = b.silu("se.act", fc1);
+        let fc2 = b.linear("se.fc2", act, 6, &mut rng);
+        let gate = b.sigmoid("se.gate", fc2);
+        let scaled = b.scale_channels("se.scale", a2, gate);
+        let f = b.flatten("flatten", scaled);
+        b.linear("fc", f, 3, &mut rng);
+        let probes = (0..3)
+            .map(|_| advhunter_tensor::init::uniform(&mut rng, &[1, 8, 8], 0.0, 1.0))
+            .collect();
+        (b.build(), probes)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both helpers compute the input gradient alone; it is the full
+    /// backward pass's, bit for bit.
+    #[test]
+    fn input_gradients_are_those_of_the_full_backward_pass() {
+        for (model, probes) in [trained_toy_model(), s1_like()] {
+            for (label, x) in probes.iter().enumerate() {
+                let batch = Tensor::stack(std::slice::from_ref(x));
+                let trace = model.forward(&batch, Mode::Eval);
+                let (_, dlogits) = cross_entropy_with_logits(trace.output(), &[label]);
+                let full = model.backward(&trace, &dlogits).input.image(0);
+                assert_eq!(bits(&loss_input_gradient(&model, x, label).0), bits(&full));
+                let mut seed = Tensor::zeros(trace.output().shape().dims());
+                seed.data_mut()[label] = 1.0;
+                let full = model.backward(&trace, &seed).input.image(0);
+                assert_eq!(bits(&logit_input_gradient(&model, x, label).0), bits(&full));
+            }
+        }
+    }
+
+    /// FGSM and PGD examples on the toy model, pinned by a hash of their
+    /// bits taken when the gradient pass still computed every parameter
+    /// gradient.
+    #[test]
+    fn fgsm_and_pgd_examples_are_pinned() {
+        use crate::{Attack, AttackGoal};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let (model, probes) = trained_toy_model();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (label, x) in probes.iter().enumerate() {
+            for attack in [Attack::fgsm(0.1), Attack::pgd(0.1)] {
+                let adv = attack.perturb(&model, x, label, AttackGoal::Untargeted, &mut rng);
+                for v in bits(&adv) {
+                    hash = (hash ^ u64::from(v)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0x4b92_99ed_ebd3_59ed, "FGSM/PGD examples changed");
     }
 
     #[test]

@@ -3,25 +3,26 @@
 //! training backward kernels (reference against packed) and the packed
 //! training forward of S1's widest linear layer, S1's memory-bound training
 //! kernels (batch norm, SiLU backward, depthwise and pointwise
-//! convolution), four full optimizer steps of S1 and CaseStudy at one and
-//! two workers, GMM fitting, instrumented inference, and online detector
-//! scoring. Each row is the best time per iteration of the shared
+//! convolution), one Adam step over S1's parameters on the calling thread
+//! and on a crew of two, four full optimizer steps of S1 and CaseStudy at
+//! one and two workers, GMM fitting, instrumented inference, and online
+//! detector scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
 
 use advhunter::scenario::ScenarioId;
 use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism};
-use advhunter_bench::bench_function;
+use advhunter_bench::{bench_function, measure_budget, report};
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
-use advhunter_nn::train::{fit, TrainConfig};
+use advhunter_nn::train::{fit, Adam, TrainConfig};
 use advhunter_nn::{GraphBuilder, Mode};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
-    dwconv2d_into, linear_backward, linear_packed_into, matmul, matmul_at, maxpool2d_into,
-    silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
-    PackedWeights,
+    dwconv2d_into, linear_backward, linear_input_grad_into, linear_packed_into, matmul, matmul_at,
+    maxpool2d_into, silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant,
+    MaxPoolIndices, PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
@@ -139,6 +140,62 @@ fn bench_backward() {
     bench_function("linear_backward_s1_head_fc1_b32_packed_1t", || {
         linear_backward(black_box(&x), &w, &g)
     });
+    // One shard's input gradient at two workers.
+    let g16 = init::normal(&mut rng, &[16, out_f], 0.0, 1.0);
+    let mut dx = Tensor::zeros(&[16, in_f]);
+    bench_function("linear_input_grad_s1_head_fc1_b16", || {
+        linear_input_grad_into(&w, black_box(&g16), &mut dx);
+        dx.data()[0]
+    });
+}
+
+/// One Adam step over S1's parameters: [`Adam::step`] on the calling
+/// thread, and the step `fit` takes on a crew of two, read from its
+/// `advhunter_train_optimizer_ns` span: the best mean per step of
+/// one-epoch fits over four batches of 32.
+fn bench_optimizer() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut model = ScenarioId::S1
+        .spec()
+        .build_graph(&mut rng)
+        .expect("checked-in spec compiles");
+    let grads: Vec<Tensor> = model
+        .param_tensors()
+        .iter()
+        .map(|p| init::normal(&mut rng, p.shape().dims(), 0.0, 1e-3))
+        .collect();
+    let grads: Vec<&Tensor> = grads.iter().collect();
+    let mut opt = Adam::new(1e-3);
+    bench_function("adam_step_s1_1t", || {
+        opt.step(&mut model.param_tensors_mut(), black_box(&grads));
+    });
+
+    let images: Vec<Tensor> = (0..128)
+        .map(|_| init::uniform(&mut rng, model.input_dims(), 0.0, 1.0))
+        .collect();
+    let labels: Vec<usize> = (0..128).map(|i| i % 10).collect();
+    let config = TrainConfig {
+        epochs: 1,
+        batch_size: 32,
+        ..TrainConfig::default()
+    };
+    let par = Parallelism::new(2);
+    let span = || {
+        let snapshot = advhunter_telemetry::global().snapshot();
+        let h = snapshot.histogram("advhunter_train_optimizer_ns");
+        h.map_or((0, 0), |h| (h.count, h.sum))
+    };
+    let (mut best, mut steps) = (f64::MAX, 0);
+    let start = std::time::Instant::now();
+    while start.elapsed() < measure_budget() || steps == 0 {
+        let (count, sum) = span();
+        fit(&mut model, &images, &labels, &config, &par, &mut rng);
+        let (count2, sum2) = span();
+        let n = count2 - count;
+        best = best.min((sum2 - sum) as f64 / n.max(1) as f64 / 1e3);
+        steps += n;
+    }
+    report("optimizer_step_s1_crew_2t", best, steps);
 }
 
 /// Four optimizer steps of `fit` (a one-epoch run over four batches of
@@ -320,6 +377,7 @@ fn main() {
     bench_silu();
     bench_backward();
     bench_s1_training();
+    bench_optimizer();
     bench_train_step();
     bench_gmm_fit();
     bench_instrumented_inference();

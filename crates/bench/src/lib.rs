@@ -217,6 +217,12 @@ pub fn bench_function<O>(id: &str, mut f: impl FnMut() -> O) {
     let (us, iters) = time_per_iter(measure_budget(), || {
         std::hint::black_box(f());
     });
+    report(id, us, iters);
+}
+
+/// Prints one benchmark row: the id, `us` µs per iteration and the number
+/// of iterations timed.
+pub fn report(id: &str, us: f64, iters: u64) {
     println!("{id:<48} {:>14}/iter  ({iters} iterations)", format_us(us));
 }
 

@@ -56,20 +56,23 @@ impl OfflineTemplate {
 
 /// Measures the clean validation set and groups readings by category.
 ///
-/// Each image is measured once (internally averaged over the engine's `R`
-/// repetitions) over the runtime's worker pool, then the selection rule is
-/// replayed in dataset order: following the hard-label protocol, an image
-/// contributes to the category the model *predicts*; validation images the
-/// model misclassifies are dropped (the defender can check predictions
-/// against the validation labels it owns).
+/// Following the hard-label protocol, an image contributes to the
+/// category the model *predicts*; validation images the model
+/// misclassifies are dropped (the defender can check predictions against
+/// the validation labels it owns). So every image runs its forward pass
+/// over the runtime's worker pool, but only an image whose prediction
+/// matches its label has its trace replayed through the simulated machine
+/// (internally averaged over the engine's `R` repetitions); then the
+/// selection rule is applied in dataset order.
 ///
 /// `per_class_cap` limits how many images per category are used (the
 /// paper's `M`); `None` uses everything available.
 ///
 /// Image `i` draws its measurement noise from the stream seeded by
-/// `derive_seed(opts.seed, i)`, so the returned template is bit-for-bit
-/// identical for every thread count, including
-/// [`Parallelism::sequential`].
+/// `derive_seed(opts.seed, i)`, whether or not its neighbours are
+/// replayed, so the returned template is bit-for-bit the one that
+/// measuring every image gives, and identical for every thread count,
+/// including [`Parallelism::sequential`].
 pub fn collect_template(
     engine: &TraceEngine,
     model: &Graph,
@@ -78,14 +81,21 @@ pub fn collect_template(
     opts: &ExecOptions,
 ) -> OfflineTemplate {
     let cap = per_class_cap.unwrap_or(usize::MAX);
-    let measurements =
-        engine.measure_batch(model, validation.images(), opts.seed, &opts.parallelism);
+    let labels = validation.labels();
+    let correct = |i: usize, predicted: usize| predicted == labels[i];
+    let measurements = engine.measure_batch_if(
+        model,
+        validation.images(),
+        opts.seed,
+        &opts.parallelism,
+        correct,
+    );
     let mut per_class: Vec<Vec<HpcSample>> = vec![Vec::new(); validation.num_classes()];
-    for (m, &label) in measurements.iter().zip(validation.labels()) {
-        if per_class[label].len() >= cap || m.predicted != label {
-            continue;
+    for (m, &label) in measurements.iter().zip(labels) {
+        match m {
+            Some(m) if per_class[label].len() < cap => per_class[label].push(m.sample),
+            _ => {}
         }
-        per_class[label].push(m.sample);
     }
     OfflineTemplate::from_samples(per_class)
 }

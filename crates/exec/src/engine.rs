@@ -309,13 +309,33 @@ impl TraceEngine {
         index: u64,
         scratch: &mut TraceScratch,
     ) -> Measurement {
-        let (predicted, counts) = self.run_with(graph, image, scratch);
+        self.measure_indexed_if(graph, image, (seed, index), scratch, |_| true)
+            .expect("kept unconditionally")
+    }
+
+    /// [`measure_indexed_with`](Self::measure_indexed_with) that stops
+    /// after the forward pass unless `keep` accepts its prediction: `None`
+    /// then, with no trace replayed and no noise drawn. A kept item's
+    /// measurement is the unconditional one, bit for bit.
+    fn measure_indexed_if(
+        &self,
+        graph: &Graph,
+        image: &Tensor,
+        (seed, index): (u64, u64),
+        scratch: &mut TraceScratch,
+        keep: impl FnOnce(usize) -> bool,
+    ) -> Option<Measurement> {
+        let predicted = self.forward(graph, image, scratch);
+        if !keep(predicted) {
+            return None;
+        }
+        let counts = self.replay(image, scratch);
         let sample = self.sampler.sample_indexed(&counts, seed, index);
-        Measurement {
+        Some(Measurement {
             predicted,
             sample,
             counts,
-        }
+        })
     }
 
     /// Measures a whole batch, fanning the per-image trace simulations out
@@ -338,11 +358,37 @@ impl TraceEngine {
         seed: u64,
         parallelism: &Parallelism,
     ) -> Vec<Measurement> {
+        self.measure_batch_if(graph, images, seed, parallelism, |_, _| true)
+            .into_iter()
+            .map(|m| m.expect("kept unconditionally"))
+            .collect()
+    }
+
+    /// [`measure_batch`](Self::measure_batch) that replays item `i`'s trace
+    /// only if `keep(i, predicted)` accepts the prediction of its forward
+    /// pass: `out[i]` is `None` for the others. Item `i` keeps the noise
+    /// stream of `derive_seed(seed, i)`, so a kept item's measurement is
+    /// bit for bit `measure_batch`'s, at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any image does not match the model's input shape.
+    pub fn measure_batch_if(
+        &self,
+        graph: &Graph,
+        images: &[Tensor],
+        seed: u64,
+        parallelism: &Parallelism,
+        keep: impl Fn(usize, usize) -> bool + Sync,
+    ) -> Vec<Option<Measurement>> {
         parallel_map_with(
             parallelism,
             images,
             || self.worker_scratch(graph),
-            |guard, i, image| self.measure_indexed_with(graph, image, seed, i as u64, guard),
+            |guard, i, image| {
+                let index = (seed, i as u64);
+                self.measure_indexed_if(graph, image, index, guard, |p| keep(i, p))
+            },
         )
     }
 
@@ -352,23 +398,34 @@ impl TraceEngine {
         image: &Tensor,
         scratch: &mut TraceScratch,
     ) -> (usize, HpcCounts) {
+        let predicted = self.forward(graph, image, scratch);
+        (predicted, self.replay(image, scratch))
+    }
+
+    /// The measured inference's forward pass into the scratch workspace:
+    /// the hard-label prediction.
+    fn forward(&self, graph: &Graph, image: &Tensor, scratch: &mut TraceScratch) -> usize {
         assert_eq!(
             image.shape().dims(),
             graph.input_dims(),
             "image shape must match model input"
         );
         let metrics = engine_metrics();
-        metrics.measurements.inc();
         for (count, counter) in self.plan.variant_counts.iter().zip(&metrics.gemm_dispatch) {
             counter.add(*count);
         }
-        let TraceScratch { ws, tiles, group } = scratch;
         // A CHW image is a batch of one — same flat data, no copy needed.
-        let forward_span = metrics.forward_ns.span();
-        graph.forward_with_kernels(image, Mode::Eval, ws, &self.plan.kernels);
-        let predicted = argmax_row(ws.output());
-        forward_span.finish();
+        let _span = metrics.forward_ns.span();
+        graph.forward_with_kernels(image, Mode::Eval, &mut scratch.ws, &self.plan.kernels);
+        argmax_row(scratch.ws.output())
+    }
 
+    /// Replays the trace of the forward pass in the scratch workspace
+    /// through the simulated machine: its noise-free counts.
+    fn replay(&self, image: &Tensor, scratch: &mut TraceScratch) -> HpcCounts {
+        let metrics = engine_metrics();
+        metrics.measurements.inc();
+        let TraceScratch { ws, tiles, group } = scratch;
         // Reused machine, but reset to cold: identical to a fresh one.
         let trace_span = metrics.trace_ns.span();
         group.reset_machine();
@@ -382,7 +439,7 @@ impl TraceEngine {
         for (event, counter) in HpcEvent::ALL.iter().zip(&metrics.event_totals) {
             counter.add(counts.get(*event));
         }
-        (predicted, counts)
+        counts
     }
 }
 

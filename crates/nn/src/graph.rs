@@ -166,6 +166,17 @@ impl Op {
             _ => None,
         }
     }
+
+    /// [`Op::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> Option<[&mut Tensor; 2]> {
+        match self {
+            Op::Conv2d(l) => Some([&mut l.weight, &mut l.bias]),
+            Op::DwConv2d(l) => Some([&mut l.weight, &mut l.bias]),
+            Op::Linear(l) => Some([&mut l.weight, &mut l.bias]),
+            Op::BatchNorm2d(bn) => Some([&mut bn.gamma, &mut bn.beta]),
+            _ => None,
+        }
+    }
 }
 
 /// Where a node reads its input from.
@@ -266,17 +277,12 @@ impl Gradients {
     /// [`Graph::param_tensors_mut`]: for each parameterized node, weight
     /// then bias.
     pub fn flat(&self) -> Vec<&Tensor> {
-        flatten_params(&self.params)
+        self.params
+            .iter()
+            .flatten()
+            .flat_map(|pg| [&pg.weight, &pg.bias])
+            .collect()
     }
-}
-
-/// Per-node parameter gradients flattened like [`Gradients::flat`].
-pub(crate) fn flatten_params(params: &[Option<ParamGrad>]) -> Vec<&Tensor> {
-    params
-        .iter()
-        .flatten()
-        .flat_map(|pg| [&pg.weight, &pg.bias])
-        .collect()
 }
 
 /// A directed acyclic computation graph over NCHW image batches.
@@ -354,6 +360,26 @@ impl Graph {
     ///
     /// Panics if `grad_output`'s shape differs from the trace's final output.
     pub fn backward(&self, trace: &ForwardTrace, grad_output: &Tensor) -> Gradients {
+        self.backward_impl(trace, grad_output, true)
+    }
+
+    /// The input gradient of [`Graph::backward`] alone, bit for bit: the
+    /// same pass, computing no parameter gradient but the batch sums a
+    /// train-mode batch norm's input gradient needs. What attacks use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output`'s shape differs from the trace's final output.
+    pub fn input_gradient(&self, trace: &ForwardTrace, grad_output: &Tensor) -> Tensor {
+        self.backward_impl(trace, grad_output, false).input
+    }
+
+    fn backward_impl(
+        &self,
+        trace: &ForwardTrace,
+        grad_output: &Tensor,
+        with_params: bool,
+    ) -> Gradients {
         assert_eq!(
             grad_output.shape(),
             trace.output().shape(),
@@ -387,8 +413,11 @@ impl Graph {
                 mode: trace.mode,
                 bn_sums: None,
             };
-            params[i] = grad.param_grads();
-            if let (Some(pg), Aux::BatchNorm { .. }) = (&params[i], grad.aux) {
+            let batch_norm = matches!(grad.aux, Aux::BatchNorm { .. });
+            if with_params || batch_norm {
+                params[i] = grad.param_grads();
+            }
+            if let (Some(pg), true) = (&params[i], batch_norm) {
                 let (n, _, h, w) = ins[0].shape().as_nchw();
                 grad.bn_sums = Some((pg.weight.data(), pg.bias.data(), (n * h * w) as f32));
             }
@@ -409,29 +438,16 @@ impl Graph {
     /// before bias / γ before β). This is the order optimizers and the
     /// weight file format use.
     pub fn param_tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut out: Vec<&mut Tensor> = Vec::new();
-        for node in &mut self.nodes {
-            match &mut node.op {
-                Op::Conv2d(l) => {
-                    out.push(&mut l.weight);
-                    out.push(&mut l.bias);
-                }
-                Op::DwConv2d(l) => {
-                    out.push(&mut l.weight);
-                    out.push(&mut l.bias);
-                }
-                Op::Linear(l) => {
-                    out.push(&mut l.weight);
-                    out.push(&mut l.bias);
-                }
-                Op::BatchNorm2d(bn) => {
-                    out.push(&mut bn.gamma);
-                    out.push(&mut bn.beta);
-                }
-                _ => {}
-            }
-        }
-        out
+        self.nodes
+            .iter_mut()
+            .filter_map(|n| n.op.params_mut())
+            .flatten()
+            .collect()
+    }
+
+    /// Node `i`'s parameters, mutably (see [`Op::params_mut`]).
+    pub(crate) fn node_params_mut(&mut self, i: usize) -> Option<[&mut Tensor; 2]> {
+        self.nodes[i].op.params_mut()
     }
 
     /// Immutable view of every parameter tensor, in the same order as

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use advhunter_tensor::ops::{GemmGeometry, GemmOpKind, KernelVariant, PackedWeights};
 
-use crate::graph::{Conv2dLayer, Graph, LinearLayer, Op, Src};
+use crate::graph::{Graph, Op, Src};
 
 /// One matrix node's packed weights and the variant they were packed for.
 #[derive(Debug, Clone)]
@@ -41,12 +41,22 @@ impl MatKernels {
     /// Packs every `Conv2d` and `Linear` node of `graph`, choosing each
     /// node's variant with `choose` (called once per node, in node order).
     pub fn pack_with(graph: &Graph, choose: &mut dyn FnMut(GemmGeometry) -> KernelVariant) -> Self {
+        Self::pack_where(graph, choose, |_| true)
+    }
+
+    /// [`MatKernels::pack_with`] over the matrix nodes whose op `keep`
+    /// accepts.
+    fn pack_where(
+        graph: &Graph,
+        choose: &mut dyn FnMut(GemmGeometry) -> KernelVariant,
+        keep: impl Fn(&Op) -> bool,
+    ) -> Self {
         let per_node = graph
             .nodes()
             .iter()
             .zip(gemm_geometries(graph))
             .map(|(node, geometry)| {
-                let geometry = geometry?;
+                let geometry = geometry.filter(|_| keep(&node.op))?;
                 let variant = choose(geometry);
                 let weight = match &node.op {
                     Op::Conv2d(l) => &l.weight,
@@ -63,24 +73,17 @@ impl MatKernels {
         Self { per_node }
     }
 
-    /// Refills every node's panels in place from `graph`'s current
-    /// weights: what a training step does with weights that change every
-    /// step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` is not the graph the kernels were packed for.
-    pub(crate) fn repack(&mut self, graph: &Graph) {
-        for (node, kernel) in graph.nodes().iter().zip(&mut self.per_node) {
-            let (
-                Some(kernel),
-                Op::Conv2d(Conv2dLayer { weight, .. }) | Op::Linear(LinearLayer { weight, .. }),
-            ) = (kernel, &node.op)
-            else {
-                continue;
-            };
-            Arc::make_mut(&mut kernel.packed).repack(weight.data());
-        }
+    /// The convolutions' panels for training
+    /// ([`KernelVariant::TRAINING`]): a training step keeps its linear
+    /// layers' panels with their weight blocks.
+    pub(crate) fn pack_convolutions(graph: &Graph) -> Self {
+        let convolution = |op: &Op| matches!(op, Op::Conv2d(_));
+        Self::pack_where(graph, &mut |_| KernelVariant::TRAINING, convolution)
+    }
+
+    /// The kernel for node `i`, mutably.
+    pub(crate) fn node_mut(&mut self, i: usize) -> Option<&mut NodeKernel> {
+        self.per_node.get_mut(i).and_then(|k| k.as_mut())
     }
 
     /// Packs every matrix node with the default variant (no tuning).

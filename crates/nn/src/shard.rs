@@ -6,7 +6,10 @@
 //! [`Workspace`] and its gradient buffers, kept from one step to the next
 //! behind a lock of its own, so one crew, opened once per call, can run
 //! every per-image op: each shard runs the ops of a chain of nodes one
-//! after another, sequentially, with the shards side by side.
+//! after another, sequentially, with the shards side by side. The shards
+//! are allocated once per call, for its largest batch; a smaller (ragged)
+//! batch runs in a prefix of them, each shard using a prefix of its
+//! buffers.
 //!
 //! A chain ends where a node needs the whole batch: a train-mode batch
 //! norm, whose statistics forward and whose gradient sums backward run
@@ -16,34 +19,87 @@
 //! one-batch kernels, fanned out over channels, rows or nodes as crew
 //! tasks, so the trained weights are bit-identical for any shard count.
 //!
+//! The optimizer step runs on the crew as well. A linear layer's weight is
+//! kept, for the whole call, in blocks of [`ROW_BLOCK`] rows
+//! ([`WeightBlock`]): each block's rows, panels and Adam moments, next to
+//! the block's weight gradient. The forward pass and the input gradient
+//! read the blocks, and one task per block updates its rows and repacks
+//! its panels. Every other parameter is updated by one task per node,
+//! with the node's tensors moved out of the graph for the run.
+//!
 //! Every buffer a shard needs is allocated on the calling thread when the
 //! shards are cut: gradients live in slots that gradients never alive at
 //! the same time share ([`GradSlots`]). Crew helpers allocate next to
 //! nothing, so no memory settles in their allocator arenas.
 
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use advhunter_runtime::{with_crew, Crew, Parallelism};
+use advhunter_telemetry::Histogram;
 use advhunter_tensor::ops::{
     conv2d_sum_partials, conv2d_weight_partial_sum, conv2d_weight_partials,
-    cross_entropy_with_logits, dwconv2d_param_grads, linear_bias_grad, linear_weight_grad_rows,
-    KernelVariant,
+    cross_entropy_with_logits, dwconv2d_param_grads, linear_bias_grad,
+    linear_input_grad_blocks_into, linear_packed_bias_cols_into, linear_weight_grad_rows,
+    KernelVariant, PackedWeights,
 };
 use advhunter_tensor::Tensor;
 
 use crate::graph::{
     argmax_rows, bn_batch_stats, bn_grad_sums, image_slices, Aux, BnNorm, OpGrad, BN_LANES,
 };
+use crate::train::AdamStep;
+use crate::workspace::set_batch_dim;
 use crate::{Graph, MatKernels, Mode, Op, ParamGrad, Src, Workspace};
 
 /// A pair of per-channel (or per-row) vectors: batch mean and variance,
 /// or a node's primary and secondary parameter gradient.
 type Pair = (Vec<f32>, Vec<f32>);
 
-/// Weight rows of one linear-gradient task: the packed kernels' panel
-/// height, so blocks split no panel.
-const ROW_BLOCK: usize = 8;
+/// Rows of a linear layer's weight block ([`WeightBlock`]) and of its
+/// weight-gradient task: a whole number of panels of either packed
+/// variant the blocks use, so blocks split no panel.
+const ROW_BLOCK: usize = 16;
+
+/// Wall-time spans of the training passes in the global telemetry
+/// registry; observational only, reading the clock only while telemetry is
+/// enabled.
+struct TrainMetrics {
+    forward: Arc<Histogram>,
+    backward: Arc<Histogram>,
+    param_tasks: Arc<Histogram>,
+    optimizer: Arc<Histogram>,
+    shard_alloc: Arc<Histogram>,
+}
+
+fn train_metrics() -> &'static TrainMetrics {
+    static METRICS: OnceLock<TrainMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = advhunter_telemetry::global();
+        TrainMetrics {
+            forward: r.histogram(
+                "advhunter_train_forward_ns",
+                "Wall time of one sharded forward pass, batch-norm statistics included",
+            ),
+            backward: r.histogram(
+                "advhunter_train_backward_ns",
+                "Wall time of one backward shard run over a chain of nodes",
+            ),
+            param_tasks: r.histogram(
+                "advhunter_train_param_tasks_ns",
+                "Wall time of one run of whole-batch parameter-gradient tasks",
+            ),
+            optimizer: r.histogram(
+                "advhunter_train_optimizer_ns",
+                "Wall time of one optimizer step on the crew",
+            ),
+            shard_alloc: r.histogram(
+                "advhunter_train_shard_alloc_ns",
+                "Wall time of allocating the image shards of one training or evaluation call",
+            ),
+        }
+    })
+}
 
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
@@ -99,6 +155,25 @@ impl Shard {
                 self.give(plan, j, grad);
             }
         }
+    }
+
+    /// Makes the shard the `n` images from `start` of a batch, in the
+    /// buffers it has.
+    fn resize(&mut self, start: usize, n: usize) {
+        self.start = start;
+        set_batch_dim(&mut self.input, n);
+        self.ws.set_batch(n);
+    }
+
+    /// Convolution `node`'s partials of the current images: the first
+    /// shard's one summed slot, or one slot per image.
+    fn partials(&self, node: usize, slot: usize) -> &[f32] {
+        let slots = if self.start == 0 {
+            1
+        } else {
+            self.input.shape().dim(0)
+        };
+        &self.partials[node][..slots * slot]
     }
 }
 
@@ -184,27 +259,37 @@ fn keeps_grad(op: &Op) -> bool {
     matches!(op, Op::DwConv2d(_) | Op::Linear(_))
 }
 
-/// A batch's shards, kept across the steps of one batch size.
+/// A call's shards: allocated once, for its largest batch, with the
+/// current batch in a prefix of them.
 #[derive(Debug)]
 struct Shards {
-    batch: usize,
+    /// The largest batch the shards hold.
+    capacity: usize,
+    /// How many shards the current batch runs in, from the first.
+    active: usize,
     shards: Vec<RwLock<Shard>>,
     /// The gradient slots of shards cut for training.
     slots: Option<GradSlots>,
 }
 
 impl Shards {
-    /// Shards for `batch` images on `members` crew members, with the
-    /// gradient slots, convolution partials and batch-norm statistics of
-    /// training when `mode` is [`Mode::Train`].
-    fn new(graph: &Graph, layout: &Layout, (batch, members): (usize, usize), mode: Mode) -> Self {
+    /// Shards for batches of up to `capacity` images on `members` crew
+    /// members, with the gradient slots, convolution partials and
+    /// batch-norm statistics of training when `mode` is [`Mode::Train`].
+    fn new(
+        graph: &Graph,
+        layout: &Layout,
+        (capacity, members): (usize, usize),
+        mode: Mode,
+    ) -> Self {
+        let _span = train_metrics().shard_alloc.span();
         let nodes = graph.nodes();
         let slots = (mode == Mode::Train).then(|| GradSlots::plan(graph, layout));
-        let k = members.min(batch).max(1);
+        let k = members.min(capacity).max(1);
         let mut start = 0;
         let shards = (0..k)
             .map(|i| {
-                let n = batch / k + usize::from(i < batch % k);
+                let n = capacity / k + usize::from(i < capacity % k);
                 let mut dims = vec![n];
                 dims.extend_from_slice(graph.input_dims());
                 let mut shard = Shard {
@@ -241,15 +326,72 @@ impl Shards {
             })
             .collect();
         Self {
-            batch,
+            capacity,
+            active: k,
             shards,
             slots,
         }
     }
+
+    /// Cuts a batch of `batch` images into the first min(shards, batch)
+    /// shards, sizes differing by at most one: each fits in what its shard
+    /// was allocated for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is larger than the shards were allocated for.
+    fn cut(&mut self, batch: usize) {
+        assert!(
+            batch <= self.capacity,
+            "a batch of {batch} images in shards allocated for {}",
+            self.capacity
+        );
+        let k = self.shards.len().min(batch).max(1);
+        let mut start = 0;
+        for (i, shard) in self.shards[..k].iter_mut().enumerate() {
+            let n = batch / k + usize::from(i < batch % k);
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .resize(start, n);
+            start += n;
+        }
+        self.active = k;
+    }
+
+    /// The shards of the current batch.
+    fn current(&self) -> &[RwLock<Shard>] {
+        &self.shards[..self.active]
+    }
+}
+
+/// One block of a linear layer's weight rows, for the whole of a training
+/// call: the rows, their panels and their Adam moments.
+#[derive(Debug)]
+struct WeightBlock {
+    /// The rows, row-major: the master copy the optimizer updates.
+    weight: Vec<f32>,
+    /// The rows packed for the forward pass.
+    panels: PackedWeights,
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
+/// The parameters of one node that one optimizer task updates, with their
+/// Adam moments: a linear layer's bias, or every other parameterized
+/// node's two tensors. The tensors are moved out of the graph for the
+/// optimizer's run and back after it; between runs these are empty.
+#[derive(Debug)]
+struct NodeParams {
+    tensors: Vec<Tensor>,
+    moments: Vec<(Vec<f32>, Vec<f32>)>,
+    /// A convolution's panels, moved out with its weight and repacked
+    /// from it.
+    panels: Option<Arc<PackedWeights>>,
 }
 
 /// The graph's structure as the calling thread schedules it, fixed for a
-/// crew's lifetime.
+/// crew's lifetime, and the buffers the tasks of a training step share.
 struct Layout {
     /// The channel count of each node that is a train-mode batch norm.
     bn: Vec<Option<usize>>,
@@ -258,9 +400,20 @@ struct Layout {
     wanted: Vec<bool>,
     /// The whole-batch parameter tasks of each node, a batch norm's aside.
     param_tasks: Vec<Vec<Task>>,
-    /// Where each [`Task::LinearGrad`] writes its weight rows, allocated
-    /// with the layout so that no helper allocates them.
+    /// Each linear layer's weight blocks in training: indices into
+    /// `blocks` and `pieces`.
+    linear: Vec<Option<Range<usize>>>,
+    /// Every linear layer's weight blocks, allocated with the layout so
+    /// that no helper allocates them.
+    blocks: Vec<RwLock<WeightBlock>>,
+    /// The weight gradient of each block, written by its
+    /// [`Task::LinearGrad`].
     pieces: Vec<Mutex<Vec<f32>>>,
+    /// Each parameterized node's [`NodeParams`].
+    params: Vec<Option<Mutex<NodeParams>>>,
+    /// The tasks of one optimizer step: the weight blocks, largest first,
+    /// then the nodes.
+    optimizer: Vec<Task>,
 }
 
 impl Layout {
@@ -275,42 +428,124 @@ impl Layout {
                 });
             wanted.push(reaches);
         }
-        let mut pieces = Vec::new();
-        let param_tasks = nodes
-            .iter()
-            .enumerate()
-            .map(|(node, n)| match &n.op {
-                Op::Conv2d(_) => vec![Task::ConvGrad { node }],
-                Op::DwConv2d(l) => blocks(l.spec.in_channels, BN_LANES)
-                    .map(|channels| Task::DwGrad { node, channels })
-                    .collect(),
-                Op::Linear(l) if mode == Mode::Train => {
-                    let in_f = l.weight.shape().dim(1);
-                    blocks(l.weight.shape().dim(0), ROW_BLOCK)
-                        .map(|rows| {
-                            pieces.push(Mutex::new(vec![0.0; rows.len() * in_f]));
-                            let piece = pieces.len() - 1;
-                            Task::LinearGrad { node, rows, piece }
-                        })
-                        .chain([Task::LinearBias { node }])
-                        .collect()
-                }
-                _ => Vec::new(),
-            })
-            .collect();
-        Self {
+        let train = mode == Mode::Train;
+        let mut layout = Self {
             bn: nodes
                 .iter()
                 .map(|n| match &n.op {
-                    Op::BatchNorm2d(bn) if mode == Mode::Train => Some(bn.gamma.len()),
+                    Op::BatchNorm2d(bn) if train => Some(bn.gamma.len()),
                     _ => None,
                 })
                 .collect(),
             wanted,
-            param_tasks,
-            pieces,
+            param_tasks: Vec::new(),
+            linear: vec![None; nodes.len()],
+            blocks: Vec::new(),
+            pieces: Vec::new(),
+            params: Vec::new(),
+            optimizer: Vec::new(),
+        };
+        for (node, n) in nodes.iter().enumerate() {
+            let tasks = match &n.op {
+                Op::Conv2d(_) => vec![Task::ConvGrad { node }],
+                Op::DwConv2d(l) => blocks(l.spec.in_channels, BN_LANES)
+                    .map(|channels| Task::DwGrad { node, channels })
+                    .collect(),
+                Op::Linear(l) if train => {
+                    let first = layout.blocks.len();
+                    let tasks = layout.cut_linear(&l.weight, node);
+                    layout.linear[node] = Some(first..layout.blocks.len());
+                    tasks
+                }
+                _ => Vec::new(),
+            };
+            layout.param_tasks.push(tasks);
+        }
+        if train {
+            layout.params = nodes
+                .iter()
+                .map(|n| {
+                    let tensors = match &n.op {
+                        Op::Linear(l) => vec![&l.bias],
+                        op => op.params()?.to_vec(),
+                    };
+                    Some(Mutex::new(NodeParams {
+                        moments: tensors
+                            .iter()
+                            .map(|t| (zeros(t.len()), zeros(t.len())))
+                            .collect(),
+                        tensors: tensors.iter().map(|_| Tensor::zeros(&[0])).collect(),
+                        panels: matches!(n.op, Op::Conv2d(_))
+                            .then(|| Arc::new(PackedWeights::zeros(0, 0, KernelVariant::TRAINING))),
+                    }))
+                })
+                .collect();
+            let mut by_size: Vec<usize> = (0..layout.blocks.len()).collect();
+            by_size.sort_by_key(|&b| std::cmp::Reverse(read(&layout.blocks[b]).weight.len()));
+            layout.optimizer = by_size
+                .into_iter()
+                .map(|piece| Task::AdamBlock { piece })
+                .chain(
+                    (0..nodes.len())
+                        .filter(|&node| layout.params[node].is_some())
+                        .map(|node| Task::AdamNode { node }),
+                )
+                .collect();
+        }
+        layout
+    }
+
+    /// Cuts linear layer `node`'s `weight` into blocks of [`ROW_BLOCK`]
+    /// rows, each with its gradient piece, and returns the node's
+    /// parameter tasks.
+    fn cut_linear(&mut self, weight: &Tensor, node: usize) -> Vec<Task> {
+        let in_f = weight.shape().dim(1);
+        blocks(weight.shape().dim(0), ROW_BLOCK)
+            .map(|rows| {
+                let data = weight.data()[rows.start * in_f..rows.end * in_f].to_vec();
+                self.blocks.push(RwLock::new(WeightBlock {
+                    panels: PackedWeights::pack(&data, rows.len(), in_f, KernelVariant::TRAINING),
+                    m: zeros(data.len()),
+                    v: zeros(data.len()),
+                    weight: data,
+                }));
+                self.pieces.push(Mutex::new(zeros(rows.len() * in_f)));
+                let piece = self.pieces.len() - 1;
+                Task::LinearGrad { node, rows, piece }
+            })
+            .chain([Task::LinearBias { node }])
+            .collect()
+    }
+}
+
+impl Layout {
+    /// The shape of linear layer `node`'s weight, if it is kept in blocks.
+    fn linear_dims(&self, node: usize) -> Option<[usize; 2]> {
+        let blocks = &self.blocks[self.linear[node].clone()?];
+        let rows = blocks.iter().map(|b| read(b).panels.rows()).sum();
+        Some([rows, blocks.first().map_or(0, |b| read(b).panels.k())])
+    }
+
+    /// Linear layer `node`'s weight blocks, in row order.
+    fn node_blocks(&self, node: usize) -> &[RwLock<WeightBlock>] {
+        &self.blocks[self.linear[node].clone().unwrap_or_default()]
+    }
+}
+
+impl WeightBlock {
+    /// A block holding nothing.
+    fn empty() -> Self {
+        Self {
+            weight: Vec::new(),
+            panels: PackedWeights::zeros(0, 0, KernelVariant::TRAINING),
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
+}
+
+fn zeros(len: usize) -> Vec<f32> {
+    vec![0.0; len]
 }
 
 /// What a crew's tasks read. The calling thread changes it only between
@@ -318,10 +553,15 @@ impl Layout {
 struct State<G> {
     graph: G,
     mode: Mode,
-    kernels: Option<MatKernels>,
+    kernels: MatKernels,
     /// Indices into the images of the current batch, in batch order.
     batch: Vec<usize>,
-    shards: Option<Shards>,
+    shards: Shards,
+    /// Each node's parameter gradients from the last backward pass; a
+    /// linear layer's weight gradient stays in [`Layout::pieces`].
+    grads: Vec<Option<Pair>>,
+    /// The optimizer step being taken.
+    adam: Option<AdamStep>,
 }
 
 type StepCrew<'c> = Crew<'c, (), Task, Option<Pair>>;
@@ -333,15 +573,15 @@ pub(crate) struct Sharded<'s, 'c, G> {
     crew: &'s mut StepCrew<'c>,
     state: &'s RwLock<State<G>>,
     layout: &'s Layout,
-    members: usize,
 }
 
 /// Runs `body` with a crew of `parallelism` over `images` and the graph
-/// `graph` in `mode`, opened once for the call.
+/// `graph` in `mode`, opened once for the call, with shards allocated for
+/// batches of up to `capacity` images.
 pub(crate) fn with_shards<G, O>(
     graph: G,
     images: &[Tensor],
-    mode: Mode,
+    (mode, capacity): (Mode, usize),
     parallelism: &Parallelism,
     body: impl FnOnce(&mut Sharded<'_, '_, G>) -> O,
 ) -> O
@@ -349,12 +589,20 @@ where
     G: Deref<Target = Graph> + Send + Sync,
 {
     let layout = Layout::new(&graph, mode);
+    let kernels = match mode {
+        Mode::Train => MatKernels::pack_convolutions(&graph),
+        Mode::Eval => MatKernels::pack_with(&graph, &mut |_| KernelVariant::TRAINING),
+    };
+    let members = parallelism.crew_members();
+    let shards = Shards::new(&graph, &layout, (capacity, members), mode);
     let state = RwLock::new(State {
+        grads: vec![None; graph.nodes().len()],
         graph,
         mode,
-        kernels: None,
+        kernels,
         batch: Vec::new(),
-        shards: None,
+        shards,
+        adam: None,
     });
     with_crew(
         parallelism,
@@ -368,49 +616,29 @@ where
                 crew,
                 state: &state,
                 layout: &layout,
-                members: parallelism.crew_members(),
             })
         },
     )
 }
 
 impl<G: Deref<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
-    /// Makes `batch` (indices into the images) the current batch: cuts
-    /// shards for its size unless the current ones fit, and packs the
-    /// weights when `repack` or not yet packed. Shards of another size (a
-    /// ragged last batch's, or the ones before it) are freed before the new
-    /// ones are allocated, so two batches' buffers are never alive
-    /// together.
-    fn load(&mut self, batch: &[usize], repack: bool) {
+    /// Makes `batch` (indices into the images) the current batch, in a
+    /// prefix of the shards.
+    fn load(&mut self, batch: &[usize]) {
         let mut state = write(self.state);
         let state = &mut *state;
-        match &mut state.kernels {
-            Some(kernels) if repack => kernels.repack(&state.graph),
-            Some(_) => {}
-            None => {
-                let pack = MatKernels::pack_with(&state.graph, &mut |_| KernelVariant::TRAINING);
-                state.kernels = Some(pack);
-            }
-        }
         state.batch.clear();
         state.batch.extend_from_slice(batch);
-        if state.shards.as_ref().map(|s| s.batch) != Some(batch.len()) {
-            state.shards = None;
-            let size = (batch.len(), self.members);
-            state.shards = Some(Shards::new(&state.graph, self.layout, size, state.mode));
-        }
+        state.shards.cut(batch.len());
     }
 
     fn shard_count(&self) -> usize {
-        read(self.state)
-            .shards
-            .as_ref()
-            .map_or(0, |s| s.shards.len())
+        read(self.state).shards.active
     }
 
     /// Eval-mode logits of the images `batch`, one row per image.
     pub(crate) fn logits(&mut self, batch: &[usize]) -> Tensor {
-        self.load(batch, false);
+        self.load(batch);
         self.forward();
         self.gather_logits()
     }
@@ -419,10 +647,7 @@ impl<G: Deref<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
     fn run_whole(&mut self, tasks: Vec<Task>) -> Vec<(usize, Pair)> {
         let (tasks, outs) = self.crew.run(tasks);
         let mut joined: Vec<(usize, Pair)> = Vec::new();
-        for (task, (mut a, b)) in tasks.iter().zip(outs).filter_map(|(t, o)| Some((t, o?))) {
-            if let Task::LinearGrad { piece, .. } = task {
-                a.extend_from_slice(&lock(&self.layout.pieces[*piece]));
-            }
+        for (task, (a, b)) in tasks.iter().zip(outs).filter_map(|(t, o)| Some((t, o?))) {
             match joined.last_mut() {
                 Some((node, (ja, jb))) if *node == task.node() => {
                     ja.extend(a);
@@ -437,6 +662,7 @@ impl<G: Deref<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
     /// The forward pass: one shard run per chain of per-image nodes, and
     /// the batch statistics of each train-mode batch norm in between.
     fn forward(&mut self) {
+        let _span = train_metrics().forward.span();
         let n = self.layout.bn.len();
         let k = self.shard_count();
         let (mut start, mut stats) = (0, None);
@@ -465,27 +691,24 @@ impl<G: Deref<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
     /// The output rows of every shard, in batch order.
     fn gather_logits(&self) -> Tensor {
         let state = read(self.state);
-        let shards = state.shards.as_ref().expect("a loaded batch");
         let mut data = Vec::new();
-        for shard in &shards.shards {
+        for shard in state.shards.current() {
             data.extend_from_slice(read(shard).ws.output().data());
         }
-        let classes = data.len() / shards.batch;
-        Tensor::from_vec(data, &[shards.batch, classes]).expect("one row per image")
+        let batch = state.batch.len();
+        let classes = data.len() / batch.max(1);
+        Tensor::from_vec(data, &[batch, classes]).expect("one row per image")
     }
 }
 
 impl<G: DerefMut<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
     /// One training step's forward and backward pass over the images
-    /// `batch` with `labels`: returns the mean loss, the number of correct
-    /// predictions and every node's parameter gradient, and moves the
+    /// `batch` with `labels`: returns the mean loss and the number of
+    /// correct predictions, keeps every node's parameter gradient for
+    /// [`Sharded::optimize`] and [`Sharded::param_grads`], and moves the
     /// batch-norm running statistics toward the batch's.
-    pub(crate) fn train_step(
-        &mut self,
-        batch: &[usize],
-        labels: &[usize],
-    ) -> (f32, usize, Vec<Option<ParamGrad>>) {
-        self.load(batch, true);
+    pub(crate) fn train_step(&mut self, batch: &[usize], labels: &[usize]) -> (f32, usize) {
+        self.load(batch);
         self.forward();
         let logits = self.gather_logits();
         let (loss, dlogits) = cross_entropy_with_logits(&logits, labels);
@@ -494,30 +717,128 @@ impl<G: DerefMut<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
             .filter(|(pred, label)| pred == *label)
             .count();
         self.seed_backward(&dlogits);
-        let grads = self.backward();
+        self.backward();
         let mut state = write(self.state);
         let state = &mut *state;
-        let shards = state.shards.as_ref().expect("a loaded batch");
         // Every shard holds the statistics of the whole batch.
-        state
-            .graph
-            .update_running_stats_from(&read(&shards.shards[0]).ws);
-        (loss, correct, grads)
+        let first = read(&state.shards.shards[0]);
+        state.graph.update_running_stats_from(&first.ws);
+        (loss, correct)
     }
 
-    /// Runs `f` on the graph between steps.
-    pub(crate) fn update_graph(&mut self, f: impl FnOnce(&mut Graph)) {
-        f(&mut write(self.state).graph);
+    /// Every node's parameter gradient from the last [`Sharded::train_step`]
+    /// (`None` for parameter-free nodes).
+    pub(crate) fn param_grads(&self) -> Vec<Option<ParamGrad>> {
+        let state = read(self.state);
+        let nodes = state.graph.nodes();
+        (0..nodes.len())
+            .map(|node| {
+                let (weight, bias) = state.grads[node].clone()?;
+                let [w, b] = nodes[node].op.params().expect("a parameter node");
+                let (weight, dims) = match (
+                    self.layout.linear[node].clone(),
+                    self.layout.linear_dims(node),
+                ) {
+                    (Some(pieces), Some(dims)) => {
+                        let mut weight = Vec::with_capacity(dims[0] * dims[1]);
+                        for piece in &self.layout.pieces[pieces] {
+                            weight.extend_from_slice(&lock(piece));
+                        }
+                        (weight, dims.to_vec())
+                    }
+                    _ => (weight, w.shape().dims().to_vec()),
+                };
+                Some(ParamGrad {
+                    weight: Tensor::from_vec(weight, &dims).expect("weight-shaped"),
+                    bias: Tensor::from_vec(bias, b.shape().dims()).expect("bias-shaped"),
+                })
+            })
+            .collect()
+    }
+
+    /// Applies the Adam step `step` to every parameter with the gradients
+    /// of the last [`Sharded::train_step`]: one crew task per linear weight
+    /// block (the update, then its panels repacked) and one per other
+    /// parameterized node, whose tensors (and a convolution's panels) are
+    /// moved out of the graph for the run.
+    pub(crate) fn optimize(&mut self, step: AdamStep) {
+        let _span = train_metrics().optimizer.span();
+        self.exchange_params(Some(step));
+        self.crew.run(self.layout.optimizer.clone());
+        self.exchange_params(None);
+    }
+
+    /// Swaps the optimizer's node tensors with the graph's (out before a
+    /// step, back after it) and sets the step its tasks take.
+    fn exchange_params(&mut self, step: Option<AdamStep>) {
+        let mut state = write(self.state);
+        let state = &mut *state;
+        state.adam = step;
+        for (node, params) in self.layout.params.iter().enumerate() {
+            let Some(params) = params else {
+                continue;
+            };
+            let mut params = lock(params);
+            let params = &mut *params;
+            let [w, b] = state.graph.node_params_mut(node).expect("a parameter node");
+            let graph_tensors = if params.tensors.len() == 1 {
+                vec![b]
+            } else {
+                vec![w, b]
+            };
+            for (mine, theirs) in params.tensors.iter_mut().zip(graph_tensors) {
+                std::mem::swap(mine, theirs);
+            }
+            if let (Some(mine), Some(theirs)) = (&mut params.panels, state.kernels.node_mut(node)) {
+                std::mem::swap(mine, &mut theirs.packed);
+            }
+        }
+    }
+
+    /// Drops the graph's copy of every linear layer's weight at the start
+    /// of a training call: the layer's blocks hold the weight until
+    /// [`Sharded::store_weights`] puts it back, so it is not held twice.
+    /// Nothing infers shapes from the graph in between.
+    pub(crate) fn hold_weights(&mut self) {
+        let mut state = write(self.state);
+        for (node, _) in self.linear_nodes() {
+            let [w, _] = state.graph.node_params_mut(node).expect("a linear layer");
+            *w = Tensor::zeros(&[0]);
+        }
+    }
+
+    /// Writes the linear layers' weights back into the graph from their
+    /// blocks: the last thing a training call does. The shards and each
+    /// block are freed first, so the joined weights are never held on top
+    /// of them.
+    pub(crate) fn store_weights(&mut self) {
+        let mut state = write(self.state);
+        state.shards.shards.clear();
+        state.shards.active = 0;
+        for (node, dims) in self.linear_nodes() {
+            let mut weight = Vec::with_capacity(dims[0] * dims[1]);
+            for block in self.layout.node_blocks(node) {
+                let block = std::mem::replace(&mut *write(block), WeightBlock::empty());
+                weight.extend_from_slice(&block.weight);
+            }
+            let [w, _] = state.graph.node_params_mut(node).expect("a linear layer");
+            *w = Tensor::from_vec(weight, &dims).expect("weight-shaped");
+        }
+    }
+
+    /// Each linear layer kept in weight blocks, with its weight's shape.
+    fn linear_nodes(&self) -> impl Iterator<Item = (usize, [usize; 2])> + '_ {
+        (0..self.layout.linear.len())
+            .filter_map(|node| Some((node, self.layout.linear_dims(node)?)))
     }
 
     /// Hands each shard its rows of the loss gradient `dlogits`.
     fn seed_backward(&self, dlogits: &Tensor) {
         let state = read(self.state);
-        let shards = state.shards.as_ref().expect("a loaded batch");
-        let plan = shards.slots.as_ref().expect("training shards");
+        let plan = state.shards.slots.as_ref().expect("training shards");
         let last = self.layout.bn.len() - 1;
         let classes = dlogits.shape().dim(1);
-        for shard in &shards.shards {
+        for shard in state.shards.current() {
             let mut guard = write(shard);
             let s = &mut *guard;
             s.release_grads(plan, 0);
@@ -534,14 +855,13 @@ impl<G: DerefMut<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
     /// between batch norms, then one whole-batch run for the chain's
     /// parameter gradients and the gradient sums of the batch norm below
     /// it.
-    fn backward(&mut self) -> Vec<Option<ParamGrad>> {
+    fn backward(&mut self) {
         let n = self.layout.bn.len();
         let k = self.shard_count();
-        let mut params: Vec<Option<ParamGrad>> = vec![None; n];
         let mut top = n - 1;
         let mut sums = None;
         if self.layout.bn[top].is_some() {
-            sums = self.param_run(Vec::new(), Some(top), &mut params);
+            sums = self.param_run(Vec::new(), Some(top));
         }
         loop {
             let below = (0..top).rev().find(|&i| self.layout.bn[i].is_some());
@@ -551,47 +871,39 @@ impl<G: DerefMut<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
                 span: bottom..top + 1,
                 sums: sums.clone(),
             });
+            let span = train_metrics().backward.span();
             self.crew.run(shard_tasks.collect());
+            span.finish();
             let layout = self.layout;
             let tasks = (bottom..=top)
                 .filter(|&i| layout.wanted[i])
                 .flat_map(|i| layout.param_tasks[i].iter().cloned())
                 .collect();
-            sums = self.param_run(tasks, below, &mut params);
+            sums = self.param_run(tasks, below);
             match below {
                 Some(b) => top = b,
-                None => return params,
+                None => return,
             }
         }
     }
 
     /// Runs `tasks` and the gradient sums of batch norm `bn` together,
-    /// stores every node's parameter gradient in `params` and returns the
-    /// batch norm's.
-    fn param_run(
-        &mut self,
-        mut tasks: Vec<Task>,
-        bn: Option<usize>,
-        params: &mut [Option<ParamGrad>],
-    ) -> Option<Pair> {
+    /// keeps every node's parameter gradients for the optimizer and
+    /// returns the batch norm's.
+    fn param_run(&mut self, mut tasks: Vec<Task>, bn: Option<usize>) -> Option<Pair> {
+        let _span = train_metrics().param_tasks.span();
         if let Some(node) = bn.filter(|&b| self.layout.wanted[b]) {
             let c = self.layout.bn[node].unwrap_or(0);
             tasks.extend(blocks(c, BN_LANES).map(|channels| Task::BnSums { node, channels }));
         }
+        let joined = self.run_whole(tasks);
+        let mut state = write(self.state);
         let mut sums = None;
-        for (node, (weight, bias)) in self.run_whole(tasks) {
+        for (node, pair) in joined {
             if Some(node) == bn {
-                sums = Some((weight.clone(), bias.clone()));
+                sums = Some(pair.clone());
             }
-            let state = read(self.state);
-            let [w, b] = state.graph.nodes()[node]
-                .op
-                .params()
-                .expect("a parameter node");
-            params[node] = Some(ParamGrad {
-                weight: Tensor::from_vec(weight, w.shape().dims()).expect("weight-shaped"),
-                bias: Tensor::from_vec(bias, b.shape().dims()).expect("bias-shaped"),
-            });
+            state.grads[node] = Some(pair);
         }
         sums
     }
@@ -599,7 +911,7 @@ impl<G: DerefMut<Target = Graph> + Send + Sync> Sharded<'_, '_, G> {
 
 /// One crew task. Shard tasks take their shard's write lock; whole-batch
 /// tasks take every shard's read lock and return their piece of a node's
-/// result.
+/// result; optimizer tasks lock the parameters they update.
 #[derive(Debug, Clone)]
 enum Task {
     /// Runs nodes `span` on one shard, after storing the batch statistics
@@ -636,13 +948,21 @@ enum Task {
     },
     /// A linear layer's bias gradient.
     LinearBias { node: usize },
+    /// The Adam update of weight block `piece` with its gradient, then
+    /// the block's panels repacked.
+    AdamBlock { piece: usize },
+    /// The Adam update of a node's [`NodeParams`].
+    AdamNode { node: usize },
 }
 
 impl Task {
     /// The node a whole-batch task computes a piece of.
     fn node(&self) -> usize {
         match self {
-            Task::Forward { .. } | Task::Backward { .. } => usize::MAX,
+            Task::Forward { .. }
+            | Task::Backward { .. }
+            | Task::AdamBlock { .. }
+            | Task::AdamNode { .. } => usize::MAX,
             Task::BnStats { node, .. }
             | Task::BnSums { node, .. }
             | Task::ConvGrad { node }
@@ -670,6 +990,8 @@ struct Ctx<'a> {
     batch: &'a [usize],
     shards: &'a [RwLock<Shard>],
     slots: Option<&'a GradSlots>,
+    grads: &'a [Option<Pair>],
+    adam: Option<AdamStep>,
     layout: &'a Layout,
 }
 
@@ -679,15 +1001,16 @@ impl<'a> Ctx<'a> {
         layout: &'a Layout,
         images: &'a [Tensor],
     ) -> Self {
-        let shards = state.shards.as_ref().expect("a loaded batch");
         Ctx {
             graph: &state.graph,
-            kernels: state.kernels.as_ref().expect("packed weights"),
+            kernels: &state.kernels,
             mode: state.mode,
             images,
             batch: &state.batch,
-            shards: &shards.shards,
-            slots: shards.slots.as_ref(),
+            shards: state.shards.current(),
+            slots: state.shards.slots.as_ref(),
+            grads: &state.grads,
+            adam: state.adam,
             layout,
         }
     }
@@ -702,14 +1025,49 @@ impl<'a> Ctx<'a> {
                     None if span.start == 0 => self.fill(s),
                     None => {}
                 }
-                let kernels = Some(self.kernels);
-                let span = span.clone();
-                self.graph
-                    .forward_span(&s.input, self.mode, &mut s.ws, kernels, span);
+                self.forward_span(s, span.clone());
                 None
             }
             Task::Backward { shard, span, sums } => {
                 self.backward_shard(&mut write(&self.shards[*shard]), span, sums.as_ref());
+                None
+            }
+            Task::AdamBlock { piece } => {
+                let step = self.adam.expect("an optimizer step");
+                let grad = lock(&self.layout.pieces[*piece]);
+                let mut block = write(&self.layout.blocks[*piece]);
+                let WeightBlock {
+                    weight,
+                    panels,
+                    m,
+                    v,
+                } = &mut *block;
+                step.update(weight, &grad, m, v);
+                panels.repack(weight);
+                None
+            }
+            Task::AdamNode { node } => {
+                let step = self.adam.expect("an optimizer step");
+                let (weight, bias) = self.grads[*node].as_ref().expect("a parameter gradient");
+                let params = self.layout.params[*node]
+                    .as_ref()
+                    .expect("a parameter node");
+                let mut params = lock(params);
+                let NodeParams {
+                    tensors,
+                    moments,
+                    panels,
+                } = &mut *params;
+                let grads = [weight.as_slice(), bias.as_slice()];
+                let grads = &grads[grads.len() - tensors.len()..];
+                for ((t, (m, v)), g) in tensors.iter_mut().zip(moments).zip(grads) {
+                    step.update(t.data_mut(), g, m, v);
+                }
+                if let Some(panels) = panels {
+                    Arc::get_mut(panels)
+                        .expect("panels moved out of the graph")
+                        .repack(tensors[0].data());
+                }
                 None
             }
             whole => Some(self.run_whole_task(whole)),
@@ -730,6 +1088,47 @@ impl<'a> Ctx<'a> {
             );
             dst.copy_from_slice(image.data());
         }
+    }
+
+    /// Runs nodes `span` of the shard's forward pass: a linear layer of a
+    /// training step through its weight blocks, every other node through
+    /// [`Graph::forward_span`].
+    fn forward_span(&self, s: &mut Shard, span: Range<usize>) {
+        let kernels = Some(self.kernels);
+        let mut from = span.start;
+        for i in span.clone() {
+            let Some(pieces) = self.layout.linear[i].clone() else {
+                continue;
+            };
+            self.graph
+                .forward_span(&s.input, self.mode, &mut s.ws, kernels, from..i);
+            let Op::Linear(l) = &self.graph.nodes()[i].op else {
+                unreachable!("weight blocks of a linear layer");
+            };
+            let (done, rest) = s.ws.outputs.split_at_mut(i);
+            let x = match self.graph.nodes()[i].inputs[0] {
+                Src::Input => &s.input,
+                Src::Node(j) => &done[j],
+            };
+            let rows = x.shape().dim(0);
+            let mut first = 0;
+            for block in &self.layout.blocks[pieces] {
+                let panels = &read(block).panels;
+                let bias = &l.bias.data()[first..first + panels.rows()];
+                linear_packed_bias_cols_into(
+                    panels,
+                    x.data(),
+                    rows,
+                    bias,
+                    rest[0].data_mut(),
+                    first,
+                );
+                first += panels.rows();
+            }
+            from = i + 1;
+        }
+        self.graph
+            .forward_span(&s.input, self.mode, &mut s.ws, kernels, from..span.end);
     }
 
     /// One shard's backward through `span`, last node first. Convolutions
@@ -763,10 +1162,16 @@ impl<'a> Ctx<'a> {
             if let Op::Conv2d(l) = &node.op {
                 // Nothing comes before the first shard's images: it can sum
                 // its partials already.
-                let partials = &mut s.partials[i];
+                let slot = l.spec.partial_len();
                 match s.start {
-                    0 => conv2d_weight_partial_sum(ins[0], &gout, &l.spec, partials, scratch),
-                    _ => conv2d_weight_partials(ins[0], &gout, &l.spec, partials, scratch),
+                    0 => {
+                        let sum = &mut s.partials[i][..slot];
+                        conv2d_weight_partial_sum(ins[0], &gout, &l.spec, sum, scratch);
+                    }
+                    _ => {
+                        let partials = &mut s.partials[i][..ins[0].shape().dim(0) * slot];
+                        conv2d_weight_partials(ins[0], &gout, &l.spec, partials, scratch);
+                    }
                 }
             }
             // The sums belong to the batch norm at the top of the span.
@@ -784,6 +1189,18 @@ impl<'a> Ctx<'a> {
                 mode: Mode::Train,
                 bn_sums,
             };
+            // A linear layer's weight is in its blocks.
+            let blocks: Vec<RwLockReadGuard<'_, WeightBlock>> =
+                self.layout.linear[i].clone().map_or_else(Vec::new, |p| {
+                    self.layout.blocks[p].iter().map(read).collect()
+                });
+            let weight: Vec<&[f32]> = blocks.iter().map(|b| b.weight.as_slice()).collect();
+            let mut input_grad = |k: usize, g: &mut Tensor| match &node.op {
+                Op::Linear(_) if !weight.is_empty() => {
+                    linear_input_grad_blocks_into(&weight, &gout, g);
+                }
+                _ => grad.input_grad_into(k, g, Some(&mut *scratch)),
+            };
             for (k, src) in node.inputs.iter().enumerate() {
                 let Src::Node(j) = *src else {
                     continue;
@@ -795,14 +1212,14 @@ impl<'a> Ctx<'a> {
                 match &mut s.grads[j] {
                     None => {
                         let mut g = Shard::take_slot(&mut s.slots, plan, j, dims);
-                        grad.input_grad_into(k, &mut g, Some(&mut *scratch));
+                        input_grad(k, &mut g);
                         s.grads[j] = Some(g);
                     }
                     Some(acc) => {
                         let mut buf = std::mem::take(&mut s.scratch);
                         buf.resize(acc.len(), 0.0);
                         let mut g = Tensor::from_vec(buf, dims).expect("scratch sized");
-                        grad.input_grad_into(k, &mut g, Some(&mut *scratch));
+                        input_grad(k, &mut g);
                         acc.add_scaled(&g, 1.0);
                         s.scratch = g.into_vec();
                     }
@@ -848,8 +1265,8 @@ impl<'a> Ctx<'a> {
                 bn_grad_sums(&gs, &xs, &norm, (c, h * w), channels.clone())
             }
             (Task::ConvGrad { .. }, Op::Conv2d(l)) => {
-                let partials: Vec<&[f32]> =
-                    shards.iter().map(|s| s.partials[node].as_slice()).collect();
+                let slot = l.spec.partial_len();
+                let partials: Vec<&[f32]> = shards.iter().map(|s| s.partials(node, slot)).collect();
                 let (gw, gb) = conv2d_sum_partials(&partials, &l.spec);
                 (gw.into_vec(), gb.into_vec())
             }

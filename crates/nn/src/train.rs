@@ -5,7 +5,7 @@ use advhunter_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::graph::{argmax_rows, flatten_params};
+use crate::graph::argmax_rows;
 use crate::shard::with_shards;
 use crate::{Graph, Mode, ParamGrad};
 
@@ -73,25 +73,65 @@ impl Adam {
                 .collect();
         }
         assert_eq!(self.m.len(), params.len(), "parameter list changed size");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let step = self.next_step();
         for ((p, g), (m, v)) in params
             .iter_mut()
             .zip(grads.iter())
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
-            let pd = p.data_mut();
-            let gd = g.data();
-            let md = m.data_mut();
-            let vd = v.data_mut();
-            for i in 0..pd.len() {
-                md[i] = self.beta1 * md[i] + (1.0 - self.beta1) * gd[i];
-                vd[i] = self.beta2 * vd[i] + (1.0 - self.beta2) * gd[i] * gd[i];
-                let mhat = md[i] / b1t;
-                let vhat = vd[i] / b2t;
-                pd[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
+            step.update(p.data_mut(), g.data(), m.data_mut(), v.data_mut());
+        }
+    }
+
+    /// Counts one more step and returns what it applies to every
+    /// parameter: [`Adam::step`] over this optimizer's moments, or
+    /// [`crate::train::fit`]'s crew tasks over moments kept per parameter
+    /// block.
+    pub(crate) fn next_step(&mut self) -> AdamStep {
+        self.t += 1;
+        AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            b1t: 1.0 - self.beta1.powi(self.t as i32),
+            b2t: 1.0 - self.beta2.powi(self.t as i32),
+        }
+    }
+}
+
+/// The constants of one Adam step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// The bias corrections `1 - β₁ᵗ` and `1 - β₂ᵗ`.
+    b1t: f32,
+    b2t: f32,
+}
+
+impl AdamStep {
+    /// Updates the parameters `p` with their gradient `g` and first and
+    /// second moments `m` and `v`, element by element: every element's
+    /// update reads only its own four values, so any cut of a tensor into
+    /// blocks updates it to the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four slices differ in length.
+    pub(crate) fn update(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        assert!(
+            g.len() == p.len() && m.len() == p.len() && v.len() == p.len(),
+            "one gradient and two moments per parameter"
+        );
+        for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let mhat = *m / self.b1t;
+            let vhat = *v / self.b2t;
+            *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
 }
@@ -185,17 +225,20 @@ pub struct EpochStats {
 /// updates, and learning-rate decay are handled internally. Returns per-epoch
 /// statistics.
 ///
-/// One crew of `parallelism` runs the whole training. Every optimizer step
-/// packs the current weights into GEMM panels once
-/// ([`KernelVariant::TRAINING`](advhunter_tensor::ops::KernelVariant::TRAINING))
-/// and runs the forward and backward pass on image shards, one per crew
-/// member, kept with their buffers from one
-/// step to the next. Per-image ops run on the shards side by side;
-/// batch-norm statistics, the loss and the parameter gradients read every
-/// shard in image order and reduce in the order of the one-batch kernels,
-/// so the trained weights are bit-for-bit the same at every worker count.
-/// No gradient with respect to the images is computed. The running
-/// statistics and the Adam update stay on the calling thread.
+/// One crew of `parallelism` runs the whole training, with image shards,
+/// one per crew member, allocated once for `config.batch_size` images and
+/// kept with their buffers from one step to the next (a ragged last batch
+/// runs in a prefix of them). Per-image ops run on the shards side by
+/// side; batch-norm statistics, the loss and the parameter gradients read
+/// every shard in image order and reduce in the order of the one-batch
+/// kernels, so the trained weights are bit-for-bit the same at every
+/// worker count. No gradient with respect to the images is computed.
+/// Each Adam update runs on the crew too, element for element the update
+/// of [`Adam::step`]: each linear layer's weight is kept in blocks of rows
+/// with their packed panels
+/// ([`KernelVariant::TRAINING`](advhunter_tensor::ops::KernelVariant::TRAINING)),
+/// one task updating and repacking each block, and one task updates each
+/// other node's parameters (repacking a convolution's panels).
 ///
 /// # Panics
 ///
@@ -212,32 +255,39 @@ pub fn fit(
     assert!(!images.is_empty(), "training set is empty");
     let mut opt = Adam::new(config.learning_rate);
     let mut order: Vec<usize> = (0..images.len()).collect();
-    with_shards(graph, images, Mode::Train, parallelism, |shards| {
-        let mut history = Vec::with_capacity(config.epochs);
-        for epoch in 0..config.epochs {
-            order.shuffle(rng);
-            let mut total_loss = 0.0f64;
-            let mut correct = 0usize;
-            let mut batches = 0usize;
-            for chunk in order.chunks(config.batch_size) {
-                let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                let (loss, right, grads) = shards.train_step(chunk, &batch_labels);
-                total_loss += loss as f64;
-                correct += right;
-                batches += 1;
-                shards.update_graph(|graph| {
-                    opt.step(&mut graph.param_tensors_mut(), &flatten_params(&grads));
+    let capacity = config.batch_size.min(images.len());
+    with_shards(
+        graph,
+        images,
+        (Mode::Train, capacity),
+        parallelism,
+        |shards| {
+            shards.hold_weights();
+            let mut history = Vec::with_capacity(config.epochs);
+            for epoch in 0..config.epochs {
+                order.shuffle(rng);
+                let mut total_loss = 0.0f64;
+                let mut correct = 0usize;
+                let mut batches = 0usize;
+                for chunk in order.chunks(config.batch_size) {
+                    let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                    let (loss, right) = shards.train_step(chunk, &batch_labels);
+                    total_loss += loss as f64;
+                    correct += right;
+                    batches += 1;
+                    shards.optimize(opt.next_step());
+                }
+                opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
+                history.push(EpochStats {
+                    epoch,
+                    mean_loss: (total_loss / batches.max(1) as f64) as f32,
+                    accuracy: correct as f32 / images.len() as f32,
                 });
             }
-            opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
-            history.push(EpochStats {
-                epoch,
-                mean_loss: (total_loss / batches.max(1) as f64) as f32,
-                accuracy: correct as f32 / images.len() as f32,
-            });
-        }
-        history
-    })
+            shards.store_weights();
+            history
+        },
+    )
 }
 
 /// The step [`fit`] takes on one batch, without the optimizer update: the
@@ -260,8 +310,12 @@ pub fn step(
     assert_eq!(images.len(), labels.len(), "one label per image");
     assert!(!images.is_empty(), "training batch is empty");
     let batch: Vec<usize> = (0..images.len()).collect();
-    with_shards(graph, images, Mode::Train, parallelism, |shards| {
-        let (loss, _, grads) = shards.train_step(&batch, labels);
+    let mode = (Mode::Train, images.len());
+    with_shards(graph, images, mode, parallelism, |shards| {
+        shards.hold_weights();
+        let (loss, _) = shards.train_step(&batch, labels);
+        let grads = shards.param_grads();
+        shards.store_weights();
         (loss, grads)
     })
 }
@@ -278,7 +332,8 @@ const EVAL_BATCH: usize = 64;
 /// [`Graph::logits`] at any worker count.
 pub fn logits(graph: &Graph, images: &[Tensor], parallelism: &Parallelism) -> Tensor {
     let order: Vec<usize> = (0..images.len()).collect();
-    let rows: Vec<f32> = with_shards(graph, images, Mode::Eval, parallelism, |shards| {
+    let mode = (Mode::Eval, EVAL_BATCH.min(images.len()));
+    let rows: Vec<f32> = with_shards(graph, images, mode, parallelism, |shards| {
         let chunks = order.chunks(EVAL_BATCH);
         chunks
             .flat_map(|chunk| shards.logits(chunk).into_vec())

@@ -236,11 +236,35 @@ impl Graph {
 }
 
 impl Workspace {
+    /// Re-sizes every buffer for `batch`-image passes in place: a smaller
+    /// batch keeps the allocations, so going back up to the batch they
+    /// were made for allocates nothing.
+    pub(crate) fn set_batch(&mut self, batch: usize) {
+        for out in &mut self.outputs {
+            set_batch_dim(out, batch);
+        }
+        self.batch = batch;
+    }
+
     /// Stores the batch mean and variance of batch-norm node `i` for a
     /// train-mode pass.
     pub(crate) fn set_batch_stats(&mut self, i: usize, mean: &[f32], var: &[f32]) {
         set_batch_stats(&mut self.aux[i], mean, var);
     }
+}
+
+/// Gives the batch tensor `t` `batch` images, reusing its buffer (the
+/// contents are unspecified).
+pub(crate) fn set_batch_dim(t: &mut Tensor, batch: usize) {
+    let dims = t.shape().dims();
+    if dims[0] == batch {
+        return;
+    }
+    let mut dims = dims.to_vec();
+    dims[0] = batch;
+    let mut buf = std::mem::replace(t, Tensor::zeros(&[0])).into_vec();
+    buf.resize(dims.iter().product(), 0.0);
+    *t = Tensor::from_vec(buf, &dims).expect("buffer resized to the shape");
 }
 
 fn forward_op_into(

@@ -15,16 +15,24 @@
 //! convolution and a batch norm; one shares its input with a residual sum,
 //! and one is an S1 block, with linear layers between batch norms.
 //!
+//! `fit` takes each Adam step on the crew, a task per block of a linear
+//! layer's weight rows and one per other node: over a few epochs with a
+//! ragged last batch, its trained parameters and running statistics must
+//! be bit-for-bit those of the reference pass followed by `Adam::step`,
+//! with linear layers whose rows fill neither whole blocks nor whole
+//! panels.
+//!
 //! The shard count is min(crew members, batch), and crews never run more
 //! members than cores unless `ADVHUNTER_OVERSUBSCRIBE=1`: CI runs this
 //! file with it set, so that three and four shards really run.
 
-use advhunter_nn::train::{logits, step};
+use advhunter_nn::train::{fit, logits, step, Adam, TrainConfig};
 use advhunter_nn::{Graph, GraphBuilder, Mode};
 use advhunter_runtime::Parallelism;
 use advhunter_tensor::ops::cross_entropy_with_logits;
 use advhunter_tensor::{init, Tensor};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// CaseStudy in miniature: two conv/ReLU blocks, max pool, two linear
@@ -130,6 +138,22 @@ fn squeeze_excite(rng: &mut StdRng) -> Graph {
     b.build()
 }
 
+/// Linear layers wider than a weight block, whose 37 rows are neither
+/// whole blocks (16 rows) nor whole panels (8 rows), after a convolution
+/// and a batch norm.
+fn wide_linear(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[2, 5, 5]);
+    let input = b.input();
+    let c = b.conv2d("conv", input, 3, 3, 1, 1, rng);
+    let bn = b.batchnorm("bn", c);
+    let a = b.silu("act", bn);
+    let f = b.flatten("flatten", a);
+    let h = b.linear("fc1", f, 37, rng);
+    let a2 = b.silu("act2", h);
+    b.linear("fc2", a2, 3, rng);
+    b.build()
+}
+
 type Build = fn(&mut StdRng) -> Graph;
 
 const GRAPHS: [(&str, Build); 7] = [
@@ -210,6 +234,68 @@ fn sharded_logits_match_graph_logits() {
         for threads in 1..=4 {
             let got = logits(&graph, &imgs, &Parallelism::new(threads));
             assert_eq!(bits(&got), bits(&want), "{name}, {threads} workers");
+        }
+    }
+}
+
+/// Two epochs of 12 images in batches of 5 (the last of each epoch holds
+/// 2): `fit` against the same shuffles run through the reference pass and
+/// `Adam::step`, with the learning rate decayed between epochs.
+#[test]
+fn fit_updates_every_parameter_as_adam_step_does() {
+    let graphs: [(&str, Build); 3] = [
+        ("wide_linear", wide_linear),
+        ("conv_first", conv_first),
+        ("squeeze_excite", squeeze_excite),
+    ];
+    let config = TrainConfig {
+        epochs: 2,
+        batch_size: 5,
+        learning_rate: 0.01,
+        lr_decay: 0.5,
+    };
+    for (seed, (name, build)) in graphs.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed as u64 + 80);
+        let graph = build(&mut rng);
+        let classes = graph.single_image_shapes().last().expect("nodes")[0];
+        let imgs = images(&graph, 12, &mut rng);
+        let labels: Vec<usize> = (0..imgs.len()).map(|i| i % classes).collect();
+
+        let mut reference = graph.clone();
+        let mut opt = Adam::new(config.learning_rate);
+        let mut order: Vec<usize> = (0..imgs.len()).collect();
+        let mut shuffle = StdRng::seed_from_u64(7);
+        for _ in 0..config.epochs {
+            order.shuffle(&mut shuffle);
+            for chunk in order.chunks(config.batch_size) {
+                let batch: Vec<Tensor> = chunk.iter().map(|&i| imgs[i].clone()).collect();
+                let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                let trace = reference.forward(&Tensor::stack(&batch), Mode::Train);
+                let (_, dlogits) = cross_entropy_with_logits(trace.output(), &batch_labels);
+                let grads = reference.backward(&trace, &dlogits);
+                reference.update_running_stats(&trace);
+                opt.step(&mut reference.param_tensors_mut(), &grads.flat());
+            }
+            opt.set_learning_rate(opt.learning_rate() * config.lr_decay);
+        }
+
+        let state = |g: &Graph| {
+            let tensors = g
+                .param_tensors()
+                .into_iter()
+                .chain(g.running_stat_tensors());
+            tensors.map(bits).collect::<Vec<_>>()
+        };
+        for threads in 1..=4 {
+            let mut trained = graph.clone();
+            let par = Parallelism::new(threads);
+            let mut shuffle = StdRng::seed_from_u64(7);
+            fit(&mut trained, &imgs, &labels, &config, &par, &mut shuffle);
+            assert_eq!(
+                state(&trained),
+                state(&reference),
+                "{name}, {threads} workers"
+            );
         }
     }
 }

@@ -41,6 +41,8 @@
 //! are computed together, never the order of any element's own reduction,
 //! so the variant choice is observationally irrelevant.
 
+use std::ops::Range;
+
 use crate::Tensor;
 
 /// Which matrix discipline a GEMM call site uses (reduction-order contract).
@@ -119,6 +121,12 @@ impl KernelVariant {
     /// vectors in both disciplines (about 2.5× the 4-row panels on the
     /// backward products).
     pub const TRAINING: Self = Self::Mr8Nr8;
+
+    /// The variant of the products that continue their accumulators
+    /// through `out`, a linear layer's input and weight gradients: each
+    /// sixteen-column block reads whole cache lines of the streamed
+    /// operand (about 1.3–2× the eight-row panels there).
+    pub const ACCUMULATING: Self = Self::Mr4Nr16;
 
     /// Rows per packed panel.
     pub fn mr(self) -> usize {
@@ -228,16 +236,12 @@ impl PackedWeights {
     ///
     /// Panics if `a.len() != rows * k`.
     pub fn repack(&mut self, a: &[f32]) {
-        let (rows, k, mr) = (self.rows, self.k, self.variant.mr());
+        let (rows, k) = (self.rows, self.k);
         assert_eq!(a.len(), rows * k, "packing a non-{rows}x{k} matrix");
-        for (p, panel) in self.data.chunks_exact_mut(k * mr).enumerate() {
-            let live = mr.min(rows - p * mr);
-            for r in 0..live {
-                let row = &a[(p * mr + r) * k..(p * mr + r + 1) * k];
-                for (kk, &v) in row.iter().enumerate() {
-                    panel[kk * mr + r] = v;
-                }
-            }
+        match self.variant {
+            KernelVariant::Mr4Nr16 => repack_panels::<4>(&mut self.data, a, rows, k),
+            KernelVariant::Mr8Nr8 => repack_panels::<8>(&mut self.data, a, rows, k),
+            KernelVariant::Mr6Nr8 => repack_panels::<6>(&mut self.data, a, rows, k),
         }
     }
 
@@ -277,6 +281,30 @@ impl PackedWeights {
     }
 }
 
+/// [`PackedWeights::repack`] for MR-row panels. A full panel is written
+/// slot by slot, each slot's MR values gathered from the MR rows at once,
+/// so the panel is stored sequentially; the tail panel goes row by row.
+fn repack_panels<const MR: usize>(panels: &mut [f32], a: &[f32], rows: usize, k: usize) {
+    for (p, panel) in panels.chunks_exact_mut(k * MR).enumerate() {
+        let live = MR.min(rows - p * MR);
+        let src = &a[p * MR * k..(p * MR + live) * k];
+        if live == MR {
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| &src[r * k..(r + 1) * k]);
+            for (kk, slot) in panel.chunks_exact_mut(MR).enumerate() {
+                for (v, row) in slot.iter_mut().zip(&rows) {
+                    *v = row[kk];
+                }
+            }
+        } else {
+            for (r, row) in src.chunks_exact(k).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    panel[kk * MR + r] = v;
+                }
+            }
+        }
+    }
+}
+
 /// Conv-discipline packed GEMM with fused bias:
 /// `out[r, j] = Σ_k panel[r, kk]·b[kk, j] + bias[r]`, accumulated in
 /// ascending-k order — bit-for-bit
@@ -301,9 +329,9 @@ pub fn gemm_packed_bias_into(
     assert_eq!(bias.len(), rows, "gemm bias must have {rows} entries");
     assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
     match packed.variant {
-        KernelVariant::Mr4Nr16 => conv_panels::<4, 16>(packed, b, n, Some(bias), out),
-        KernelVariant::Mr8Nr8 => conv_panels::<8, 8>(packed, b, n, Some(bias), out),
-        KernelVariant::Mr6Nr8 => conv_panels::<6, 8>(packed, b, n, Some(bias), out),
+        KernelVariant::Mr4Nr16 => conv_panels::<4, 16, false>(packed, b, n, bias, out, 0..n),
+        KernelVariant::Mr8Nr8 => conv_panels::<8, 8, false>(packed, b, n, bias, out, 0..n),
+        KernelVariant::Mr6Nr8 => conv_panels::<6, 8, false>(packed, b, n, bias, out, 0..n),
     }
 }
 
@@ -317,6 +345,11 @@ pub fn gemm_packed_bias_into(
 /// accumulator that starts at `+0.0` never becomes `-0.0`, so that final
 /// `+ 0.0` changes nothing.
 ///
+/// The columns go through in passes of [`ACC_PASS_COLS`], every panel
+/// over one pass before the next pass starts, so each pass's slice of `b`
+/// is loaded from memory once however many panels there are. Blocking
+/// changes no element's own reduction.
+///
 /// # Panics
 ///
 /// Panics if `b` or `out` do not match the packed geometry.
@@ -324,12 +357,19 @@ pub(super) fn gemm_packed_acc_into(packed: &PackedWeights, b: &[f32], n: usize, 
     let (rows, k) = (packed.rows, packed.k);
     assert_eq!(b.len(), k * n, "gemm data operand must be {k}x{n}");
     assert_eq!(out.len(), rows * n, "gemm output must be {rows}x{n}");
-    match packed.variant {
-        KernelVariant::Mr4Nr16 => conv_panels::<4, 16>(packed, b, n, None, out),
-        KernelVariant::Mr8Nr8 => conv_panels::<8, 8>(packed, b, n, None, out),
-        KernelVariant::Mr6Nr8 => conv_panels::<6, 8>(packed, b, n, None, out),
+    for lo in (0..n).step_by(ACC_PASS_COLS) {
+        let cols = lo..(lo + ACC_PASS_COLS).min(n);
+        match packed.variant {
+            KernelVariant::Mr4Nr16 => conv_panels::<4, 16, true>(packed, b, n, &[], out, cols),
+            KernelVariant::Mr8Nr8 => conv_panels::<8, 8, true>(packed, b, n, &[], out, cols),
+            KernelVariant::Mr6Nr8 => conv_panels::<6, 8, true>(packed, b, n, &[], out, cols),
+        }
     }
 }
+
+/// Columns per pass of [`gemm_packed_acc_into`]: a 32-row slice of a
+/// `b` row-major operand is then 32 KiB, about an L1 data cache.
+const ACC_PASS_COLS: usize = 256;
 
 /// Linear-discipline packed GEMM with fused bias:
 /// `out[i, r] = dot(x[i, ..], panel row r) + bias[r]` with the exact
@@ -357,37 +397,79 @@ pub fn linear_packed_bias_into(
         xrows * rows,
         "linear output must be {xrows}x{rows}"
     );
+    let out = (rows, 0, out);
     match packed.variant {
-        KernelVariant::Mr4Nr16 => linear_panels::<4>(packed, x, xrows, bias, out),
-        KernelVariant::Mr8Nr8 => linear_panels::<8>(packed, x, xrows, bias, out),
-        KernelVariant::Mr6Nr8 => linear_panels::<6>(packed, x, xrows, bias, out),
+        KernelVariant::Mr4Nr16 => linear_panels::<4, false>(packed, x, xrows, bias, out),
+        KernelVariant::Mr8Nr8 => linear_panels::<8, false>(packed, x, xrows, bias, out),
+        KernelVariant::Mr6Nr8 => linear_panels::<6, false>(packed, x, xrows, bias, out),
     }
 }
 
-/// MR×NR register-blocked conv microkernel over one packed operand.
+/// [`linear_packed_bias_into`] for a block of weight rows: writes the
+/// output columns `first..first + packed.rows()` of `out`, a row-major
+/// `xrows × width` matrix, and leaves its other columns as they are. The
+/// blocks of a matrix's rows give together bit for bit the product over
+/// the whole matrix: the columns are computed independently.
+///
+/// # Panics
+///
+/// Panics if `x`, `bias` or `out` do not match the packed geometry.
+pub fn linear_packed_bias_cols_into(
+    packed: &PackedWeights,
+    x: &[f32],
+    xrows: usize,
+    bias: &[f32],
+    out: &mut [f32],
+    first: usize,
+) {
+    let (rows, k) = (packed.rows, packed.k);
+    assert_eq!(x.len(), xrows * k, "linear input must be {xrows}x{k}");
+    assert_eq!(bias.len(), rows, "linear bias must have {rows} entries");
+    let width = out.len().checked_div(xrows).unwrap_or(first + rows);
+    assert!(
+        out.len() == xrows * width && first + rows <= width,
+        "linear output columns {first}..{} out of a {xrows}-row output of {} floats",
+        first + rows,
+        out.len()
+    );
+    let out = (width, first, out);
+    match packed.variant {
+        KernelVariant::Mr4Nr16 => linear_panels::<4, true>(packed, x, xrows, bias, out),
+        KernelVariant::Mr8Nr8 => linear_panels::<8, true>(packed, x, xrows, bias, out),
+        KernelVariant::Mr6Nr8 => linear_panels::<6, true>(packed, x, xrows, bias, out),
+    }
+}
+
+/// MR×NR register-blocked conv microkernel over one packed operand, for
+/// the output columns `cols` of `n`.
 ///
 /// The accumulator block lives in registers for the whole k loop; each
 /// element's own reduction is ascending-k, so blocking is invisible in the
-/// bits. With a `bias` the accumulators start at zero and the store adds
-/// the bias; without one they start from `out` and are stored as they are.
-fn conv_panels<const MR: usize, const NR: usize>(
+/// bits. Without `ACC` the accumulators start at zero and the store adds
+/// `bias`; with `ACC` they start from `out` and are stored as they are,
+/// loaded and stored by loops unrolled over MR with the row test inside
+/// (a loop over the live rows spills the block out of registers).
+fn conv_panels<const MR: usize, const NR: usize, const ACC: bool>(
     packed: &PackedWeights,
     b: &[f32],
     n: usize,
-    bias: Option<&[f32]>,
+    bias: &[f32],
     out: &mut [f32],
+    cols: Range<usize>,
 ) {
     let (rows, k) = (packed.rows, packed.k);
     for p in 0..rows.div_ceil(MR) {
         let panel = packed.panel(p);
         let r0 = p * MR;
         let live = MR.min(rows - r0);
-        let mut j = 0;
-        while j + NR <= n {
+        let mut j = cols.start;
+        while j + NR <= cols.end {
             let mut acc = [[0.0f32; NR]; MR];
-            if bias.is_none() {
-                for (r, acc) in acc.iter_mut().enumerate().take(live) {
-                    acc.copy_from_slice(&out[(r0 + r) * n + j..][..NR]);
+            if ACC {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    if r < live {
+                        acc.copy_from_slice(&out[(r0 + r) * n + j..][..NR]);
+                    }
                 }
             }
             for kk in 0..k {
@@ -404,23 +486,26 @@ fn conv_panels<const MR: usize, const NR: usize>(
                     }
                 }
             }
-            for r in 0..live {
-                let orow = &mut out[(r0 + r) * n + j..(r0 + r) * n + j + NR];
-                match bias {
-                    Some(bias) => {
-                        for (o, &s) in orow.iter_mut().zip(acc[r].iter()) {
-                            *o = s + bias[r0 + r];
-                        }
+            if ACC {
+                for (r, acc) in acc.iter().enumerate() {
+                    if r < live {
+                        out[(r0 + r) * n + j..][..NR].copy_from_slice(acc);
                     }
-                    None => orow.copy_from_slice(&acc[r]),
+                }
+            } else {
+                for r in 0..live {
+                    let orow = &mut out[(r0 + r) * n + j..(r0 + r) * n + j + NR];
+                    for (o, &s) in orow.iter_mut().zip(acc[r].iter()) {
+                        *o = s + bias[r0 + r];
+                    }
                 }
             }
             j += NR;
         }
         // Tail columns: one scalar ascending-k reduction per element.
-        while j < n {
+        while j < cols.end {
             let mut acc = [0.0f32; MR];
-            if bias.is_none() {
+            if ACC {
                 for (r, acc) in acc.iter_mut().enumerate().take(live) {
                     *acc = out[(r0 + r) * n + j];
                 }
@@ -433,7 +518,7 @@ fn conv_panels<const MR: usize, const NR: usize>(
                 }
             }
             for r in 0..live {
-                out[(r0 + r) * n + j] = bias.map_or(acc[r], |bias| acc[r] + bias[r0 + r]);
+                out[(r0 + r) * n + j] = if ACC { acc[r] } else { acc[r] + bias[r0 + r] };
             }
             j += 1;
         }
@@ -448,21 +533,27 @@ fn conv_panels<const MR: usize, const NR: usize>(
 /// so a many-row batch streams the weights once instead of once per row;
 /// the rows go through in pairs, so each panel load feeds two rows, and an
 /// odd last row runs alone.
-fn linear_panels<const MR: usize>(
+///
+/// `out` is `(width, first, data)`: row `i`'s output column `c` of the
+/// packed rows is `data[i * width + first + c]`. Without `COLS` the output
+/// is the packed rows' alone, `(rows, 0, data)`, known when compiling.
+fn linear_panels<const MR: usize, const COLS: bool>(
     packed: &PackedWeights,
     x: &[f32],
     xrows: usize,
     bias: &[f32],
-    out: &mut [f32],
+    (width, first, out): (usize, usize, &mut [f32]),
 ) {
     let (rows, k) = (packed.rows, packed.k);
+    let (width, first) = if COLS { (width, first) } else { (rows, 0) };
     for p in 0..rows.div_ceil(MR) {
         let panel = packed.panel(p);
         let r0 = p * MR;
         let live = MR.min(rows - r0);
         let bias = &bias[r0..r0 + live];
         let mut store = |i: usize, s: &[f32; MR]| {
-            for ((o, &acc), &b) in out[i * rows + r0..][..live].iter_mut().zip(s).zip(bias) {
+            let row = &mut out[i * width + first + r0..][..live];
+            for ((o, &acc), &b) in row.iter_mut().zip(s).zip(bias) {
                 *o = acc + b;
             }
         };
@@ -692,6 +783,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_blocks_fill_their_output_columns() {
+        let (xrows, out_f, in_f) = (3, 13, 9);
+        let x = fill(xrows * in_f, 4);
+        let w = fill(out_f * in_f, 5);
+        let bias = fill(out_f, 6);
+        let whole = PackedWeights::pack(&w, out_f, in_f, KernelVariant::TRAINING);
+        let mut want = vec![f32::NAN; xrows * out_f];
+        linear_packed_bias_into(&whole, &x, xrows, &bias, &mut want);
+        let mut got = vec![f32::NAN; xrows * out_f];
+        for first in (0..out_f).step_by(5) {
+            let rows = 5.min(out_f - first);
+            let block = &w[first * in_f..(first + rows) * in_f];
+            let packed = PackedWeights::pack(block, rows, in_f, KernelVariant::TRAINING);
+            let bias = &bias[first..first + rows];
+            linear_packed_bias_cols_into(&packed, &x, xrows, bias, &mut got, first);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use std::ops::Range;
 
 use super::gemm::{
-    axpy_skip_zero, dot, gemm_packed_acc_into, gemm_packed_bias_into, linear_packed_bias_into,
-    KernelVariant, PackedWeights,
+    axpy_skip_zero, dot, gemm_packed_acc_into, linear_packed_bias_into, KernelVariant,
+    PackedWeights,
 };
 use crate::Tensor;
 
@@ -311,29 +311,72 @@ pub fn linear_backward(x: &Tensor, weight: &Tensor, grad_out: &Tensor) -> (Tenso
 }
 
 /// `dX = dY · W` of [`linear_backward`] into `grad_input` (`[n, in]`,
-/// every element assigned), with the rows of `dY` packed as panels: every
-/// element accumulates over the output features in ascending order,
-/// exactly [`matmul`]`(grad_out, weight)`. Rows are independent, so any
-/// split of the batch into row blocks gives the same rows.
+/// every element assigned): every element accumulates over the output
+/// features in ascending order, exactly [`matmul`]`(grad_out, weight)`.
+/// Rows are independent, so any split of the batch into row blocks gives
+/// the same rows. [`linear_input_grad_blocks_into`] over blocks of
+/// [`DX_FEATURE_BLOCK`] weight rows.
 ///
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches.
 pub fn linear_input_grad_into(weight: &Tensor, grad_out: &Tensor, grad_input: &mut Tensor) {
     let (out_f, in_f) = mat_dims(weight, "linear weight");
-    let (n, gout) = mat_dims(grad_out, "linear grad_out");
+    let (_, gout) = mat_dims(grad_out, "linear grad_out");
     assert_eq!(gout, out_f, "grad_out features {gout} vs weight {out_f}");
+    let blocks: Vec<&[f32]> = weight
+        .data()
+        .chunks(DX_FEATURE_BLOCK * in_f.max(1))
+        .collect();
+    linear_input_grad_blocks_into(&blocks, grad_out, grad_input);
+}
+
+/// [`linear_input_grad_into`] with the weight given as consecutive blocks
+/// of its rows, in order, each row-major with `grad_input`'s width.
+///
+/// Each block's columns of `dY` are packed as panels
+/// ([`KernelVariant::ACCUMULATING`]) and continue the zeroed accumulators
+/// over that block's weight rows ([`gemm_packed_acc_into`]), so the weight
+/// streams from memory once, a few rows at a time, and its row slices stay
+/// cached for every panel.
+///
+/// # Panics
+///
+/// Panics on rank or dimension mismatches.
+pub fn linear_input_grad_blocks_into(
+    blocks: &[&[f32]],
+    grad_out: &Tensor,
+    grad_input: &mut Tensor,
+) {
+    let (n, out_f) = mat_dims(grad_out, "linear grad_out");
+    let (gn, in_f) = mat_dims(grad_input, "linear grad_input");
+    assert_eq!(gn, n, "linear grad_input must have {n} rows, got {gn}");
+    let rows: usize = blocks.iter().map(|b| b.len() / in_f.max(1)).sum();
     assert_eq!(
-        grad_input.shape().dims(),
-        &[n, in_f],
-        "linear grad_input must be [{n}, {in_f}]"
+        rows, out_f,
+        "weight blocks hold {rows} rows, grad_out {out_f}"
     );
-    if n > 0 && in_f > 0 {
-        let packed = PackedWeights::pack(grad_out.data(), n, out_f, KernelVariant::TRAINING);
-        let zeros = vec![0.0f32; n];
-        gemm_packed_bias_into(&packed, weight.data(), in_f, &zeros, grad_input.data_mut());
+    grad_input.fill_zero();
+    if in_f == 0 {
+        return;
+    }
+    let mut first = 0;
+    let mut cols = Vec::new();
+    for block in blocks {
+        let k = block.len() / in_f.max(1);
+        assert_eq!(block.len(), k * in_f, "weight block of whole rows");
+        cols.clear();
+        for row in grad_out.data().chunks_exact(out_f.max(1)) {
+            cols.extend_from_slice(&row[first..first + k]);
+        }
+        let packed = PackedWeights::pack(&cols, n, k, KernelVariant::ACCUMULATING);
+        gemm_packed_acc_into(&packed, block, in_f, grad_input.data_mut());
+        first += k;
     }
 }
+
+/// Weight rows per block of [`linear_input_grad_into`].
+const DX_FEATURE_BLOCK: usize = 16;
 
 /// Rows `rows` of `dW = dYᵀ · X` of [`linear_backward`] into the zeroed
 /// `out` (`rows.len() × in_f`), for a batch held as `(X, dY)` parts in
@@ -362,7 +405,7 @@ pub fn linear_weight_grad_rows(parts: &[(&Tensor, &Tensor)], rows: Range<usize>,
                 grad_t[r * n + i] = g;
             }
         }
-        let packed = PackedWeights::pack(&grad_t, rows.len(), n, KernelVariant::TRAINING);
+        let packed = PackedWeights::pack(&grad_t, rows.len(), n, KernelVariant::ACCUMULATING);
         gemm_packed_acc_into(&packed, x.data(), in_f, out);
     }
 }
@@ -508,6 +551,42 @@ mod tests {
                 (num - gb.data()[i]).abs() < 1e-2,
                 "gb[{i}] {num} vs {}",
                 gb.data()[i]
+            );
+        }
+    }
+
+    /// The input gradient across several weight blocks and column passes
+    /// (and batches that fill no four-row panel) is bit for bit the
+    /// reference product.
+    #[test]
+    fn input_grad_matches_matmul_across_blocks_and_passes() {
+        let value = |i: usize| match i % 5 {
+            0 => 0.0,
+            r => (i % 97) as f32 * 0.03 - 1.4 + r as f32 * 1e-3,
+        };
+        let tensor = |dims: &[usize], salt: usize| {
+            let len = dims.iter().product();
+            t(
+                &(0..len).map(|i| value(i * 7 + salt)).collect::<Vec<_>>(),
+                dims,
+            )
+        };
+        for (n, out_f, in_f) in [(16, 96, 700), (5, 33, 259), (1, 65, 17), (7, 32, 256)] {
+            let weight = tensor(&[out_f, in_f], 1);
+            let grad_out = tensor(&[n, out_f], 2);
+            let mut got = Tensor::full(&[n, in_f], f32::NAN);
+            linear_input_grad_into(&weight, &grad_out, &mut got);
+            let want = matmul(&grad_out, &weight);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{n}x{out_f}x{in_f}");
+            // Uneven row blocks give the same rows.
+            let blocks: Vec<&[f32]> = weight.data().chunks(5 * in_f).collect();
+            let mut got = Tensor::full(&[n, in_f], f32::NAN);
+            linear_input_grad_blocks_into(&blocks, &grad_out, &mut got);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{n}x{out_f}x{in_f} in 5-row blocks"
             );
         }
     }

@@ -32,13 +32,13 @@ pub use conv::{
     Conv2dScratch, Conv2dSpec,
 };
 pub use gemm::{
-    gemm_packed_bias_into, linear_packed_bias_into, GemmGeometry, GemmOpKind, KernelVariant,
-    PackedWeights,
+    gemm_packed_bias_into, linear_packed_bias_cols_into, linear_packed_bias_into, GemmGeometry,
+    GemmOpKind, KernelVariant, PackedWeights,
 };
 pub use linear::{
-    linear, linear_backward, linear_bias_grad, linear_input_grad_into, linear_into,
-    linear_packed_into, linear_weight_grad_rows, matmul, matmul_at, matmul_bt, matmul_bt_into,
-    matmul_into,
+    linear, linear_backward, linear_bias_grad, linear_input_grad_blocks_into,
+    linear_input_grad_into, linear_into, linear_packed_into, linear_weight_grad_rows, matmul,
+    matmul_at, matmul_bt, matmul_bt_into, matmul_into,
 };
 pub use pool::{
     avgpool2d, avgpool2d_backward_into, avgpool2d_into, global_avgpool,
