@@ -5,8 +5,8 @@
 //! kernels (batch norm, SiLU backward, depthwise and pointwise
 //! convolution), one Adam step over S1's parameters on the calling thread
 //! and on a crew of two, four full optimizer steps of S1 and CaseStudy at
-//! one and two workers, GMM fitting, instrumented inference, and online
-//! detector scoring. Each row is the best time per iteration of the shared
+//! one and two workers, GMM fitting, instrumented inference, the trace
+//! replay alone on S1 and CaseStudy, and online detector scoring. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
@@ -338,6 +338,40 @@ fn bench_instrumented_inference() {
     });
 }
 
+/// The trace replay of one inference alone, on S1 and CaseStudy: each row
+/// is the best single replay, read from the engine's
+/// `advhunter_exec_trace_ns` span, so the forward pass that precedes it
+/// stays outside the timed region.
+fn bench_trace_replay() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let replay_ns = || {
+        let snapshot = advhunter_telemetry::global().snapshot();
+        snapshot
+            .histogram("advhunter_exec_trace_ns")
+            .map_or(0, |h| h.sum)
+    };
+    for (name, id) in [
+        ("s1", ScenarioId::S1),
+        ("case_study", ScenarioId::CaseStudy),
+    ] {
+        let model = id
+            .spec()
+            .build_graph(&mut rng)
+            .expect("checked-in spec compiles");
+        let engine = TraceEngine::new(&model);
+        let img = init::uniform(&mut rng, model.input_dims(), 0.0, 1.0);
+        let (mut best, mut iters) = (u64::MAX, 0);
+        let start = std::time::Instant::now();
+        while start.elapsed() < measure_budget() || iters == 0 {
+            let before = replay_ns();
+            black_box(engine.true_counts(&model, black_box(&img)));
+            best = best.min(replay_ns() - before);
+            iters += 1;
+        }
+        report(&format!("trace_replay_{name}"), best as f64 / 1e3, iters);
+    }
+}
+
 fn bench_detector_scoring() {
     let mut rng = StdRng::seed_from_u64(5);
     let per_class: Vec<Vec<HpcSample>> = (0..10)
@@ -381,5 +415,6 @@ fn main() {
     bench_train_step();
     bench_gmm_fit();
     bench_instrumented_inference();
+    bench_trace_replay();
     bench_detector_scoring();
 }

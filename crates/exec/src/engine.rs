@@ -492,13 +492,14 @@ pub(crate) fn execute_node(
             code,
             input,
             tiles,
-            in_lines,
-            w_lines,
+            activations,
+            weights,
             bias,
             out,
             macs,
+            fills,
         } => {
-            group.fetch_range(code.base, code.lines());
+            fetch(group, code.base, code.lines(), fills.code);
             let data = match input {
                 InputSlot::Image => image.data(),
                 InputSlot::Node(j) => ws.node_output(*j).data(),
@@ -521,24 +522,24 @@ pub(crate) fn execute_node(
                 }
                 run_len += 1;
                 if active > 0 && tile.slice > 0 {
-                    group.stream_read(run_base, run_len);
+                    read(group, run_base, run_len, fills.input);
                     run_len = 0;
                     // Fetch only the weight rows of the tile's active
                     // neurons.
                     let take = (tile.slice * active as u64).div_ceil(FLOATS_PER_LINE as u64);
-                    group.stream_read(tile.w_addr, take.min(tile.slice));
+                    read(group, tile.w_addr, take.min(tile.slice), fills.weights);
                 }
             }
             if run_len > 0 {
-                group.stream_read(run_base, run_len);
+                read(group, run_base, run_len, fills.input);
             }
-            group.stream_read(bias.base, bias.lines());
-            group.stream_write(out.base, out.lines());
+            read(group, bias.base, bias.lines(), fills.bias);
+            write(group, out.base, out.lines(), fills.out);
 
             // Dimension-only control flow: outer loop over input lines,
             // inner loop over weight slice, write-out loop.
-            group.loop_branches(code.base, *in_lines);
-            group.loop_branches(code.base + 8, (*w_lines).max(1));
+            group.loop_branches(code.base, activations.lines());
+            group.loop_branches(code.base + 8, weights.lines().max(1));
             group.loop_branches(code.base + 16, out.lines());
             group.retire_instructions(macs / 4 + out.lines() * 4);
         }
@@ -548,13 +549,14 @@ pub(crate) fn execute_node(
             input,
             out,
             instructions,
+            fills,
         } => {
             if let Some(r) = pre_load {
-                group.stream_read(r.base, r.lines());
+                read(group, r.base, r.lines(), fills.weights);
             }
-            group.fetch_range(code.base, code.lines());
-            group.stream_read(input.base, input.lines());
-            group.stream_write(out.base, out.lines());
+            fetch(group, code.base, code.lines(), fills.code);
+            read(group, input.base, input.lines(), fills.input);
+            write(group, out.base, out.lines(), fills.out);
             group.loop_branches(code.base, input.lines().max(1));
             group.retire_instructions(*instructions);
         }
@@ -562,6 +564,33 @@ pub(crate) fn execute_node(
             // A view: no data movement, negligible instructions.
             group.retire_instructions(4);
         }
+    }
+}
+
+/// Streams data reads, as fills when the plan marks the lines untouched.
+fn read(group: &mut CounterGroup, base: u64, lines: u64, fill: bool) {
+    if fill {
+        group.fill_read(base, lines);
+    } else {
+        group.stream_read(base, lines);
+    }
+}
+
+/// Streams data writes, as fills when the plan marks the lines untouched.
+fn write(group: &mut CounterGroup, base: u64, lines: u64, fill: bool) {
+    if fill {
+        group.fill_write(base, lines);
+    } else {
+        group.stream_write(base, lines);
+    }
+}
+
+/// Fetches kernel code, as fills when the plan marks the lines untouched.
+fn fetch(group: &mut CounterGroup, base: u64, lines: u64, fill: bool) {
+    if fill {
+        group.fill_fetch(base, lines);
+    } else {
+        group.fetch_range(base, lines);
     }
 }
 
@@ -727,6 +756,94 @@ mod tests {
                 reference.true_counts(&g, &img),
                 "packed dispatch changed the simulated trace for image {s}"
             );
+        }
+    }
+
+    /// Every op of the graph zoo, with a residual `Add`, a `ConcatChannels`
+    /// and a squeeze-excite `ScaleChannels` whose inputs reuse arena slots.
+    fn zoo() -> Graph {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut b = GraphBuilder::new(&[2, 8, 8]);
+        let input = b.input();
+        let c1 = b.conv2d("c1", input, 8, 3, 1, 1, &mut rng);
+        let bn = b.batchnorm("bn", c1);
+        let s1 = b.silu("silu", bn);
+        let dw = b.dwconv2d("dw", s1, 3, 1, 1, &mut rng);
+        let lr = b.leaky_relu("lrelu", dw, 0.1);
+        let th = b.tanh("tanh", lr);
+        let ad = b.add("add", th, s1);
+        let mp = b.maxpool("mp", ad, 2, 2);
+        let ap = b.avgpool("ap", ad, 2, 2);
+        let cc = b.concat("cat", mp, ap);
+        let rr = b.relu("relu", cc);
+        let gp = b.global_avgpool("gap", rr);
+        let se = b.linear("se", gp, 16, &mut rng);
+        let sg = b.sigmoid("sig", se);
+        let sc = b.scale_channels("scale", rr, sg);
+        let fl = b.flatten("flat", sc);
+        b.linear("fc", fl, 5, &mut rng);
+        b.build()
+    }
+
+    /// Every checked-in spec under `specs/`, compiled from its own seed,
+    /// plus the zoo graph.
+    fn spec_library() -> Vec<(String, Graph)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut graphs = vec![("zoo".to_string(), zoo())];
+        for entry in std::fs::read_dir(dir).expect("specs dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("ahg") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read spec");
+            let spec = advhunter_nn::spec::GraphSpec::parse(&text).expect("checked-in spec parses");
+            let mut rng = StdRng::seed_from_u64(spec.model_seed);
+            let graph = spec
+                .build_graph(&mut rng)
+                .expect("checked-in spec compiles");
+            graphs.push((spec.name, graph));
+        }
+        assert!(graphs.len() > 16, "expected the full spec library");
+        graphs
+    }
+
+    /// The fill marks change nothing: on every spec and the zoo graph, a
+    /// replay through the plan's marks leaves the same counts and the same
+    /// final machine (caches, predictor, counters) as a replay that scans
+    /// every stream. With the prefetcher enabled, whose LLC fills break
+    /// the marks' premise, the fill calls scan and nothing changes either.
+    #[test]
+    fn fill_marks_leave_counts_and_machine_untouched() {
+        let prefetching = MachineConfig {
+            prefetch: advhunter_uarch::PrefetchConfig::aggressive(),
+            ..MachineConfig::default()
+        };
+        for (name, g) in spec_library() {
+            for machine in [MachineConfig::default(), prefetching] {
+                let marked = TraceEngine::with_config(&g, machine, Sampler::default());
+                let mut scanning = marked.clone();
+                scanning.plan.clear_fills();
+                assert!(
+                    marked.plan.fill_marks() > 0,
+                    "{name}: the plan marks no fills"
+                );
+                assert_eq!(scanning.plan.fill_marks(), 0);
+                let dims = g.input_dims();
+                let images = [
+                    advhunter_tensor::init::uniform(&mut StdRng::seed_from_u64(5), dims, 0.0, 1.0),
+                    Tensor::zeros(dims),
+                    Tensor::full(dims, 1.0),
+                ];
+                for (i, img) in images.iter().enumerate() {
+                    let mut a = marked.scratch(&g);
+                    let mut b = scanning.scratch(&g);
+                    let (pa, ca) = marked.run_with(&g, img, &mut a);
+                    let (pb, cb) = scanning.run_with(&g, img, &mut b);
+                    let case = format!("{name}, image {i}, prefetch {}", machine.prefetch.enabled);
+                    assert_eq!((pa, ca), (pb, cb), "{case}: counts differ");
+                    assert!(a.group == b.group, "{case}: final machines differ");
+                }
+            }
         }
     }
 

@@ -31,22 +31,6 @@ impl Region {
         );
         self.base + i * LINE_BYTES
     }
-
-    /// Sub-range `[start_line, end_line)` of this region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the region.
-    pub fn slice_lines(&self, start_line: u64, end_line: u64) -> Region {
-        assert!(
-            start_line <= end_line && end_line <= self.lines(),
-            "bad slice"
-        );
-        Region {
-            base: self.base + start_line * LINE_BYTES,
-            bytes: (end_line - start_line) * LINE_BYTES,
-        }
-    }
 }
 
 const CODE_BASE: u64 = 0x1000_0000;
@@ -342,16 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn region_slicing() {
+    fn region_line_addressing() {
         let r = Region {
             base: 0x1000,
             bytes: 640,
         };
         assert_eq!(r.lines(), 10);
         assert_eq!(r.line_addr(3), 0x1000 + 192);
-        let s = r.slice_lines(2, 5);
-        assert_eq!(s.base, 0x1000 + 128);
-        assert_eq!(s.lines(), 3);
     }
 
     #[test]

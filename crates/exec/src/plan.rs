@@ -2,7 +2,8 @@
 //!
 //! Everything about a node's trace that depends only on the model — code
 //! regions, weight/bias/output stream ranges, per-tile weight-slice
-//! geometry, loop trip counts, instruction budgets — is computed once at
+//! geometry, loop trip counts, instruction budgets, which streams touch
+//! their lines first — is computed once at
 //! [`TraceEngine`](crate::TraceEngine) construction. At measure time the
 //! only remaining data-dependent work is counting the active elements of
 //! each input-activation tile, which selects how many lines of each
@@ -40,6 +41,25 @@ pub(crate) struct TilePlan {
     pub slice: u64,
 }
 
+/// Which of a node's streams the plan proves untouched since the
+/// machine's reset: the replay fills their lines without tag scans
+/// ([`CounterGroup::fill_read`](advhunter_uarch::CounterGroup::fill_read)
+/// and its siblings). Set by [`TracePlan::new`]'s walk over the plan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Fills {
+    /// The kernel code fetch.
+    pub code: bool,
+    /// A matrix node's weight slices, or an element-wise node's pre-load
+    /// stream.
+    pub weights: bool,
+    /// The input activation lines.
+    pub input: bool,
+    /// A matrix node's bias stream.
+    pub bias: bool,
+    /// The output stream.
+    pub out: bool,
+}
+
 /// The static trace of one node.
 #[derive(Debug, Clone)]
 pub(crate) enum NodePlan {
@@ -52,16 +72,20 @@ pub(crate) enum NodePlan {
         input: InputSlot,
         /// Per-tile activation/weight geometry.
         tiles: Vec<TilePlan>,
-        /// Trip count of the outer loop (== number of tiles).
-        in_lines: u64,
-        /// Trip count of the inner loop.
-        w_lines: u64,
+        /// The input activations the tiles inspect, one line per tile;
+        /// its line count is the outer loop's trip count.
+        activations: Region,
+        /// The weights the tiles slice; its line count is the inner loop's
+        /// trip count.
+        weights: Region,
         /// Bias stream.
         bias: Region,
         /// Output stream.
         out: Region,
         /// Multiply-accumulate budget (dimension-only).
         macs: u64,
+        /// Streams to fill without tag scans.
+        fills: Fills,
     },
     /// Dense streaming op, with an optional leading parameter/second-input
     /// stream (folded batch-norm parameters, or the second operand of
@@ -78,6 +102,8 @@ pub(crate) enum NodePlan {
         out: Region,
         /// Instruction budget (dimension-only).
         instructions: u64,
+        /// Streams to fill without tag scans.
+        fills: Fills,
     },
     /// A view — no data movement.
     Flatten,
@@ -161,6 +187,7 @@ impl TracePlan {
                     input: layout.input_region(&node.inputs, 0),
                     out,
                     instructions: len_of(&node.inputs[0]) as u64 * 2,
+                    fills: Fills::default(),
                 },
                 Op::ReLU | Op::LeakyReLU { .. } | Op::SiLU | Op::Sigmoid | Op::Tanh => {
                     NodePlan::Elementwise {
@@ -169,6 +196,7 @@ impl TracePlan {
                         input: layout.input_region(&node.inputs, 0),
                         out,
                         instructions: len_of(&node.inputs[0]) as u64 * 2,
+                        fills: Fills::default(),
                     }
                 }
                 Op::MaxPool2d { .. } | Op::AvgPool2d { .. } | Op::GlobalAvgPool => {
@@ -178,6 +206,7 @@ impl TracePlan {
                         input: layout.input_region(&node.inputs, 0),
                         out,
                         instructions: len_of(&node.inputs[0]) as u64,
+                        fills: Fills::default(),
                     }
                 }
                 Op::Flatten => NodePlan::Flatten,
@@ -187,10 +216,12 @@ impl TracePlan {
                     input: layout.input_region(&node.inputs, 0),
                     out,
                     instructions: (len_of(&node.inputs[0]) + len_of(&node.inputs[1])) as u64,
+                    fills: Fills::default(),
                 },
             };
             nodes.push(plan);
         }
+        mark_fills(&mut nodes);
         let variant_counts = kernels.variant_counts();
         Self {
             nodes,
@@ -198,6 +229,100 @@ impl TracePlan {
             variant_counts,
         }
     }
+}
+
+impl TracePlan {
+    /// Clears every fill mark, so the replay scans every stream.
+    #[cfg(test)]
+    pub(crate) fn clear_fills(&mut self) {
+        for node in &mut self.nodes {
+            if let NodePlan::Matrix { fills, .. } | NodePlan::Elementwise { fills, .. } = node {
+                *fills = Fills::default();
+            }
+        }
+    }
+
+    /// How many streams carry a fill mark.
+    #[cfg(test)]
+    pub(crate) fn fill_marks(&self) -> usize {
+        let count = |f: &Fills| {
+            [f.code, f.weights, f.input, f.bias, f.out]
+                .iter()
+                .filter(|&&m| m)
+                .count()
+        };
+        self.nodes
+            .iter()
+            .map(|node| match node {
+                NodePlan::Matrix { fills, .. } | NodePlan::Elementwise { fills, .. } => {
+                    count(fills)
+                }
+                NodePlan::Flatten => 0,
+            })
+            .sum()
+    }
+}
+
+/// Marks, in execution order, every stream whose footprint no earlier
+/// stream can have touched since the machine's reset. A replay starts on a
+/// cold machine, and a line enters a cache only when it is accessed (the
+/// prefetcher, which breaks this, makes the fill calls scan), so such a
+/// stream's lines are absent from every level. A matrix node's weight and
+/// input footprints are its whole weight and input regions, whichever tiles
+/// an image activates; its tiles stream disjoint slices of them. So every
+/// weight slice, bias and batch-norm parameter block is filled (weight
+/// regions are disjoint), and so are the first read of the image, the
+/// first fetch of each code region and each output into an arena slot no
+/// earlier node used.
+fn mark_fills(nodes: &mut [NodePlan]) {
+    // The regions streamed so far.
+    let mut touched: Vec<Region> = Vec::new();
+    let mut first_touch = |r: Region| {
+        let fresh = touched.iter().all(|&t| !overlap(r, t));
+        touched.push(r);
+        fresh
+    };
+    for node in nodes {
+        match node {
+            NodePlan::Matrix {
+                code,
+                activations,
+                weights,
+                bias,
+                out,
+                fills,
+                ..
+            } => {
+                fills.code = first_touch(*code);
+                // The two footprints interleave tile by tile, so each must
+                // also miss the other.
+                let apart = !overlap(*activations, *weights);
+                fills.input = first_touch(*activations) && apart;
+                fills.weights = first_touch(*weights) && apart;
+                fills.bias = first_touch(*bias);
+                fills.out = first_touch(*out);
+            }
+            NodePlan::Elementwise {
+                code,
+                pre_load,
+                input,
+                out,
+                fills,
+                ..
+            } => {
+                fills.weights = pre_load.is_some_and(&mut first_touch);
+                fills.code = first_touch(*code);
+                fills.input = first_touch(*input);
+                fills.out = first_touch(*out);
+            }
+            NodePlan::Flatten => {}
+        }
+    }
+}
+
+/// Whether two regions share a byte.
+fn overlap(a: Region, b: Region) -> bool {
+    a.base < b.base + b.bytes && b.base < a.base + a.bytes
 }
 
 /// Builds the per-tile geometry of a matrix node: tile `i` of `in_lines`
@@ -239,10 +364,11 @@ fn matrix_plan(
         code,
         input,
         tiles,
-        in_lines,
-        w_lines,
+        activations: x_region,
+        weights: w_region,
         bias,
         out,
         macs,
+        fills: Fills::default(),
     }
 }

@@ -25,7 +25,7 @@ pub struct BranchOutcome {
 /// assert_eq!(branches, 100);
 /// assert!(misses <= 2, "warm-up plus the final fall-through");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
     mask: u64,

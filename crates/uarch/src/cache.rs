@@ -172,15 +172,19 @@ const META_VALID: u64 = 1 << 63;
 const META_DIRTY: u64 = 1 << 62;
 const META_TAG: u64 = META_DIRTY - 1;
 
+/// The `FILL` argument of an access that scans for a hit (a const item,
+/// because the geometry dispatch forwards const arguments as identifiers).
+const SCAN: bool = false;
+
 /// Routes to the copy monomorphized on a cache's `(ways, policy)`. Common
 /// associativities get fully unrolled scans and a constant-length fill shift
 /// (`0` = runtime way count); the policy flag decides whether a hit reorders
-/// the set. The first form calls `$method::<W, FIFO>` on `$self`; the second
-/// appends the geometry of `$cache` to const arguments already chosen, so a
-/// two-level pass is monomorphized on both levels.
+/// the set. The first form calls `$method::<$g.., W, FIFO>` on `$self`; the
+/// second appends the geometry of `$cache` to const arguments already
+/// chosen, so a two-level pass is monomorphized on both levels.
 macro_rules! dispatch_geometry {
-    ($self:ident, $method:ident, $($arg:expr),*) => {
-        dispatch_geometry!(@arms $self.config, $self.$method::<>, $($arg),*)
+    ($self:ident, $method:ident $(::<$($g:ident),*>)?, $($arg:expr),*) => {
+        dispatch_geometry!(@arms $self.config, $self.$method::<$($($g,)*)?>, $($arg),*)
     };
     ($cache:ident => $func:ident::<$($g:ident),*>($($arg:expr),*)) => {
         dispatch_geometry!(@arms $cache.config, $func::<$($g,)*>, $($arg),*)
@@ -296,17 +300,39 @@ impl Cache {
         lines: u64,
         kind: AccessKind,
     ) -> (u64, CacheStats) {
-        dispatch_geometry!(self, range_through_ways, next, base_addr, lines, kind)
+        self.range_through::<SCAN>(next, base_addr, lines, kind)
     }
 
-    fn range_through_ways<const W: usize, const FIFO: bool>(
+    /// [`access_range_through`](Self::access_range_through), or with
+    /// `FILL` its fill pass: for a range whose lines are absent from both
+    /// levels, each line takes the miss path at once (the same one-slot
+    /// shift, victim and dirty write-back into `next`) with no tag scan at
+    /// either level. Only a line's write-back still scans `next`.
+    pub(crate) fn range_through<const FILL: bool>(
         &mut self,
         next: &mut Cache,
         base_addr: u64,
         lines: u64,
         kind: AccessKind,
     ) -> (u64, CacheStats) {
-        dispatch_geometry!(next => fused_range::<W, FIFO>(self, next, base_addr, lines, kind))
+        dispatch_geometry!(
+            self,
+            range_through_ways::<FILL>,
+            next,
+            base_addr,
+            lines,
+            kind
+        )
+    }
+
+    fn range_through_ways<const FILL: bool, const W: usize, const FIFO: bool>(
+        &mut self,
+        next: &mut Cache,
+        base_addr: u64,
+        lines: u64,
+        kind: AccessKind,
+    ) -> (u64, CacheStats) {
+        dispatch_geometry!(next => fused_range::<FILL, W, FIFO>(self, next, base_addr, lines, kind))
     }
 
     /// One line access without statistics, dispatched to a copy
@@ -314,11 +340,14 @@ impl Cache {
     /// the `0` instantiation reads the runtime way count) and on the
     /// replacement policy.
     fn step(&mut self, line_addr: u64, kind: AccessKind) -> (bool, Eviction) {
-        dispatch_geometry!(self, step_ways, line_addr, kind)
+        dispatch_geometry!(self, step_ways::<SCAN>, line_addr, kind)
     }
 
+    /// One line access; with `FILL` the caller guarantees the line is not
+    /// cached, so the hit scan is skipped (and only checked in debug
+    /// builds) and the access always takes the miss path.
     #[inline(always)]
-    fn step_ways<const W: usize, const FIFO: bool>(
+    fn step_ways<const FILL: bool, const W: usize, const FIFO: bool>(
         &mut self,
         line_addr: u64,
         kind: AccessKind,
@@ -339,8 +368,15 @@ impl Cache {
         // set are unique, so at most one bit is set.
         let want = META_VALID | tag;
         let mut hit_mask = 0u32;
-        for (w, &m) in row.iter().enumerate() {
-            hit_mask |= u32::from(m & !META_DIRTY == want) << w;
+        if FILL {
+            debug_assert!(
+                row.iter().all(|&m| m & !META_DIRTY != want),
+                "filled line {line_addr:#x} is already cached"
+            );
+        } else {
+            for (w, &m) in row.iter().enumerate() {
+                hit_mask |= u32::from(m & !META_DIRTY == want) << w;
+            }
         }
         if hit_mask != 0 {
             let hit_way = hit_mask.trailing_zeros() as usize;
@@ -390,10 +426,16 @@ impl Cache {
     }
 }
 
-/// The loop of [`Cache::access_range_through`], monomorphized on the
-/// geometry of both levels (`W`/`FIFO` for `upper`, `NW`/`NFIFO` for
-/// `next`) so both steps inline.
-fn fused_range<const W: usize, const FIFO: bool, const NW: usize, const NFIFO: bool>(
+/// The loop of [`Cache::range_through`], monomorphized on the pass
+/// (`FILL`) and on the geometry of both levels (`W`/`FIFO` for `upper`,
+/// `NW`/`NFIFO` for `next`) so both steps inline.
+fn fused_range<
+    const FILL: bool,
+    const W: usize,
+    const FIFO: bool,
+    const NW: usize,
+    const NFIFO: bool,
+>(
     upper: &mut Cache,
     next: &mut Cache,
     base_addr: u64,
@@ -405,17 +447,18 @@ fn fused_range<const W: usize, const FIFO: bool, const NW: usize, const NFIFO: b
     let mut writebacks = 0;
     let mut down = CacheStats::default();
     for line_addr in base_line..base_line + lines {
-        let (hit, ev) = upper.step_ways::<W, FIFO>(line_addr, kind);
+        let (hit, ev) = upper.step_ways::<FILL, W, FIFO>(line_addr, kind);
         if hit {
             continue;
         }
         misses += 1;
-        let (next_hit, next_ev) = next.step_ways::<NW, NFIFO>(line_addr, kind);
+        let (next_hit, next_ev) = next.step_ways::<FILL, NW, NFIFO>(line_addr, kind);
         down.record(kind, next_hit, next_ev);
         if let Eviction::Dirty(victim_addr) = ev {
             writebacks += 1;
             let victim_line = victim_addr / LINE_BYTES;
-            let (next_hit, next_ev) = next.step_ways::<NW, NFIFO>(victim_line, AccessKind::Write);
+            let (next_hit, next_ev) =
+                next.step_ways::<SCAN, NW, NFIFO>(victim_line, AccessKind::Write);
             down.record(AccessKind::Write, next_hit, next_ev);
         }
     }

@@ -25,7 +25,7 @@ use crate::hierarchy::{MachineConfig, MemoryHierarchy};
 /// g.disable();
 /// assert_eq!(g.read().get(HpcEvent::Instructions), 10);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterGroup {
     memory: MemoryHierarchy,
     predictor: BranchPredictor,
@@ -108,6 +108,29 @@ impl CounterGroup {
     /// `base_addr` — equivalent to one [`fetch`](Self::fetch) per line.
     pub fn fetch_range(&mut self, base_addr: u64, lines: u64) {
         self.memory.fetch_range(base_addr, lines);
+    }
+
+    /// [`stream_read`](Self::stream_read) over lines that nothing has
+    /// touched since the last [`reset_machine`](Self::reset_machine): no
+    /// cache level can hold them, so each line is filled without a tag
+    /// scan. The counts and the machine state are those of `stream_read`.
+    /// Debug builds check that every filled line is absent. With the
+    /// prefetcher enabled, which fills LLC lines no access touched, this
+    /// scans like `stream_read`.
+    pub fn fill_read(&mut self, base_addr: u64, lines: u64) {
+        self.memory.fill_load_range(base_addr, lines);
+    }
+
+    /// [`stream_write`](Self::stream_write) over untouched lines, as in
+    /// [`fill_read`](Self::fill_read).
+    pub fn fill_write(&mut self, base_addr: u64, lines: u64) {
+        self.memory.fill_store_range(base_addr, lines);
+    }
+
+    /// [`fetch_range`](Self::fetch_range) over untouched lines, as in
+    /// [`fill_read`](Self::fill_read).
+    pub fn fill_fetch(&mut self, base_addr: u64, lines: u64) {
+        self.memory.fill_fetch_range(base_addr, lines);
     }
 
     /// Retires `n` non-branch instructions.

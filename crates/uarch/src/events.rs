@@ -136,15 +136,6 @@ impl HpcCounts {
         }
         out
     }
-
-    /// Converts to a floating-point sample (e.g. before adding noise).
-    pub fn to_sample(self) -> HpcSample {
-        let mut s = HpcSample::default();
-        for (i, &v) in self.values.iter().enumerate() {
-            s.values[i] = v as f64;
-        }
-        s
-    }
 }
 
 /// Floating-point counter readings — the paper's per-measurement values

@@ -91,7 +91,7 @@ impl HierarchyStats {
 /// assert_eq!(mem.stats().l1d_loads, 2);
 /// assert_eq!(mem.stats().l1d_load_misses, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryHierarchy {
     l1i: Cache,
     l1d: Cache,
@@ -176,6 +176,19 @@ impl MemoryHierarchy {
     /// default, where its effect is part of the calibrated noise model —
     /// `observe` is a stateless no-op, so skipping it is exact.
     pub fn load_range(&mut self, base_addr: u64, lines: u64) {
+        self.load_lines::<false>(base_addr, lines);
+    }
+
+    /// [`load_range`](Self::load_range) over lines that no access since
+    /// the last [`reset`](Self::reset) has touched, so that no level holds
+    /// them: each line is filled without a tag scan at L1d or the LLC.
+    /// With the prefetcher enabled this is `load_range` itself, since the
+    /// prefetcher fills LLC lines that no access touched.
+    pub(crate) fn fill_load_range(&mut self, base_addr: u64, lines: u64) {
+        self.load_lines::<true>(base_addr, lines);
+    }
+
+    fn load_lines<const FILL: bool>(&mut self, base_addr: u64, lines: u64) {
         if self.prefetcher.config().enabled {
             for i in 0..lines {
                 self.load(base_addr + i * crate::LINE_BYTES);
@@ -184,7 +197,7 @@ impl MemoryHierarchy {
         }
         let (misses, llc) =
             self.l1d
-                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Read);
+                .range_through::<FILL>(&mut self.llc, base_addr, lines, AccessKind::Read);
         self.stats.l1d_loads += lines;
         self.stats.l1d_load_misses += misses;
         self.absorb_llc(&llc);
@@ -194,9 +207,23 @@ impl MemoryHierarchy {
     /// `base_addr`, equivalent to one [`store`](Self::store) per line in
     /// ascending order. Stores never consult the prefetcher.
     pub fn store_range(&mut self, base_addr: u64, lines: u64) {
+        self.store_lines::<false>(base_addr, lines);
+    }
+
+    /// [`store_range`](Self::store_range) over untouched lines, filled
+    /// without tag scans as in [`fill_load_range`](Self::fill_load_range)
+    /// (and scanned like `store_range` with the prefetcher enabled).
+    pub(crate) fn fill_store_range(&mut self, base_addr: u64, lines: u64) {
+        self.store_lines::<true>(base_addr, lines);
+    }
+
+    fn store_lines<const FILL: bool>(&mut self, base_addr: u64, lines: u64) {
+        if FILL && self.prefetcher.config().enabled {
+            return self.store_lines::<false>(base_addr, lines);
+        }
         let (misses, llc) =
             self.l1d
-                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Write);
+                .range_through::<FILL>(&mut self.llc, base_addr, lines, AccessKind::Write);
         self.stats.l1d_stores += lines;
         self.stats.l1d_store_misses += misses;
         self.absorb_llc(&llc);
@@ -206,9 +233,23 @@ impl MemoryHierarchy {
     /// `base_addr`, equivalent to one [`fetch`](Self::fetch) per line in
     /// ascending order. Fetches never consult the prefetcher.
     pub fn fetch_range(&mut self, base_addr: u64, lines: u64) {
+        self.fetch_lines::<false>(base_addr, lines);
+    }
+
+    /// [`fetch_range`](Self::fetch_range) over untouched lines, filled
+    /// without tag scans as in [`fill_load_range`](Self::fill_load_range)
+    /// (and scanned like `fetch_range` with the prefetcher enabled).
+    pub(crate) fn fill_fetch_range(&mut self, base_addr: u64, lines: u64) {
+        self.fetch_lines::<true>(base_addr, lines);
+    }
+
+    fn fetch_lines<const FILL: bool>(&mut self, base_addr: u64, lines: u64) {
+        if FILL && self.prefetcher.config().enabled {
+            return self.fetch_lines::<false>(base_addr, lines);
+        }
         let (misses, llc) =
             self.l1i
-                .access_range_through(&mut self.llc, base_addr, lines, AccessKind::Read);
+                .range_through::<FILL>(&mut self.llc, base_addr, lines, AccessKind::Read);
         self.stats.l1i_fetches += lines;
         self.stats.l1i_fetch_misses += misses;
         // Instruction lines are never dirty; only allocating fills remain.
@@ -515,6 +556,104 @@ mod tests {
                 for cache in [&fused.l1d, &fused.l1i, &fused.llc] {
                     prop_assert!(cache.ways_are_canonical());
                 }
+            }
+        }
+    }
+
+    /// Applies one range pass of `op` (0 load, 1 store, else fetch), the
+    /// fill pass if `fill`.
+    fn range(m: &mut MemoryHierarchy, op: u8, fill: bool, base: u64, n: u64) {
+        match (op, fill) {
+            (0, false) => m.load_range(base, n),
+            (0, true) => m.fill_load_range(base, n),
+            (1, false) => m.store_range(base, n),
+            (1, true) => m.fill_store_range(base, n),
+            (_, false) => m.fetch_range(base, n),
+            (_, true) => m.fill_fetch_range(base, n),
+        }
+    }
+
+    /// The first line the fill tests stream: the warm-up touches only
+    /// lines below it.
+    const FRESH: u64 = 512;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fill passes against the scanning passes
+        /// (`Cache::access_range_through`) on lines never touched since
+        /// reset. From a warm state with dirty lines, each step fills a
+        /// range of fresh lines on one machine and scans it on the other,
+        /// then scans a range of already-touched lines on both, so filled
+        /// lines are hit, dirtied and evicted in turn. After every step all
+        /// three caches must be identical (contents, order, statistics) and
+        /// keep their invalid ways zero behind the valid prefix.
+        #[test]
+        fn fill_passes_match_scanning_passes_on_untouched_lines(
+            l1_ways in 0usize..5,
+            llc_ways in 0usize..5,
+            fifo in any::<bool>(),
+            warm in proptest::collection::vec(0u64..FRESH, 0..300),
+            warm_ops in proptest::collection::vec(0u8..3, 1..300),
+            gaps in proptest::collection::vec(0u64..64, 1..20),
+            lens in proptest::collection::vec(0u64..=256, 1..20),
+            ops in proptest::collection::vec(0u8..3, 1..20),
+            backs in proptest::collection::vec(0u64..1024, 1..20),
+            rescan_lens in proptest::collection::vec(0u64..64, 1..20),
+            rescan_ops in proptest::collection::vec(0u8..3, 1..20),
+        ) {
+            let (l1_ways, llc_ways) = (WAYS[l1_ways], WAYS[llc_ways]);
+            let mut scan = machine(l1_ways, llc_ways, fifo, false);
+            for (line, op) in warm.iter().zip(warm_ops.iter().cycle()) {
+                per_line(&mut scan, *op, line * 64);
+            }
+            let mut fill = scan.clone();
+            let l1_lines = L1_SETS * l1_ways as u64;
+            let mut next_fresh = FRESH;
+            let fills = gaps.iter().zip(lens.iter().cycle()).zip(ops.iter().cycle());
+            let rescans = backs.iter().cycle().zip(rescan_lens.iter().cycle()).zip(rescan_ops.iter().cycle());
+            for (((gap, raw_len), op), ((back, len), rescan_op)) in fills.zip(rescans) {
+                let (line, n) = (next_fresh + gap, raw_len * 2 * l1_lines / 256);
+                range(&mut fill, *op, true, line * 64, n);
+                range(&mut scan, *op, false, line * 64, n);
+                next_fresh = line + n;
+                // Re-stream lines touched before (a fetch of data lines is
+                // as valid a touch as any): both machines scan.
+                let start = next_fresh.saturating_sub(*back);
+                let len = (*len).min(next_fresh - start);
+                range(&mut fill, *rescan_op, false, start * 64, len);
+                range(&mut scan, *rescan_op, false, start * 64, len);
+                prop_assert_eq!(fill.stats(), scan.stats());
+                prop_assert!(fill.l1d == scan.l1d, "l1d diverged: op {} line {} n {}", op, line, n);
+                prop_assert!(fill.l1i == scan.l1i, "l1i diverged: op {} line {} n {}", op, line, n);
+                prop_assert!(fill.llc == scan.llc, "llc diverged: op {} line {} n {}", op, line, n);
+                for cache in [&fill.l1d, &fill.l1i, &fill.llc] {
+                    prop_assert!(cache.ways_are_canonical());
+                }
+            }
+        }
+    }
+
+    /// With the prefetcher enabled the LLC holds lines no demand access
+    /// touched, so the fill passes must scan: after a demand stream over
+    /// lines `[0, 32)` the prefetcher has pulled lines `32..` into the LLC,
+    /// and filling them must still find them there, exactly as the
+    /// scanning passes do.
+    #[test]
+    fn fill_passes_scan_when_the_prefetcher_is_enabled() {
+        for (ways, fifo) in [(2, false), (8, false), (3, true), (16, true)] {
+            for op in 0..3u8 {
+                let mut scan = machine(ways, ways, fifo, true);
+                scan.load_range(0, 32);
+                assert!(
+                    scan.llc.clone().access(32 * 64, AccessKind::Read).0,
+                    "the prefetcher must have filled line 32 into the LLC"
+                );
+                let mut fill = scan.clone();
+                range(&mut fill, op, true, 32 * 64, 4);
+                range(&mut scan, op, false, 32 * 64, 4);
+                assert_eq!(fill.stats(), scan.stats(), "{ways}-way fifo {fifo} op {op}");
+                assert!(fill.l1d == scan.l1d && fill.l1i == scan.l1i && fill.llc == scan.llc);
             }
         }
     }

@@ -52,7 +52,7 @@ impl PrefetchConfig {
 /// let lines = pf.observe(0x1040); // sequential: stream confirmed
 /// assert_eq!(lines, vec![0x1080, 0x10C0, 0x1100, 0x1140]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NextLinePrefetcher {
     config: PrefetchConfig,
     last_line: Option<u64>,
