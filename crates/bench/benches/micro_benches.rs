@@ -3,7 +3,8 @@
 //! training backward kernels (reference against packed) and the packed
 //! training forward of S1's widest linear layer, S1's memory-bound training
 //! kernels (batch norm, SiLU backward, depthwise and pointwise
-//! convolution), one Adam step over S1's parameters on the calling thread
+//! convolution), the depthwise input and filter gradients alone and one
+//! batch-norm + SiLU training step, one Adam step over S1's parameters on the calling thread
 //! and on a crew of two, four full optimizer steps of S1 and CaseStudy at
 //! one and two workers, GMM fitting, instrumented inference, the trace
 //! replay alone on S1 and CaseStudy, and online detector scoring. Each row is the best time per iteration of the shared
@@ -20,9 +21,10 @@ use advhunter_nn::train::{fit, Adam, TrainConfig};
 use advhunter_nn::{GraphBuilder, Mode};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
-    dwconv2d_into, linear_backward, linear_input_grad_into, linear_packed_into, matmul, matmul_at,
-    maxpool2d_into, silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant,
-    MaxPoolIndices, PackedWeights,
+    dwconv2d_input_grad_into, dwconv2d_into, dwconv2d_param_grads, linear_backward,
+    linear_input_grad_into, linear_packed_into, matmul, matmul_at, maxpool2d_into,
+    silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
+    PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
@@ -76,8 +78,10 @@ fn bench_dwconv2d() {
         let bias = init::normal(&mut rng, &[c], 0.0, 0.1);
         let (oh, ow) = spec.out_hw(hw, hw);
         let mut out = Tensor::zeros(&[1, c, oh, ow]);
+        let mut scratch = Conv2dScratch::default();
+        scratch.reserve_depthwise(hw, hw, &spec);
         bench_function(name, || {
-            dwconv2d_into(black_box(&x), &w, &bias, &spec, &mut out);
+            dwconv2d_into(black_box(&x), &w, &bias, &spec, &mut scratch, &mut out);
             out.data()[0]
         });
     }
@@ -304,6 +308,61 @@ fn bench_s1_training() {
     });
 }
 
+/// S1's per-channel training layers alone: the depthwise input gradient of
+/// a 16-image shard and the filter gradients over a 32-image batch at both
+/// depthwise shapes, and one `fit` step (batch 16, one thread) of a
+/// mb1.expand-shaped batch norm and SiLU under a pooled linear head.
+fn bench_s1_per_channel() {
+    let mut rng = StdRng::seed_from_u64(14);
+    for (name, c, hw, stride) in [("mb1", 32, 28, 2), ("mb2", 48, 14, 1)] {
+        let spec = Conv2dSpec::new(c, c, 3, stride, 1);
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let x = init::normal(&mut rng, &[32, c, hw, hw], 0.0, 1.0);
+        let w = init::normal(&mut rng, &[c, 9], 0.0, 0.3);
+        let g = init::normal(&mut rng, &[32, c, oh, ow], 0.0, 1.0);
+        let g16 = Tensor::from_vec(g.data()[..16 * c * oh * ow].to_vec(), &[16, c, oh, ow])
+            .expect("16 images");
+        let mut gx = Tensor::zeros(&[16, c, hw, hw]);
+        let mut scratch = Conv2dScratch::default();
+        scratch.reserve_depthwise(hw, hw, &spec);
+        bench_function(&format!("dwconv2d_input_grad_s1_{name}_b16"), || {
+            dwconv2d_input_grad_into(&w, black_box(&g16), &spec, &mut scratch, &mut gx);
+            gx.data()[0]
+        });
+        bench_function(&format!("dwconv2d_param_grads_s1_{name}_b32"), || {
+            dwconv2d_param_grads(&[(black_box(&x), &g)], &spec, 0..c, &mut scratch)
+        });
+    }
+    let mut b = GraphBuilder::new(&[32, 28, 28]);
+    let input = b.input();
+    let bn = b.batchnorm("mb1.expand.bn", input);
+    let act = b.silu("mb1.expand.act", bn);
+    let pool = b.global_avgpool("gap", act);
+    let flat = b.flatten("flat", pool);
+    b.linear("fc", flat, 10, &mut rng);
+    let mut model = b.build();
+    let images: Vec<Tensor> = (0..16)
+        .map(|_| init::normal(&mut rng, &[32, 28, 28], 0.5, 2.0))
+        .collect();
+    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+    let config = TrainConfig {
+        epochs: 1,
+        batch_size: 16,
+        ..TrainConfig::default()
+    };
+    let par = Parallelism::new(1);
+    bench_function("bn_silu_train_step_s1_mb1_expand_b16_1t", || {
+        fit(
+            &mut model,
+            black_box(&images),
+            &labels,
+            &config,
+            &par,
+            &mut rng,
+        )
+    });
+}
+
 fn bench_gmm_fit() {
     let mut rng = StdRng::seed_from_u64(2);
     let data: Vec<f64> = (0..200)
@@ -411,6 +470,7 @@ fn main() {
     bench_silu();
     bench_backward();
     bench_s1_training();
+    bench_s1_per_channel();
     bench_optimizer();
     bench_train_step();
     bench_gmm_fit();

@@ -6,8 +6,9 @@ use advhunter_tensor::ops::{
     avgpool2d_backward_into, conv2d_input_grad_into, conv2d_sum_partials, conv2d_weight_partials,
     dwconv2d_input_grad_into, dwconv2d_param_grads, global_avgpool_backward_into,
     leaky_relu_backward_into, linear_bias_grad, linear_input_grad_into, linear_weight_grad_rows,
-    maxpool2d_backward_into, relu_backward_into, sigmoid_backward_into, silu_backward_into,
-    tanh_backward_into, Conv2dScratch, Conv2dSpec, MaxPoolIndices,
+    maxpool2d_backward_into, relu_backward_into, sigmoid_backward_into,
+    silu_backward_from_sigmoid_into, silu_backward_into, silu_sigmoid_of_into, tanh_backward_into,
+    Conv2dScratch, Conv2dSpec, MaxPoolIndices,
 };
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
@@ -638,8 +639,9 @@ pub(crate) struct OpGrad<'a> {
 impl OpGrad<'_> {
     /// The gradient with respect to input `k` into the input-shaped `out`;
     /// every element is assigned. Every op computes it image by image, so
-    /// a batch can be differentiated in shards. A convolution works in
-    /// `scratch`, its forward pass's, or else in scratch of its own.
+    /// a batch can be differentiated in shards. A convolution (depthwise
+    /// too) works in `scratch`, its forward pass's, or else in scratch of
+    /// its own.
     pub(crate) fn input_grad_into(
         &self,
         k: usize,
@@ -653,7 +655,11 @@ impl OpGrad<'_> {
                 let scratch = scratch.unwrap_or_else(|| own.insert(conv_scratch(ins[0], &l.spec)));
                 conv2d_input_grad_into(&l.weight, gout, &l.spec, out, scratch);
             }
-            Op::DwConv2d(l) => dwconv2d_input_grad_into(&l.weight, gout, &l.spec, out),
+            Op::DwConv2d(l) => {
+                let mut own = None;
+                let scratch = scratch.unwrap_or_else(|| own.insert(Conv2dScratch::default()));
+                dwconv2d_input_grad_into(&l.weight, gout, &l.spec, scratch, out);
+            }
             Op::Linear(l) => linear_input_grad_into(&l.weight, gout, out),
             Op::BatchNorm2d(bn) => match (self.mode, self.aux) {
                 (Mode::Eval, _) => bn_eval_input_grad_into(bn, gout, out),
@@ -698,7 +704,10 @@ impl OpGrad<'_> {
                 let (gw, gb) = conv2d_sum_partials(&[&partials], &l.spec);
                 (gw.into_vec(), gb.into_vec())
             }
-            Op::DwConv2d(l) => dwconv2d_param_grads(&[(x, gout)], &l.spec, 0..l.spec.in_channels),
+            Op::DwConv2d(l) => {
+                let mut scratch = Conv2dScratch::default();
+                dwconv2d_param_grads(&[(x, gout)], &l.spec, 0..l.spec.in_channels, &mut scratch)
+            }
             Op::Linear(l) => {
                 let mut gw = vec![0.0f32; l.weight.len()];
                 linear_weight_grad_rows(&[(x, gout)], 0..l.weight.shape().dim(0), &mut gw);
@@ -815,16 +824,76 @@ pub(crate) fn batchnorm_forward_into(
             let xd = x.data();
             let od = out.data_mut();
             for ch in 0..c {
-                let g = bn.gamma.data()[ch];
-                let b = bn.beta.data()[ch];
+                let (g, b, xhat) = (bn.gamma.data()[ch], bn.beta.data()[ch], norm.xhat(ch));
                 for img in 0..n {
                     let base = (img * c + ch) * plane;
                     for i in 0..plane {
-                        od[base + i] = norm.xhat(ch, xd[base + i]) * g + b;
+                        od[base + i] = xhat(xd[base + i]) * g + b;
                     }
                 }
             }
         }
+    }
+}
+
+/// A train-mode batch norm and the SiLU that is its only reader, in one
+/// pass over the batch norm's input `x` (with its batch statistics in
+/// `aux`): the SiLU's output into `act` and `σ(z)` into `sig`, the batch
+/// norm's output buffer, for [`bn_silu_input_grad_into`]. `z`, the batch
+/// norm's output, is never stored; it and the activation have the bits of
+/// [`batchnorm_forward_into`] followed by `silu_into`.
+pub(crate) fn bn_silu_forward_into(
+    bn: &BatchNorm2d,
+    (x, aux): (&Tensor, &Aux),
+    sig: &mut Tensor,
+    act: &mut Tensor,
+) {
+    let Aux::BatchNorm { mean, var } = aux else {
+        panic!("batch-norm node has no batch statistics");
+    };
+    let norm = BnNorm::new(bn, mean, var);
+    let (_, c, h, w) = x.shape().as_nchw();
+    let plane = h * w;
+    let outs = sig
+        .data_mut()
+        .chunks_exact_mut(plane)
+        .zip(act.data_mut().chunks_exact_mut(plane));
+    for (i, (xs, (sig, act))) in x.data().chunks_exact(plane).zip(outs).enumerate() {
+        let ch = i % c;
+        let (g, b, xhat) = (bn.gamma.data()[ch], bn.beta.data()[ch], norm.xhat(ch));
+        silu_sigmoid_of_into(xs, |x| xhat(x) * g + b, act, sig);
+    }
+}
+
+/// The input gradient of the SiLU of a pair run by [`bn_silu_forward_into`]
+/// into `out`, from the batch norm's input `x` and statistics and the
+/// stored `sig`: `z` is recomputed with the forward pass's expression, so
+/// the bits are those of `silu_backward_into` at `z`, with no `exp`.
+pub(crate) fn bn_silu_input_grad_into(
+    bn: &BatchNorm2d,
+    (x, aux): (&Tensor, &Aux),
+    sig: &Tensor,
+    gout: &Tensor,
+    out: &mut Tensor,
+) {
+    let Aux::BatchNorm { mean, var } = aux else {
+        panic!("batch-norm node has no batch statistics");
+    };
+    let norm = BnNorm::new(bn, mean, var);
+    let (_, c, h, w) = x.shape().as_nchw();
+    let plane = h * w;
+    let ins = sig
+        .data()
+        .chunks_exact(plane)
+        .zip(gout.data().chunks_exact(plane));
+    let planes = x.data().chunks_exact(plane).zip(ins);
+    for (i, ((xs, (sig, g)), out)) in planes
+        .zip(out.data_mut().chunks_exact_mut(plane))
+        .enumerate()
+    {
+        let ch = i % c;
+        let (gamma, beta, xhat) = (bn.gamma.data()[ch], bn.beta.data()[ch], norm.xhat(ch));
+        silu_backward_from_sigmoid_into(xs, |x| xhat(x) * gamma + beta, sig, g, out);
     }
 }
 
@@ -842,9 +911,11 @@ impl<'a> BnNorm<'a> {
         Self { mean, inv }
     }
 
+    /// Channel `ch`'s `x ↦ x̂`, with the channel's statistics read once.
     #[inline]
-    fn xhat(&self, ch: usize, x: f32) -> f32 {
-        (x - self.mean[ch]) * self.inv[ch]
+    fn xhat(&self, ch: usize) -> impl Fn(f32) -> f32 {
+        let (mean, inv) = (self.mean[ch], self.inv[ch]);
+        move |x| (x - mean) * inv
     }
 }
 
@@ -1049,11 +1120,11 @@ fn bn_input_grad_into(
     for ch in 0..c {
         let gamma = bn.gamma.data()[ch];
         let (sum_g, sum_gx) = (sum_g[ch], sum_gx[ch]);
-        let k1 = gamma * norm.inv[ch] / count;
+        let (k1, xhat) = (gamma * norm.inv[ch] / count, norm.xhat(ch));
         for img in 0..n {
             let base = (img * c + ch) * plane;
             for i in 0..plane {
-                let xh = norm.xhat(ch, xd[base + i]);
+                let xh = xhat(xd[base + i]);
                 gxd[base + i] = k1 * (count * gd[base + i] - sum_g - xh * sum_gx);
             }
         }

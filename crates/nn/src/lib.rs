@@ -47,7 +47,6 @@ mod kernels;
 mod shard;
 mod workspace;
 
-pub mod augment;
 pub mod io;
 pub mod record;
 pub mod spec;

@@ -41,16 +41,17 @@ use advhunter_tensor::ops::{
     conv2d_sum_partials, conv2d_weight_partial_sum, conv2d_weight_partials,
     cross_entropy_with_logits, dwconv2d_param_grads, linear_bias_grad,
     linear_input_grad_blocks_into, linear_packed_bias_cols_into, linear_weight_grad_rows,
-    KernelVariant, PackedWeights,
+    Conv2dScratch, KernelVariant, PackedWeights,
 };
 use advhunter_tensor::Tensor;
 
 use crate::graph::{
-    argmax_rows, bn_batch_stats, bn_grad_sums, image_slices, Aux, BnNorm, OpGrad, BN_LANES,
+    argmax_rows, bn_batch_stats, bn_grad_sums, bn_silu_forward_into, bn_silu_input_grad_into,
+    image_slices, Aux, BnNorm, OpGrad, BN_LANES,
 };
 use crate::train::AdamStep;
 use crate::workspace::set_batch_dim;
-use crate::{Graph, MatKernels, Mode, Op, ParamGrad, Src, Workspace};
+use crate::{Graph, MatKernels, Mode, Node, Op, ParamGrad, Src, Workspace};
 
 /// A pair of per-channel (or per-row) vectors: batch mean and variance,
 /// or a node's primary and secondary parameter gradient.
@@ -253,6 +254,20 @@ impl GradSlots {
     }
 }
 
+/// Whether node `i` is a batch norm read only by node `i + 1`, a SiLU.
+fn bn_silu_pair(nodes: &[Node], i: usize) -> bool {
+    let readers = nodes
+        .iter()
+        .flat_map(|n| &n.inputs)
+        .filter(|src| **src == Src::Node(i))
+        .count();
+    matches!(nodes[i].op, Op::BatchNorm2d(_))
+        && readers == 1
+        && nodes
+            .get(i + 1)
+            .is_some_and(|n| matches!(n.op, Op::SiLU) && n.inputs == [Src::Node(i)])
+}
+
 /// Whether a node of `op` keeps its output gradient after its own
 /// backward, for the whole-batch parameter tasks of its chain.
 fn keeps_grad(op: &Op) -> bool {
@@ -395,6 +410,11 @@ struct NodeParams {
 struct Layout {
     /// The channel count of each node that is a train-mode batch norm.
     bn: Vec<Option<usize>>,
+    /// Whether each node is a train-mode batch norm whose only reader is
+    /// the SiLU right after it: the pair runs as one pass
+    /// ([`bn_silu_forward_into`]) that keeps `σ` in the batch norm's output
+    /// buffer for the SiLU's backward.
+    bn_silu: Vec<bool>,
     /// Whether each node's output gradient reaches a parameter: the
     /// backward pass of a training step computes nothing else.
     wanted: Vec<bool>,
@@ -409,6 +429,9 @@ struct Layout {
     /// The weight gradient of each block, written by its
     /// [`Task::LinearGrad`].
     pieces: Vec<Mutex<Vec<f32>>>,
+    /// The scratch of each [`Task::DwGrad`], allocated with the layout so
+    /// that no helper allocates it.
+    dw_scratch: Vec<Mutex<Conv2dScratch>>,
     /// Each parameterized node's [`NodeParams`].
     params: Vec<Option<Mutex<NodeParams>>>,
     /// The tasks of one optimizer step: the weight blocks, largest first,
@@ -437,20 +460,44 @@ impl Layout {
                     _ => None,
                 })
                 .collect(),
+            bn_silu: (0..nodes.len())
+                .map(|i| train && bn_silu_pair(nodes, i))
+                .collect(),
             wanted,
             param_tasks: Vec::new(),
             linear: vec![None; nodes.len()],
             blocks: Vec::new(),
             pieces: Vec::new(),
+            dw_scratch: Vec::new(),
             params: Vec::new(),
             optimizer: Vec::new(),
         };
+        let shapes = graph.single_image_shapes();
         for (node, n) in nodes.iter().enumerate() {
             let tasks = match &n.op {
                 Op::Conv2d(_) => vec![Task::ConvGrad { node }],
-                Op::DwConv2d(l) => blocks(l.spec.in_channels, BN_LANES)
-                    .map(|channels| Task::DwGrad { node, channels })
-                    .collect(),
+                Op::DwConv2d(l) if train => {
+                    let dims = match n.inputs[0] {
+                        Src::Input => graph.input_dims(),
+                        Src::Node(j) => &shapes[j],
+                    };
+                    let [_, h, w] = dims[..] else {
+                        panic!("depthwise input must be CHW, got {dims:?}");
+                    };
+                    blocks(l.spec.in_channels, BN_LANES)
+                        .map(|channels| {
+                            let mut scratch = Conv2dScratch::default();
+                            scratch.reserve_depthwise(h, w, &l.spec);
+                            layout.dw_scratch.push(Mutex::new(scratch));
+                            let scratch = layout.dw_scratch.len() - 1;
+                            Task::DwGrad {
+                                node,
+                                channels,
+                                scratch,
+                            }
+                        })
+                        .collect()
+                }
                 Op::Linear(l) if train => {
                     let first = layout.blocks.len();
                     let tasks = layout.cut_linear(&l.weight, node);
@@ -937,8 +984,13 @@ enum Task {
     /// A convolution's filter and bias gradients from the per-image
     /// partials.
     ConvGrad { node: usize },
-    /// A depthwise convolution's filter and bias gradients for `channels`.
-    DwGrad { node: usize, channels: Range<usize> },
+    /// A depthwise convolution's filter and bias gradients for `channels`,
+    /// in [`Layout::dw_scratch`]`[scratch]`.
+    DwGrad {
+        node: usize,
+        channels: Range<usize>,
+        scratch: usize,
+    },
     /// Weight-gradient `rows` of a linear layer, written to
     /// [`Layout::pieces`]`[piece]`.
     LinearGrad {
@@ -1091,41 +1143,55 @@ impl<'a> Ctx<'a> {
     }
 
     /// Runs nodes `span` of the shard's forward pass: a linear layer of a
-    /// training step through its weight blocks, every other node through
-    /// [`Graph::forward_span`].
+    /// training step through its weight blocks, a batch norm and the SiLU
+    /// it pairs with ([`Layout::bn_silu`]) in one pass, every other node
+    /// through [`Graph::forward_span`].
     fn forward_span(&self, s: &mut Shard, span: Range<usize>) {
         let kernels = Some(self.kernels);
-        let mut from = span.start;
-        for i in span.clone() {
-            let Some(pieces) = self.layout.linear[i].clone() else {
+        let (mut from, mut i) = (span.start, span.start);
+        while i < span.end {
+            let pieces = self.layout.linear[i].clone();
+            if pieces.is_none() && !self.layout.bn_silu[i] {
+                i += 1;
                 continue;
-            };
+            }
             self.graph
                 .forward_span(&s.input, self.mode, &mut s.ws, kernels, from..i);
-            let Op::Linear(l) = &self.graph.nodes()[i].op else {
-                unreachable!("weight blocks of a linear layer");
-            };
+            let node = &self.graph.nodes()[i];
             let (done, rest) = s.ws.outputs.split_at_mut(i);
-            let x = match self.graph.nodes()[i].inputs[0] {
+            let x = match node.inputs[0] {
                 Src::Input => &s.input,
                 Src::Node(j) => &done[j],
             };
-            let rows = x.shape().dim(0);
-            let mut first = 0;
-            for block in &self.layout.blocks[pieces] {
-                let panels = &read(block).panels;
-                let bias = &l.bias.data()[first..first + panels.rows()];
-                linear_packed_bias_cols_into(
-                    panels,
-                    x.data(),
-                    rows,
-                    bias,
-                    rest[0].data_mut(),
-                    first,
-                );
-                first += panels.rows();
+            match (&node.op, pieces) {
+                (Op::Linear(l), Some(pieces)) => {
+                    let rows = x.shape().dim(0);
+                    let mut first = 0;
+                    for block in &self.layout.blocks[pieces] {
+                        let panels = &read(block).panels;
+                        let bias = &l.bias.data()[first..first + panels.rows()];
+                        linear_packed_bias_cols_into(
+                            panels,
+                            x.data(),
+                            rows,
+                            bias,
+                            rest[0].data_mut(),
+                            first,
+                        );
+                        first += panels.rows();
+                    }
+                    i += 1;
+                }
+                (Op::BatchNorm2d(bn), None) => {
+                    let [sig, act, ..] = rest else {
+                        unreachable!("a SiLU after the batch norm");
+                    };
+                    bn_silu_forward_into(bn, (x, &s.ws.aux[i]), sig, act);
+                    i += 2;
+                }
+                _ => unreachable!("weight blocks of a linear layer"),
             }
-            from = i + 1;
+            from = i;
         }
         self.graph
             .forward_span(&s.input, self.mode, &mut s.ws, kernels, from..span.end);
@@ -1195,9 +1261,25 @@ impl<'a> Ctx<'a> {
                     self.layout.blocks[p].iter().map(read).collect()
                 });
             let weight: Vec<&[f32]> = blocks.iter().map(|b| b.weight.as_slice()).collect();
-            let mut input_grad = |k: usize, g: &mut Tensor| match &node.op {
-                Op::Linear(_) if !weight.is_empty() => {
+            // A SiLU paired with the batch norm below it reads `σ` from the
+            // batch norm's output and recomputes `z` from its input.
+            let pair = (i > 0 && self.layout.bn_silu[i - 1]).then(|| {
+                let b = i - 1;
+                let Op::BatchNorm2d(bn) = &self.graph.nodes()[b].op else {
+                    unreachable!("a paired batch norm");
+                };
+                let x = match self.graph.nodes()[b].inputs[0] {
+                    Src::Input => &s.input,
+                    Src::Node(j) => &s.ws.outputs[j],
+                };
+                (bn, x, &s.ws.aux[b])
+            });
+            let mut input_grad = |k: usize, g: &mut Tensor| match (&node.op, pair) {
+                (Op::Linear(_), _) if !weight.is_empty() => {
                     linear_input_grad_blocks_into(&weight, &gout, g);
+                }
+                (Op::SiLU, Some((bn, x, aux))) => {
+                    bn_silu_input_grad_into(bn, (x, aux), ins[0], &gout, g);
                 }
                 _ => grad.input_grad_into(k, g, Some(&mut *scratch)),
             };
@@ -1270,8 +1352,14 @@ impl<'a> Ctx<'a> {
                 let (gw, gb) = conv2d_sum_partials(&partials, &l.spec);
                 (gw.into_vec(), gb.into_vec())
             }
-            (Task::DwGrad { channels, .. }, Op::DwConv2d(l)) => {
-                dwconv2d_param_grads(&parts(), &l.spec, channels.clone())
+            (
+                Task::DwGrad {
+                    channels, scratch, ..
+                },
+                Op::DwConv2d(l),
+            ) => {
+                let mut scratch = lock(&self.layout.dw_scratch[*scratch]);
+                dwconv2d_param_grads(&parts(), &l.spec, channels.clone(), &mut scratch)
             }
             (Task::LinearGrad { rows, piece, .. }, Op::Linear(_)) => {
                 let mut gw = lock(&self.layout.pieces[*piece]);
@@ -1284,5 +1372,43 @@ impl<'a> Ctx<'a> {
             }
             _ => unreachable!("whole-batch task on a node of another kind"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::spec::GraphSpec;
+
+    /// S1 pairs the batch norm and SiLU of its stem, of both expansions and
+    /// depthwise convolutions, and of its head: six pairs. Its projection
+    /// batch norms feed no SiLU, and `se.act` follows a linear layer.
+    #[test]
+    fn s1_pairs_six_batch_norms_with_their_silu() {
+        let spec = GraphSpec::parse(include_str!("../../../specs/s1.ahg")).expect("S1 parses");
+        let graph = spec
+            .build_graph(&mut StdRng::seed_from_u64(0))
+            .expect("S1 builds");
+        let names = |layout: &Layout| -> Vec<&str> {
+            (0..graph.nodes().len())
+                .filter(|&i| layout.bn_silu[i])
+                .map(|i| graph.nodes()[i].name.as_str())
+                .collect()
+        };
+        assert_eq!(
+            names(&Layout::new(&graph, Mode::Train)),
+            [
+                "stem.bn",
+                "mb1.expand.bn",
+                "mb1.dw.bn",
+                "mb2.expand.bn",
+                "mb2.dw.bn",
+                "head.bn"
+            ]
+        );
+        assert!(names(&Layout::new(&graph, Mode::Eval)).is_empty());
     }
 }

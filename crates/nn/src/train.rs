@@ -320,8 +320,10 @@ pub fn step(
     })
 }
 
-/// Images per forward pass of [`logits`].
-const EVAL_BATCH: usize = 64;
+/// Images per forward pass of [`logits`]. An evaluation shard keeps every
+/// node's output for each of its images, so the batch bounds the memory of
+/// an evaluation; the logits of an image do not depend on it.
+const EVAL_BATCH: usize = 16;
 
 /// Eval-mode logits of `images`, one row per image, computed in
 /// mini-batches.
@@ -427,9 +429,9 @@ mod tests {
     }
 
     /// `evaluate` runs the packed kernels on shards; its accuracy is that
-    /// of the reference `Graph::predict` at any worker count, over a full
-    /// and a ragged batch (the logits themselves are pinned by
-    /// `tests/shard_equivalence.rs`).
+    /// of the reference `Graph::predict` at any worker count, over full
+    /// batches and a ragged last one (the logits themselves are pinned by
+    /// `tests/training_gradients.rs`).
     #[test]
     fn evaluate_matches_the_reference_forward_pass() {
         let mut rng = StdRng::seed_from_u64(3);

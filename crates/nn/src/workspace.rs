@@ -59,7 +59,8 @@ pub struct Workspace {
     pub(crate) input_chw: Vec<usize>,
     pub(crate) outputs: Vec<Tensor>,
     pub(crate) aux: Vec<Aux>,
-    /// The convolutions' im2col scratch, one for every convolution.
+    /// The convolutions' im2col and depthwise scratch, one for every
+    /// convolution.
     pub(crate) conv_scratch: Conv2dScratch,
 }
 
@@ -107,15 +108,17 @@ impl Graph {
             dims.extend_from_slice(shape);
             outputs.push(Tensor::zeros(&dims));
             aux.push(Aux::None);
-            if let Op::Conv2d(l) = &node.op {
-                let in_shape: &[usize] = match node.inputs[0] {
-                    Src::Input => input_chw,
-                    Src::Node(j) => &shapes[j],
-                };
-                let [c, h, w] = in_shape[..] else {
-                    panic!("conv input must be CHW, got {in_shape:?}");
-                };
-                conv_scratch.reserve(c, h, w, &l.spec);
+            let in_shape: &[usize] = match node.inputs.first() {
+                Some(Src::Node(j)) => &shapes[*j],
+                _ => input_chw,
+            };
+            match (&node.op, in_shape) {
+                (Op::Conv2d(l), &[c, h, w]) => conv_scratch.reserve(c, h, w, &l.spec),
+                (Op::DwConv2d(l), &[_, h, w]) => conv_scratch.reserve_depthwise(h, w, &l.spec),
+                (Op::Conv2d(_) | Op::DwConv2d(_), _) => {
+                    panic!("conv input must be CHW, got {in_shape:?}")
+                }
+                _ => {}
             }
         }
         Workspace {
@@ -285,7 +288,7 @@ fn forward_op_into(
             *aux = Aux::None;
         }
         Op::DwConv2d(l) => {
-            dwconv2d_into(ins[0], &l.weight, &l.bias, &l.spec, out);
+            dwconv2d_into(ins[0], &l.weight, &l.bias, &l.spec, scratch, out);
             *aux = Aux::None;
         }
         Op::Linear(l) => {

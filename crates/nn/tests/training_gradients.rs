@@ -13,7 +13,10 @@
 //! `Graph::logits` row for row. The graphs start with a convolution, a
 //! parameter-free op, a linear layer on the flattened input, a depthwise
 //! convolution and a batch norm; one shares its input with a residual sum,
-//! and one is an S1 block, with linear layers between batch norms.
+//! and one is an S1 block, with linear layers between batch norms. A
+//! batch norm whose only reader is the SiLU after it runs fused with it;
+//! two graphs pin the unfused paths beside a fused pair: a batch norm that
+//! a SiLU and a residual sum both read, and a SiLU after a linear layer.
 //!
 //! `fit` takes each Adam step on the crew, a task per block of a linear
 //! layer's weight rows and one per other node: over a few epochs with a
@@ -154,9 +157,40 @@ fn wide_linear(rng: &mut StdRng) -> Graph {
     b.build()
 }
 
+/// A batch norm read by its SiLU and by a residual sum, so the pair is
+/// not fused, beside a batch norm whose SiLU is its only reader.
+fn batchnorm_two_readers(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[3, 6, 6]);
+    let input = b.input();
+    let c = b.conv2d("conv", input, 4, 3, 1, 1, rng);
+    let bn = b.batchnorm("bn", c);
+    let a = b.silu("act", bn);
+    let s = b.add("skip", bn, a);
+    let c2 = b.conv2d("conv2", s, 4, 1, 1, 0, rng);
+    let bn2 = b.batchnorm("bn2", c2);
+    let a2 = b.silu("act2", bn2);
+    let g = b.global_avgpool("gap", a2);
+    b.linear("fc", g, 3, rng);
+    b.build()
+}
+
+/// A SiLU after a linear layer, beside a batch norm paired with its SiLU.
+fn linear_silu(rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(&[2, 6, 6]);
+    let input = b.input();
+    let c = b.conv2d("conv", input, 4, 3, 2, 1, rng);
+    let bn = b.batchnorm("bn", c);
+    let a = b.silu("act", bn);
+    let g = b.global_avgpool("gap", a);
+    let h = b.linear("fc1", g, 6, rng);
+    let a2 = b.silu("act2", h);
+    b.linear("fc2", a2, 3, rng);
+    b.build()
+}
+
 type Build = fn(&mut StdRng) -> Graph;
 
-const GRAPHS: [(&str, Build); 7] = [
+const GRAPHS: [(&str, Build); 9] = [
     ("conv_first", conv_first),
     ("pool_first", pool_first),
     ("linear_first", linear_first),
@@ -164,6 +198,8 @@ const GRAPHS: [(&str, Build); 7] = [
     ("depthwise_first", depthwise_first),
     ("batchnorm_first", batchnorm_first),
     ("squeeze_excite", squeeze_excite),
+    ("batchnorm_two_readers", batchnorm_two_readers),
+    ("linear_silu", linear_silu),
 ];
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -223,7 +259,7 @@ fn training_step_matches_the_reference_at_every_shard_count() {
     }
 }
 
-/// Two evaluation batches, the second ragged.
+/// Several evaluation batches, the last ragged.
 #[test]
 fn sharded_logits_match_graph_logits() {
     for (seed, (name, build)) in GRAPHS.into_iter().enumerate() {

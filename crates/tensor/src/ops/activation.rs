@@ -126,6 +126,67 @@ pub fn silu_into(x: &Tensor, out: &mut Tensor) {
     });
 }
 
+/// [`silu`] of `z = f(x)` into `act` and `σ(z)` into `sig`, without storing
+/// `z`: bit for bit [`silu_into`] and [`sigmoid_into`] of the `z` that
+/// `f` computes, which a caller that can recompute `z` pairs with
+/// [`silu_backward_from_sigmoid_into`]. `f` must depend on its own element
+/// only.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn silu_sigmoid_of_into(x: &[f32], f: impl Fn(f32) -> f32, act: &mut [f32], sig: &mut [f32]) {
+    assert_eq!(x.len(), act.len(), "silu output length mismatch");
+    assert_eq!(x.len(), sig.len(), "sigmoid output length mismatch");
+    let block = |x: [f32; LANES]| {
+        let z = x.map(&f);
+        let s = sigmoid_lanes(z);
+        (std::array::from_fn::<f32, LANES, _>(|l| z[l] * s[l]), s)
+    };
+    let full = x.len() - x.len() % LANES;
+    let outs = act.chunks_exact_mut(LANES).zip(sig.chunks_exact_mut(LANES));
+    for (x, (act, sig)) in x[..full].chunks_exact(LANES).zip(outs) {
+        let (a, s) = block(x.try_into().expect("lanes"));
+        act.copy_from_slice(&a);
+        sig.copy_from_slice(&s);
+    }
+    let tail = x.len() - full;
+    if tail > 0 {
+        // The missing lanes are zeros whose results are dropped.
+        let mut lanes = [0.0; LANES];
+        lanes[..tail].copy_from_slice(&x[full..]);
+        let (a, s) = block(lanes);
+        act[full..].copy_from_slice(&a[..tail]);
+        sig[full..].copy_from_slice(&s[..tail]);
+    }
+}
+
+/// [`silu_backward_into`] at `z = f(x)`, given `sig = σ(z)` from
+/// [`silu_sigmoid_of_into`]: the same bits, with no `exp`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn silu_backward_from_sigmoid_into(
+    x: &[f32],
+    f: impl Fn(f32) -> f32,
+    sig: &[f32],
+    grad_out: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(x.len(), out.len(), "silu gradient length mismatch");
+    assert_eq!(x.len(), sig.len(), "sigmoid length mismatch");
+    assert_eq!(
+        x.len(),
+        grad_out.len(),
+        "silu output gradient length mismatch"
+    );
+    map_lanes([x, sig, grad_out], out, |[x, s, g]| {
+        let z = x.map(&f);
+        silu_grad_lanes(z, s, g)
+    });
+}
+
 /// Backward pass of [`silu`] into `out`, given the *input* of the forward
 /// pass.
 ///
@@ -136,9 +197,14 @@ pub fn silu_backward_into(input: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
     check_len(input, grad_out);
     check_len(input, out);
     map_lanes([input.data(), grad_out.data()], out.data_mut(), |[x, g]| {
-        let s = sigmoid_lanes(x);
-        std::array::from_fn(|l| g[l] * (s[l] + x[l] * s[l] * (1.0 - s[l])))
+        silu_grad_lanes(x, sigmoid_lanes(x), g)
     });
+}
+
+/// The SiLU gradient `g · (σ + x·σ·(1 − σ))` at `x`, given `σ = σ(x)`.
+#[inline]
+fn silu_grad_lanes<const L: usize>(x: [f32; L], s: [f32; L], g: [f32; L]) -> [f32; L] {
+    std::array::from_fn(|l| g[l] * (s[l] + x[l] * s[l] * (1.0 - s[l])))
 }
 
 /// Row-wise softmax over a `[n, c]` tensor.

@@ -259,11 +259,12 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
 }
 
 /// Reusable intermediate buffers of the convolution kernels: the im2col
-/// lowering, the pre-bias GEMM product of [`conv2d_into`], and what the
-/// backward pieces use. Each call shapes them to its own geometry, so one
-/// scratch serves every convolution of a graph; sized by
-/// [`Conv2dScratch::new`] or [`Conv2dScratch::reserve`] for the largest,
-/// calls allocate nothing.
+/// lowering, the pre-bias GEMM product of [`conv2d_into`], what the
+/// backward pieces use, and the depthwise kernels' plane copies. Each call
+/// shapes them to its own geometry, so one scratch serves every
+/// convolution of a graph; sized by [`Conv2dScratch::new`],
+/// [`Conv2dScratch::reserve`] and [`Conv2dScratch::reserve_depthwise`] for
+/// the largest, calls allocate nothing.
 #[derive(Debug, Clone)]
 pub struct Conv2dScratch {
     /// `[C*k*k, oh*ow]` im2col matrix; backward's `dcols` product too.
@@ -278,6 +279,10 @@ pub struct Conv2dScratch {
     /// [`Conv2dScratch::reserve_backward`].
     panels: Vec<f32>,
     partial: Vec<f32>,
+    /// The depthwise kernels' phase-split, padded or channel-minor plane
+    /// copies; grown on first use, or ahead of it by
+    /// [`Conv2dScratch::reserve_depthwise`].
+    depthwise: Vec<f32>,
 }
 
 impl Default for Conv2dScratch {
@@ -288,6 +293,7 @@ impl Default for Conv2dScratch {
             gemm: None,
             panels: Vec::new(),
             partial: Vec::new(),
+            depthwise: Vec::new(),
         }
     }
 }
@@ -320,6 +326,26 @@ impl Conv2dScratch {
         self.panels.reserve(len.saturating_sub(self.panels.len()));
         let len = spec.partial_len();
         self.partial.reserve(len.saturating_sub(self.partial.len()));
+    }
+
+    /// Grows the depthwise buffer to what the forward pass, the input
+    /// gradient and the filter gradient of the depthwise convolution
+    /// `spec` over `h × w` planes need.
+    pub fn reserve_depthwise(&mut self, h: usize, w: usize, spec: &Conv2dSpec) {
+        let geo = DwGeometry::new(h, w, spec);
+        let len = geo
+            .forward_len()
+            .max(geo.input_grad_len())
+            .max(geo.param_grad_len());
+        self.depthwise_for(len);
+    }
+
+    /// The first `len` floats of the depthwise buffer, grown if shorter.
+    fn depthwise_for(&mut self, len: usize) -> &mut [f32] {
+        if self.depthwise.len() < len {
+            self.depthwise.resize(len, 0.0);
+        }
+        &mut self.depthwise[..len]
     }
 
     /// The im2col buffer shaped `[rows, plane]`.
@@ -755,28 +781,136 @@ pub fn dwconv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpe
     let (n, c, h, w) = input.shape().as_nchw();
     let (oh, ow) = spec.out_hw(h, w);
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    dwconv2d_into(input, weight, bias, spec, &mut out);
+    let mut scratch = Conv2dScratch::default();
+    dwconv2d_into(input, weight, bias, spec, &mut scratch, &mut out);
     out
 }
 
-/// Output columns computed together in the interior of a depthwise row: one
-/// AVX2 vector of `f32`.
+/// Channels the depthwise filter gradient computes together, one per lane:
+/// one AVX2 vector of `f32`.
 const DW_LANES: usize = 8;
 
-/// [`dwconv2d`] into a caller-provided `[n, c, oh, ow]` output tensor.
+/// One vector of lanes.
+type Lanes = [f32; DW_LANES];
+
+/// The lanes starting at `x[0]`.
+#[inline(always)]
+fn lanes(x: &[f32]) -> Lanes {
+    x[..DW_LANES].try_into().expect("a vector of lanes")
+}
+
+/// The plane geometry of a depthwise convolution and the layout of what its
+/// forward pass and input gradient keep in [`Conv2dScratch`].
 ///
-/// Every output element is assigned, so prior contents never leak.
+/// Both work on *phase planes*: at stride `s`, padded pixel `(u, v)`
+/// (input pixel `(u − p, v − p)`) belongs to phase `(u % s, v % s)`, at row
+/// `u / s` and column `v / s` of that phase's plane. Each kernel tap then
+/// reads one phase plane at a fixed offset, so both passes are sums of
+/// whole-plane shifted passes, one per tap in the sum's order, over rows a
+/// fixed pitch apart: long runs that vectorize at any stride.
+#[derive(Clone, Copy)]
+struct DwGeometry<'a> {
+    spec: &'a Conv2dSpec,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    /// Row length of the forward pass's phase planes and accumulator:
+    /// every output column with its taps' overhang, and every input
+    /// column.
+    pitch: usize,
+    /// Rows of a forward phase plane, one spare for the overhang of the
+    /// last row's taps.
+    rows: usize,
+    /// Zero rows and columns before the output gradient in its padded copy
+    /// (the input gradient): one per kernel row of a phase past its first.
+    lead: usize,
+    /// Rows of the input gradient's phase planes.
+    grad_rows: usize,
+    /// Row length of the input gradient's phase planes and of the padded
+    /// output gradient.
+    grad_pitch: usize,
+}
+
+impl<'a> DwGeometry<'a> {
+    fn new(h: usize, w: usize, spec: &'a Conv2dSpec) -> Self {
+        let (oh, ow) = spec.out_hw(h, w);
+        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+        let lead = (k - 1) / s;
+        Self {
+            spec,
+            h,
+            w,
+            oh,
+            ow,
+            pitch: (ow + lead).max((w + p).div_ceil(s)),
+            rows: oh + lead + 1,
+            lead,
+            grad_rows: (h + p - 1) / s + 1,
+            grad_pitch: lead + ow.max((w + p - 1) / s + 1),
+        }
+    }
+
+    /// The stride: `S`, or the spec's if `S` is 0. The kernels take the
+    /// common strides as constants, so that their divisions by the stride
+    /// compile to shifts.
+    #[inline(always)]
+    fn stride<const S: usize>(&self) -> usize {
+        if S == 0 {
+            self.spec.stride
+        } else {
+            S
+        }
+    }
+
+    /// Floats of one forward phase plane.
+    fn phase_len(&self) -> usize {
+        self.rows * self.pitch
+    }
+
+    /// The forward pass's buffer: a lane mask per kernel column, the phase
+    /// planes, the accumulator.
+    fn forward_len(&self) -> usize {
+        let (k, s) = (self.spec.kernel, self.spec.stride);
+        (k + 1) * self.oh * self.pitch + s * s * self.phase_len()
+    }
+
+    /// Rows of the padded output gradient: the lead, every row a phase
+    /// plane's taps read, and one spare for the overhang.
+    fn padded_grad_rows(&self) -> usize {
+        self.lead + self.oh.max(self.grad_rows) + 1
+    }
+
+    /// Floats of one phase plane of the input gradient.
+    fn grad_phase_len(&self) -> usize {
+        self.grad_rows * self.grad_pitch
+    }
+
+    /// The input gradient's buffer: the padded output gradient, the phase
+    /// planes.
+    fn input_grad_len(&self) -> usize {
+        let s = self.spec.stride;
+        self.padded_grad_rows() * self.grad_pitch + s * s * self.grad_phase_len()
+    }
+
+    fn param_grad_len(&self) -> usize {
+        let k = self.spec.kernel;
+        DW_LANES * (k * k + self.h * self.w + self.oh * self.ow)
+    }
+}
+
+/// [`dwconv2d`] into a caller-provided `[n, c, oh, ow]` output tensor,
+/// reusing `scratch` for the phase planes (see [`DwGeometry`]).
 ///
-/// Each output row splits into border columns, whose taps may fall into the
-/// zero padding, and interior columns, whose `k` taps per kernel row all land
-/// inside the input row. Border columns run the plain tap loop. Interior
-/// columns are computed eight at a time in an accumulator array that
-/// vectorizes. Every output still starts from the bias and adds
-/// `w[ky, kx] * x` over its in-bounds kernel rows in the same `ky`, `kx`
-/// order, so the result is bit-identical to the tap loop: rustc never
-/// contracts a separate multiply and add into an FMA. An interior shorter
-/// than one block runs the tap loop; the last block of a longer one overlaps
-/// the block before it instead of leaving a scalar tail.
+/// Every output element is assigned, so prior contents never leak. Each
+/// output starts from the bias and adds `w[ky, kx] * x` over its in-bounds
+/// taps in `ky`, then `kx` order, exactly as the scalar tap loop does:
+/// rustc never contracts a separate multiply and add into an FMA.
+///
+/// Each tap is one pass over the output rows whose input row for it is
+/// inside the input. Output columns whose tap column falls into the zero
+/// padding are selected away by a lane mask rather than adding a zero
+/// product: adding `+0.0` would turn a `-0.0` sum into `+0.0`.
 ///
 /// # Panics
 ///
@@ -786,6 +920,7 @@ pub fn dwconv2d_into(
     weight: &Tensor,
     bias: &Tensor,
     spec: &Conv2dSpec,
+    scratch: &mut Conv2dScratch,
     out: &mut Tensor,
 ) {
     let (n, c, h, w) = input.shape().as_nchw();
@@ -793,96 +928,203 @@ pub fn dwconv2d_into(
     assert_eq!(spec.out_channels, c, "depthwise conv keeps channel count");
     assert_eq!(weight.shape().dims(), &[c, spec.kernel * spec.kernel]);
     assert_eq!(bias.len(), c);
-    let (oh, ow) = spec.out_hw(h, w);
+    let geo = DwGeometry::new(h, w, spec);
+    let (oh, ow, pitch) = (geo.oh, geo.ow, geo.pitch);
     assert_eq!(
         out.shape().dims(),
         &[n, c, oh, ow],
         "dwconv2d output shape mismatch"
     );
     let k2 = spec.kernel * spec.kernel;
+    let buf = scratch.depthwise_for(geo.forward_len());
+    let (masks, buf) = buf.split_at_mut(spec.kernel * oh * pitch);
+    // Kernel column `kx` reaches inside the input from output columns
+    // `lo..hi`; a mask of 1.0 there, 0.0 elsewhere, on every row.
+    for (kx, mask) in masks.chunks_exact_mut(oh * pitch).enumerate() {
+        let (lo, hi) = interior_outputs(kx, 1, (w, ow), spec);
+        for row in mask.chunks_exact_mut(pitch) {
+            for (ox, m) in row.iter_mut().enumerate() {
+                *m = if (lo..hi).contains(&ox) { 1.0 } else { 0.0 };
+            }
+        }
+    }
     for (i, oplane) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
-        let plane = &input.data()[i * h * w..(i + 1) * h * w];
+        let plane = &input.data()[i * h * w..][..h * w];
         let ch = i % c;
-        let taps = &weight.data()[ch * k2..(ch + 1) * k2];
+        let taps = &weight.data()[ch * k2..][..k2];
         let b = bias.data()[ch];
-        // The stride is a constant in the common copies, so the interior
-        // loads are contiguous (stride 1) or a fixed gather (stride 2).
         match spec.stride {
-            1 => dwconv2d_plane::<1>(plane, (h, w), taps, b, spec, oplane),
-            2 => dwconv2d_plane::<2>(plane, (h, w), taps, b, spec, oplane),
-            _ => dwconv2d_plane::<0>(plane, (h, w), taps, b, spec, oplane),
+            1 => dwconv2d_plane::<1>(plane, (taps, b), &geo, (masks, buf), oplane),
+            2 => dwconv2d_plane::<2>(plane, (taps, b), &geo, (masks, buf), oplane),
+            _ => dwconv2d_plane::<0>(plane, (taps, b), &geo, (masks, buf), oplane),
         }
     }
 }
 
-/// One channel of [`dwconv2d_into`]; `S` is the stride, `0` = read it from
-/// `spec`.
+/// One channel of [`dwconv2d_into`] at stride `S` (0: the spec's): the
+/// plane split into phase planes in `buf`, then one pass per tap over an
+/// accumulator of output rows `pitch` apart, masked by `masks` where the
+/// tap's column leaves the input.
 fn dwconv2d_plane<const S: usize>(
     plane: &[f32],
-    (h, w): (usize, usize),
-    taps: &[f32],
-    b: f32,
-    spec: &Conv2dSpec,
+    (taps, b): (&[f32], f32),
+    geo: &DwGeometry<'_>,
+    (masks, buf): (&[f32], &mut [f32]),
     out: &mut [f32],
 ) {
-    let (k, p) = (spec.kernel, spec.padding);
-    let s = if S == 0 { spec.stride } else { S };
-    let (_, ow) = spec.out_hw(h, w);
-    // Interior columns: `ox * s >= p` and `ox * s - p + k <= w`.
-    let ox_lo = p.div_ceil(s).min(ow);
-    let ox_hi = if w + p >= k {
-        ((w + p - k) / s + 1).min(ow)
-    } else {
-        0
+    let DwGeometry {
+        spec,
+        h,
+        w,
+        oh,
+        ow,
+        pitch,
+        ..
+    } = *geo;
+    let (k, p, s) = (spec.kernel, spec.padding, geo.stride::<S>());
+    let phase = geo.phase_len();
+    let (planes, acc) = buf.split_at_mut(s * s * phase);
+    let acc = &mut acc[..oh * pitch];
+    for (iy, src) in plane.chunks_exact(w).enumerate() {
+        let u = iy + p;
+        let at = u % s * s * phase + u / s * pitch;
+        split_phases::<S>(src, (s, p, phase), &mut planes[at..]);
     }
-    .max(ox_lo);
-    for (oy, orow) in out.chunks_exact_mut(ow).enumerate() {
-        // Kernel rows that land inside the input for this output row.
-        let ky_lo = p.saturating_sub(oy * s).min(k);
-        let ky_hi = (h + p).saturating_sub(oy * s).min(k).max(ky_lo);
-        let input_row = |ky: usize| &plane[(oy * s + ky - p) * w..][..w];
-        let tap = |ox: usize| {
-            let mut acc = b;
-            for ky in ky_lo..ky_hi {
-                let row = input_row(ky);
-                for kx in 0..k {
-                    let ix = (ox * s + kx) as isize - p as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    acc += taps[ky * k + kx] * row[ix as usize];
+    acc.fill(b);
+    for (ky, ws) in taps.chunks_exact(k).enumerate() {
+        let (oy_lo, oy_hi) = interior_outputs(ky, 1, (h, oh), spec);
+        let rows = oy_lo * pitch..oy_hi * pitch;
+        let acc = &mut acc[rows.clone()];
+        for (kx, &wv) in ws.iter().enumerate() {
+            let at = (ky % s * s + kx % s) * phase + ky / s * pitch + kx / s;
+            let xs = &planes[at..][rows.clone()];
+            let (lo, hi) = interior_outputs(kx, 1, (w, ow), spec);
+            if lo == 0 && hi == ow {
+                for (a, &x) in acc.iter_mut().zip(xs) {
+                    *a += wv * x;
+                }
+            } else {
+                let mask = &masks[kx * oh * pitch..][rows.clone()];
+                for ((a, &x), &m) in acc.iter_mut().zip(xs).zip(mask) {
+                    let sum = *a + wv * x;
+                    *a = if m != 0.0 { sum } else { *a };
                 }
             }
-            acc
-        };
-        if ox_hi - ox_lo < DW_LANES {
-            for (ox, o) in orow.iter_mut().enumerate() {
-                *o = tap(ox);
-            }
-            continue;
         }
-        for ox in (0..ox_lo).chain(ox_hi..ow) {
-            orow[ox] = tap(ox);
-        }
-        let mut ox0 = ox_lo;
-        loop {
-            let mut acc = [b; DW_LANES];
-            for ky in ky_lo..ky_hi {
-                let row = input_row(ky);
-                for kx in 0..k {
-                    let wv = taps[ky * k + kx];
-                    let xs = &row[ox0 * s + kx - p..][..(DW_LANES - 1) * s + 1];
-                    for (l, a) in acc.iter_mut().enumerate() {
-                        *a += wv * xs[l * s];
-                    }
-                }
+    }
+    for (dst, src) in out.chunks_exact_mut(ow).zip(acc.chunks_exact(pitch)) {
+        copy_row(dst, &src[..ow]);
+    }
+}
+
+/// Copies one row of a plane into its phase rows, `phase` floats apart
+/// from phase to phase, from `dst[0]`: column `ix` to slot `(ix + p) / s`
+/// of phase `(ix + p) % s`. At stride 2 the row is split pairwise, which
+/// vectorizes. Slots in the padding keep what they held.
+fn split_phases<const S: usize>(
+    src: &[f32],
+    (s, p, phase): (usize, usize, usize),
+    dst: &mut [f32],
+) {
+    match S {
+        1 => copy_row(&mut dst[p..p + src.len()], src),
+        2 => {
+            let (even, odd) = dst.split_at_mut(phase);
+            // Even columns land in phase `p % 2`, odd ones in the other.
+            let (a, b) = if p % 2 == 0 {
+                (&mut even[p / 2..], &mut odd[p / 2..])
+            } else {
+                (&mut odd[p / 2..], &mut even[p / 2 + 1..])
+            };
+            for ((a, b), pair) in a.iter_mut().zip(b).zip(src.chunks_exact(2)) {
+                *a = pair[0];
+                *b = pair[1];
             }
-            orow[ox0..ox0 + DW_LANES].copy_from_slice(&acc);
-            if ox0 + DW_LANES == ox_hi {
-                break;
+            if let [last] = src.chunks_exact(2).remainder() {
+                a[src.len() / 2] = *last;
             }
-            ox0 = (ox0 + DW_LANES).min(ox_hi - DW_LANES);
         }
+        _ => {
+            for (ix, &v) in src.iter().enumerate() {
+                let u = ix + p;
+                dst[u % s * phase + u / s] = v;
+            }
+        }
+    }
+}
+
+/// The inverse of [`split_phases`]: `dst[ix]` from slot `(ix + p) / s` of
+/// phase `(ix + p) % s` of the phase rows from `src[0]`.
+fn merge_phases<const S: usize>(
+    src: &[f32],
+    (s, p, phase): (usize, usize, usize),
+    dst: &mut [f32],
+) {
+    match S {
+        1 => copy_row(dst, &src[p..p + dst.len()]),
+        2 => {
+            let (even, odd) = src.split_at(phase);
+            let (a, b) = if p % 2 == 0 {
+                (&even[p / 2..], &odd[p / 2..])
+            } else {
+                (&odd[p / 2..], &even[p / 2 + 1..])
+            };
+            interleave(a, b, dst);
+        }
+        _ => {
+            for (ix, o) in dst.iter_mut().enumerate() {
+                let u = ix + p;
+                *o = src[u % s * phase + u / s];
+            }
+        }
+    }
+}
+
+/// `dst.copy_from_slice(src)` a vector at a time, the last vector
+/// overlapping the one before it, so that a short row copies inline rather
+/// than through a library call.
+#[inline(always)]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let n = src.len();
+    if n < DW_LANES {
+        dst.copy_from_slice(src);
+        return;
+    }
+    for (d, s) in dst
+        .chunks_exact_mut(DW_LANES)
+        .zip(src.chunks_exact(DW_LANES))
+    {
+        d.copy_from_slice(s);
+    }
+    dst[n - DW_LANES..].copy_from_slice(&src[n - DW_LANES..]);
+}
+
+/// Pairs of consecutive columns [`interleave`] writes from one vector of
+/// each half.
+const PAIRS: usize = 8;
+
+/// `dst` from its even elements in `a` and its odd ones in `b`, eight
+/// pairs at a time, the last block overlapping the one before it.
+fn interleave(a: &[f32], b: &[f32], dst: &mut [f32]) {
+    let pairs = dst.len() / 2;
+    if pairs >= PAIRS {
+        for t in (0..pairs).step_by(PAIRS).map(|t| t.min(pairs - PAIRS)) {
+            let (a, b): (&Lanes, &Lanes) = (
+                a[t..t + PAIRS].try_into().expect("pairs"),
+                b[t..t + PAIRS].try_into().expect("pairs"),
+            );
+            let block: [f32; 2 * PAIRS] =
+                std::array::from_fn(|i| if i % 2 == 0 { a[i / 2] } else { b[i / 2] });
+            dst[2 * t..][..2 * PAIRS].copy_from_slice(&block);
+        }
+    } else {
+        for ((pair, &a), &b) in dst.chunks_exact_mut(2).zip(a).zip(b) {
+            pair[0] = a;
+            pair[1] = b;
+        }
+    }
+    if dst.len() % 2 == 1 {
+        dst[2 * pairs] = a[pairs];
     }
 }
 
@@ -890,19 +1132,16 @@ fn dwconv2d_plane<const S: usize>(
 /// [`dwconv2d_input_grad_into`] and [`dwconv2d_param_grads`] over every
 /// channel.
 ///
-/// The order is that of the scatter loop this replaced (kept as the oracle
-/// of `tests/backward_exactness.rs`), which walks output pixels in raster
+/// The order is that of a scatter loop (the oracle of
+/// `tests/backward_exactness.rs`) that walks output pixels in raster
 /// order, skips those whose gradient is exactly zero, and adds each
 /// in-bounds tap's products into the filter and input gradients:
 ///
 /// * the filter gradient accumulates in the same raster order, one
 ///   accumulator per tap, image after image;
-/// * at stride 1 the input gradient is a gather: each input pixel sums its
-///   taps from `+0.0` in ascending output-pixel order, which is kernel rows
-///   and then columns descending. Interior columns, whose taps all land
-///   inside the output row, run eight at a time with zero-gradient taps
-///   selected away; border columns run the plain tap loop. Other strides
-///   keep the scatter, whose taps interleave by column parity.
+/// * the input gradient is a gather: each input pixel sums its taps from
+///   `+0.0` in ascending output-pixel order, which is kernel rows and then
+///   columns descending.
 ///
 /// # Panics
 ///
@@ -915,9 +1154,10 @@ pub fn dwconv2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let c = input.shape().dim(1);
     let k2 = spec.kernel * spec.kernel;
+    let mut scratch = Conv2dScratch::default();
     let mut grad_input = Tensor::zeros(input.shape().dims());
-    dwconv2d_input_grad_into(weight, grad_out, spec, &mut grad_input);
-    let (gw, gb) = dwconv2d_param_grads(&[(input, grad_out)], spec, 0..c);
+    dwconv2d_input_grad_into(weight, grad_out, spec, &mut scratch, &mut grad_input);
+    let (gw, gb) = dwconv2d_param_grads(&[(input, grad_out)], spec, 0..c, &mut scratch);
     let grad_weight = Tensor::from_vec(gw, &[c, k2]).expect("one filter per channel");
     let grad_bias = Tensor::from_vec(gb, &[c]).expect("one bias per channel");
     (grad_input, grad_weight, grad_bias)
@@ -927,6 +1167,16 @@ pub fn dwconv2d_backward(
 /// `grad_input`, every image and channel on its own plane; every element
 /// is assigned.
 ///
+/// The input pixels of one phase (see [`DwGeometry`]) share their taps:
+/// the kernel rows and columns of that phase, which read the output
+/// gradient at consecutive rows and columns. Each plane's output gradient
+/// is copied into a zero-padded plane of `scratch`, and each phase plane
+/// of the input gradient sums one pass per tap, kernel rows and then
+/// columns descending, before the phases are interleaved back. A tap whose
+/// gradient is zero, or falls outside the output, adds `+0.0`, which
+/// leaves the sum (never `-0.0`: it starts at `+0.0`) as the scatter's
+/// skip does.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `spec`.
@@ -934,6 +1184,7 @@ pub fn dwconv2d_input_grad_into(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
+    scratch: &mut Conv2dScratch,
     grad_input: &mut Tensor,
 ) {
     let (n, c, oh, ow) = grad_out.shape().as_nchw();
@@ -944,28 +1195,81 @@ pub fn dwconv2d_input_grad_into(
         "depthwise grad_input batch/channel mismatch"
     );
     assert_eq!(c, spec.in_channels, "depthwise grad_out channel mismatch");
+    let geo = DwGeometry::new(h, w, spec);
     assert_eq!(
         (oh, ow),
-        spec.out_hw(h, w),
+        (geo.oh, geo.ow),
         "depthwise grad_out spatial mismatch"
     );
     let k2 = spec.kernel * spec.kernel;
     assert_eq!(weight.shape().dims(), &[c, k2], "depthwise weight shape");
-    if spec.stride != 1 {
-        // The scatter adds into its planes.
-        grad_input.fill_zero();
-    }
+    let buf = scratch.depthwise_for(geo.input_grad_len());
+    let (padded, phases) = buf.split_at_mut(geo.padded_grad_rows() * geo.grad_pitch);
+    // Only the output gradient's own rows and columns are written below.
+    padded.fill(0.0);
     let gplanes = grad_input.data_mut().chunks_mut((h * w).max(1));
     for (i, (gx, g)) in gplanes
         .zip(grad_out.data().chunks((oh * ow).max(1)))
         .enumerate()
     {
         let taps = &weight.data()[(i % c) * k2..][..k2];
-        if spec.stride == 1 {
-            dwconv2d_input_grad_gather(g, taps, (h, w), spec, gx);
-        } else {
-            dwconv2d_input_grad_scatter(g, taps, (h, w), spec, gx);
+        match spec.stride {
+            1 => dwconv2d_input_grad_plane::<1>(g, taps, &geo, (padded, phases), gx),
+            2 => dwconv2d_input_grad_plane::<2>(g, taps, &geo, (padded, phases), gx),
+            _ => dwconv2d_input_grad_plane::<0>(g, taps, &geo, (padded, phases), gx),
         }
+    }
+}
+
+/// One image's input gradient for one channel at stride `S` (0: the
+/// spec's; see [`dwconv2d_input_grad_into`]); every element of `gx` is
+/// assigned.
+fn dwconv2d_input_grad_plane<const S: usize>(
+    g: &[f32],
+    taps: &[f32],
+    geo: &DwGeometry<'_>,
+    (padded, phases): (&mut [f32], &mut [f32]),
+    gx: &mut [f32],
+) {
+    let DwGeometry {
+        spec,
+        w,
+        ow,
+        lead,
+        grad_rows,
+        grad_pitch: pitch,
+        ..
+    } = *geo;
+    let (k, p, s) = (spec.kernel, spec.padding, geo.stride::<S>());
+    let phase = geo.grad_phase_len();
+    for (src, dst) in g
+        .chunks_exact(ow)
+        .zip(padded[lead * pitch..].chunks_exact_mut(pitch))
+    {
+        copy_row(&mut dst[lead..lead + ow], src);
+    }
+    let padded = &*padded;
+    let phases = &mut phases[..s * s * phase];
+    phases.fill(0.0);
+    for (i, acc) in phases.chunks_exact_mut(phase).enumerate() {
+        let (py, px) = (i / s, i % s);
+        // Phase rows before the first input row hold no input pixel.
+        let rows = p.saturating_sub(py).div_ceil(s) * pitch..grad_rows * pitch;
+        let acc = &mut acc[rows.clone()];
+        for ky in (py..k).step_by(s).rev() {
+            for kx in (px..k).step_by(s).rev() {
+                let wv = taps[ky * k + kx];
+                let at = (lead - (ky - py) / s) * pitch + lead - (kx - px) / s;
+                for (a, &gv) in acc.iter_mut().zip(&padded[at..][rows.clone()]) {
+                    *a += if gv == 0.0 { 0.0 } else { gv * wv };
+                }
+            }
+        }
+    }
+    for (iy, dst) in gx.chunks_exact_mut(w).enumerate() {
+        let u = iy + p;
+        let at = u % s * s * phase + u / s * pitch;
+        merge_phases::<S>(&phases[at..], (s, p, phase), dst);
     }
 }
 
@@ -974,7 +1278,14 @@ pub fn dwconv2d_input_grad_into(
 /// filter rows (`channels.len() × k·k`) and the bias sums. A channel's
 /// filter gradient accumulates image after image, carrying on from one
 /// part into the next, and its bias adds each image's plane sum from
-/// `+0.0`, so the result is the same however the batch is cut.
+/// `-0.0` (as `Iterator::sum` does), so the result is the same however the
+/// batch is cut.
+///
+/// The channels run [`DW_LANES`] at a time, one per lane, over
+/// channel-minor copies of each image's planes in `scratch`: every
+/// `(channel, tap)` accumulator stays one chain in raster order, and a
+/// zero gradient is selected away. Lanes past the last channel repeat the
+/// first one and are dropped.
 ///
 /// # Panics
 ///
@@ -983,36 +1294,80 @@ pub fn dwconv2d_param_grads(
     parts: &[(&Tensor, &Tensor)],
     spec: &Conv2dSpec,
     channels: Range<usize>,
+    scratch: &mut Conv2dScratch,
 ) -> (Vec<f32>, Vec<f32>) {
     let k2 = spec.kernel * spec.kernel;
     let mut grad_weight = vec![0.0f32; channels.len() * k2];
     let mut grad_bias = vec![0.0f32; channels.len()];
-    for &(input, grad_out) in parts {
-        let (n, c, h, w) = input.shape().as_nchw();
-        let (gn, gc, oh, ow) = grad_out.shape().as_nchw();
-        assert_eq!(
-            (gn, gc),
-            (n, c),
-            "depthwise grad_out batch/channel mismatch"
-        );
-        assert_eq!(
-            (oh, ow),
-            spec.out_hw(h, w),
-            "depthwise grad_out spatial mismatch"
-        );
-        let planes = channels
-            .clone()
-            .zip(grad_weight.chunks_exact_mut(k2.max(1)));
-        for ((ch, acc), gb) in planes.zip(grad_bias.iter_mut()) {
+    let Some(&(first, _)) = parts.first() else {
+        return (grad_weight, grad_bias);
+    };
+    let (_, c, h, w) = first.shape().as_nchw();
+    let geo = DwGeometry::new(h, w, spec);
+    let (plane, oplane) = (h * w, geo.oh * geo.ow);
+    let buf = scratch.depthwise_for(geo.param_grad_len());
+    let (acc, rest) = buf.split_at_mut(k2 * DW_LANES);
+    let (xs, gs) = rest.split_at_mut(plane * DW_LANES);
+    let gs = &mut gs[..oplane * DW_LANES];
+    for ch0 in channels.clone().step_by(DW_LANES) {
+        let lanes = DW_LANES.min(channels.end - ch0);
+        acc.fill(0.0);
+        let mut bias = [0.0f32; DW_LANES];
+        for &(input, grad_out) in parts {
+            let n = input.shape().dim(0);
+            assert_eq!(
+                input.shape().dims(),
+                &[n, c, h, w],
+                "depthwise input shape differs between parts"
+            );
+            assert_eq!(
+                grad_out.shape().dims(),
+                &[n, c, geo.oh, geo.ow],
+                "depthwise grad_out shape mismatch"
+            );
             for img in 0..n {
-                let x = &input.data()[(img * c + ch) * h * w..][..h * w];
-                let g = &grad_out.data()[(img * c + ch) * oh * ow..][..oh * ow];
-                dwconv2d_weight_grad(x, g, (h, w), spec, acc);
-                *gb += g.iter().sum::<f32>();
+                let lane = |l: usize| img * c + ch0 + if l < lanes { l } else { 0 };
+                channel_minor(
+                    std::array::from_fn(|l| &input.data()[lane(l) * plane..][..plane]),
+                    xs,
+                );
+                channel_minor(
+                    std::array::from_fn(|l| &grad_out.data()[lane(l) * oplane..][..oplane]),
+                    gs,
+                );
+                match spec.stride {
+                    1 => weight_grad_lanes::<1>(xs, gs, &geo, acc),
+                    2 => weight_grad_lanes::<2>(xs, gs, &geo, acc),
+                    _ => weight_grad_lanes::<0>(xs, gs, &geo, acc),
+                }
+                let mut sum = [-0.0f32; DW_LANES];
+                for g in gs.chunks_exact(DW_LANES) {
+                    sum = std::array::from_fn(|l| sum[l] + g[l]);
+                }
+                bias = std::array::from_fn(|l| bias[l] + sum[l]);
             }
+        }
+        let at = ch0 - channels.start;
+        for l in 0..lanes {
+            for (t, gw) in grad_weight[(at + l) * k2..][..k2].iter_mut().enumerate() {
+                *gw = acc[t * DW_LANES + l];
+            }
+            grad_bias[at + l] = bias[l];
         }
     }
     (grad_weight, grad_bias)
+}
+
+/// `planes`, one per lane and equally long, interleaved into `dst`: pixel
+/// `i` of lane `l` at `i · DW_LANES + l`. Written as one store per lane, the
+/// loop vectorizes as an interleaved store of eight vector loads.
+fn channel_minor(planes: [&[f32]; DW_LANES], dst: &mut [f32]) {
+    let len = planes[0].len();
+    let [p0, p1, p2, p3, p4, p5, p6, p7] = planes.map(|p| &p[..len]);
+    for (i, px) in dst[..len * DW_LANES].chunks_exact_mut(DW_LANES).enumerate() {
+        *<&mut Lanes>::try_from(px).expect("lanes") =
+            [p0[i], p1[i], p2[i], p3[i], p4[i], p5[i], p6[i], p7[i]];
+    }
 }
 
 /// Kernel rows (or columns) `lo..hi` whose taps land inside an input of
@@ -1027,6 +1382,9 @@ fn valid_taps(o: usize, len: usize, spec: &Conv2dSpec) -> (usize, usize) {
 /// Kernel taps per side of the block whose filter-gradient accumulators
 /// stay in registers through a pass over the output plane.
 const DW_TAP_BLOCK: usize = 3;
+
+/// The accumulators of one block of kernel taps, a channel per lane.
+type TapSums = [[Lanes; DW_TAP_BLOCK]; DW_TAP_BLOCK];
 
 /// Output columns `lo..hi` (of `ow`) whose taps `kx0..kx0 + taps` all
 /// land inside an input row of width `w`; the same for output rows, given
@@ -1047,84 +1405,85 @@ fn interior_outputs(
     (lo, hi.max(lo))
 }
 
-/// Adds one image's filter gradient for one channel into `gw`: output
-/// pixels in raster order, zero gradients skipped, in-bounds taps in
-/// kernel order.
+/// `sum + g·x` in the lanes whose gradient `g` is not zero, `sum` in the
+/// others.
+#[inline(always)]
+fn add_nonzero(sum: &mut Lanes, g: &Lanes, x: &[f32]) {
+    for ((s, &g), &x) in sum.iter_mut().zip(g).zip(x) {
+        let t = *s + g * x;
+        *s = if g == 0.0 { *s } else { t };
+    }
+}
+
+/// Adds one image's filter gradient at stride `S` (0: the spec's), a
+/// channel per lane, into the channel-minor accumulators `acc` (tap `t` of
+/// lane `l` at `t · DW_LANES + l`), from the channel-minor planes `x` and
+/// `g`: output pixels in raster order, in-bounds taps in kernel order.
 ///
 /// Each tap's sum is a chain of dependent adds, so the taps run side by
-/// side: one pass over the output plane per 3×3 block of taps, with the
-/// block's accumulators in registers (a 3×3 kernel is one pass). Output
-/// columns whose block taps all land inside the input skip the bounds
-/// checks.
-fn dwconv2d_weight_grad(
-    x: &[f32],
-    g: &[f32],
-    (h, w): (usize, usize),
-    spec: &Conv2dSpec,
-    gw: &mut [f32],
-) {
+/// side: one pass over the output plane per 3×3 block of taps (a 3×3
+/// kernel is one pass). The output columns of a row whose block taps all
+/// land inside the input run with the block's accumulators in registers;
+/// the others check each tap.
+fn weight_grad_lanes<const S: usize>(x: &[f32], g: &[f32], geo: &DwGeometry<'_>, acc: &mut [f32]) {
     const B: usize = DW_TAP_BLOCK;
-    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
-    let (_, ow) = spec.out_hw(h, w);
+    let DwGeometry { spec, h, w, ow, .. } = *geo;
+    let (k, p, s) = (spec.kernel, spec.padding, geo.stride::<S>());
     for ky0 in (0..k).step_by(B) {
         for kx0 in (0..k).step_by(B) {
             let tap =
                 |a: usize, b: usize| (ky0 + a < k && kx0 + b < k).then(|| (ky0 + a) * k + kx0 + b);
-            let mut acc: [[f32; B]; B] =
-                std::array::from_fn(|a| std::array::from_fn(|b| tap(a, b).map_or(0.0, |t| gw[t])));
+            let mut sums: TapSums = std::array::from_fn(|a| {
+                std::array::from_fn(|b| {
+                    tap(a, b).map_or([0.0; DW_LANES], |t| lanes(&acc[t * DW_LANES..]))
+                })
+            });
             let (cx_lo, cx_hi) = interior_outputs(kx0, B, (w, ow), spec);
-            for (oy, grow) in g.chunks_exact(ow).enumerate() {
+            for (oy, grow) in g.chunks_exact(ow * DW_LANES).enumerate() {
                 let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
-                let checked = |acc: &mut [[f32; B]; B], ox: usize| {
-                    let gv = grow[ox];
-                    if gv == 0.0 {
-                        return;
-                    }
+                let (lo, hi) = if ky0 >= ky_lo && ky0 + B <= ky_hi && kx0 + B <= k {
+                    (cx_lo, cx_hi)
+                } else {
+                    (ow, ow)
+                };
+                // Taps `ky0 + a`, `kx0 + b` of output column `ox` read input
+                // pixel `at + (a·w + ox·s + b)` (times the lanes).
+                let at = (oy * s + ky0) as isize * w as isize + kx0 as isize - (p * w + p) as isize;
+                let checked = |sums: &mut TapSums, ox: usize| {
+                    let gv = lanes(&grow[ox * DW_LANES..]);
                     let (kx_lo, kx_hi) = valid_taps(ox, w, spec);
-                    for (a, acc) in acc.iter_mut().enumerate() {
-                        let ky = ky0 + a;
-                        if ky < ky_lo || ky >= ky_hi {
+                    for (a, sums) in sums.iter_mut().enumerate() {
+                        if !(ky_lo..ky_hi).contains(&(ky0 + a)) {
                             continue;
                         }
-                        let row = &x[(oy * s + ky - p) * w..][..w];
-                        for (b, acc) in acc.iter_mut().enumerate() {
-                            let kx = kx0 + b;
-                            if kx >= kx_lo && kx < kx_hi {
-                                *acc += gv * row[ox * s + kx - p];
+                        for (b, sum) in sums.iter_mut().enumerate() {
+                            if (kx_lo..kx_hi).contains(&(kx0 + b)) {
+                                let px = at + (a * w + ox * s + b) as isize;
+                                add_nonzero(sum, &gv, &x[px as usize * DW_LANES..]);
                             }
                         }
                     }
                 };
-                if ky0 < ky_lo || ky0 + B > ky_hi || kx0 + B > k {
-                    for ox in 0..ow {
-                        checked(&mut acc, ox);
-                    }
-                    continue;
+                for ox in 0..lo {
+                    checked(&mut sums, ox);
                 }
-                for ox in 0..cx_lo {
-                    checked(&mut acc, ox);
+                if lo < hi {
+                    let base = (at + (lo * s) as isize) as usize;
+                    sums = interior_run::<S>(
+                        sums,
+                        x,
+                        (base, w, s),
+                        &grow[lo * DW_LANES..hi * DW_LANES],
+                    );
                 }
-                let rows: [&[f32]; B] =
-                    std::array::from_fn(|a| &x[(oy * s + ky0 + a - p) * w..][..w]);
-                for (ox, &gv) in grow.iter().enumerate().take(cx_hi).skip(cx_lo) {
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let ix = ox * s + kx0 - p;
-                    for (acc, row) in acc.iter_mut().zip(&rows) {
-                        for (a, &xv) in acc.iter_mut().zip(&row[ix..ix + B]) {
-                            *a += gv * xv;
-                        }
-                    }
-                }
-                for ox in cx_hi..ow {
-                    checked(&mut acc, ox);
+                for ox in hi.max(lo)..ow {
+                    checked(&mut sums, ox);
                 }
             }
-            for (a, row) in acc.iter().enumerate() {
-                for (b, &v) in row.iter().enumerate() {
+            for (a, row) in sums.iter().enumerate() {
+                for (b, v) in row.iter().enumerate() {
                     if let Some(t) = tap(a, b) {
-                        gw[t] = v;
+                        acc[t * DW_LANES..][..DW_LANES].copy_from_slice(v);
                     }
                 }
             }
@@ -1132,109 +1491,32 @@ fn dwconv2d_weight_grad(
     }
 }
 
-/// One image's input gradient for one channel at stride 1, as a gather
-/// (see [`dwconv2d_backward`]); every element of `gx` is assigned.
-fn dwconv2d_input_grad_gather(
+/// The interior output columns of one row of [`weight_grad_lanes`], whose
+/// gradients are `g`: the first reads its block's taps from input pixels
+/// `base + a·w + b`, each next one `s` pixels on (`S`, if not 0).
+#[inline(always)]
+fn interior_run<const S: usize>(
+    mut sums: TapSums,
+    x: &[f32],
+    (base, w, s): (usize, usize, usize),
     g: &[f32],
-    taps: &[f32],
-    (h, w): (usize, usize),
-    spec: &Conv2dSpec,
-    gx: &mut [f32],
-) {
-    let (k, p) = (spec.kernel, spec.padding);
-    let (oh, ow) = spec.out_hw(h, w);
-    // Input column ix reads output columns ix + p - kx; all k are inside
-    // the output row for ix in ix_lo..ix_hi.
-    let ix_lo = (k - 1).saturating_sub(p).min(w);
-    let ix_hi = ow.saturating_sub(p).min(w).max(ix_lo);
-    for (iy, xrow) in gx.chunks_exact_mut(w).enumerate() {
-        // Kernel rows whose output row iy + p - ky exists.
-        let ky_lo = (iy + p + 1).saturating_sub(oh).min(k);
-        let ky_hi = (iy + p + 1).min(k).max(ky_lo);
-        let grow = |ky: usize| &g[(iy + p - ky) * ow..][..ow];
-        let tap = |ix: usize| {
-            let mut acc = 0.0f32;
-            for ky in (ky_lo..ky_hi).rev() {
-                let row = grow(ky);
-                for kx in (0..k).rev() {
-                    let ox = (ix + p).wrapping_sub(kx);
-                    if ox < ow && row[ox] != 0.0 {
-                        acc += row[ox] * taps[ky * k + kx];
-                    }
-                }
-            }
-            acc
-        };
-        if ix_hi - ix_lo < DW_LANES {
-            for (ix, o) in xrow.iter_mut().enumerate() {
-                *o = tap(ix);
-            }
-            continue;
-        }
-        for ix in (0..ix_lo).chain(ix_hi..w) {
-            xrow[ix] = tap(ix);
-        }
-        let mut ix0 = ix_lo;
-        loop {
-            let mut acc = [0.0f32; DW_LANES];
-            for ky in (ky_lo..ky_hi).rev() {
-                let row = grow(ky);
-                for kx in (0..k).rev() {
-                    let wv = taps[ky * k + kx];
-                    let gs = &row[ix0 + p - kx..][..DW_LANES];
-                    for (a, &gv) in acc.iter_mut().zip(gs) {
-                        // A zero gradient adds +0.0, which leaves the sum
-                        // (never -0.0, it starts at +0.0) as skipping did.
-                        *a += if gv == 0.0 { 0.0 } else { gv * wv };
-                    }
-                }
-            }
-            xrow[ix0..ix0 + DW_LANES].copy_from_slice(&acc);
-            if ix0 + DW_LANES == ix_hi {
-                break;
-            }
-            ix0 = (ix0 + DW_LANES).min(ix_hi - DW_LANES);
-        }
-    }
-}
-
-/// One image's input gradient for one channel at any stride, scattered
-/// from the output pixels in raster order into the zeroed `gx`. Output
-/// columns whose taps all land inside the input skip the bounds checks.
-fn dwconv2d_input_grad_scatter(
-    g: &[f32],
-    taps: &[f32],
-    (h, w): (usize, usize),
-    spec: &Conv2dSpec,
-    gx: &mut [f32],
-) {
-    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
-    let (_, ow) = spec.out_hw(h, w);
-    let (cx_lo, cx_hi) = interior_outputs(0, k, (w, ow), spec);
-    for (oy, grow) in g.chunks_exact(ow).enumerate() {
-        let (ky_lo, ky_hi) = valid_taps(oy, h, spec);
-        for (ox, &gv) in grow.iter().enumerate() {
-            if gv == 0.0 {
-                continue;
-            }
-            let (kx_lo, kx_hi) = if (cx_lo..cx_hi).contains(&ox) {
-                (0, k)
-            } else {
-                valid_taps(ox, w, spec)
-            };
-            for ky in ky_lo..ky_hi {
-                let row = &mut gx[(oy * s + ky - p) * w..][..w];
-                let wrow = &taps[ky * k..][..k];
-                let ix0 = ox * s + kx_lo - p;
-                for (o, &wv) in row[ix0..ix0 + (kx_hi - kx_lo)]
-                    .iter_mut()
-                    .zip(&wrow[kx_lo..kx_hi])
-                {
-                    *o += gv * wv;
-                }
+) -> TapSums {
+    const B: usize = DW_TAP_BLOCK;
+    let s = if S == 0 { s } else { S };
+    let (x, _) = x.as_chunks::<DW_LANES>();
+    let (g, _) = g.as_chunks::<DW_LANES>();
+    // Each tap row's pixels for the columns in turn.
+    let rows: [_; B] = std::array::from_fn(|a| x[base + a * w..].windows(B).step_by(s));
+    let [r0, r1, r2] = rows;
+    for (&gv, taps) in g.iter().zip(r0.zip(r1).zip(r2)) {
+        let ((x0, x1), x2) = taps;
+        for (sums, xs) in sums.iter_mut().zip([x0, x1, x2]) {
+            for (sum, xv) in sums.iter_mut().zip(xs) {
+                add_nonzero(sum, &gv, xv);
             }
         }
     }
+    sums
 }
 
 fn check_weights(weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec, in_c: usize) {

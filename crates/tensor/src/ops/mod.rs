@@ -22,8 +22,8 @@ mod pool;
 pub use activation::{
     cross_entropy_with_logits, leaky_relu, leaky_relu_backward_into, leaky_relu_into,
     log_softmax_rows, relu, relu_backward_into, relu_into, sigmoid, sigmoid_backward_into,
-    sigmoid_into, silu, silu_backward_into, silu_into, softmax_rows, tanh, tanh_backward_into,
-    tanh_into,
+    sigmoid_into, silu, silu_backward_from_sigmoid_into, silu_backward_into, silu_into,
+    silu_sigmoid_of_into, softmax_rows, tanh, tanh_backward_into, tanh_into,
 };
 pub use conv::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_input_grad_into, conv2d_into,

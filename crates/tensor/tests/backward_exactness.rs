@@ -8,8 +8,8 @@
 //! must reproduce the sequential reference loops to the bit:
 //! `conv2d_backward` against `conv2d_backward_reference`,
 //! `linear_backward` against `matmul` / `matmul_at` / column sums, and
-//! `dwconv2d_backward` (a gather with register-blocked filter sums)
-//! against the scatter loop it was. Shapes are ragged (reduction, plane
+//! `dwconv2d_backward` (a phase-split gather, and filter sums with a
+//! channel per lane) against a scatter loop. Shapes are ragged (reduction, plane
 //! and row counts off every multiple of 4, MR and NR), operands carry
 //! exact zeros at two densities (the reference loops' skip paths),
 //! batches run from 1 to 5, and convolutions cover strides 1 to 3 and
@@ -191,6 +191,114 @@ fn dwconv2d_backward_oracle(
     (grad_input, grad_weight, grad_bias)
 }
 
+/// `dwconv2d_backward` as a training step runs it: the batch in `parts`
+/// shards, each shard's input gradient on its own, and the parameter
+/// gradients over all shards with the channels in `parts` blocks, every
+/// call through one scratch.
+fn dwconv2d_backward_in_parts(
+    input: &Tensor,
+    weight: &Tensor,
+    grad: &Tensor,
+    spec: &Conv2dSpec,
+    parts: usize,
+) -> (Tensor, Tensor, Tensor) {
+    let mut scratch = Conv2dScratch::default();
+    let (xs, gs) = (split_batch(input, parts), split_batch(grad, parts));
+    let gx: Vec<Tensor> = xs
+        .iter()
+        .zip(&gs)
+        .map(|(x, g)| {
+            into(x.shape().dims(), |o| {
+                dwconv2d_input_grad_into(weight, g, spec, &mut scratch, o)
+            })
+        })
+        .collect();
+    let pairs: Vec<(&Tensor, &Tensor)> = xs.iter().zip(&gs).collect();
+    let (mut gw, mut gb) = (Vec::new(), Vec::new());
+    for channels in cut(spec.in_channels, parts) {
+        let (w_rows, b) = dwconv2d_param_grads(&pairs, spec, channels, &mut scratch);
+        gw.extend(w_rows);
+        gb.extend(b);
+    }
+    let c = spec.in_channels;
+    let k2 = spec.kernel * spec.kernel;
+    (
+        join_batch(&gx),
+        Tensor::from_vec(gw, &[c, k2]).unwrap(),
+        Tensor::from_vec(gb, &[c]).unwrap(),
+    )
+}
+
+/// Checks `dwconv2d_backward`, whole and in one to three parts, against
+/// the scatter oracle.
+fn check_dwconv2d_backward(input: &Tensor, weight: &Tensor, grad: &Tensor, spec: &Conv2dSpec) {
+    let want = dwconv2d_backward_oracle(input, weight, grad, spec);
+    let (_, _, h, w) = input.shape().as_nchw();
+    for parts in [0, 1, 2, 3] {
+        let got = match parts {
+            0 => dwconv2d_backward(input, weight, grad, spec),
+            _ => dwconv2d_backward_in_parts(input, weight, grad, spec, parts),
+        };
+        let at = format!(
+            "{h}x{w} k{} s{} p{}, {parts} parts",
+            spec.kernel, spec.stride, spec.padding
+        );
+        assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {at}");
+        assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {at}");
+        assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {at}");
+    }
+}
+
+/// Every width from 1 to 20 (under one vector block, odd, and one or two
+/// blocks wide) under kernels 1, 3, 5, strides 1–3 and padding 0–2, over
+/// nine channels (a full lane group and one lane of the next) and three
+/// images. Half the output-gradient pixels are exact zeros, inputs and
+/// weights carry zeros too, and every filter's border columns are
+/// negative.
+#[test]
+fn dwconv2d_backward_every_width_matches_the_scatter() {
+    let mut seed = 0u64;
+    for kernel in [1usize, 3, 5] {
+        let k2 = kernel * kernel;
+        for stride in [1usize, 2, 3] {
+            for padding in [0usize, 1, 2] {
+                let spec = Conv2dSpec::new(9, 9, kernel, stride, padding);
+                for h in [1usize, 4, 7] {
+                    for w in 1usize..=20 {
+                        if h + 2 * padding < kernel || w + 2 * padding < kernel {
+                            continue;
+                        }
+                        seed += 1;
+                        let (oh, ow) = spec.out_hw(h, w);
+                        let input = tensor(&[3, 9, h, w], seed, 5);
+                        let mut weight = tensor(&[9, k2], seed ^ 1, 5);
+                        for row in weight.data_mut().chunks_exact_mut(kernel) {
+                            row[0] = -row[0].abs() - 0.125;
+                            row[kernel - 1] = -row[kernel - 1].abs() - 0.125;
+                        }
+                        let grad = tensor(&[3, 9, oh, ow], seed ^ 2, 2);
+                        check_dwconv2d_backward(&input, &weight, &grad, &spec);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// S1's two depthwise layers, mb1.dw (32 channels, 28×28, stride 2) and
+/// mb2.dw (48 channels, 14×14, stride 1), over four images.
+#[test]
+fn dwconv2d_backward_matches_the_scatter_on_s1_shapes() {
+    for (seed, c, hw, stride) in [(1u64, 32, 28, 2), (2, 48, 14, 1)] {
+        let spec = Conv2dSpec::new(c, c, 3, stride, 1);
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let input = tensor(&[4, c, hw, hw], seed, 7);
+        let weight = tensor(&[c, 9], seed ^ 1, 7);
+        let grad = tensor(&[4, c, oh, ow], seed ^ 2, 3);
+        check_dwconv2d_backward(&input, &weight, &grad, &spec);
+    }
+}
+
 /// Whether some kernel column of `spec` reads no input column of a
 /// `w`-wide plane from any output column.
 fn has_dead_kernel_column(w: usize, spec: &Conv2dSpec) -> bool {
@@ -354,10 +462,10 @@ proptest! {
         prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} parts", parts);
     }
 
-    /// Channel counts off the lanes of the other kernels, planes from 1×1
-    /// (every tap in the padding) to wider than two 8-column blocks (the
-    /// vectorized gather interior), kernels 1 to 4 (one and several 3×3
-    /// tap blocks).
+    /// Channel counts on and off the eight lanes of the filter gradient,
+    /// planes from 1×1 (every tap in the padding) to wider than two
+    /// 8-column blocks, kernels 1 to 4 (one and several 3×3 tap blocks),
+    /// strides 1 to 3 and padding 0 to 2.
     #[test]
     fn dwconv2d_backward_matches_reference(
         batch in 1usize..6,
@@ -365,8 +473,8 @@ proptest! {
         h in 1usize..20,
         w in 1usize..20,
         kernel in 1usize..5,
-        stride in 1usize..3,
-        padding in 0usize..2,
+        stride in 1usize..4,
+        padding in 0usize..3,
         parts in 1usize..4,
         dense in any::<bool>(),
         seed in any::<u64>()
@@ -388,22 +496,9 @@ proptest! {
         prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight");
         prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias");
 
-        // The batch in `parts` shards, the channels in `parts` blocks.
-        let (xs, gs) = (split_batch(&input, parts), split_batch(&grad, parts));
-        let gx: Vec<Tensor> = xs
-            .iter()
-            .zip(&gs)
-            .map(|(x, g)| into(x.shape().dims(), |o| dwconv2d_input_grad_into(&weight, g, &spec, o)))
-            .collect();
-        let pairs: Vec<(&Tensor, &Tensor)> = xs.iter().zip(&gs).collect();
-        let (mut gw, mut gb) = (Vec::new(), Vec::new());
-        for channels in cut(c, parts) {
-            let (w_rows, b) = dwconv2d_param_grads(&pairs, &spec, channels);
-            gw.extend(w_rows);
-            gb.extend(b);
-        }
-        prop_assert_eq!(bits(&join_batch(&gx)), bits(&want.0), "grad_input, {} parts", parts);
-        prop_assert_eq!(bits(&Tensor::from_slice(&gw)), bits(&want.1), "grad_weight, {} parts", parts);
-        prop_assert_eq!(bits(&Tensor::from_slice(&gb)), bits(&want.2), "grad_bias, {} parts", parts);
+        let got = dwconv2d_backward_in_parts(&input, &weight, &grad, &spec, parts);
+        prop_assert_eq!(bits(&got.0), bits(&want.0), "grad_input, {} parts", parts);
+        prop_assert_eq!(bits(&got.1), bits(&want.1), "grad_weight, {} parts", parts);
+        prop_assert_eq!(bits(&got.2), bits(&want.2), "grad_bias, {} parts", parts);
     }
 }

@@ -6,7 +6,8 @@
 //! comparisons are on `to_bits`, never within a tolerance.
 
 use advhunter_tensor::ops::{
-    dwconv2d_into, sigmoid_into, silu_backward_into, silu_into, Conv2dSpec,
+    dwconv2d_into, sigmoid_into, silu_backward_from_sigmoid_into, silu_backward_into, silu_into,
+    silu_sigmoid_of_into, Conv2dScratch, Conv2dSpec,
 };
 use advhunter_tensor::Tensor;
 
@@ -76,19 +77,26 @@ fn dwconv2d_oracle(
     od
 }
 
-fn check_dwconv(n: usize, c: usize, h: usize, w: usize, spec: &Conv2dSpec, seed: u64) {
-    let input = fill(n * c * h * w, seed);
-    let weight = fill(c * spec.kernel * spec.kernel, seed ^ 1);
-    let bias = fill(c, seed ^ 2);
+/// Runs `dwconv2d_into` on `input` into a poisoned output (every element
+/// must be overwritten) through `scratch`, which earlier calls of other
+/// geometries leave dirty, and compares it with the tap loop.
+fn check_dwconv_on(
+    input: Vec<f32>,
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+    [n, c, h, w]: [usize; 4],
+    spec: &Conv2dSpec,
+    scratch: &mut Conv2dScratch,
+) {
     let expected = dwconv2d_oracle(&input, [n, c, h, w], &weight, &bias, spec);
     let (oh, ow) = spec.out_hw(h, w);
-    // Poisoned output: every element must be overwritten.
     let mut out = Tensor::full(&[n, c, oh, ow], f32::NAN);
     dwconv2d_into(
         &Tensor::from_vec(input, &[n, c, h, w]).unwrap(),
         &Tensor::from_vec(weight, &[c, spec.kernel * spec.kernel]).unwrap(),
         &Tensor::from_vec(bias, &[c]).unwrap(),
         spec,
+        scratch,
         &mut out,
     );
     assert_eq!(
@@ -99,6 +107,14 @@ fn check_dwconv(n: usize, c: usize, h: usize, w: usize, spec: &Conv2dSpec, seed:
         spec.stride,
         spec.padding
     );
+}
+
+fn check_dwconv(n: usize, c: usize, h: usize, w: usize, spec: &Conv2dSpec, seed: u64) {
+    let input = fill(n * c * h * w, seed);
+    let weight = fill(c * spec.kernel * spec.kernel, seed ^ 1);
+    let bias = fill(c, seed ^ 2);
+    let mut scratch = Conv2dScratch::default();
+    check_dwconv_on(input, weight, bias, [n, c, h, w], spec, &mut scratch);
 }
 
 #[test]
@@ -125,12 +141,56 @@ fn dwconv_matches_the_scalar_tap_loop_bit_for_bit() {
     }
 }
 
+/// Every width from 1 to 20 (under one vector block, odd, and one or two
+/// blocks wide) under kernels 1, 3, 5, strides 1–3 and padding 0–2, with
+/// one scratch for every call. Three channels: the first has a `-0.0` bias,
+/// a zero input plane and negative weights, so each output is a sum of
+/// `-0.0` products that stays `-0.0` only if no padding tap is added; the
+/// second has a `-0.0` bias and negative border weights over a signed-zero
+/// rich input; the third is random.
+#[test]
+fn dwconv_every_width_keeps_negative_zero_sums() {
+    let mut scratch = Conv2dScratch::default();
+    let mut seed = 1000u64;
+    for kernel in [1usize, 3, 5] {
+        let k2 = kernel * kernel;
+        for stride in [1usize, 2, 3] {
+            for padding in [0usize, 1, 2] {
+                let spec = Conv2dSpec::new(3, 3, kernel, stride, padding);
+                for h in [1usize, 2, 5, 9] {
+                    for w in 1usize..=20 {
+                        if h + 2 * padding < kernel || w + 2 * padding < kernel {
+                            continue;
+                        }
+                        seed += 1;
+                        let (n, plane) = (2, h * w);
+                        let mut input = fill(n * 3 * plane, seed);
+                        for img in 0..n {
+                            input[img * 3 * plane..][..plane].fill(0.0);
+                        }
+                        let mut weight = fill(3 * k2, seed ^ 1);
+                        weight[..k2].iter_mut().for_each(|v| *v = -v.abs() - 0.25);
+                        for ky in 0..kernel {
+                            for kx in [0, kernel - 1] {
+                                weight[k2 + ky * kernel + kx] = -0.5 - ky as f32;
+                            }
+                        }
+                        let mut bias = fill(3, seed ^ 2);
+                        bias[..2].fill(-0.0);
+                        check_dwconv_on(input, weight, bias, [n, 3, h, w], &spec, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dwconv_matches_the_scalar_tap_loop_on_s1_shapes() {
     // mb1.dw (32 channels, 28x28, stride 2) and mb2.dw (48 channels,
     // 14x14, stride 1) of the S1 EfficientNet-micro spec.
-    check_dwconv(1, 32, 28, 28, &Conv2dSpec::new(32, 32, 3, 2, 1), 7);
-    check_dwconv(1, 48, 14, 14, &Conv2dSpec::new(48, 48, 3, 1, 1), 8);
+    check_dwconv(2, 32, 28, 28, &Conv2dSpec::new(32, 32, 3, 2, 1), 7);
+    check_dwconv(2, 48, 14, 14, &Conv2dSpec::new(48, 48, 3, 1, 1), 8);
 }
 
 fn textbook_sigmoid(x: f32) -> f32 {
@@ -183,6 +243,22 @@ fn sigmoid_and_silu_match_the_branchy_form_bit_for_bit() {
     let grad = Tensor::full(&[xs.len()], 0.75);
     let mut dsilu = Tensor::full(&[xs.len()], f32::NAN);
     silu_backward_into(&x, &grad, &mut dsilu);
+    // The fused pair's form, with `z = x`, keeps the same bits; the length
+    // is off the lanes, so the tail block runs too.
+    let n = xs.len() - 3;
+    let (mut act, mut fsig) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+    silu_sigmoid_of_into(&xs[..n], |z| z, &mut act, &mut fsig);
+    assert_eq!(bits(&act), bits(&silu.data()[..n]), "fused silu");
+    assert_eq!(bits(&fsig), bits(&sig.data()[..n]), "fused sigmoid");
+    let mut dfused = vec![f32::NAN; n];
+    silu_backward_from_sigmoid_into(&xs[..n], |z| z, &fsig, &grad.data()[..n], &mut dfused);
+    for (i, (&got, &want)) in dfused.iter().zip(dsilu.data()).enumerate() {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "fused silu'({:e})",
+            xs[i]
+        );
+    }
     for (i, &v) in xs.iter().enumerate() {
         let s = textbook_sigmoid(v);
         assert_eq!(sig.data()[i].to_bits(), s.to_bits(), "sigmoid({v:e})");
