@@ -7,14 +7,19 @@
 //! batch-norm + SiLU training step, one Adam step over S1's parameters on the calling thread
 //! and on a crew of two, four full optimizer steps of S1 and CaseStudy at
 //! one and two workers, GMM fitting, instrumented inference, the trace
-//! replay alone on S1 and CaseStudy, and online detector scoring. Each row is the best time per iteration of the shared
+//! replay alone on S1 and CaseStudy, online detector scoring, and a warm
+//! serving boot of S1 and CaseStudy. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
 
 use std::hint::black_box;
 
 use advhunter::scenario::ScenarioId;
-use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism};
+use advhunter::{
+    ArtifactStore, Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism, Pipeline,
+    PipelineConfig,
+};
 use advhunter_bench::{bench_function, measure_budget, report};
+use advhunter_data::SplitSizes;
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::train::{fit, Adam, TrainConfig};
@@ -324,7 +329,8 @@ fn bench_s1_per_channel() {
             .expect("16 images");
         let mut gx = Tensor::zeros(&[16, c, hw, hw]);
         let mut scratch = Conv2dScratch::default();
-        scratch.reserve_depthwise(hw, hw, &spec);
+        scratch.reserve_depthwise_input_grad(hw, hw, &spec);
+        scratch.reserve_depthwise_param_grad(hw, hw, &spec);
         bench_function(&format!("dwconv2d_input_grad_s1_{name}_b16"), || {
             dwconv2d_input_grad_into(&w, black_box(&g16), &spec, &mut scratch, &mut gx);
             gx.data()[0]
@@ -461,6 +467,56 @@ fn bench_detector_scoring() {
     });
 }
 
+/// A warm serving boot of S1 and CaseStudy: `Pipeline::run_for_serving`
+/// on a store primed by one cold boot (a small split; the model is full
+/// size). Below each row, the mean of each piece of the model stage over
+/// the row's iterations, from the boot histograms: the checksum runs
+/// beside the decode and the engine build when a second core is free.
+fn bench_serving_boot() {
+    const PIECES: [(&str, &str); 4] = [
+        ("read", "advhunter_boot_model_read_ns"),
+        ("verify", "advhunter_boot_model_verify_ns"),
+        ("decode", "advhunter_boot_weight_decode_ns"),
+        ("engine", "advhunter_boot_engine_build_ns"),
+    ];
+    let totals = || {
+        let snapshot = advhunter_telemetry::global().snapshot();
+        PIECES.map(|(_, name)| {
+            snapshot
+                .histogram(name)
+                .map_or((0, 0), |h| (h.sum, h.count))
+        })
+    };
+    for (name, id) in [("s1", ScenarioId::S1), ("case", ScenarioId::CaseStudy)] {
+        let root = std::env::temp_dir().join(format!(
+            "advhunter-micro-boot-{name}-{}",
+            std::process::id()
+        ));
+        let store = ArtifactStore::open(&root).expect("open a scratch store");
+        let sizes = SplitSizes {
+            train: 30,
+            val: 40,
+            test: 10,
+        };
+        let pipeline = Pipeline::new(PipelineConfig::for_scenario(id).with_sizes(sizes), store);
+        pipeline.run_for_serving().expect("priming boot");
+        let before = totals();
+        bench_function(&format!("serving_boot_{name}_warm"), || {
+            pipeline.run_for_serving().expect("warm boot")
+        });
+        let pieces: Vec<String> = PIECES
+            .iter()
+            .zip(before.iter().zip(totals()))
+            .map(|((piece, _), (&(sum0, n0), (sum1, n1)))| {
+                let mean_ms = (sum1 - sum0) as f64 / (n1 - n0).max(1) as f64 / 1e6;
+                format!("{piece} {mean_ms:.2} ms")
+            })
+            .collect();
+        println!("  model stage means: {}", pieces.join(", "));
+        std::fs::remove_dir_all(root).ok();
+    }
+}
+
 fn main() {
     bench_cache_access();
     bench_branch_predictor();
@@ -477,4 +533,5 @@ fn main() {
     bench_instrumented_inference();
     bench_trace_replay();
     bench_detector_scoring();
+    bench_serving_boot();
 }

@@ -79,5 +79,7 @@ pub use pipeline::{
     Stage, StageOutcome, StageReport, StoreTunePersistence,
 };
 pub use scenario::{build_from_spec, build_scenario, load_spec, ScenarioArtifacts, ScenarioId};
-pub use store::{ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, StoreLoad};
+pub use store::{
+    ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, Payload, StoreLoad, Unverified,
+};
 pub use verdict::{AnomalyDetector, Verdict};

@@ -44,7 +44,7 @@ use advhunter_exec::{TraceEngine, TunePersistence};
 use advhunter_fingerprint::FingerprintConfig;
 use advhunter_nn::spec::{GraphSpec, GraphSpecError};
 use advhunter_nn::train::{evaluate, fit, TrainConfig};
-use advhunter_nn::Graph;
+use advhunter_nn::{Graph, ZeroWeights};
 use advhunter_telemetry::{global, Histogram};
 use advhunter_tensor::ops::{GemmGeometry, KernelVariant};
 use advhunter_uarch::{MachineConfig, Sampler};
@@ -58,7 +58,9 @@ use crate::persist::{
     PersistError,
 };
 use crate::scenario::{self, ScenarioId};
-use crate::store::{ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, StoreLoad};
+use crate::store::{
+    ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, StoreLoad, Unverified,
+};
 use advhunter_runtime::{ExecOptions, Parallelism};
 
 /// The canonical training seed. Training is a pipeline input like any
@@ -554,6 +556,10 @@ struct StageTimers {
     calibrate: Arc<Histogram>,
     split: Arc<Histogram>,
     clean_accuracy: Arc<Histogram>,
+    model_read: Arc<Histogram>,
+    model_verify: Arc<Histogram>,
+    weight_decode: Arc<Histogram>,
+    engine_build: Arc<Histogram>,
 }
 
 fn timers() -> &'static StageTimers {
@@ -584,6 +590,22 @@ fn timers() -> &'static StageTimers {
             clean_accuracy: r.histogram(
                 "advhunter_pipeline_clean_accuracy_ns",
                 "Wall time of scoring the test split for clean accuracy",
+            ),
+            model_read: r.histogram(
+                "advhunter_boot_model_read_ns",
+                "Wall time of reading the stored model artifact and checking its envelope header",
+            ),
+            model_verify: r.histogram(
+                "advhunter_boot_model_verify_ns",
+                "Wall time of the stored model artifact's payload checksum (beside the decode when a second core is free)",
+            ),
+            weight_decode: r.histogram(
+                "advhunter_boot_weight_decode_ns",
+                "Wall time of building the model from its stored AHW1 weights",
+            ),
+            engine_build: r.histogram(
+                "advhunter_boot_engine_build_ns",
+                "Wall time of building the trace engine (layout, tuned packing, plan)",
             ),
         }
     })
@@ -745,9 +767,11 @@ impl Pipeline {
     }
 
     /// The load-else-compute protocol shared by every stage: try the
-    /// store (unless forced), decode on a hit, evict-and-recompute if the
-    /// payload does not decode, and persist whatever was computed. The
-    /// outcome reported is exactly what happened.
+    /// store (unless forced), verify and decode on a hit, evict and
+    /// recompute if the payload is corrupt or does not decode, and
+    /// persist whatever was computed. The outcome reported is exactly
+    /// what happened, and nothing decoded from a payload that fails its
+    /// checksum is returned.
     fn run_stage<T>(
         &self,
         stage: Stage,
@@ -758,43 +782,74 @@ impl Pipeline {
         let _span = timer(stage).span();
         let fp = self.config.fingerprint(stage);
         let kind = stage.artifact_kind();
+        let report = |outcome| StageReport {
+            stage,
+            fingerprint: fp,
+            outcome,
+        };
         let outcome = if self.force {
             StageOutcome::Forced
         } else {
-            match self.store.load(kind, fp)? {
-                StoreLoad::Hit(payload) => match decode(&payload) {
-                    Some(value) => {
-                        return Ok((
-                            value,
-                            StageReport {
-                                stage,
-                                fingerprint: fp,
-                                outcome: StageOutcome::Hit,
-                            },
-                        ))
+            let model = stage == Stage::TrainModel;
+            let read = {
+                let _span = model.then(|| timers().model_read.span());
+                self.store.read(kind, fp)?
+            };
+            match read {
+                StoreLoad::Hit(artifact) => {
+                    let (intact, value) = self.decode_checked(model, &artifact, decode);
+                    match (artifact.settle(intact), value) {
+                        (StoreLoad::Hit(_), Some(value)) => {
+                            return Ok((value, report(StageOutcome::Hit)))
+                        }
+                        (StoreLoad::Hit(_), None) => {
+                            // Envelope intact but the payload does not
+                            // decode (e.g. written by an incompatible
+                            // build): evict and recompute rather than load
+                            // bad state.
+                            let _ = std::fs::remove_file(self.store.path_for(kind, fp));
+                            StageOutcome::Rebuilt
+                        }
+                        _ => StageOutcome::Rebuilt,
                     }
-                    None => {
-                        // Envelope intact but the payload does not decode
-                        // (e.g. written by an incompatible build): evict
-                        // and recompute rather than load bad state.
-                        let _ = std::fs::remove_file(self.store.path_for(kind, fp));
-                        StageOutcome::Rebuilt
-                    }
-                },
+                }
                 StoreLoad::Miss => StageOutcome::Miss,
                 StoreLoad::Evicted => StageOutcome::Rebuilt,
             }
         };
         let value = compute()?;
         self.store.save(kind, fp, &encode(&value))?;
-        Ok((
-            value,
-            StageReport {
-                stage,
-                fingerprint: fp,
-                outcome,
-            },
-        ))
+        Ok((value, report(outcome)))
+    }
+
+    /// Checks `artifact`'s checksum and decodes its payload: whether it
+    /// is intact, and what decoded. The model artifact (`model`), whose
+    /// size scales with the model, is checked on a scoped thread while
+    /// this one decodes it, when the crew has a second member; the caller
+    /// drops the decoded value if the check fails. Everything else, and
+    /// everything under one member, is checked first and decoded only if
+    /// intact.
+    fn decode_checked<T>(
+        &self,
+        model: bool,
+        artifact: &Unverified,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> (bool, Option<T>) {
+        let verify = || {
+            let _span = model.then(|| timers().model_verify.span());
+            artifact.checksum_ok()
+        };
+        if model && self.parallelism.crew_members() > 1 {
+            std::thread::scope(|s| {
+                let check = s.spawn(verify);
+                let value = decode(artifact.payload());
+                (check.join().expect("checksum thread panicked"), value)
+            })
+        } else if verify() {
+            (true, decode(artifact.payload()))
+        } else {
+            (false, None)
+        }
     }
 
     /// Generates the deterministic data split.
@@ -814,26 +869,33 @@ impl Pipeline {
         cell.into_inner().unwrap_or_else(|| self.generate_split())
     }
 
-    /// The `TrainModel` stage: compiles the spec into an initialized
-    /// model and loads its trained weights, or trains them on the lazily
-    /// generated split.
-    fn train_stage(
+    /// The `TrainModel` stage, finished by `finish` (the engine build, for
+    /// a serving boot). On a hit the spec compiles to zeroed weights that
+    /// the stored AHW1 payload is decoded into, so the model is built
+    /// once; only a recompute draws the initial weights from the model
+    /// seed and trains them on the lazily generated split.
+    fn train_stage<T>(
         &self,
         split: &OnceCell<SplitDataset>,
-    ) -> Result<(Graph, StageReport), PipelineError> {
+        finish: impl Fn(Graph) -> T,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+    ) -> Result<(T, StageReport), PipelineError> {
         let config = &self.config;
-        let base = config
-            .spec
-            .build_graph(&mut StdRng::seed_from_u64(config.spec.model_seed))?;
+        config.spec.validate()?;
         self.run_stage(
             Stage::TrainModel,
             |bytes| {
-                let mut m = base.clone();
-                persist::load_model_bytes(&mut m, bytes).ok().map(|()| m)
+                let model = timers().weight_decode.time(|| {
+                    let mut m = config.spec.build_graph(&mut ZeroWeights).ok()?;
+                    persist::load_model_bytes(&mut m, bytes).ok().map(|()| m)
+                })?;
+                Some(finish(model))
             },
             || {
                 let train = &self.split_of(split).train;
-                let mut m = base.clone();
+                let mut m = config
+                    .spec
+                    .build_graph(&mut StdRng::seed_from_u64(config.spec.model_seed))?;
                 let mut train_rng = StdRng::seed_from_u64(config.train_seed);
                 fit(
                     &mut m,
@@ -843,9 +905,9 @@ impl Pipeline {
                     &self.parallelism,
                     &mut train_rng,
                 );
-                Ok(m)
+                Ok(finish(m))
             },
-            persist::model_to_bytes,
+            encode,
         )
     }
 
@@ -854,6 +916,7 @@ impl Pipeline {
     /// table: warm runs load persisted verdicts, cold runs persist what
     /// they benchmark.
     fn build_engine(&self, model: &Graph) -> TraceEngine {
+        let _span = timers().engine_build.span();
         let tuning = StoreTunePersistence::new(self.store.clone());
         TraceEngine::with_config_tuned(
             model,
@@ -872,8 +935,14 @@ impl Pipeline {
     fn run_stages(&self) -> Result<Staged, PipelineError> {
         let config = &self.config;
         let split = OnceCell::new();
-        let (model, train_report) = self.train_stage(&split)?;
-        let engine = self.build_engine(&model);
+        let ((model, engine), train_report) = self.train_stage(
+            &split,
+            |model| {
+                let engine = self.build_engine(&model);
+                (model, engine)
+            },
+            |(model, _)| persist::model_to_bytes(model),
+        )?;
         let opts = self.opts();
 
         let (template, template_report) = self.run_stage(
@@ -930,7 +999,7 @@ impl Pipeline {
     /// [`PipelineError::Spec`] if the configured spec fails validation.
     pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
         let split = OnceCell::new();
-        let (model, report) = self.train_stage(&split)?;
+        let (model, report) = self.train_stage(&split, |m| m, persist::model_to_bytes)?;
         let split = self.take_split(split);
         let clean_accuracy = clean_accuracy(&model, &split, &self.parallelism);
         Ok(ModelRun {

@@ -1,5 +1,5 @@
-//! Tabular report rendering: aligned plain-text and Markdown tables plus
-//! CSV export, used to present experiment results consistently.
+//! Tabular report rendering: aligned plain-text and Markdown tables, used
+//! to present experiment results consistently.
 
 use std::fmt::Write as _;
 
@@ -53,16 +53,6 @@ impl Table {
         );
         self.rows
             .push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of already-owned cells (e.g. formatted numbers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count does not match the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
     }
 
     /// Number of data rows.
@@ -132,36 +122,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as RFC-4180-style CSV (quotes cells containing commas,
-    /// quotes, or newlines).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -191,26 +151,6 @@ mod tests {
         let lines: Vec<&str> = md.lines().collect();
         assert_eq!(lines[1], "|---|---|");
         assert!(lines[2].contains("alpha"));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["a"]);
-        t.row(&["plain"]);
-        t.row(&["has,comma"]);
-        t.row(&["has\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
-        assert!(csv.contains("plain\n"));
-    }
-
-    #[test]
-    fn row_owned_accepts_formatted_numbers() {
-        let mut t = Table::new(&["k", "f1"]);
-        t.row_owned(vec!["3".to_string(), format!("{:.4}", 0.89031)]);
-        assert_eq!(t.len(), 1);
-        assert!(t.to_text().contains("0.8903"));
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! magic, version, kind, fingerprint, length, checksum — is evicted
 //! (deleted) and reported as [`StoreLoad::Evicted`], so corruption
 //! triggers recomputation rather than a bad load.
+//! [`ArtifactStore::read`] leaves the checksum to its caller (the
+//! pipeline runs it beside the model's decode), and
+//! [`Unverified::settle`] evicts on a mismatch the same way.
 //!
 //! Writes are atomic (unique temp file + rename), so concurrent pipelines
 //! sharing a store never observe half-written artifacts; because
@@ -214,16 +217,78 @@ impl ArtifactKind {
     }
 }
 
-/// The outcome of an [`ArtifactStore::load`].
+/// The outcome of an [`ArtifactStore::load`] (a verified [`Payload`]) or
+/// an [`ArtifactStore::read`] (an [`Unverified`] artifact).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreLoad {
-    /// The artifact was present and passed every envelope check.
-    Hit(Vec<u8>),
+pub enum StoreLoad<P = Payload> {
+    /// The artifact was present and passed every envelope check (for
+    /// [`read`](ArtifactStore::read): every check but the checksum).
+    Hit(P),
     /// No artifact is stored under this fingerprint.
     Miss,
     /// An artifact was present but corrupt; it has been deleted so the
     /// caller recomputes instead of loading bad bytes.
     Evicted,
+}
+
+/// A stored artifact's payload, left in the buffer its file was read into.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Payload {
+    file: Vec<u8>,
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.file[HEADER_LEN..]
+    }
+}
+
+/// An artifact whose envelope header checked out but whose payload
+/// checksum has not been compared yet: [`checksum_ok`](Self::checksum_ok)
+/// only reads, so it can run on another thread while this one decodes
+/// [`payload`](Self::payload), and [`settle`](Self::settle) then hands the
+/// payload out or evicts the file.
+#[derive(Debug)]
+pub struct Unverified {
+    payload: Payload,
+    stored_sum: u64,
+    path: PathBuf,
+}
+
+impl Unverified {
+    /// The payload bytes, not yet checked against the stored checksum.
+    #[must_use]
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// Whether the payload's FNV-1a checksum matches the stored one.
+    #[must_use]
+    pub fn checksum_ok(&self) -> bool {
+        checksum(&self.payload) == self.stored_sum
+    }
+
+    /// Settles the check: an intact artifact is a [`StoreLoad::Hit`]; a
+    /// corrupt one is deleted and [`StoreLoad::Evicted`], exactly as
+    /// [`ArtifactStore::load`] reports it.
+    #[must_use]
+    pub fn settle(self, intact: bool) -> StoreLoad {
+        if intact {
+            counters().hits.inc();
+            StoreLoad::Hit(self.payload)
+        } else {
+            evict(&self.path);
+            StoreLoad::Evicted
+        }
+    }
+}
+
+/// Deletes a corrupt artifact so the caller recomputes it.
+fn evict(path: &Path) {
+    let _ = fs::remove_file(path);
+    counters().evictions.inc();
 }
 
 /// An on-disk, content-addressed store of offline-pipeline artifacts.
@@ -315,25 +380,47 @@ impl ArtifactStore {
     /// Returns [`PersistError::Io`] only for filesystem failures other
     /// than the file being absent.
     pub fn load(&self, kind: ArtifactKind, fp: Fingerprint) -> Result<StoreLoad, PersistError> {
+        Ok(match self.read(kind, fp)? {
+            StoreLoad::Hit(artifact) => {
+                let intact = artifact.checksum_ok();
+                artifact.settle(intact)
+            }
+            StoreLoad::Miss => StoreLoad::Miss,
+            StoreLoad::Evicted => StoreLoad::Evicted,
+        })
+    }
+
+    /// Reads the artifact stored under `(kind, fp)` and checks every
+    /// envelope field but the checksum, which the caller runs and settles
+    /// through the returned [`Unverified`]. A file that fails a header
+    /// check is deleted and reported as [`StoreLoad::Evicted`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Io`] only for filesystem failures other
+    /// than the file being absent.
+    pub fn read(
+        &self,
+        kind: ArtifactKind,
+        fp: Fingerprint,
+    ) -> Result<StoreLoad<Unverified>, PersistError> {
         let path = self.path_for(kind, fp);
-        let data = match fs::read(&path) {
-            Ok(data) => data,
+        let file = match fs::read(&path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 counters().misses.inc();
                 return Ok(StoreLoad::Miss);
             }
             Err(e) => return Err(PersistError::Io(e)),
         };
-        match decode_envelope(&data, kind, fp) {
-            Some(payload) => {
-                counters().hits.inc();
-                Ok(StoreLoad::Hit(payload))
-            }
+        match stored_checksum(&file, kind, fp) {
+            Some(stored_sum) => Ok(StoreLoad::Hit(Unverified {
+                payload: Payload { file },
+                stored_sum,
+                path,
+            })),
             None => {
-                // Any envelope failure means the file cannot be trusted;
-                // delete it so the caller recomputes.
-                let _ = fs::remove_file(&path);
-                counters().evictions.inc();
+                evict(&path);
                 Ok(StoreLoad::Evicted)
             }
         }
@@ -378,9 +465,10 @@ fn tmp_nonce() -> u64 {
     NONCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Validates an `AHS1` envelope and returns its payload, or `None` on any
-/// structural or integrity failure.
-fn decode_envelope(data: &[u8], kind: ArtifactKind, fp: Fingerprint) -> Option<Vec<u8>> {
+/// Validates an `AHS1` envelope's header against `kind`, `fp` and the
+/// file's length, and returns the checksum it stores; `None` on any
+/// structural failure.
+fn stored_checksum(data: &[u8], kind: ArtifactKind, fp: Fingerprint) -> Option<u64> {
     if data.len() < HEADER_LEN {
         return None;
     }
@@ -391,13 +479,11 @@ fn decode_envelope(data: &[u8], kind: ArtifactKind, fp: Fingerprint) -> Option<V
     if stored_fp != fp.0 {
         return None;
     }
-    let payload_len = u64::from_le_bytes(data[13..21].try_into().ok()?) as usize;
-    let stored_sum = u64::from_le_bytes(data[21..29].try_into().ok()?);
-    let payload = &data[HEADER_LEN..];
-    if payload.len() != payload_len || checksum(payload) != stored_sum {
+    let payload_len = u64::from_le_bytes(data[13..21].try_into().ok()?);
+    if data.len() - HEADER_LEN != usize::try_from(payload_len).ok()? {
         return None;
     }
-    Some(payload.to_vec())
+    Some(u64::from_le_bytes(data[21..29].try_into().ok()?))
 }
 
 #[cfg(test)]
@@ -442,10 +528,31 @@ mod tests {
         let fp = Fingerprint(0xDEAD_BEEF);
         let payload = b"hello artifact".to_vec();
         store.save(ArtifactKind::Template, fp, &payload).unwrap();
-        assert_eq!(
-            store.load(ArtifactKind::Template, fp).unwrap(),
-            StoreLoad::Hit(payload)
-        );
+        match store.load(ArtifactKind::Template, fp).unwrap() {
+            StoreLoad::Hit(loaded) => assert_eq!(&*loaded, &payload[..]),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_defers_the_checksum_to_settle() {
+        let store = tempstore("settle");
+        let fp = Fingerprint(77);
+        store
+            .save(ArtifactKind::ModelWeights, fp, b"weights")
+            .unwrap();
+        let path = store.path_for(ArtifactKind::ModelWeights, fp);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let StoreLoad::Hit(artifact) = store.read(ArtifactKind::ModelWeights, fp).unwrap() else {
+            panic!("the header is intact");
+        };
+        assert_eq!(artifact.payload(), &bytes[HEADER_LEN..]);
+        assert!(!artifact.checksum_ok());
+        assert_eq!(artifact.settle(false), StoreLoad::Evicted);
+        assert!(!path.exists(), "a failed checksum evicts");
     }
 
     #[test]

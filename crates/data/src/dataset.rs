@@ -1,8 +1,6 @@
 //! Labeled image collections and train/val/test splits.
 
 use advhunter_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A labeled set of CHW images.
 ///
@@ -120,22 +118,6 @@ impl Dataset {
             .map(|i| &self.images[i])
             .collect()
     }
-
-    /// A new dataset with at most `per_class` randomly chosen images per
-    /// class (used for the validation-size sweep, paper Figure 6).
-    pub fn subsample_per_class(&self, per_class: usize, rng: &mut impl Rng) -> Dataset {
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
-        for c in 0..self.num_classes {
-            let mut idx = self.indices_of_class(c);
-            idx.shuffle(rng);
-            for &i in idx.iter().take(per_class) {
-                images.push(self.images[i].clone());
-                labels.push(c);
-            }
-        }
-        Dataset::new(&self.name, images, labels, self.num_classes)
-    }
 }
 
 /// Images per class in each split.
@@ -196,8 +178,6 @@ impl SplitDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn toy(n_per_class: usize, classes: usize) -> Dataset {
         let mut images = Vec::new();
@@ -218,32 +198,6 @@ mod tests {
             assert_eq!(ds.indices_of_class(c).len(), 3);
             assert!(ds.indices_of_class(c).iter().all(|&i| ds.labels()[i] == c));
         }
-    }
-
-    #[test]
-    fn subsample_caps_per_class() {
-        let ds = toy(10, 3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let sub = ds.subsample_per_class(4, &mut rng);
-        assert_eq!(sub.len(), 12);
-        for c in 0..3 {
-            assert_eq!(sub.indices_of_class(c).len(), 4);
-        }
-    }
-
-    #[test]
-    fn subsample_with_excess_budget_keeps_everything() {
-        let ds = toy(2, 2);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(ds.subsample_per_class(100, &mut rng).len(), 4);
-    }
-
-    #[test]
-    fn different_seeds_give_different_subsamples() {
-        let ds = toy(50, 1);
-        let a = ds.subsample_per_class(5, &mut StdRng::seed_from_u64(0));
-        let b = ds.subsample_per_class(5, &mut StdRng::seed_from_u64(1));
-        assert_ne!(a.images(), b.images());
     }
 
     #[test]

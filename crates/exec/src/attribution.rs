@@ -45,11 +45,6 @@ impl TraceAttribution {
         total
     }
 
-    /// The node contributing the most of `event`.
-    pub fn dominant_node(&self, event: HpcEvent) -> Option<&NodeAttribution> {
-        self.nodes.iter().max_by_key(|n| n.counts.get(event))
-    }
-
     /// Fraction of `event` attributed to node `i` (0 when the total is 0).
     pub fn share(&self, i: usize, event: HpcEvent) -> f64 {
         let total = self.total().get(event);
@@ -152,7 +147,11 @@ mod tests {
         let g = model();
         let engine = TraceEngine::new(&g);
         let attribution = engine.attribute(&g, &image());
-        let dominant = attribution.dominant_node(HpcEvent::CacheMisses).unwrap();
+        let dominant = attribution
+            .nodes
+            .iter()
+            .max_by_key(|n| n.counts.get(HpcEvent::CacheMisses))
+            .unwrap();
         assert_eq!(dominant.name, "fc");
         assert!(attribution.share(3, HpcEvent::CacheMisses) > 0.3);
     }

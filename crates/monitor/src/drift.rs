@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use advhunter::persist::detector_from_bytes;
 use advhunter::store::checksum;
-use advhunter::{ArtifactStore, Detector, Pipeline, PipelineConfig, Stage, StoreLoad};
+use advhunter::{ArtifactStore, Detector, Payload, Pipeline, PipelineConfig, Stage, StoreLoad};
 
 /// Knobs of the clean-NLL drift test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -266,7 +266,7 @@ impl StoreDetectorSource {
         source
     }
 
-    fn current_payload(&self) -> Option<Vec<u8>> {
+    fn current_payload(&self) -> Option<Payload> {
         let fp = self.config.fingerprint(Stage::Calibrate);
         match self.store.load(Stage::Calibrate.artifact_kind(), fp) {
             Ok(StoreLoad::Hit(payload)) => Some(payload),

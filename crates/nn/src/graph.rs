@@ -1291,10 +1291,48 @@ fn scale_channels_backward_into(x: &Tensor, s: &Tensor, gout: &Tensor, k: usize,
     }
 }
 
+/// Where a [`GraphBuilder`]'s layer weights come from.
+///
+/// Every RNG is one: it draws Kaiming-normal and Xavier-uniform weights, in
+/// the builder's call order. [`ZeroWeights`] allocates them zeroed, for a
+/// graph whose every parameter is loaded right after it is built.
+pub trait WeightInit {
+    /// A `dims` weight with fan-in `fan_in`, Kaiming-normal.
+    fn kaiming_normal(&mut self, dims: &[usize], fan_in: usize) -> Tensor;
+    /// A `dims` weight with fans `fan_in` and `fan_out`, Xavier-uniform.
+    fn xavier_uniform(&mut self, dims: &[usize], fan_in: usize, fan_out: usize) -> Tensor;
+}
+
+impl<R: Rng> WeightInit for R {
+    fn kaiming_normal(&mut self, dims: &[usize], fan_in: usize) -> Tensor {
+        init::kaiming_normal(self, dims, fan_in)
+    }
+
+    fn xavier_uniform(&mut self, dims: &[usize], fan_in: usize, fan_out: usize) -> Tensor {
+        init::xavier_uniform(self, dims, fan_in, fan_out)
+    }
+}
+
+/// Zeroed weights: the structure of a graph with nothing drawn, for a
+/// stored model's weights to be decoded into.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ZeroWeights;
+
+impl WeightInit for ZeroWeights {
+    fn kaiming_normal(&mut self, dims: &[usize], _fan_in: usize) -> Tensor {
+        Tensor::zeros(dims)
+    }
+
+    fn xavier_uniform(&mut self, dims: &[usize], _fan_in: usize, _fan_out: usize) -> Tensor {
+        Tensor::zeros(dims)
+    }
+}
+
 /// Incrementally constructs a [`Graph`] in topological order.
 ///
 /// Layer methods take the input node, initialize parameters from the given
-/// RNG, and return the new node's id.
+/// [`WeightInit`] (an RNG, or [`ZeroWeights`]), and return the new node's
+/// id.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     nodes: Vec<Node>,
@@ -1349,14 +1387,14 @@ impl GraphBuilder {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut impl Rng,
+        init: &mut impl WeightInit,
     ) -> Src {
         let in_channels = self.channels_of(input);
         let spec = Conv2dSpec::new(in_channels, out_channels, kernel, stride, padding);
         let fan_in = in_channels * kernel * kernel;
         let layer = Conv2dLayer {
             spec,
-            weight: init::kaiming_normal(rng, &[out_channels, fan_in], fan_in),
+            weight: init.kaiming_normal(&[out_channels, fan_in], fan_in),
             bias: Tensor::zeros(&[out_channels]),
         };
         self.push(name, Op::Conv2d(layer), &[input])
@@ -1370,14 +1408,14 @@ impl GraphBuilder {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut impl Rng,
+        init: &mut impl WeightInit,
     ) -> Src {
         let c = self.channels_of(input);
         let spec = Conv2dSpec::new(c, c, kernel, stride, padding);
         let fan_in = kernel * kernel;
         let layer = DwConv2dLayer {
             spec,
-            weight: init::kaiming_normal(rng, &[c, fan_in], fan_in),
+            weight: init.kaiming_normal(&[c, fan_in], fan_in),
             bias: Tensor::zeros(&[c]),
         };
         self.push(name, Op::DwConv2d(layer), &[input])
@@ -1389,16 +1427,11 @@ impl GraphBuilder {
         name: &str,
         input: Src,
         out_features: usize,
-        rng: &mut impl Rng,
+        init: &mut impl WeightInit,
     ) -> Src {
         let in_features = self.features_of(input);
         let layer = LinearLayer {
-            weight: init::xavier_uniform(
-                rng,
-                &[out_features, in_features],
-                in_features,
-                out_features,
-            ),
+            weight: init.xavier_uniform(&[out_features, in_features], in_features, out_features),
             bias: Tensor::zeros(&[out_features]),
         };
         self.push(name, Op::Linear(layer), &[input])

@@ -18,7 +18,7 @@
 //!   ([`variants::canonical_scenarios`], checked in as `specs/*.ahg`) plus a
 //!   generated library of width/depth sweeps of each family and an
 //!   encoder–decoder topology.
-//! * [`train`] — Adam/SGD optimizers and a batched training loop.
+//! * [`train`] — the Adam optimizer and a batched training loop.
 //! * [`record`] — per-activation-layer neuron statistics (paper Figure 1).
 //! * [`io`] — a small binary weight format plus the cache directory the
 //!   artifact store keeps trained models under.
@@ -55,7 +55,7 @@ pub mod variants;
 
 pub use graph::{
     Aux, BatchNorm2d, Conv2dLayer, DwConv2dLayer, ForwardTrace, Gradients, Graph, GraphBuilder,
-    LinearLayer, Mode, Node, Op, ParamGrad, Src,
+    LinearLayer, Mode, Node, Op, ParamGrad, Src, WeightInit, ZeroWeights,
 };
 pub use kernels::{gemm_geometries, MatKernels, NodeKernel};
 pub use workspace::Workspace;

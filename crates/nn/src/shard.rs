@@ -328,6 +328,15 @@ impl Shards {
                                 let (_, c, h, w) = x.shape().as_nchw();
                                 shard.ws.conv_scratch.reserve_backward(c, h, w, &l.spec);
                             }
+                            // Its input gradient is computed only for a
+                            // chain that reaches a parameter.
+                            Op::DwConv2d(l)
+                                if matches!(node.inputs[0], Src::Node(k) if layout.wanted[k]) =>
+                            {
+                                let x = graph.node_input(&shard.input, &shard.ws, j);
+                                let (_, _, h, w) = x.shape().as_nchw();
+                                shard.ws.conv_scratch.reserve_depthwise_input_grad(h, w, &l.spec);
+                            }
                             Op::BatchNorm2d(bn) => {
                                 let zeros = vec![0.0; bn.gamma.len()];
                                 shard.ws.set_batch_stats(j, &zeros, &zeros);
@@ -487,7 +496,7 @@ impl Layout {
                     blocks(l.spec.in_channels, BN_LANES)
                         .map(|channels| {
                             let mut scratch = Conv2dScratch::default();
-                            scratch.reserve_depthwise(h, w, &l.spec);
+                            scratch.reserve_depthwise_param_grad(h, w, &l.spec);
                             layout.dw_scratch.push(Mutex::new(scratch));
                             let scratch = layout.dw_scratch.len() - 1;
                             Task::DwGrad {

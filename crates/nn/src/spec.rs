@@ -49,13 +49,24 @@
 
 use std::fmt;
 
-use rand::Rng;
-
 use crate::train::TrainConfig;
-use crate::{Graph, GraphBuilder, Src};
+use crate::{Graph, GraphBuilder, Src, WeightInit};
 
 /// The `.ahg` format version this build reads and writes.
 pub const SPEC_VERSION: u32 = 1;
+
+/// The most nodes a spec may declare.
+pub const MAX_NODES: usize = 4096;
+
+/// The largest value an input dimension or a padding may take.
+pub const MAX_DIM: usize = 1 << 16;
+
+/// The most elements one node's single-image output may hold (256 MiB of
+/// `f32`).
+pub const MAX_ACTIVATION: usize = 1 << 26;
+
+/// The most parameters a spec's model may hold (1 GiB of `f32`).
+pub const MAX_PARAMETERS: usize = 1 << 28;
 
 /// Per-class split sizes carried by a spec (a dependency-free mirror of
 /// the data crate's `SplitSizes`, so this crate stays zero-dependency).
@@ -302,6 +313,15 @@ pub enum GraphSpecError {
         /// Declared class count.
         classes: usize,
     },
+    /// An input dimension or padding, a node's output, the parameter
+    /// count or the node count exceeds its cap ([`MAX_DIM`], [`MAX_ACTIVATION`],
+    /// [`MAX_PARAMETERS`], [`MAX_NODES`]), or would overflow computing it.
+    TooLarge {
+        /// What is too large.
+        what: String,
+        /// Its cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for GraphSpecError {
@@ -341,6 +361,7 @@ impl fmt::Display for GraphSpecError {
             Self::TargetClassOutOfRange { target, classes } => {
                 write!(f, "target-class {target} is outside 0..{classes}")
             }
+            Self::TooLarge { what, limit } => write!(f, "{what} exceeds the limit of {limit}"),
         }
     }
 }
@@ -524,6 +545,12 @@ impl GraphSpec {
         if self.nodes.is_empty() {
             return Err(GraphSpecError::EmptyGraph);
         }
+        if self.nodes.len() > MAX_NODES {
+            return Err(GraphSpecError::TooLarge {
+                what: format!("{} nodes", self.nodes.len()),
+                limit: MAX_NODES,
+            });
+        }
         if self.classes == 0 || self.target_class >= self.classes {
             return Err(GraphSpecError::TargetClassOutOfRange {
                 target: self.target_class,
@@ -538,7 +565,7 @@ impl GraphSpec {
                 output,
             });
         }
-        Ok(())
+        self.count_parameters(&shapes).map(|_| ())
     }
 
     /// Single-image (CHW, no batch dim) output shape of every node, in
@@ -547,8 +574,13 @@ impl GraphSpec {
     ///
     /// # Errors
     ///
-    /// [`GraphSpecError::ShapeMismatch`] at the first inconsistent node.
+    /// [`GraphSpecError::ShapeMismatch`] at the first inconsistent node,
+    /// [`GraphSpecError::TooLarge`] at the first dimension or node output
+    /// over its cap.
     pub fn infer_shapes(&self) -> Result<Vec<Vec<usize>>, GraphSpecError> {
+        for &dim in &self.input {
+            capped(dim, MAX_DIM, || format!("input dimension {dim}"))?;
+        }
         let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
             let ins: Vec<&[usize]> = node
@@ -559,16 +591,22 @@ impl GraphSpec {
                     SpecSrc::Node(i) => &shapes[*i][..],
                 })
                 .collect();
-            shapes.push(spec_op_output_shape(&node.name, &node.op, &ins)?);
+            let shape = spec_op_output_shape(&node.name, &node.op, &ins)?;
+            let elements = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            capped(elements.unwrap_or(usize::MAX), MAX_ACTIVATION, || {
+                format!("node `{}` output {shape:?}", node.name)
+            })?;
+            shapes.push(shape);
         }
         Ok(shapes)
     }
 
     /// Compiles the spec into a runnable [`Graph`], materializing weights
-    /// from `rng` with the same per-op initializers (and therefore the
+    /// from `init` with the same per-op initializers (and therefore the
     /// same RNG draw order) as [`GraphBuilder`] — a spec transliterated
     /// from a builder-constructed model reproduces it bit for bit under
-    /// the same seed.
+    /// the same seed. [`ZeroWeights`](crate::ZeroWeights) draws nothing:
+    /// it builds the structure a stored model's weights decode into.
     ///
     /// Wrapping the result in `advhunter_exec::TraceEngine::new` builds
     /// the static trace plan, so this one call opens every downstream
@@ -578,7 +616,7 @@ impl GraphSpec {
     ///
     /// Any [`validate`](Self::validate) error; a validated spec cannot
     /// fail to compile.
-    pub fn build_graph(&self, rng: &mut impl Rng) -> Result<Graph, GraphSpecError> {
+    pub fn build_graph(&self, init: &mut impl WeightInit) -> Result<Graph, GraphSpecError> {
         self.validate()?;
         let mut b = GraphBuilder::new(&self.input);
         let mut built: Vec<Src> = Vec::with_capacity(self.nodes.len());
@@ -601,14 +639,16 @@ impl GraphSpec {
                     *kernel,
                     *stride,
                     *padding,
-                    rng,
+                    init,
                 ),
                 SpecOp::DwConv2d {
                     kernel,
                     stride,
                     padding,
-                } => b.dwconv2d(&node.name, ins[0], *kernel, *stride, *padding, rng),
-                SpecOp::Linear { out_features } => b.linear(&node.name, ins[0], *out_features, rng),
+                } => b.dwconv2d(&node.name, ins[0], *kernel, *stride, *padding, init),
+                SpecOp::Linear { out_features } => {
+                    b.linear(&node.name, ins[0], *out_features, init)
+                }
                 SpecOp::BatchNorm2d => b.batchnorm(&node.name, ins[0]),
                 SpecOp::ReLU => b.relu(&node.name, ins[0]),
                 SpecOp::LeakyReLU { alpha } => b.leaky_relu(&node.name, ins[0], *alpha),
@@ -725,41 +765,78 @@ impl GraphSpec {
 
     /// Total trainable parameter count implied by the architecture
     /// (weights plus biases; batchnorm scale/shift included), without
-    /// materializing any tensor.
+    /// materializing any tensor. `0` for a spec that fails
+    /// [`validate`](Self::validate)'s shape inference or caps.
     #[must_use]
     pub fn num_parameters(&self) -> usize {
-        let Ok(shapes) = self.infer_shapes() else {
-            return 0;
+        self.infer_shapes()
+            .and_then(|shapes| self.count_parameters(&shapes))
+            .unwrap_or(0)
+    }
+
+    /// The parameter count over inferred `shapes`, in checked arithmetic
+    /// and capped at [`MAX_PARAMETERS`].
+    fn count_parameters(&self, shapes: &[Vec<usize>]) -> Result<usize, GraphSpecError> {
+        let too_large = || GraphSpecError::TooLarge {
+            what: "the parameter count".into(),
+            limit: MAX_PARAMETERS,
         };
         let mut total = 0usize;
-        for (node, _) in self.nodes.iter().zip(&shapes) {
+        for node in &self.nodes {
             let in_shape = |src: &SpecSrc| match src {
                 SpecSrc::Input => &self.input[..],
                 SpecSrc::Node(i) => &shapes[*i][..],
             };
-            total += match &node.op {
+            let weights = match &node.op {
                 SpecOp::Conv2d {
                     out_channels,
                     kernel,
                     ..
                 } => {
                     let ic = in_shape(&node.inputs[0])[0];
-                    out_channels * ic * kernel * kernel + out_channels
+                    [ic, *kernel, *kernel, *out_channels]
+                        .iter()
+                        .try_fold(1usize, |n, &d| n.checked_mul(d))
+                        .and_then(|w| w.checked_add(*out_channels))
                 }
                 SpecOp::DwConv2d { kernel, .. } => {
                     let c = in_shape(&node.inputs[0])[0];
-                    c * kernel * kernel + c
+                    kernel
+                        .checked_mul(*kernel)
+                        .and_then(|k| k.checked_add(1))
+                        .and_then(|k| k.checked_mul(c))
                 }
                 SpecOp::Linear { out_features } => {
                     let inf: usize = in_shape(&node.inputs[0]).iter().product();
-                    out_features * inf + out_features
+                    inf.checked_add(1)
+                        .and_then(|k| k.checked_mul(*out_features))
                 }
-                SpecOp::BatchNorm2d => 2 * in_shape(&node.inputs[0])[0],
-                _ => 0,
+                SpecOp::BatchNorm2d => in_shape(&node.inputs[0])[0].checked_mul(2),
+                _ => Some(0),
             };
+            total = weights
+                .and_then(|w| total.checked_add(w))
+                .filter(|&t| t <= MAX_PARAMETERS)
+                .ok_or_else(too_large)?;
         }
-        total
+        Ok(total)
     }
+}
+
+/// `value`, or [`GraphSpecError::TooLarge`] naming `what` if it exceeds
+/// `limit`.
+fn capped(
+    value: usize,
+    limit: usize,
+    what: impl FnOnce() -> String,
+) -> Result<usize, GraphSpecError> {
+    if value > limit {
+        return Err(GraphSpecError::TooLarge {
+            what: what(),
+            limit,
+        });
+    }
+    Ok(value)
 }
 
 impl fmt::Display for GraphSpec {
@@ -931,6 +1008,10 @@ fn spec_op_output_shape(
         node: name.to_string(),
         detail,
     };
+    // The sums below cannot overflow: padding is capped at MAX_DIM here,
+    // and every input shape was capped at MAX_ACTIVATION elements when
+    // its node was inferred. An oversized channel or feature count fails
+    // that cap on this node's output.
     let chw = |idx: usize| -> Result<[usize; 3], GraphSpecError> {
         match ins[idx] {
             [c, h, w] => Ok([*c, *h, *w]),
@@ -946,6 +1027,7 @@ fn spec_op_output_shape(
         if k == 0 || s == 0 {
             return Err(err("kernel and stride must be nonzero".into()));
         }
+        capped(p, MAX_DIM, || format!("node `{name}` padding {p}"))?;
         if h + 2 * p < k || w + 2 * p < k {
             return Err(err(format!(
                 "window {k} exceeds padded input {}x{}",
@@ -1147,6 +1229,59 @@ node fc linear 4
             matches!(e, GraphSpecError::MissingField { field: "dataset" }),
             "{e:?}"
         );
+    }
+
+    /// The cap a spec fails on, through `parse` (which validates) alone:
+    /// no graph is built, so nothing is allocated for the sizes tested.
+    fn too_large(text: &str) -> usize {
+        match GraphSpec::parse(text) {
+            Err(GraphSpecError::TooLarge { limit, .. }) => limit,
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_specs_fail_validation_as_too_large() {
+        // Dimensions: the input, a padding near usize::MAX.
+        assert_eq!(
+            too_large(&TINY.replace("input 3 8 8", "input 3 100000 100000")),
+            MAX_DIM
+        );
+        let padded = TINY.replace("conv2d 4 3 1 1", &format!("conv2d 4 3 1 {}", usize::MAX));
+        assert_eq!(too_large(&padded), MAX_DIM);
+        // One node's output: a layer 10^9 wide, and 8 × 4096 × 4096 floats.
+        let wide = TINY.replace(
+            "node fc linear 4",
+            "node fc linear 1000000000\nnode out linear 4",
+        );
+        assert_eq!(too_large(&wide), MAX_ACTIVATION);
+        let deep = TINY
+            .replace("input 3 8 8", "input 1 4096 4096")
+            .replace("conv2d 4 3 1 1", "conv2d 8 3 1 1");
+        assert_eq!(too_large(&deep), MAX_ACTIVATION);
+        // Parameters: a 64 × 64 × 64 image flattened into 2048 features.
+        let heavy = TINY
+            .replace("input 3 8 8", "input 64 64 64")
+            .replace("conv2d 4 3 1 1", "conv2d 64 1 1 0")
+            .replace("node fc linear 4", "node fc linear 2048\nnode out linear 4");
+        assert_eq!(too_large(&heavy), MAX_PARAMETERS);
+        // Nodes.
+        let relus: String = (0..MAX_NODES)
+            .map(|i| format!("node r{i} relu\n"))
+            .collect();
+        let long = TINY.replace(
+            "node flat flatten\n",
+            &format!("{relus}node flat flatten\n"),
+        );
+        assert_eq!(too_large(&long), MAX_NODES);
+        // A hand-built spec that bypassed `parse` is capped by `validate`.
+        let mut spec = GraphSpec::parse(TINY).expect("parse");
+        spec.input = [usize::MAX, usize::MAX, usize::MAX];
+        assert!(matches!(
+            spec.validate(),
+            Err(GraphSpecError::TooLarge { .. })
+        ));
+        assert_eq!(spec.num_parameters(), 0);
     }
 
     #[test]

@@ -136,54 +136,6 @@ impl AdamStep {
     }
 }
 
-/// Plain SGD with optional momentum, for the optimizer ablation.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and momentum coefficient
-    /// `momentum` (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` and `grads` differ in length.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor]) {
-        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.shape().dims()))
-                .collect();
-        }
-        for ((p, g), vel) in params
-            .iter_mut()
-            .zip(grads.iter())
-            .zip(self.velocity.iter_mut())
-        {
-            let pd = p.data_mut();
-            let gd = g.data();
-            let vd = vel.data_mut();
-            for i in 0..pd.len() {
-                vd[i] = self.momentum * vd[i] + gd[i];
-                pd[i] -= self.lr * vd[i];
-            }
-        }
-    }
-}
-
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -470,25 +422,6 @@ mod tests {
         // Adam normalizes by sqrt(v̂): the first step is ≈ lr regardless of
         // gradient magnitude.
         assert!(p.data()[0].abs() <= 0.011, "step {}", p.data()[0]);
-    }
-
-    #[test]
-    fn sgd_with_momentum_accelerates() {
-        let mut p1 = Tensor::from_slice(&[0.0]);
-        let mut p2 = Tensor::from_slice(&[0.0]);
-        let g = Tensor::from_slice(&[1.0]);
-        let mut plain = Sgd::new(0.1, 0.0);
-        let mut momentum = Sgd::new(0.1, 0.9);
-        for _ in 0..5 {
-            plain.step(&mut [&mut p1], &[&g]);
-            momentum.step(&mut [&mut p2], &[&g]);
-        }
-        assert!(
-            p2.data()[0] < p1.data()[0],
-            "momentum moved further: {} vs {}",
-            p2.data()[0],
-            p1.data()[0]
-        );
     }
 
     #[test]

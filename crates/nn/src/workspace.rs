@@ -454,4 +454,29 @@ mod tests {
         let mut ws = g.workspace(2);
         g.forward_with(&Tensor::zeros(&[3, 2, 8, 8]), Mode::Eval, &mut ws);
     }
+
+    #[test]
+    fn an_s1_serving_workspace_reserves_the_depthwise_forward_alone() {
+        use advhunter_tensor::ops::{Conv2dScratch, Conv2dSpec};
+        let spec = crate::spec::GraphSpec::parse(include_str!("../../../specs/s1.ahg"))
+            .expect("S1 parses");
+        let graph = spec
+            .build_graph(&mut crate::ZeroWeights)
+            .expect("S1 compiles");
+        let ws = graph.workspace(1);
+        // S1's depthwise layers: mb1.dw (32 channels, 28x28, stride 2) and
+        // mb2.dw (48 channels, 14x14, stride 1).
+        let reserved = |reserve: fn(&mut Conv2dScratch, usize, usize, &Conv2dSpec)| {
+            let mut scratch = Conv2dScratch::default();
+            reserve(&mut scratch, 28, 28, &Conv2dSpec::new(32, 32, 3, 2, 1));
+            reserve(&mut scratch, 14, 14, &Conv2dSpec::new(48, 48, 3, 1, 1));
+            scratch.depthwise_len()
+        };
+        let forward = reserved(Conv2dScratch::reserve_depthwise);
+        assert_eq!(ws.conv_scratch.depthwise_len(), forward);
+        // The filter gradient, which only training's filter-gradient tasks
+        // compute, would need over four times as much.
+        assert_eq!(forward, 1800);
+        assert_eq!(reserved(Conv2dScratch::reserve_depthwise_param_grad), 7912);
+    }
 }

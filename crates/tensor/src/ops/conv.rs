@@ -328,16 +328,28 @@ impl Conv2dScratch {
         self.partial.reserve(len.saturating_sub(self.partial.len()));
     }
 
-    /// Grows the depthwise buffer to what the forward pass, the input
-    /// gradient and the filter gradient of the depthwise convolution
-    /// `spec` over `h × w` planes need.
+    /// Grows the depthwise buffer to what the forward pass of the
+    /// depthwise convolution `spec` over `h × w` planes needs.
     pub fn reserve_depthwise(&mut self, h: usize, w: usize, spec: &Conv2dSpec) {
-        let geo = DwGeometry::new(h, w, spec);
-        let len = geo
-            .forward_len()
-            .max(geo.input_grad_len())
-            .max(geo.param_grad_len());
-        self.depthwise_for(len);
+        self.depthwise_for(DwGeometry::new(h, w, spec).forward_len());
+    }
+
+    /// Grows the depthwise buffer to what the input gradient of the
+    /// depthwise convolution `spec` over `h × w` planes needs.
+    pub fn reserve_depthwise_input_grad(&mut self, h: usize, w: usize, spec: &Conv2dSpec) {
+        self.depthwise_for(DwGeometry::new(h, w, spec).input_grad_len());
+    }
+
+    /// Grows the depthwise buffer to what the filter gradient of the
+    /// depthwise convolution `spec` over `h × w` planes needs.
+    pub fn reserve_depthwise_param_grad(&mut self, h: usize, w: usize, spec: &Conv2dSpec) {
+        self.depthwise_for(DwGeometry::new(h, w, spec).param_grad_len());
+    }
+
+    /// Floats the depthwise buffer holds.
+    #[must_use]
+    pub fn depthwise_len(&self) -> usize {
+        self.depthwise.len()
     }
 
     /// The first `len` floats of the depthwise buffer, grown if shorter.

@@ -251,11 +251,6 @@ impl Tensor {
         self.data.iter().map(|&x| x.abs()).fold(0.0, f32::max)
     }
 
-    /// Number of elements with absolute value above `threshold`.
-    pub fn count_above(&self, threshold: f32) -> usize {
-        self.data.iter().filter(|&&x| x.abs() > threshold).count()
-    }
-
     /// Clamps every element into `[lo, hi]` in place.
     pub fn clamp_inplace(&mut self, lo: f32, hi: f32) {
         for x in &mut self.data {
@@ -449,7 +444,6 @@ mod tests {
         assert_eq!(t.argmax(), 2);
         assert_eq!(t.linf_norm(), 4.0);
         assert!((t.l2_norm() - (1.0f32 + 16.0 + 6.25).sqrt()).abs() < 1e-6);
-        assert_eq!(t.count_above(1.5), 2);
     }
 
     #[test]

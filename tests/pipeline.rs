@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use advhunter::persist::{detector_to_bytes, model_to_bytes, template_to_bytes};
+use advhunter::persist::{detector_to_bytes, load_model_bytes, model_to_bytes, template_to_bytes};
 use advhunter::scenario::ScenarioId;
 use advhunter::{
     ArtifactKind, ArtifactStore, ExecOptions, Parallelism, Pipeline, PipelineArtifacts,
@@ -445,6 +445,78 @@ fn serving_boot_evicts_corrupt_artifacts_and_never_serves_them() {
     flipped[40] ^= 0x80;
     std::fs::write(&files[0], &flipped).unwrap();
     boot();
+    std::fs::remove_dir_all(root).ok();
+}
+
+/// Byte offset of the checksum field in an `AHS1` envelope: magic(3),
+/// version(1), kind(1), fingerprint(8), payload length(8).
+const CHECKSUM_AT: usize = 21;
+
+/// Byte offset of the payload in an `AHS1` envelope.
+const PAYLOAD_AT: usize = CHECKSUM_AT + 8;
+
+#[test]
+fn serving_boot_evicts_a_model_that_decodes_but_fails_its_checksum() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let (art, _) = Pipeline::new(config.clone(), store.clone())
+        .run()
+        .expect("cold run");
+    let model_bytes = model_to_bytes(&art.model);
+    let model_file = &stage_files(&store, &config)[0];
+    let cold = std::fs::read(model_file).expect("model artifact on disk");
+
+    // One mantissa bit deep inside the last tensor's last float: the
+    // payload still decodes, to a model that differs from the stored one.
+    let mut flipped = cold.clone();
+    let at = flipped.len() - 3;
+    flipped[at] ^= 0x01;
+    let mut decoded = art.model;
+    load_model_bytes(&mut decoded, &flipped[PAYLOAD_AT..]).expect("the flipped payload decodes");
+    assert_ne!(model_to_bytes(&decoded), model_bytes);
+    // Only the stored checksum changed: the payload is the stored model's.
+    let mut resummed = cold.clone();
+    resummed[CHECKSUM_AT] ^= 0x01;
+
+    for threads in [1, 2] {
+        for corrupt in [&flipped, &resummed] {
+            std::fs::write(model_file, corrupt).unwrap();
+            let pipeline = Pipeline::new(config.clone(), store.clone())
+                .with_parallelism(Parallelism::new(threads));
+            let (_, model, _) = pipeline.run_for_serving().expect("serving boot");
+            assert_eq!(
+                model_to_bytes(&model),
+                model_bytes,
+                "{threads} threads: the retrained model is served, bit for bit"
+            );
+            assert_eq!(
+                std::fs::read(model_file).expect("model artifact re-stored"),
+                cold,
+                "{threads} threads: the corrupt file is evicted and re-stored"
+            );
+        }
+    }
+    std::fs::remove_dir_all(root).ok();
+}
+
+#[test]
+fn warm_serving_boot_serves_the_model_a_cold_run_trained() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let (art, _) = Pipeline::new(config.clone(), store.clone())
+        .run()
+        .expect("cold run");
+    for threads in [1, 2, 4] {
+        let (_, model, _) = Pipeline::new(config.clone(), store.clone())
+            .with_parallelism(Parallelism::new(threads))
+            .run_for_serving()
+            .expect("warm serving boot");
+        assert_eq!(
+            model_to_bytes(&model),
+            model_to_bytes(&art.model),
+            "{threads} threads"
+        );
+    }
     std::fs::remove_dir_all(root).ok();
 }
 
