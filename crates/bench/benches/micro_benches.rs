@@ -9,7 +9,25 @@
 //! one and two workers, GMM fitting, instrumented inference, the trace
 //! replay alone on S1 and CaseStudy, online detector scoring, and a warm
 //! serving boot of S1 and CaseStudy. Each row is the best time per iteration of the shared
-//! `advhunter_bench` timing loop over a `CRITERION_MEASURE_MS` window.
+//! `advhunter_bench` timing loop over an `ADVHUNTER_BENCH_MS` window.
+//!
+//! The first rows carry the harness's floors, asserted on every run: the
+//! run fails when one does not hold.
+//!
+//! * a warm plan build (tune memo hits) costs under half of a cold one;
+//! * CaseStudy's packed GEMM kernels beat the reference loops ≥ 1.2× in
+//!   the geometric mean over its six matrix layers;
+//! * the packed forward pass is no slower than the reference one, on
+//!   CaseStudy and S1;
+//! * the monitor's measurement stage, simulated on 4 virtual workers,
+//!   serves ≥ 1.8× the requests of 1;
+//! * the query-fingerprint store observes ≥ 100k queries/s.
+//!
+//! Both sides of each ratio are timed inside this one process, and
+//! alternated where both can repeat (`advhunter_bench::time_alternated`;
+//! a cold plan build happens once per process), so drift in the host's
+//! speed lands on both: separate runs of this binary can differ by 30–60%
+//! on a shared host.
 
 use std::hint::black_box;
 
@@ -18,23 +36,342 @@ use advhunter::{
     ArtifactStore, Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism, Pipeline,
     PipelineConfig,
 };
-use advhunter_bench::{bench_function, measure_budget, report};
+use advhunter_bench::{bench_function, measure_budget, report, time_alternated, time_per_iter};
 use advhunter_data::SplitSizes;
-use advhunter_exec::TraceEngine;
+use advhunter_exec::{tuned_kernels, TraceEngine};
+use advhunter_fingerprint::{FingerprintConfig, FingerprintStore, QueryFingerprint};
 use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::train::{fit, Adam, TrainConfig};
-use advhunter_nn::{GraphBuilder, Mode};
+use advhunter_nn::{gemm_geometries, Graph, GraphBuilder, MatKernels, Mode};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
-    dwconv2d_input_grad_into, dwconv2d_into, dwconv2d_param_grads, linear_backward,
-    linear_input_grad_into, linear_packed_into, matmul, matmul_at, maxpool2d_into,
-    silu_backward_into, silu_into, Conv2dScratch, Conv2dSpec, KernelVariant, MaxPoolIndices,
+    dwconv2d_input_grad_into, dwconv2d_into, dwconv2d_param_grads, gemm_packed_bias_into,
+    linear_backward, linear_input_grad_into, linear_into, linear_packed_bias_into,
+    linear_packed_into, matmul, matmul_at, matmul_into, maxpool2d_into, silu_backward_into,
+    silu_into, Conv2dScratch, Conv2dSpec, GemmGeometry, GemmOpKind, KernelVariant, MaxPoolIndices,
     PackedWeights,
 };
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Prints a floor's measured value and fails the run when it is below
+/// `bound`.
+fn floor(what: &str, value: f64, bound: f64) {
+    println!("  floor: {what} {value:.2} (>= {bound})");
+    assert!(
+        value >= bound,
+        "{what}: {value:.2} is below the floor of {bound}"
+    );
+}
+
+/// Times `reference` against `packed` alternated, prints a row for each
+/// and returns how many times faster `packed` is.
+fn compare(id: &str, reference: impl FnMut(), packed: impl FnMut()) -> f64 {
+    let [(reference_us, reference_iters), (packed_us, packed_iters)] =
+        time_alternated(reference, packed);
+    report(&format!("{id}_reference"), reference_us, reference_iters);
+    report(&format!("{id}_packed"), packed_us, packed_iters);
+    reference_us / packed_us
+}
+
+fn case_study() -> Graph {
+    ScenarioId::CaseStudy
+        .spec()
+        .build_graph(&mut StdRng::seed_from_u64(1))
+        .expect("checked-in spec compiles")
+}
+
+/// CaseStudy's plan build: the first `tuned_kernels` call in the process
+/// benchmarks every distinct layer geometry; later calls hit the
+/// process-global memo and only pack. The cold side can happen once per
+/// process, so this runs before any other row builds an engine. Packing
+/// the same kernels untuned (every node the default variant) runs first,
+/// so the cold side pays for the tuning and not for the process's
+/// first-run costs. Floor: a warm build costs under half of a cold one.
+fn bench_plan_build(model: &Graph) {
+    bench_function("plan_build_case_study_untuned", || {
+        MatKernels::pack_with(model, &mut |_| KernelVariant::default())
+    });
+    let t0 = std::time::Instant::now();
+    black_box(tuned_kernels(model, None));
+    let cold_us = t0.elapsed().as_secs_f64() * 1e6;
+    report("plan_build_case_study_cold", cold_us, 1);
+    let (warm_us, iters) = time_per_iter(measure_budget(), || {
+        black_box(tuned_kernels(model, None));
+    });
+    report("plan_build_case_study_warm", warm_us, iters);
+    floor("plan build, cold over warm", cold_us / warm_us, 2.0);
+}
+
+/// CaseStudy's six matrix layers, each layer's reference loops against
+/// its tuned packed kernel on synthetic operands of the layer's geometry.
+/// Floor: the packed kernels are ≥ 1.2× faster in the geometric mean.
+fn bench_packed_gemm(model: &Graph) {
+    let kernels = tuned_kernels(model, None);
+    let mut speedups = Vec::new();
+    for (i, (node, geometry)) in model.nodes().iter().zip(gemm_geometries(model)).enumerate() {
+        let Some(GemmGeometry { op, m, k, n }) = geometry else {
+            continue;
+        };
+        let variant = kernels.node(i).expect("matrix node has a kernel").variant;
+        let mut rng = StdRng::seed_from_u64(40 + i as u64);
+        let w = init::uniform(&mut rng, &[m, k], -0.1, 0.1);
+        let bias = init::uniform(&mut rng, &[m], -0.1, 0.1);
+        let packed = PackedWeights::pack_tensor(&w, variant);
+        let id = format!("gemm_case_{}_{m}x{k}x{n}_{}", node.name, variant.label());
+        let speedup = match op {
+            GemmOpKind::Conv => {
+                let data = init::uniform(&mut rng, &[k, n], -1.0, 1.0);
+                let mut out = Tensor::zeros(&[m, n]);
+                let mut packed_out = vec![0.0f32; m * n];
+                compare(
+                    &id,
+                    || {
+                        // The reference conv's GEMM, then its bias add
+                        // per output channel (`conv2d_into`).
+                        matmul_into(&w, &data, &mut out);
+                        for (row, &b) in out.data_mut().chunks_mut(n).zip(bias.data()) {
+                            row.iter_mut().for_each(|v| *v += b);
+                        }
+                        black_box(&out);
+                    },
+                    || {
+                        gemm_packed_bias_into(
+                            &packed,
+                            data.data(),
+                            n,
+                            bias.data(),
+                            &mut packed_out,
+                        );
+                        black_box(&packed_out);
+                    },
+                )
+            }
+            GemmOpKind::Linear => {
+                let x = init::uniform(&mut rng, &[n, k], -1.0, 1.0);
+                let mut out = Tensor::zeros(&[n, m]);
+                let mut packed_out = vec![0.0f32; n * m];
+                compare(
+                    &id,
+                    || {
+                        linear_into(&x, &w, &bias, &mut out);
+                        black_box(&out);
+                    },
+                    || {
+                        linear_packed_bias_into(&packed, x.data(), n, bias.data(), &mut packed_out);
+                        black_box(&packed_out);
+                    },
+                )
+            }
+        };
+        speedups.push(speedup);
+    }
+    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    floor(
+        &format!("packed GEMM geomean over {} layers", speedups.len()),
+        geomean,
+        1.2,
+    );
+}
+
+/// The forward pass alone on CaseStudy and S1: the reference loops
+/// (`Graph::forward_with`) against the packed kernels
+/// (`forward_with_kernels`, the pass `measure` runs). Floor: the packed
+/// forward is no slower on either.
+fn bench_packed_forward() {
+    for (name, id) in [
+        ("case_study", ScenarioId::CaseStudy),
+        ("s1", ScenarioId::S1),
+    ] {
+        let mut rng = StdRng::seed_from_u64(15);
+        let model = id
+            .spec()
+            .build_graph(&mut rng)
+            .expect("checked-in spec compiles");
+        let kernels = tuned_kernels(&model, None);
+        let img = init::uniform(&mut rng, model.input_dims(), 0.0, 1.0);
+        let (mut ws, mut packed_ws) = (model.workspace(1), model.workspace(1));
+        let speedup = compare(
+            &format!("forward_{name}"),
+            || model.forward_with(black_box(&img), Mode::Eval, &mut ws),
+            || model.forward_with_kernels(black_box(&img), Mode::Eval, &mut packed_ws, &kernels),
+        );
+        floor(&format!("packed forward {name}, speedup"), speedup, 1.0);
+    }
+}
+
+/// The monitor's measurement stage on simulated cores: a stream of
+/// CaseStudy requests in micro-batches of 16, dealt round-robin onto W
+/// virtual workers that each measure their share in turn on their own
+/// scratch (`worker_scratch` + `measure_indexed_with`, the calls the
+/// service's fan-out makes). A batch's simulated wall time is the slowest
+/// worker's total plus the sequential scoring. Passes at 1 and 4 workers
+/// alternate, at least three of each, and every request and batch keeps
+/// its best time, so one stall of the host cannot pass for a worker's
+/// load. Floor: 4 workers serve ≥ 1.8× the requests of 1, which holds
+/// only while a batch's serial part (scoring) stays small next to its
+/// measurement and a request costs the same on any worker's scratch.
+fn bench_monitor_sim(model: &Graph) {
+    const MICRO_BATCH: usize = 16;
+    let engine = TraceEngine::new(model);
+    let mut rng = StdRng::seed_from_u64(2);
+    let images: Vec<Tensor> = (0..4 * MICRO_BATCH)
+        .map(|_| init::uniform(&mut rng, model.input_dims(), 0.0, 1.0))
+        .collect();
+    // Detector quality is irrelevant here; only the work per request is.
+    let opts = ExecOptions::seeded(3);
+    let mut per_class = vec![Vec::new(); 10];
+    for (i, m) in engine
+        .measure_batch(model, &images, opts.seed, &opts.parallelism)
+        .into_iter()
+        .enumerate()
+    {
+        per_class[i % 10].push(m.sample);
+    }
+    let template = OfflineTemplate::from_samples(per_class);
+    let detector = Detector::fit(&template, &DetectorConfig::default(), &opts)
+        .expect("detector fit on measured samples");
+
+    let batches = images.len() / MICRO_BATCH;
+    // Per worker count: each request's best measure time and each batch's
+    // best scoring time, in seconds.
+    let mut best = [1, 4].map(|workers| {
+        (
+            workers,
+            vec![f64::MAX; images.len()],
+            vec![f64::MAX; batches],
+        )
+    });
+    let start = std::time::Instant::now();
+    let mut passes = 0;
+    while start.elapsed() < measure_budget() || passes < 3 {
+        for (workers, service, scoring) in &mut best {
+            let mut scratches: Vec<_> = (0..*workers)
+                .map(|_| engine.worker_scratch(model))
+                .collect();
+            for scratch in &mut scratches {
+                black_box(engine.measure_indexed_with(model, &images[0], 7, 0, scratch));
+            }
+            for (b, batch) in images.chunks(MICRO_BATCH).enumerate() {
+                let mut measurements = Vec::with_capacity(batch.len());
+                for (j, image) in batch.iter().enumerate() {
+                    let i = b * MICRO_BATCH + j;
+                    let scratch = &mut scratches[j % *workers];
+                    let t = std::time::Instant::now();
+                    measurements
+                        .push(engine.measure_indexed_with(model, image, 7, i as u64, scratch));
+                    service[i] = service[i].min(t.elapsed().as_secs_f64());
+                }
+                let t = std::time::Instant::now();
+                for m in &measurements {
+                    black_box(detector.evaluate(m.predicted, &m.sample));
+                }
+                scoring[b] = scoring[b].min(t.elapsed().as_secs_f64());
+            }
+        }
+        passes += 1;
+    }
+    let [one, four] = best.map(|(workers, service, scoring)| {
+        let wall: f64 = service
+            .chunks(MICRO_BATCH)
+            .zip(&scoring)
+            .map(|(batch, score)| {
+                let mut busy = vec![0.0f64; workers];
+                for (j, t) in batch.iter().enumerate() {
+                    busy[j % workers] += t;
+                }
+                busy.iter().copied().fold(0.0, f64::max) + score
+            })
+            .sum();
+        let per_request_us = wall * 1e6 / service.len() as f64;
+        report(
+            &format!("monitor_sim_{workers}w_case_study_per_request"),
+            per_request_us,
+            passes,
+        );
+        per_request_us
+    });
+    floor("simulated monitor, 4 workers over 1", one / four, 1.8);
+}
+
+/// The query-fingerprint store under its default configuration: the
+/// sketch of one CIFAR-sized query, and `observe` (probe lookup, window
+/// insert, eviction) in steady state. The store is primed with one pass
+/// over 32768 synthetic sketches from 64 tenants, twice what the
+/// tenants' windows hold; the row is then the best chunk of 1024 queries
+/// as the stream cycles on. Floor: ≥ 100k observed queries/s, so the
+/// defense keeps pace with the inference it guards.
+fn bench_fingerprint_store() {
+    const TENANTS: u64 = 64;
+    const QUERIES: usize = 32_768;
+    const CHUNK: usize = 1024;
+    let config = FingerprintConfig::default();
+    let mut store = FingerprintStore::new(config);
+    let query = init::uniform(&mut StdRng::seed_from_u64(16), &[3, 32, 32], 0.0, 1.0);
+    bench_function("fingerprint_cifar_query", || {
+        store.fingerprint(black_box(query.data()))
+    });
+    // Probes from a bounded universe, so the index sees bucket collisions.
+    let mut rng = StdRng::seed_from_u64(17);
+    let sketches: Vec<QueryFingerprint> = (0..QUERIES)
+        .map(|_| {
+            QueryFingerprint::from_probes(
+                (0..config.probes)
+                    .map(|_| rng.gen_range(0..1u64 << 16))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut next = 0;
+    let mut observe_chunk = || {
+        for _ in 0..CHUNK {
+            black_box(store.observe(next as u64 % TENANTS, &sketches[next]));
+            next = (next + 1) % QUERIES;
+        }
+    };
+    for _ in 0..QUERIES / CHUNK {
+        observe_chunk();
+    }
+    let (chunk_us, chunks) = time_per_iter(measure_budget(), observe_chunk);
+    let per_query_us = chunk_us / CHUNK as f64;
+    report(
+        "fingerprint_observe_per_query",
+        per_query_us,
+        chunks * CHUNK as u64,
+    );
+    floor(
+        "fingerprint observe, queries/s",
+        1e6 / per_query_us,
+        100_000.0,
+    );
+}
+
+/// One CaseStudy `measure` with telemetry enabled against disabled,
+/// alternated: the enabled path reads the clock for its stage spans.
+fn bench_telemetry_toggle(model: &Graph) {
+    let engine = TraceEngine::new(model);
+    let img = init::uniform(&mut StdRng::seed_from_u64(5), &[3, 32, 32], 0.0, 1.0);
+    let measure = || black_box(engine.measure_indexed(model, black_box(&img), 7, 0));
+    let [(on_us, on_iters), (off_us, off_iters)] = time_alternated(
+        || {
+            advhunter_telemetry::enable();
+            measure();
+        },
+        || {
+            advhunter_telemetry::disable();
+            measure();
+        },
+    );
+    advhunter_telemetry::enable();
+    report("measure_case_study_telemetry_on", on_us, on_iters);
+    report("measure_case_study_telemetry_off", off_us, off_iters);
+    println!(
+        "  telemetry overhead {:+.2}%",
+        (on_us / off_us - 1.0) * 100.0
+    );
+}
 
 fn bench_cache_access() {
     let mut rng = StdRng::seed_from_u64(0);
@@ -518,6 +855,13 @@ fn bench_serving_boot() {
 }
 
 fn main() {
+    let case = case_study();
+    bench_plan_build(&case);
+    bench_packed_gemm(&case);
+    bench_packed_forward();
+    bench_monitor_sim(&case);
+    bench_fingerprint_store();
+    bench_telemetry_toggle(&case);
     bench_cache_access();
     bench_branch_predictor();
     bench_conv2d();

@@ -182,10 +182,10 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// The measuring window per timed benchmark: `CRITERION_MEASURE_MS`
+/// The measuring window per timed benchmark: `ADVHUNTER_BENCH_MS`
 /// milliseconds (default 300).
 pub fn measure_budget() -> Duration {
-    let ms = std::env::var("CRITERION_MEASURE_MS")
+    let ms = std::env::var("ADVHUNTER_BENCH_MS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(300u64);
@@ -208,6 +208,24 @@ pub fn time_per_iter<F: FnMut()>(budget: Duration, mut f: F) -> (f64, u64) {
         iters += 1;
     }
     (best.as_secs_f64() * 1e6, iters)
+}
+
+/// Times `a` and `b` over one [`measure_budget`] window in alternating
+/// rounds, returning each side's best µs per iteration and iteration
+/// count. Drift in the machine's speed then lands on both sides alike, so
+/// their ratio holds steadier than two separate windows' would.
+pub fn time_alternated(mut a: impl FnMut(), mut b: impl FnMut()) -> [(f64, u64); 2] {
+    const ROUNDS: u32 = 8;
+    let round = measure_budget() / (2 * ROUNDS);
+    let mut sides = [(f64::MAX, 0); 2];
+    for _ in 0..ROUNDS {
+        for (side, f) in sides.iter_mut().zip([&mut a as &mut dyn FnMut(), &mut b]) {
+            let (us, iters) = time_per_iter(round, f);
+            side.0 = side.0.min(us);
+            side.1 += iters;
+        }
+    }
+    sides
 }
 
 /// Times `f` for one [`measure_budget`] window and prints one row: the
@@ -269,6 +287,16 @@ mod tests {
         assert!(format_us(12.0).ends_with("µs"));
         assert!(format_us(12_000.0).ends_with("ms"));
         assert!(format_us(2e6).ends_with('s'));
+    }
+
+    #[test]
+    fn alternated_timing_runs_both_sides_every_round() {
+        let (mut a, mut b) = (0u32, 0u32);
+        let [(_, iters_a), (_, iters_b)] = time_alternated(|| a += 1, || b += 1);
+        // Eight rounds, each a warm-up call plus at least one timed call.
+        assert!(iters_a >= 8 && iters_b >= 8);
+        assert_eq!(u64::from(a), iters_a + 8);
+        assert_eq!(u64::from(b), iters_b + 8);
     }
 
     #[test]

@@ -204,13 +204,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Replaces the training hyperparameters.
-    #[must_use]
-    pub fn with_train(mut self, train: TrainConfig) -> Self {
-        self.train = train;
-        self
-    }
-
     /// Replaces the training seed.
     #[must_use]
     pub fn with_train_seed(mut self, train_seed: u64) -> Self {

@@ -205,16 +205,33 @@ pub(crate) fn generate_data(
     )
 }
 
+/// The most bytes [`load_spec`] reads from one file (1 MiB). The largest
+/// checked-in spec is under 2 KB.
+const MAX_SPEC_BYTES: u64 = 1 << 20;
+
 /// Loads and validates a `.ahg` spec from disk, additionally checking that
 /// its dataset slug resolves — the one rule the format-level
-/// `GraphSpec::validate` cannot see.
+/// `GraphSpec::validate` cannot see. At most 1 MiB and one byte are read,
+/// so an endless file (`/dev/zero`) fails instead of exhausting memory.
 ///
 /// # Errors
 ///
-/// I/O errors and spec errors, stringified with the file path.
+/// I/O errors, a file over the size cap, non-UTF-8 text and spec errors,
+/// stringified with the file path.
 pub fn load_spec(path: &std::path::Path) -> Result<Arc<GraphSpec>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let spec = GraphSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    use std::io::Read;
+    let fail = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_SPEC_BYTES + 1).read_to_end(&mut bytes))
+        .map_err(|e| fail(&e))?;
+    if bytes.len() as u64 > MAX_SPEC_BYTES {
+        return Err(fail(&format!(
+            "spec file exceeds the {MAX_SPEC_BYTES}-byte cap"
+        )));
+    }
+    let text = String::from_utf8(bytes).map_err(|e| fail(&e))?;
+    let spec = GraphSpec::parse(&text).map_err(|e| fail(&e))?;
     if DatasetFamily::from_slug(&spec.dataset).is_none() {
         return Err(format!(
             "{}: unknown dataset family `{}` (known: {})",
@@ -368,6 +385,30 @@ mod tests {
         for variant in advhunter_nn::variants::all() {
             assert_eq!(ScenarioId::for_digest(variant.digest()), None);
         }
+    }
+
+    #[test]
+    fn load_spec_reads_at_most_the_cap() {
+        let dir = std::env::temp_dir().join(format!("advhunter-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A valid spec padded with one comment line to exactly the cap
+        // loads; one byte more fails, naming the cap.
+        let mut text = ScenarioId::S1.spec_source().to_string();
+        text.push('#');
+        let pad = MAX_SPEC_BYTES as usize - text.len() - 1;
+        text.push_str(&" ".repeat(pad));
+        text.push('\n');
+        let at_cap = dir.join("at_cap.ahg");
+        std::fs::write(&at_cap, &text).unwrap();
+        let spec = load_spec(&at_cap).expect("a spec of exactly the cap loads");
+        assert_eq!(spec.digest(), ScenarioId::S1.spec().digest());
+
+        text.push('\n');
+        let over = dir.join("over_cap.ahg");
+        std::fs::write(&over, &text).unwrap();
+        let err = load_spec(&over).expect_err("one byte over the cap");
+        assert!(err.contains(&format!("{MAX_SPEC_BYTES}-byte cap")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -58,7 +58,9 @@ impl TraceAttribution {
 impl TraceEngine {
     /// Traces one inference with a per-node counter breakdown.
     ///
-    /// The machine state is shared across nodes exactly as in
+    /// The forward pass is the engine's packed one, the pass
+    /// [`measure`](TraceEngine::measure) runs, and the machine state is
+    /// shared across nodes exactly as in
     /// [`true_counts`](TraceEngine::true_counts) — attribution reflects the
     /// warm-cache interactions between layers, and the per-node deltas sum
     /// to the aggregate counts.
@@ -73,7 +75,7 @@ impl TraceEngine {
             "image shape must match model input"
         );
         let mut scratch = self.scratch(graph);
-        graph.forward_with(image, Mode::Eval, &mut scratch.ws);
+        graph.forward_with_kernels(image, Mode::Eval, &mut scratch.ws, &self.plan.kernels);
 
         let mut group = CounterGroup::new(self.machine_config());
         let mut nodes = Vec::with_capacity(graph.nodes().len());
@@ -128,6 +130,25 @@ mod tests {
         let attribution = engine.attribute(&g, &img);
         let aggregate = engine.true_counts(&g, &img);
         assert_eq!(attribution.total(), aggregate);
+        for spec in advhunter_nn::variants::canonical_scenarios() {
+            let g = spec
+                .build_graph(&mut StdRng::seed_from_u64(spec.model_seed))
+                .expect("canonical spec compiles");
+            let engine = TraceEngine::new(&g);
+            let img = advhunter_tensor::init::uniform(
+                &mut StdRng::seed_from_u64(2),
+                g.input_dims(),
+                0.0,
+                1.0,
+            );
+            let attribution = engine.attribute(&g, &img);
+            assert_eq!(
+                attribution.total(),
+                engine.true_counts(&g, &img),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]

@@ -114,8 +114,7 @@ pub(crate) enum NodePlan {
 pub(crate) struct TracePlan {
     pub nodes: Vec<NodePlan>,
     /// Pre-packed GEMM kernels for the forward pass, shared read-only
-    /// across every worker thread. Empty (reference loops) under
-    /// `ADVHUNTER_TUNE=reference`.
+    /// across every worker thread.
     pub kernels: Arc<MatKernels>,
     /// How many matrix nodes dispatch through each variant, indexed like
     /// [`KernelVariant::ALL`] — precomputed so the hot path's dispatch

@@ -22,9 +22,8 @@
 //! the choice changes timings only, never a single activation bit or
 //! simulated HPC count.
 //!
-//! `ADVHUNTER_TUNE` overrides the ladder: `off` pins the default variant
-//! without benchmarking or persistence; `reference` disables packing
-//! entirely so the engine runs the reference loops (for A/B benchmarks).
+//! `ADVHUNTER_TUNE=off` (or `0`) overrides the ladder: it pins the
+//! default variant without benchmarking or persistence.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,23 +99,10 @@ pub fn tune_stats() -> TuneStats {
     }
 }
 
-/// `ADVHUNTER_TUNE` modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TuneMode {
-    /// Full ladder: memo → persisted table → benchmark.
-    On,
-    /// Default variant everywhere, no benchmarking or persistence.
-    Off,
-    /// No packed kernels at all — reference loops (A/B benchmarks).
-    Reference,
-}
-
-fn tune_mode() -> TuneMode {
-    match std::env::var("ADVHUNTER_TUNE").as_deref() {
-        Ok("off") | Ok("0") => TuneMode::Off,
-        Ok("reference") => TuneMode::Reference,
-        _ => TuneMode::On,
-    }
+/// Whether `ADVHUNTER_TUNE` pins the default variant everywhere, with no
+/// benchmarking or persistence.
+fn tuning_off() -> bool {
+    matches!(std::env::var("ADVHUNTER_TUNE").as_deref(), Ok("off" | "0"))
 }
 
 /// Resolves the kernel variant for one geometry through the decision
@@ -126,7 +112,7 @@ pub fn choose_variant(
     geometry: GemmGeometry,
     backend: Option<&dyn TunePersistence>,
 ) -> KernelVariant {
-    if tune_mode() == TuneMode::Off {
+    if tuning_off() {
         return KernelVariant::default();
     }
     let metrics = tune_metrics();
@@ -173,9 +159,6 @@ pub fn choose_variant(
 /// Packs every matrix node of `graph` with autotuned variants — the table
 /// [`TraceEngine`](crate::TraceEngine) stores in its static plan.
 pub fn tuned_kernels(graph: &Graph, backend: Option<&dyn TunePersistence>) -> MatKernels {
-    if tune_mode() == TuneMode::Reference {
-        return MatKernels::default();
-    }
     MatKernels::pack_with(graph, &mut |geometry| choose_variant(geometry, backend))
 }
 

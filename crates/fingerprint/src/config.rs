@@ -63,20 +63,6 @@ impl FingerprintConfig {
         self
     }
 
-    /// The same configuration with a different quantization step.
-    #[must_use]
-    pub fn with_quant_step(mut self, quant_step: f32) -> Self {
-        self.quant_step = quant_step;
-        self
-    }
-
-    /// The same configuration with a different match threshold.
-    #[must_use]
-    pub fn with_match_threshold(mut self, match_threshold: f64) -> Self {
-        self.match_threshold = match_threshold;
-        self
-    }
-
     /// The same configuration with a different salt.
     #[must_use]
     pub fn with_salt(mut self, salt: u64) -> Self {
