@@ -21,7 +21,9 @@
 //!   CaseStudy and S1;
 //! * the monitor's measurement stage, simulated on 4 virtual workers,
 //!   serves ≥ 1.8× the requests of 1;
-//! * the query-fingerprint store observes ≥ 100k queries/s.
+//! * the query-fingerprint store observes ≥ 100k queries/s;
+//! * the store's payload checksum sums S1's stored model ≥ 8× faster
+//!   than byte-serial FNV-1a, the checksum it replaced.
 //!
 //! Both sides of each ratio are timed inside this one process, and
 //! alternated where both can repeat (`advhunter_bench::time_alternated`;
@@ -31,7 +33,9 @@
 
 use std::hint::black_box;
 
+use advhunter::persist::model_to_bytes;
 use advhunter::scenario::ScenarioId;
+use advhunter::store::checksum;
 use advhunter::{
     ArtifactStore, Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism, Pipeline,
     PipelineConfig,
@@ -345,6 +349,44 @@ fn bench_fingerprint_store() {
         "fingerprint observe, queries/s",
         1e6 / per_query_us,
         100_000.0,
+    );
+}
+
+/// Byte-serial FNV-1a, the store envelope's checksum before `AHS2`:
+/// each byte's multiply waits for the previous one.
+fn fnv1a_reference(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &byte| {
+        (state ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The payload checksum of a stored S1 model (the AHW1 bytes of the
+/// S1 spec's weights, what a warm boot checks) against the byte-serial
+/// FNV-1a reference, alternated. Floor: ≥ 8× faster.
+fn bench_store_checksum() {
+    let s1 = ScenarioId::S1
+        .spec()
+        .build_graph(&mut StdRng::seed_from_u64(1))
+        .expect("checked-in spec compiles");
+    let payload = model_to_bytes(&s1);
+    let [(reference_us, reference_iters), (lanes_us, lanes_iters)] = time_alternated(
+        || {
+            black_box(fnv1a_reference(black_box(&payload)));
+        },
+        || {
+            black_box(checksum(black_box(&payload)));
+        },
+    );
+    report(
+        "store_checksum_s1_payload_fnv1a_reference",
+        reference_us,
+        reference_iters,
+    );
+    report("store_checksum_s1_payload_ahs2", lanes_us, lanes_iters);
+    floor(
+        &format!("store checksum over {} bytes, speedup", payload.len()),
+        reference_us / lanes_us,
+        8.0,
     );
 }
 
@@ -807,8 +849,8 @@ fn bench_detector_scoring() {
 /// A warm serving boot of S1 and CaseStudy: `Pipeline::run_for_serving`
 /// on a store primed by one cold boot (a small split; the model is full
 /// size). Below each row, the mean of each piece of the model stage over
-/// the row's iterations, from the boot histograms: the checksum runs
-/// beside the decode and the engine build when a second core is free.
+/// the row's iterations, from the boot histograms: the read, the
+/// checksum, the decode and the engine build run one after another.
 fn bench_serving_boot() {
     const PIECES: [(&str, &str); 4] = [
         ("read", "advhunter_boot_model_read_ns"),
@@ -861,6 +903,7 @@ fn main() {
     bench_packed_forward();
     bench_monitor_sim(&case);
     bench_fingerprint_store();
+    bench_store_checksum();
     bench_telemetry_toggle(&case);
     bench_cache_access();
     bench_branch_predictor();

@@ -24,7 +24,7 @@
 //!                  [--capacity N] [--batch N] [--shed] [--watch-ms N]
 //!                  [--drift] [--drift-window N] [--drift-slack F]
 //!                  [--drift-threshold F] [--allow-remote-control]
-//!                                       serve the monitor over TCP (AHP1
+//!                                       serve the monitor over TCP (AHP2
 //!                                       wire protocol) until a client
 //!                                       sends the shutdown control
 //! advhunter deploy <MODEL> [--store DIR] [--tiny] [--sigma F]
@@ -61,7 +61,7 @@
 //!
 //! `serve` binds a TCP listener (port 0 gives an ephemeral port; the
 //! bound address is printed as `listening on ADDR`), boots the monitor
-//! from the staged pipeline, and serves the `AHP1` wire protocol until
+//! from the staged pipeline, and serves the `AHP2` wire protocol until
 //! some client sends the shutdown control. Control frames
 //! (pause/resume/shutdown) are honored only from loopback peers unless
 //! `--allow-remote-control` is passed; denied ops get a typed reject and

@@ -58,9 +58,7 @@ use crate::persist::{
     PersistError,
 };
 use crate::scenario::{self, ScenarioId};
-use crate::store::{
-    ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, StoreLoad, Unverified,
-};
+use crate::store::{ArtifactKind, ArtifactStore, Fingerprint, FingerprintBuilder, StoreLoad};
 use advhunter_runtime::{ExecOptions, Parallelism};
 
 /// The canonical training seed. Training is a pipeline input like any
@@ -590,7 +588,7 @@ fn timers() -> &'static StageTimers {
             ),
             model_verify: r.histogram(
                 "advhunter_boot_model_verify_ns",
-                "Wall time of the stored model artifact's payload checksum (beside the decode when a second core is free)",
+                "Wall time of checking the stored model artifact's payload checksum, before it is decoded",
             ),
             weight_decode: r.histogram(
                 "advhunter_boot_weight_decode_ns",
@@ -763,8 +761,8 @@ impl Pipeline {
     /// store (unless forced), verify and decode on a hit, evict and
     /// recompute if the payload is corrupt or does not decode, and
     /// persist whatever was computed. The outcome reported is exactly
-    /// what happened, and nothing decoded from a payload that fails its
-    /// checksum is returned.
+    /// what happened, and a payload is decoded only once its checksum
+    /// holds.
     fn run_stage<T>(
         &self,
         stage: Stage,
@@ -788,24 +786,21 @@ impl Pipeline {
                 let _span = model.then(|| timers().model_read.span());
                 self.store.read(kind, fp)?
             };
-            match read {
-                StoreLoad::Hit(artifact) => {
-                    let (intact, value) = self.decode_checked(model, &artifact, decode);
-                    match (artifact.settle(intact), value) {
-                        (StoreLoad::Hit(_), Some(value)) => {
-                            return Ok((value, report(StageOutcome::Hit)))
-                        }
-                        (StoreLoad::Hit(_), None) => {
-                            // Envelope intact but the payload does not
-                            // decode (e.g. written by an incompatible
-                            // build): evict and recompute rather than load
-                            // bad state.
-                            let _ = std::fs::remove_file(self.store.path_for(kind, fp));
-                            StageOutcome::Rebuilt
-                        }
-                        _ => StageOutcome::Rebuilt,
+            let load = {
+                let _span = model.then(|| timers().model_verify.span());
+                read.verify()
+            };
+            match load {
+                StoreLoad::Hit(payload) => match decode(&payload) {
+                    Some(value) => return Ok((value, report(StageOutcome::Hit))),
+                    None => {
+                        // Envelope intact but the payload does not decode
+                        // (e.g. written by an incompatible build): evict
+                        // and recompute rather than load bad state.
+                        let _ = std::fs::remove_file(self.store.path_for(kind, fp));
+                        StageOutcome::Rebuilt
                     }
-                }
+                },
                 StoreLoad::Miss => StageOutcome::Miss,
                 StoreLoad::Evicted => StageOutcome::Rebuilt,
             }
@@ -813,36 +808,6 @@ impl Pipeline {
         let value = compute()?;
         self.store.save(kind, fp, &encode(&value))?;
         Ok((value, report(outcome)))
-    }
-
-    /// Checks `artifact`'s checksum and decodes its payload: whether it
-    /// is intact, and what decoded. The model artifact (`model`), whose
-    /// size scales with the model, is checked on a scoped thread while
-    /// this one decodes it, when the crew has a second member; the caller
-    /// drops the decoded value if the check fails. Everything else, and
-    /// everything under one member, is checked first and decoded only if
-    /// intact.
-    fn decode_checked<T>(
-        &self,
-        model: bool,
-        artifact: &Unverified,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> (bool, Option<T>) {
-        let verify = || {
-            let _span = model.then(|| timers().model_verify.span());
-            artifact.checksum_ok()
-        };
-        if model && self.parallelism.crew_members() > 1 {
-            std::thread::scope(|s| {
-                let check = s.spawn(verify);
-                let value = decode(artifact.payload());
-                (check.join().expect("checksum thread panicked"), value)
-            })
-        } else if verify() {
-            (true, decode(artifact.payload()))
-        } else {
-            (false, None)
-        }
     }
 
     /// Generates the deterministic data split.

@@ -14,22 +14,23 @@
 //!
 //! ```text
 //! <root>/
-//!   models/<fingerprint>.ahs      AHW1 weight payload in an AHS1 envelope
-//!   templates/<fingerprint>.ahs   AHT1 template payload in an AHS1 envelope
-//!   detectors/<fingerprint>.ahs   AHD1 detector payload in an AHS1 envelope
-//!   tune/<fingerprint>.ahs        1-byte kernel-variant tag in an AHS1 envelope
+//!   models/<fingerprint>.ahs      AHW1 weight payload in an AHS2 envelope
+//!   templates/<fingerprint>.ahs   AHT1 template payload in an AHS2 envelope
+//!   detectors/<fingerprint>.ahs   AHD1 detector payload in an AHS2 envelope
+//!   tune/<fingerprint>.ahs        1-byte kernel-variant tag in an AHS2 envelope
 //! ```
 //!
-//! Each file is an `AHS1` envelope: 3-byte magic `AHS`, version byte `1`,
-//! the artifact-kind tag, the fingerprint, the payload length, an FNV-1a
-//! checksum of the payload, then the payload itself (the exact bytes the
-//! `persist` module encodes). A file that fails *any* envelope check —
+//! Each file is an `AHS2` envelope: 3-byte magic `AHS`, version byte `2`,
+//! the artifact-kind tag, the fingerprint, the payload length, the
+//! [`checksum`] of the payload, then the payload itself (the exact bytes
+//! the `persist` module encodes). A file that fails *any* envelope check —
 //! magic, version, kind, fingerprint, length, checksum — is evicted
 //! (deleted) and reported as [`StoreLoad::Evicted`], so corruption
-//! triggers recomputation rather than a bad load.
-//! [`ArtifactStore::read`] leaves the checksum to its caller (the
-//! pipeline runs it beside the model's decode), and
-//! [`Unverified::settle`] evicts on a mismatch the same way.
+//! triggers recomputation rather than a bad load. An `AHS1` file (the
+//! byte-serial FNV-1a checksum of earlier builds) fails the version check
+//! and is rebuilt once. [`ArtifactStore::read`] checks the header alone,
+//! so a caller can time the checksum apart with
+//! [`StoreLoad::verify`].
 //!
 //! Writes are atomic (unique temp file + rename), so concurrent pipelines
 //! sharing a store never observe half-written artifacts; because
@@ -51,13 +52,21 @@ use advhunter_telemetry::{global, Counter};
 use crate::persist::PersistError;
 
 const STORE_MAGIC: &[u8; 3] = b"AHS";
-const STORE_VERSION: u8 = b'1';
+const STORE_VERSION: u8 = b'2';
 /// Envelope bytes before the payload: magic(3) + version(1) + kind(1) +
 /// fingerprint(8) + payload_len(8) + checksum(8).
 const HEADER_LEN: usize = 3 + 1 + 1 + 8 + 8 + 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Independent lanes of the payload [`checksum`].
+const LANES: usize = 8;
+/// The lane step's multiplier: odd, so the multiply is a bijection.
+const LANE_K: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The lane step's rotation, which brings the product's well-mixed high
+/// bits down to where the next word's low bits land.
+const LANE_R: u32 = 31;
 
 /// A stable 64-bit identity for a pipeline stage's complete input closure.
 ///
@@ -149,15 +158,40 @@ impl FingerprintBuilder {
     }
 }
 
-/// FNV-1a over a raw byte payload — the envelope checksum.
+/// The payload checksum of store envelopes (`AHS2`) and wire frames
+/// (`AHP2`).
+///
+/// Eight independent lanes each take every eighth little-endian `u64`
+/// word as `lane = ((lane ^ word) * K).rotate_left(31)`: one multiply
+/// per word, and no lane waits on another, so the multiplies overlap. The
+/// lanes fold in order with the 64-bit FNV step, followed by the tail
+/// (the last `len % 8` bytes, zero-padded to one word) and the length.
+/// Each step is a bijection of the running state for a fixed input, so
+/// any corruption confined to one word or to the tail changes the sum.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &byte in bytes {
-        state ^= u64::from(byte);
-        state = state.wrapping_mul(FNV_PRIME);
+    let lane_step = |lane: u64, word: &[u8; 8]| {
+        (lane ^ u64::from_le_bytes(*word))
+            .wrapping_mul(LANE_K)
+            .rotate_left(LANE_R)
+    };
+    let fnv_step = |state: u64, word: u64| (state ^ word).wrapping_mul(FNV_PRIME);
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| FNV_OFFSET ^ i as u64);
+    let (blocks, rest) = bytes.as_chunks::<{ 8 * LANES }>();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = lane_step(*lane, word);
+        }
     }
-    state
+    let (words, tail) = rest.as_chunks::<8>();
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = lane_step(*lane, word);
+    }
+    let mut padded = [0u8; 8];
+    padded[..tail.len()].copy_from_slice(tail);
+    let folded = lanes.into_iter().fold(FNV_OFFSET, fnv_step);
+    let state = fnv_step(folded, u64::from_le_bytes(padded));
+    fnv_step(state, bytes.len() as u64)
 }
 
 /// The artifact kinds the offline pipeline produces.
@@ -246,10 +280,7 @@ impl std::ops::Deref for Payload {
 }
 
 /// An artifact whose envelope header checked out but whose payload
-/// checksum has not been compared yet: [`checksum_ok`](Self::checksum_ok)
-/// only reads, so it can run on another thread while this one decodes
-/// [`payload`](Self::payload), and [`settle`](Self::settle) then hands the
-/// payload out or evicts the file.
+/// checksum has not been compared yet; [`StoreLoad::verify`] compares it.
 #[derive(Debug)]
 pub struct Unverified {
     payload: Payload,
@@ -257,30 +288,23 @@ pub struct Unverified {
     path: PathBuf,
 }
 
-impl Unverified {
-    /// The payload bytes, not yet checked against the stored checksum.
+impl StoreLoad<Unverified> {
+    /// Compares a read artifact's payload checksum: an intact artifact is
+    /// a [`StoreLoad::Hit`]; a corrupt one is deleted and
+    /// [`StoreLoad::Evicted`].
     #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// Whether the payload's FNV-1a checksum matches the stored one.
-    #[must_use]
-    pub fn checksum_ok(&self) -> bool {
-        checksum(&self.payload) == self.stored_sum
-    }
-
-    /// Settles the check: an intact artifact is a [`StoreLoad::Hit`]; a
-    /// corrupt one is deleted and [`StoreLoad::Evicted`], exactly as
-    /// [`ArtifactStore::load`] reports it.
-    #[must_use]
-    pub fn settle(self, intact: bool) -> StoreLoad {
-        if intact {
-            counters().hits.inc();
-            StoreLoad::Hit(self.payload)
-        } else {
-            evict(&self.path);
-            StoreLoad::Evicted
+    pub fn verify(self) -> StoreLoad {
+        match self {
+            Self::Hit(artifact) if checksum(&artifact.payload) == artifact.stored_sum => {
+                counters().hits.inc();
+                StoreLoad::Hit(artifact.payload)
+            }
+            Self::Hit(artifact) => {
+                evict(&artifact.path);
+                StoreLoad::Evicted
+            }
+            Self::Miss => StoreLoad::Miss,
+            Self::Evicted => StoreLoad::Evicted,
         }
     }
 }
@@ -380,20 +404,14 @@ impl ArtifactStore {
     /// Returns [`PersistError::Io`] only for filesystem failures other
     /// than the file being absent.
     pub fn load(&self, kind: ArtifactKind, fp: Fingerprint) -> Result<StoreLoad, PersistError> {
-        Ok(match self.read(kind, fp)? {
-            StoreLoad::Hit(artifact) => {
-                let intact = artifact.checksum_ok();
-                artifact.settle(intact)
-            }
-            StoreLoad::Miss => StoreLoad::Miss,
-            StoreLoad::Evicted => StoreLoad::Evicted,
-        })
+        Ok(self.read(kind, fp)?.verify())
     }
 
     /// Reads the artifact stored under `(kind, fp)` and checks every
-    /// envelope field but the checksum, which the caller runs and settles
-    /// through the returned [`Unverified`]. A file that fails a header
-    /// check is deleted and reported as [`StoreLoad::Evicted`].
+    /// envelope field but the checksum, which [`StoreLoad::verify`] then
+    /// compares ([`load`](Self::load) is the two in one call). A file that
+    /// fails a header check is deleted and reported as
+    /// [`StoreLoad::Evicted`].
     ///
     /// # Errors
     ///
@@ -465,7 +483,7 @@ fn tmp_nonce() -> u64 {
     NONCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Validates an `AHS1` envelope's header against `kind`, `fp` and the
+/// Validates an `AHS2` envelope's header against `kind`, `fp` and the
 /// file's length, and returns the checksum it stores; `None` on any
 /// structural failure.
 fn stored_checksum(data: &[u8], kind: ArtifactKind, fp: Fingerprint) -> Option<u64> {
@@ -489,6 +507,9 @@ fn stored_checksum(data: &[u8], kind: ArtifactKind, fp: Fingerprint) -> Option<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tempstore(name: &str) -> ArtifactStore {
         let dir =
@@ -535,8 +556,8 @@ mod tests {
     }
 
     #[test]
-    fn read_defers_the_checksum_to_settle() {
-        let store = tempstore("settle");
+    fn read_defers_the_checksum_to_verify() {
+        let store = tempstore("verify");
         let fp = Fingerprint(77);
         store
             .save(ArtifactKind::ModelWeights, fp, b"weights")
@@ -546,13 +567,84 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let StoreLoad::Hit(artifact) = store.read(ArtifactKind::ModelWeights, fp).unwrap() else {
-            panic!("the header is intact");
-        };
-        assert_eq!(artifact.payload(), &bytes[HEADER_LEN..]);
-        assert!(!artifact.checksum_ok());
-        assert_eq!(artifact.settle(false), StoreLoad::Evicted);
+        let read = store.read(ArtifactKind::ModelWeights, fp).unwrap();
+        assert!(matches!(read, StoreLoad::Hit(_)), "the header is intact");
+        assert_eq!(read.verify(), StoreLoad::Evicted);
         assert!(!path.exists(), "a failed checksum evicts");
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.gen::<u32>() as u8).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        for len in 0..=200usize {
+            let mut payload = random_bytes(&mut rng, len);
+            let sum = checksum(&payload);
+            for bit in 0..8 * len {
+                payload[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&payload), sum, "length {len}, bit {bit}");
+                payload[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn one_byte_truncation_or_extension_changes_the_checksum() {
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        for len in (1..=200).chain([4095, 4096, 4097, 65_536]) {
+            let payload = random_bytes(&mut rng, len);
+            let sum = checksum(&payload);
+            assert_ne!(checksum(&payload[..len - 1]), sum, "truncated {len}");
+            for extra in [0u8, 1, 0xFF] {
+                let mut extended = payload.clone();
+                extended.push(extra);
+                assert_ne!(checksum(&extended), sum, "extended {len} by {extra}");
+            }
+        }
+    }
+
+    /// Pins the function: a new checksum needs a new envelope version
+    /// (and wire protocol version), never a silent change under `AHS2`.
+    #[test]
+    fn checksum_known_answers() {
+        let counting: Vec<u8> = (0..=255).collect();
+        let got = [
+            checksum(b""),
+            checksum(b"AdvHunter"),
+            checksum(&counting),
+            checksum(&[0u8; 4096]),
+        ];
+        assert_eq!(got, KNOWN_ANSWERS, "{got:#018x?}");
+    }
+
+    const KNOWN_ANSWERS: [u64; 4] = [
+        0xfa86_3fba_d7ff_64bd,
+        0x2bea_3c95_3708_e9f9,
+        0x9b6b_762c_7bf5_9fef,
+        0x564a_e53b_fba1_67a3,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A random single-byte XOR anywhere in a random payload of up to
+        /// 64 KB changes the checksum.
+        #[test]
+        fn any_single_byte_xor_changes_the_checksum(
+            seed in any::<u64>(),
+            len in 1usize..=65_536,
+            pos_seed in any::<u64>(),
+            xor in 1u8..=255,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut payload = random_bytes(&mut rng, len);
+            let sum = checksum(&payload);
+            payload[(pos_seed % len as u64) as usize] ^= xor;
+            prop_assert!(checksum(&payload) != sum);
+        }
     }
 
     #[test]

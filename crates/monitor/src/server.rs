@@ -125,7 +125,7 @@ fn wire_stats(s: &StatsSnapshot) -> WireStats {
     }
 }
 
-/// A TCP server speaking the `AHP1` wire protocol on behalf of one
+/// A TCP server speaking the `AHP2` wire protocol on behalf of one
 /// [`Monitor`].
 ///
 /// Bind with [`WireServer::bind`], read the bound address via

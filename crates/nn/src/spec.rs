@@ -322,6 +322,14 @@ pub enum GraphSpecError {
         /// Its cap.
         limit: usize,
     },
+    /// The `train` learning rate or its per-epoch decay is not a finite
+    /// number above zero.
+    BadLearningRate {
+        /// `"learning rate"` or `"lr decay"`.
+        field: &'static str,
+        /// The declared value.
+        value: f32,
+    },
 }
 
 impl fmt::Display for GraphSpecError {
@@ -362,6 +370,9 @@ impl fmt::Display for GraphSpecError {
                 write!(f, "target-class {target} is outside 0..{classes}")
             }
             Self::TooLarge { what, limit } => write!(f, "{what} exceeds the limit of {limit}"),
+            Self::BadLearningRate { field, value } => {
+                write!(f, "train {field} {value} is not a finite number above zero")
+            }
         }
     }
 }
@@ -550,6 +561,14 @@ impl GraphSpec {
                 what: format!("{} nodes", self.nodes.len()),
                 limit: MAX_NODES,
             });
+        }
+        for (field, value) in [
+            ("learning rate", self.train.learning_rate),
+            ("lr decay", self.train.lr_decay),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(GraphSpecError::BadLearningRate { field, value });
+            }
         }
         if self.classes == 0 || self.target_class >= self.classes {
             return Err(GraphSpecError::TargetClassOutOfRange {

@@ -56,7 +56,8 @@ fn parse_to_fixed_point(text: &str) -> Result<GraphSpec, GraphSpecError> {
 
 /// Values a numeric field should never crash on: zero, the caps'
 /// neighbours, integer-width edges, one past `u64::MAX`, negatives and
-/// non-finite floats.
+/// non-finite floats. A `train` rate must reject every one that is not a
+/// finite number above zero.
 const EDGE_VALUES: [&str; 14] = [
     "0",
     "1",
@@ -137,7 +138,19 @@ fn every_numeric_field_survives_edge_values() {
                     mutated[t] = edge;
                     let mut doc: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
                     doc[i] = mutated.join(" ");
-                    let _ = parse_to_fixed_point(&doc.join("\n"));
+                    let outcome = parse_to_fixed_point(&doc.join("\n"));
+                    // `train <epochs> <batch> <learning rate> <lr decay>`:
+                    // both rates must be finite and above zero.
+                    if tokens[0] == "train" && t >= 3 {
+                        match edge.parse::<f32>() {
+                            Ok(v) if v.is_finite() && v > 0.0 => {}
+                            Ok(_) => assert!(
+                                matches!(outcome, Err(GraphSpecError::BadLearningRate { .. })),
+                                "train rate {edge} gave {outcome:?}"
+                            ),
+                            Err(_) => assert!(outcome.is_err(), "train rate {edge:?}"),
+                        }
+                    }
                 }
             }
         }

@@ -10,8 +10,11 @@ use crate::payload;
 use crate::request::MonitorRequest;
 use crate::types::{ControlOp, Reject, WireStats, WireVerdict};
 
-/// Frame preamble: protocol name plus the version byte (`b'1'`).
-pub const WIRE_MAGIC: [u8; 4] = *b"AHP1";
+/// Frame preamble: protocol name plus the version byte (`b'2'`). The
+/// version names the payload [`checksum`] too: an `AHP1` peer, which
+/// sums with byte-serial FNV-1a, is refused as
+/// [`WireError::UnsupportedVersion`].
+pub const WIRE_MAGIC: [u8; 4] = *b"AHP2";
 
 /// Header size: magic (4) + kind (1) + flags (1) + length (4) +
 /// checksum (8).

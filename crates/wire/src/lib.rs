@@ -1,4 +1,4 @@
-//! The AdvHunter wire protocol (`AHP1`): a dependency-free, length-
+//! The AdvHunter wire protocol (`AHP2`): a dependency-free, length-
 //! prefixed binary frame format plus a blocking TCP client, so the
 //! monitor service can be driven across a network instead of only
 //! in-process.
@@ -8,11 +8,11 @@
 //! Every frame is a fixed 18-byte header followed by a payload:
 //!
 //! ```text
-//! magic    : 4 bytes  — b"AHP" + version byte b'1'
+//! magic    : 4 bytes  — b"AHP" + version byte b'2'
 //! kind     : u8       — frame discriminator (see FrameKind)
 //! flags    : u8       — reserved, must be zero
 //! length   : u32 LE   — payload byte count, <= MAX_PAYLOAD
-//! checksum : u64 LE   — FNV-1a over the payload bytes
+//! checksum : u64 LE   — advhunter::store::checksum of the payload bytes
 //! payload  : `length` bytes
 //! ```
 //!

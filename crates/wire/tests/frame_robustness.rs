@@ -1,4 +1,4 @@
-//! Robustness net over the `AHP1` frame codec: hostile bytes map to
+//! Robustness net over the `AHP2` frame codec: hostile bytes map to
 //! typed [`WireError`]s, never panics, and valid frames round-trip
 //! bit-identically — including non-finite float payloads.
 
@@ -9,7 +9,7 @@ use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::HpcEvent;
 use advhunter_wire::{
     read_frame, ControlOp, Frame, MonitorRequest, Reject, RejectCode, WireError, WireStats,
-    WireVerdict, HEADER_LEN, MAX_PAYLOAD,
+    WireVerdict, HEADER_LEN, MAX_PAYLOAD, WIRE_MAGIC,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -173,7 +173,7 @@ proptest! {
         }
         // Version: `AHP` prefix with a different version byte is a
         // version problem, not a magic problem.
-        if byte != b'1' {
+        if byte != WIRE_MAGIC[3] {
             let mut bytes = template.clone();
             bytes[3] = byte;
             prop_assert!(
@@ -218,9 +218,9 @@ proptest! {
         ));
     }
 
-    /// Any single-byte payload flip is caught by the FNV-1a checksum
-    /// (all of its operations are invertible, so one changed byte always
-    /// changes the digest).
+    /// Any single-byte payload flip is caught by the checksum (each of
+    /// its steps is a bijection of the running state, so one changed byte
+    /// always changes the digest).
     #[test]
     fn payload_corruption_fails_the_checksum(seed in any::<u64>(), xor in 1u8..=255, pos_seed in any::<u64>()) {
         for frame in sample_frames(seed) {
@@ -310,7 +310,7 @@ fn huge_declared_image_is_malformed_not_oom() {
         payload.extend_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
     }
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"AHP1");
+    bytes.extend_from_slice(&WIRE_MAGIC);
     bytes.push(1); // Request
     bytes.push(0);
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -319,5 +319,23 @@ fn huge_declared_image_is_malformed_not_oom() {
     assert!(matches!(
         Frame::decode(&bytes),
         Err(WireError::Malformed(_))
+    ));
+}
+
+/// A frame from an `AHP1` peer (byte-serial FNV-1a checksum) is refused
+/// by its version byte, before its checksum is compared.
+#[test]
+fn an_ahp1_frame_is_an_unsupported_version() {
+    let mut bytes = sample_request(7)
+        .encode()
+        .expect("frame fits the payload cap");
+    bytes[..4].copy_from_slice(b"AHP1");
+    assert!(matches!(
+        Frame::decode(&bytes),
+        Err(WireError::UnsupportedVersion(b'1'))
+    ));
+    assert!(matches!(
+        read_frame(&mut Cursor::new(&bytes)),
+        Err(WireError::UnsupportedVersion(b'1'))
     ));
 }

@@ -1,4 +1,4 @@
-//! Remote monitoring: drive a serving monitor over the `AHP1` wire
+//! Remote monitoring: drive a serving monitor over the `AHP2` wire
 //! protocol instead of in-process.
 //!
 //! Start a server in one terminal and point this client at it:

@@ -312,7 +312,7 @@ fn tune_verdicts_are_cached_and_byte_stable() {
             "a cold run must persist autotune verdicts"
         );
         for (name, bytes) in &cold {
-            // AHS1 envelope (29 bytes) + 1-byte kernel-variant tag.
+            // AHS2 envelope (29 bytes) + 1-byte kernel-variant tag.
             assert_eq!(bytes.len(), 30, "{name}: tune payload is one tag byte");
         }
 
@@ -448,12 +448,70 @@ fn serving_boot_evicts_corrupt_artifacts_and_never_serves_them() {
     std::fs::remove_dir_all(root).ok();
 }
 
-/// Byte offset of the checksum field in an `AHS1` envelope: magic(3),
+/// Byte offset of the version byte in a store envelope, after its
+/// 3-byte magic `AHS`.
+const VERSION_AT: usize = 3;
+
+/// Byte offset of the checksum field in an `AHS2` envelope: magic(3),
 /// version(1), kind(1), fingerprint(8), payload length(8).
 const CHECKSUM_AT: usize = 21;
 
-/// Byte offset of the payload in an `AHS1` envelope.
+/// Byte offset of the payload in an `AHS2` envelope.
 const PAYLOAD_AT: usize = CHECKSUM_AT + 8;
+
+/// The `AHS1` envelope of an `AHS2` file's payload: the same layout, with
+/// version byte `1` and the byte-serial FNV-1a checksum earlier builds
+/// wrote.
+fn ahs1_envelope(ahs2: &[u8]) -> Vec<u8> {
+    let fnv1a = ahs2[PAYLOAD_AT..]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |state, &byte| {
+            (state ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let mut ahs1 = ahs2.to_vec();
+    ahs1[VERSION_AT] = b'1';
+    ahs1[CHECKSUM_AT..PAYLOAD_AT].copy_from_slice(&fnv1a.to_le_bytes());
+    ahs1
+}
+
+#[test]
+fn ahs1_stores_are_rebuilt_once_as_ahs2() {
+    let (store, root) = scratch_store();
+    let config = tiny_config();
+    let pipeline = Pipeline::new(config.clone(), store.clone());
+    let (art, _) = pipeline.run().expect("cold run");
+    let cold = stage_bytes(&store, &config);
+    let files = stage_files(&store, &config);
+    assert!(cold.iter().all(|file| file[VERSION_AT] == b'2'));
+    let write_ahs1 = || {
+        for (file, bytes) in files.iter().zip(&cold) {
+            std::fs::write(file, ahs1_envelope(bytes)).unwrap();
+        }
+    };
+
+    write_ahs1();
+    let (_, report) = pipeline.run().expect("run over an AHS1 store");
+    assert!(
+        report
+            .stages
+            .iter()
+            .all(|s| s.outcome == StageOutcome::Rebuilt),
+        "{report:?}"
+    );
+    assert_eq!(stage_bytes(&store, &config), cold, "rebuilt as AHS2");
+
+    write_ahs1();
+    let (_, model, detector) = pipeline
+        .run_for_serving()
+        .expect("serving boot over an AHS1 store");
+    assert_eq!(model_to_bytes(&model), model_to_bytes(&art.model));
+    assert_eq!(
+        detector_to_bytes(&detector),
+        detector_to_bytes(&art.detector)
+    );
+    assert_eq!(stage_bytes(&store, &config), cold, "rebuilt as AHS2");
+    std::fs::remove_dir_all(root).ok();
+}
 
 #[test]
 fn serving_boot_evicts_a_model_that_decodes_but_fails_its_checksum() {
