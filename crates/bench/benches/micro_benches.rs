@@ -6,7 +6,9 @@
 //! convolution), the depthwise input and filter gradients alone and one
 //! batch-norm + SiLU training step, one Adam step over S1's parameters on the calling thread
 //! and on a crew of two, four full optimizer steps of S1 and CaseStudy at
-//! one and two workers, GMM fitting, instrumented inference, the trace
+//! one and two workers, CaseStudy's and S1's forward pass with the conv
+//! panels against the reference conv loop, GMM fitting, instrumented
+//! inference, the trace
 //! replay alone on S1 and CaseStudy, online detector scoring, and a warm
 //! serving boot of S1 and CaseStudy. Each row is the best time per iteration of the shared
 //! `advhunter_bench` timing loop over an `ADVHUNTER_BENCH_MS` window.
@@ -46,7 +48,7 @@ use advhunter_exec::{tuned_kernels, TraceEngine};
 use advhunter_fingerprint::{FingerprintConfig, FingerprintStore, QueryFingerprint};
 use advhunter_gmm::{EmConfig, Gmm1d};
 use advhunter_nn::train::{fit, Adam, TrainConfig};
-use advhunter_nn::{gemm_geometries, Graph, GraphBuilder, MatKernels, Mode};
+use advhunter_nn::{gemm_geometries, Graph, GraphBuilder, MatKernels, Mode, Workspace};
 use advhunter_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_reference, conv2d_packed_into, dwconv2d_backward,
     dwconv2d_input_grad_into, dwconv2d_into, dwconv2d_param_grads, gemm_packed_bias_into,
@@ -203,6 +205,50 @@ fn bench_packed_forward() {
             || model.forward_with_kernels(black_box(&img), Mode::Eval, &mut packed_ws, &kernels),
         );
         floor(&format!("packed forward {name}, speedup"), speedup, 1.0);
+    }
+}
+
+/// The conv panels on the canonical models: CaseStudy's and S1's forward
+/// pass over 64 images, one at a time as the monitor measures them, with
+/// the tuned conv panels against the same pass with every `Conv2d` on the
+/// reference loop. The linear layers run their tuned panels on both
+/// sides. Both sides' outputs are checked bit for bit first. No floor:
+/// the row answers whether the conv panels earn their place on whole
+/// models, where the synthetic `gemm_case_conv*` rows above say they lose.
+fn bench_conv_panels() {
+    for (name, id) in [
+        ("case_study", ScenarioId::CaseStudy),
+        ("s1", ScenarioId::S1),
+    ] {
+        let mut rng = StdRng::seed_from_u64(16);
+        let model = id
+            .spec()
+            .build_graph(&mut rng)
+            .expect("checked-in spec compiles");
+        let panels = tuned_kernels(&model, None);
+        let reference = panels.retained(|k| k.geometry.op == GemmOpKind::Linear);
+        let images: Vec<Tensor> = (0..64)
+            .map(|_| init::uniform(&mut rng, model.input_dims(), 0.0, 1.0))
+            .collect();
+        let (mut ws, mut reference_ws) = (model.workspace(1), model.workspace(1));
+        for image in &images {
+            model.forward_with_kernels(image, Mode::Eval, &mut ws, &panels);
+            model.forward_with_kernels(image, Mode::Eval, &mut reference_ws, &reference);
+            let bits = |ws: &Workspace| ws.output().data().iter().map(|v| v.to_bits()).collect();
+            let (packed, looped): (Vec<u32>, Vec<u32>) = (bits(&ws), bits(&reference_ws));
+            assert_eq!(packed, looped, "{name}: conv panels changed the output");
+        }
+        let pass = |kernels: &MatKernels, ws: &mut Workspace| {
+            for image in &images {
+                model.forward_with_kernels(black_box(image), Mode::Eval, ws, kernels);
+            }
+        };
+        let speedup = compare(
+            &format!("forward64_{name}_conv"),
+            || pass(&reference, &mut reference_ws),
+            || pass(&panels, &mut ws),
+        );
+        println!("  conv panels over the reference conv loop, {name}: {speedup:.2}x");
     }
 }
 
@@ -901,6 +947,7 @@ fn main() {
     bench_plan_build(&case);
     bench_packed_gemm(&case);
     bench_packed_forward();
+    bench_conv_panels();
     bench_monitor_sim(&case);
     bench_fingerprint_store();
     bench_store_checksum();

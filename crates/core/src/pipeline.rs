@@ -40,8 +40,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use advhunter_data::{SplitDataset, SplitSizes};
-use advhunter_exec::{TraceEngine, TunePersistence};
+use advhunter_exec::{choose_variant, TraceEngine, TunePersistence};
 use advhunter_fingerprint::FingerprintConfig;
+use advhunter_nn::io::weights_from_bytes_with;
 use advhunter_nn::spec::{GraphSpec, GraphSpecError};
 use advhunter_nn::train::{evaluate, fit, TrainConfig};
 use advhunter_nn::{Graph, ZeroWeights};
@@ -830,11 +831,15 @@ impl Pipeline {
     /// The `TrainModel` stage, finished by `finish` (the engine build, for
     /// a serving boot). On a hit the spec compiles to zeroed weights that
     /// the stored AHW1 payload is decoded into, so the model is built
-    /// once; only a recompute draws the initial weights from the model
-    /// seed and trains them on the lazily generated split.
+    /// once. For `serving`, each matrix weight is decoded straight into
+    /// the panels of the variant the store's tune table names, which the
+    /// engine then shares, so no row-major copy of it is made. Only a
+    /// recompute draws the initial weights from the model seed and trains
+    /// them on the lazily generated split.
     fn train_stage<T>(
         &self,
         split: &OnceCell<SplitDataset>,
+        serving: bool,
         finish: impl Fn(Graph) -> T,
         encode: impl FnOnce(&T) -> Vec<u8>,
     ) -> Result<(T, StageReport), PipelineError> {
@@ -844,8 +849,12 @@ impl Pipeline {
             Stage::TrainModel,
             |bytes| {
                 let model = timers().weight_decode.time(|| {
+                    let tuning = StoreTunePersistence::new(self.store.clone());
+                    let mut panels =
+                        |geometry| serving.then(|| choose_variant(geometry, Some(&tuning)));
                     let mut m = config.spec.build_graph(&mut ZeroWeights).ok()?;
-                    persist::load_model_bytes(&mut m, bytes).ok().map(|()| m)
+                    weights_from_bytes_with(&mut m, bytes, &mut panels).ok()?;
+                    Some(m)
                 })?;
                 Some(finish(model))
             },
@@ -889,12 +898,15 @@ impl Pipeline {
 
     /// The staged core behind every entry point: the four stages in
     /// order through [`run_stage`](Self::run_stage), with the data split
-    /// generated only if one of them recomputes.
-    fn run_stages(&self) -> Result<Staged, PipelineError> {
+    /// generated only if one of them recomputes. A `serving` run decodes a
+    /// stored model into its engine's panels (see
+    /// [`train_stage`](Self::train_stage)).
+    fn run_stages(&self, serving: bool) -> Result<Staged, PipelineError> {
         let config = &self.config;
         let split = OnceCell::new();
         let ((model, engine), train_report) = self.train_stage(
             &split,
+            serving,
             |model| {
                 let engine = self.build_engine(&model);
                 (model, engine)
@@ -957,7 +969,7 @@ impl Pipeline {
     /// [`PipelineError::Spec`] if the configured spec fails validation.
     pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
         let split = OnceCell::new();
-        let (model, report) = self.train_stage(&split, |m| m, persist::model_to_bytes)?;
+        let (model, report) = self.train_stage(&split, false, |m| m, persist::model_to_bytes)?;
         let split = self.take_split(split);
         let clean_accuracy = clean_accuracy(&model, &split, &self.parallelism);
         Ok(ModelRun {
@@ -976,7 +988,7 @@ impl Pipeline {
     /// Returns [`PipelineError::Store`] on store I/O failures and
     /// [`PipelineError::Fit`] if `FitDetector` must recompute and fails.
     pub fn run(&self) -> Result<(PipelineArtifacts, PipelineReport), PipelineError> {
-        let staged = self.run_stages()?;
+        let staged = self.run_stages(false)?;
         let split = self.take_split(staged.split);
         let clean_accuracy = clean_accuracy(&staged.model, &split, &self.parallelism);
         Ok((
@@ -1003,11 +1015,18 @@ impl Pipeline {
     /// test split is never scored, so a warm boot costs the artifact loads
     /// and the engine build.
     ///
+    /// A stored model's `Conv2d` and `Linear` weights are decoded straight
+    /// into the tuned panels the engine dispatches, and the returned model
+    /// shares them ([`MatWeight::Panels`](advhunter_nn::MatWeight)): the
+    /// process holds each matrix weight once. Its row-major readers (the
+    /// reference passes, [`persist::model_to_bytes`]) unpack on demand,
+    /// to the same floats.
+    ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
     pub fn run_for_serving(&self) -> Result<(TraceEngine, Graph, Detector), PipelineError> {
-        let staged = self.run_stages()?;
+        let staged = self.run_stages(true)?;
         Ok((staged.engine, staged.model, staged.detector))
     }
 

@@ -171,6 +171,11 @@ impl TraceEngine {
         }
     }
 
+    /// The packed-kernel table the forward pass dispatches through.
+    pub fn kernels(&self) -> &advhunter_nn::MatKernels {
+        &self.plan.kernels
+    }
+
     /// The address layout in use.
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout

@@ -7,7 +7,7 @@
 //! acceptor ──► per-connection reader ──► Monitor::submit ──► queue
 //!                      │ (rejects)                             │
 //!                      ▼                                    worker
-//!              per-connection writer ◄── dispatcher ◄── Monitor::recv
+//!              per-connection writer ◄── dispatcher ◄── Monitor::recv_outcome
 //! ```
 //!
 //! * One **acceptor** thread takes connections and spawns a
@@ -18,8 +18,9 @@
 //!   client's TCP window fills — natural flow control), `Shed` turns
 //!   [`SubmitError::Overloaded`](crate::SubmitError) into an immediate
 //!   reject frame echoing the caller's correlation id.
-//! * One **dispatcher** thread drains [`Monitor::recv`] and routes each
-//!   verdict to the connection that submitted it (admission ids are
+//! * One **dispatcher** thread drains [`Monitor::recv_outcome`] and routes
+//!   each verdict, or the `Internal` reject of a request whose micro-batch
+//!   faulted, to the connection that submitted it (admission ids are
 //!   unique across connections because the queue assigns them under its
 //!   lock). Verdicts that arrive before the submitting reader has
 //!   registered its route are parked in an orphan buffer and handed over
@@ -417,11 +418,21 @@ fn reap_finished(state: &ServerState) {
     }
 }
 
-/// Routes every verdict the monitor produces to its submitter.
+/// Routes every outcome the monitor produces to its submitter: a verdict,
+/// or an `Internal` reject for a request whose micro-batch faulted.
 fn dispatcher_loop(monitor: &Arc<Monitor>, state: &Arc<ServerState>) {
-    while let Some(verdict) = monitor.recv() {
-        let id = verdict.request_id;
-        let frame = Frame::Verdict(wire_verdict(verdict));
+    while let Some(outcome) = monitor.recv_outcome() {
+        let (id, frame) = match outcome {
+            Ok(verdict) => (verdict.request_id, Frame::Verdict(wire_verdict(verdict))),
+            Err(fault) => (
+                fault.request_id,
+                Frame::Reject(Reject {
+                    code: RejectCode::Internal,
+                    correlation_id: fault.correlation_id,
+                    message: fault.message,
+                }),
+            ),
+        };
         let mut table = state.table.lock().expect("route table poisoned");
         match table.routes.remove(&id) {
             // A dead connection just means nobody hears this verdict.

@@ -1,6 +1,7 @@
 //! The monitor service itself: queue → micro-batch → scored verdicts,
 //! with zero-downtime detector hot-swap and drift-driven recalibration.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -109,6 +110,24 @@ pub struct MonitorVerdict {
     /// Observational timings (not deterministic).
     pub telemetry: RequestTelemetry,
 }
+
+/// A request the monitor admitted but could not screen: processing its
+/// micro-batch panicked. Every request of that batch gets one, and the
+/// monitor goes on serving the next batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MonitorFault {
+    /// The admission-order id returned by [`Monitor::submit`].
+    pub request_id: u64,
+    /// The caller's correlation id, echoed verbatim.
+    pub correlation_id: Option<u64>,
+    /// The tenant the request was submitted under.
+    pub tenant: TenantId,
+    /// The panic message, when it carried one.
+    pub message: String,
+}
+
+/// What the monitor delivers for one admitted request.
+pub type MonitorOutcome = Result<MonitorVerdict, MonitorFault>;
 
 struct Request {
     id: u64,
@@ -223,7 +242,7 @@ fn install_detector(shared: &Shared, detector: Detector) -> (Arc<Detector>, u64)
 /// submitting thread until a slot frees.
 pub struct Monitor {
     shared: Arc<Shared>,
-    verdicts: Mutex<Receiver<MonitorVerdict>>,
+    verdicts: Mutex<Receiver<MonitorOutcome>>,
     worker: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
 }
@@ -342,8 +361,18 @@ impl Monitor {
 
     /// Blocks until the next verdict is available. Returns `None` once
     /// the monitor is closed and every admitted request has been
-    /// delivered.
+    /// delivered. A request whose micro-batch faulted has no verdict and
+    /// is skipped here: [`recv_outcome`](Self::recv_outcome) delivers it.
     pub fn recv(&self) -> Option<MonitorVerdict> {
+        let verdicts = self.verdicts.lock().expect("verdict receiver poisoned");
+        verdicts.iter().find_map(Result::ok)
+    }
+
+    /// Blocks until the next admitted request's outcome is available: its
+    /// verdict, or a [`MonitorFault`] if its micro-batch faulted. Returns
+    /// `None` once the monitor is closed and every admitted request has
+    /// been delivered.
+    pub fn recv_outcome(&self) -> Option<MonitorOutcome> {
         self.verdicts
             .lock()
             .expect("verdict receiver poisoned")
@@ -352,13 +381,11 @@ impl Monitor {
     }
 
     /// Returns the next verdict if one is ready, without blocking, or
-    /// `None` otherwise (including after the stream has ended).
+    /// `None` otherwise (including after the stream has ended). Faulted
+    /// requests are skipped, as in [`recv`](Self::recv).
     pub fn try_recv(&self) -> Option<MonitorVerdict> {
-        self.verdicts
-            .lock()
-            .expect("verdict receiver poisoned")
-            .try_recv()
-            .ok()
+        let verdicts = self.verdicts.lock().expect("verdict receiver poisoned");
+        verdicts.try_iter().find_map(Result::ok)
     }
 
     /// Current queue depth (requests admitted but not yet measured).
@@ -480,7 +507,7 @@ fn watcher_loop(shared: &Shared, poll: Duration) {
     }
 }
 
-fn worker_loop(shared: &Shared, tx: &Sender<MonitorVerdict>) {
+fn worker_loop(shared: &Shared, tx: &Sender<MonitorOutcome>) {
     let exec = shared.config.exec;
     // One crew for the monitor's lifetime: its helpers are spawned here,
     // once, and this thread measures alongside them. Each member owns one
@@ -507,13 +534,19 @@ fn worker_loop(shared: &Shared, tx: &Sender<MonitorVerdict>) {
 /// Pops micro-batches until the queue closes. Fingerprinting, scoring,
 /// drift handling and hot-swap run here on the worker thread; only the
 /// measurement goes to the crew.
+///
+/// A panic anywhere in one micro-batch costs that batch only: each of its
+/// requests is answered with a [`MonitorFault`], the fault is counted,
+/// and the next batch is served by the same crew (a crew member that
+/// panicked stays in it with fresh scratch). State the batch had already
+/// advanced, such as the fingerprint windows and the drift tracker, keeps
+/// what it saw.
 fn serve_batches(
     shared: &Shared,
-    tx: &Sender<MonitorVerdict>,
+    tx: &Sender<MonitorOutcome>,
     crew: &mut Crew<'_, TraceScratch, Request, Measurement>,
 ) {
     let micro_batch = shared.config.micro_batch;
-    let fusion = shared.config.fusion;
     // The worker owns the fingerprint store outright: matching mutates
     // per-tenant windows, so it runs here, sequentially in admission-id
     // order, *before* the crew measures the batch. That makes the
@@ -528,100 +561,151 @@ fn serve_batches(
     // NLLs in admission order, so its firings (and the exact request at
     // which a drift-swapped detector takes over) are reproducible.
     let mut drift = shared.config.drift.map(DriftTracker::new);
+    shared.stats.record_crew_members(crew.members());
     while let Some(batch) = shared.queue.pop_batch(micro_batch) {
         shared.stats.record_drain(batch.len(), shared.queue.len());
-        // Refresh the live detector once per micro-batch: external
-        // hot-swaps take effect at batch boundaries, and the scoring
-        // below shares no &mut state with other epochs' batches.
-        let (mut detector, mut epoch) = {
-            let state = shared.detector.lock().expect("detector state poisoned");
-            (Arc::clone(&state.detector), state.epoch)
-        };
-        let fingerprint_start = Instant::now();
-        let reports: Vec<Option<MatchReport>> = batch
+        let admitted: Vec<(u64, Option<u64>, TenantId)> = batch
             .iter()
-            .map(|req| {
-                store
-                    .as_mut()
-                    .map(|s| s.observe_query(req.tenant, req.image.data()))
-            })
+            .map(|req| (req.id, req.correlation, req.tenant))
             .collect();
-        let measure_start = Instant::now();
-        if store.is_some() {
-            shared
-                .stats
-                .record_fingerprint_stage(measure_start - fingerprint_start);
-        }
-        let (batch, measurements) = crew.run(batch);
-        // Scoring runs sequentially in admission order so a drift-driven
-        // swap takes effect at the exact next request — deterministic
-        // under every thread count and batch shape.
-        let score_start = Instant::now();
-        let mut scored: Vec<(Verdict, u64)> = Vec::with_capacity(batch.len());
-        for m in &measurements {
-            let verdict = detector.evaluate(m.predicted, &m.sample);
-            // A firing below swaps the detector for the *next* request;
-            // this one was already scored under the current epoch.
-            let scored_epoch = epoch;
-            let scores = verdict.scores();
-            if let (Some(tracker), false, false) =
-                (drift.as_mut(), verdict.flagged_any(), scores.is_empty())
-            {
-                let mean_nll = scores.iter().map(|s| s.nll).sum::<f64>() / scores.len() as f64;
-                if let Some(observation) = tracker.observe(mean_nll) {
-                    shared.stats.record_drift();
-                    if let Some(replacement) = shared
-                        .source
-                        .as_deref()
-                        .and_then(|s| s.recalibrate(&observation))
-                    {
-                        let (d, e) = install_detector(shared, replacement);
-                        detector = d;
-                        epoch = e;
-                    }
-                }
+        let served = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            serve_batch(shared, crew, batch, store.as_mut(), drift.as_mut())
+        }));
+        let outcomes: Vec<MonitorOutcome> = match served {
+            Ok(verdicts) => verdicts.into_iter().map(Ok).collect(),
+            Err(payload) => {
+                let message = panic_message(&*payload);
+                shared.stats.record_fault(crew.members());
+                admitted
+                    .into_iter()
+                    .map(|(request_id, correlation_id, tenant)| {
+                        Err(MonitorFault {
+                            request_id,
+                            correlation_id,
+                            tenant,
+                            message: message.clone(),
+                        })
+                    })
+                    .collect()
             }
-            scored.push((verdict, scored_epoch));
-        }
-        let score_done = Instant::now();
-        let measure = score_start - measure_start;
-        let score = score_done - score_start;
-        shared.stats.record_batch(measure, score);
-        for ((req, (verdict, scored_epoch)), report) in batch.iter().zip(scored).zip(reports) {
-            let queued = measure_start.saturating_duration_since(req.admitted_at);
-            let hpc_anomalous = verdict.flagged_any();
-            let query_correlated = report.is_some_and(|r| r.matched);
-            let flagged = fusion.fuse(hpc_anomalous, query_correlated);
-            if let Some(r) = report {
-                shared.stats.record_fingerprint_report(&r);
-            }
-            shared.stats.record_verdict(
-                verdict.predicted(),
-                flagged,
-                queued,
-                req.admitted_at.elapsed(),
-            );
-            let out = MonitorVerdict {
-                request_id: req.id,
-                correlation_id: req.correlation,
-                tenant: req.tenant,
-                config_epoch: scored_epoch,
-                verdict,
-                hpc_anomalous,
-                query_correlated,
-                fingerprint: report,
-                flagged,
-                telemetry: RequestTelemetry {
-                    depth_at_admission: req.depth_at_admission,
-                    batch_size: batch.len(),
-                    queued,
-                    measure,
-                    score,
-                },
-            };
+        };
+        for outcome in outcomes {
             // A dropped receiver just means nobody wants verdicts any
             // more; keep draining so shutdown still completes.
-            let _ = tx.send(out);
+            let _ = tx.send(outcome);
         }
     }
+}
+
+/// The text of a panic payload, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "the micro-batch panicked".to_owned())
+}
+
+/// Fingerprints, measures and scores one micro-batch (see
+/// [`serve_batches`]), returning its verdicts in admission order.
+fn serve_batch(
+    shared: &Shared,
+    crew: &mut Crew<'_, TraceScratch, Request, Measurement>,
+    batch: Vec<Request>,
+    mut store: Option<&mut FingerprintStore>,
+    mut drift: Option<&mut DriftTracker>,
+) -> Vec<MonitorVerdict> {
+    let fusion = shared.config.fusion;
+    // Refresh the live detector once per micro-batch: external
+    // hot-swaps take effect at batch boundaries, and the scoring
+    // below shares no &mut state with other epochs' batches.
+    let (mut detector, mut epoch) = {
+        let state = shared.detector.lock().expect("detector state poisoned");
+        (Arc::clone(&state.detector), state.epoch)
+    };
+    let fingerprint_start = Instant::now();
+    let reports: Vec<Option<MatchReport>> = batch
+        .iter()
+        .map(|req| {
+            store
+                .as_mut()
+                .map(|s| s.observe_query(req.tenant, req.image.data()))
+        })
+        .collect();
+    let measure_start = Instant::now();
+    if store.is_some() {
+        shared
+            .stats
+            .record_fingerprint_stage(measure_start - fingerprint_start);
+    }
+    let (batch, measurements) = crew.run(batch);
+    // Scoring runs sequentially in admission order so a drift-driven
+    // swap takes effect at the exact next request — deterministic
+    // under every thread count and batch shape.
+    let score_start = Instant::now();
+    let mut scored: Vec<(Verdict, u64)> = Vec::with_capacity(batch.len());
+    for m in &measurements {
+        let verdict = detector.evaluate(m.predicted, &m.sample);
+        // A firing below swaps the detector for the *next* request;
+        // this one was already scored under the current epoch.
+        let scored_epoch = epoch;
+        let scores = verdict.scores();
+        if let (Some(tracker), false, false) =
+            (drift.as_mut(), verdict.flagged_any(), scores.is_empty())
+        {
+            let mean_nll = scores.iter().map(|s| s.nll).sum::<f64>() / scores.len() as f64;
+            if let Some(observation) = tracker.observe(mean_nll) {
+                shared.stats.record_drift();
+                if let Some(replacement) = shared
+                    .source
+                    .as_deref()
+                    .and_then(|s| s.recalibrate(&observation))
+                {
+                    let (d, e) = install_detector(shared, replacement);
+                    detector = d;
+                    epoch = e;
+                }
+            }
+        }
+        scored.push((verdict, scored_epoch));
+    }
+    let score_done = Instant::now();
+    let measure = score_start - measure_start;
+    let score = score_done - score_start;
+    shared.stats.record_batch(measure, score);
+    let mut verdicts = Vec::with_capacity(batch.len());
+    for ((req, (verdict, scored_epoch)), report) in batch.iter().zip(scored).zip(reports) {
+        let queued = measure_start.saturating_duration_since(req.admitted_at);
+        let hpc_anomalous = verdict.flagged_any();
+        let query_correlated = report.is_some_and(|r| r.matched);
+        let flagged = fusion.fuse(hpc_anomalous, query_correlated);
+        if let Some(r) = report {
+            shared.stats.record_fingerprint_report(&r);
+        }
+        shared.stats.record_verdict(
+            verdict.predicted(),
+            flagged,
+            queued,
+            req.admitted_at.elapsed(),
+        );
+        verdicts.push(MonitorVerdict {
+            request_id: req.id,
+            correlation_id: req.correlation,
+            tenant: req.tenant,
+            config_epoch: scored_epoch,
+            verdict,
+            hpc_anomalous,
+            query_correlated,
+            fingerprint: report,
+            flagged,
+            telemetry: RequestTelemetry {
+                depth_at_admission: req.depth_at_admission,
+                batch_size: batch.len(),
+                queued,
+                measure,
+                score,
+            },
+        });
+    }
+    verdicts
 }

@@ -30,6 +30,8 @@ pub(crate) struct MonitorStats {
     batches: Arc<Counter>,
     detector_swaps: Arc<Counter>,
     drift_events: Arc<Counter>,
+    faults: Arc<Counter>,
+    crew_members: Arc<Gauge>,
     config_epoch: Arc<Gauge>,
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
@@ -93,6 +95,14 @@ impl MonitorStats {
             drift_events: registry.counter(
                 "advhunter_monitor_drift_events_total",
                 "Clean-NLL drift-test firings",
+            ),
+            faults: registry.counter(
+                "advhunter_monitor_faults_total",
+                "Micro-batches whose processing panicked; each of their requests got an Internal reject",
+            ),
+            crew_members: registry.gauge(
+                "advhunter_monitor_crew_members",
+                "Members of the measurement crew, the worker thread included (set at start and after each fault)",
             ),
             config_epoch: registry.gauge(
                 "advhunter_monitor_config_epoch",
@@ -165,6 +175,15 @@ impl MonitorStats {
         self.drift_events.inc();
     }
 
+    pub(crate) fn record_fault(&self, crew_members: usize) {
+        self.faults.inc();
+        self.record_crew_members(crew_members);
+    }
+
+    pub(crate) fn record_crew_members(&self, members: usize) {
+        self.crew_members.set(members as u64);
+    }
+
     pub(crate) fn record_drain(&self, batch_size: usize, depth_after: usize) {
         self.batch_size.record(batch_size as u64);
         self.queue_depth.set(depth_after as u64);
@@ -225,6 +244,7 @@ impl MonitorStats {
             batches: self.batches.get(),
             detector_swaps: self.detector_swaps.get(),
             drift_events: self.drift_events.get(),
+            faults: self.faults.get(),
             config_epoch: self.config_epoch.get(),
             max_queue_depth: self.queue_depth.max(),
             queued: Duration::from_nanos(self.queued_ns.snapshot().sum),
@@ -293,6 +313,10 @@ pub struct StatsSnapshot {
     pub detector_swaps: u64,
     /// Clean-NLL drift-test firings.
     pub drift_events: u64,
+    /// Micro-batches whose processing panicked: each of their requests
+    /// was answered with a [`MonitorFault`](crate::MonitorFault) instead
+    /// of a verdict.
+    pub faults: u64,
     /// Current detector epoch (0 until the first hot-swap).
     pub config_epoch: u64,
     /// Highest queue depth observed at any admission.

@@ -1,5 +1,6 @@
 //! The computation graph: ops, forward traces, and backpropagation.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use advhunter_tensor::ops::{
@@ -13,7 +14,7 @@ use advhunter_tensor::ops::{
 use advhunter_tensor::{init, Tensor};
 use rand::Rng;
 
-use crate::Workspace;
+use crate::{MatWeight, Workspace};
 
 /// Whether a forward pass runs with batch statistics (training) or running
 /// statistics (inference).
@@ -33,7 +34,7 @@ pub struct Conv2dLayer {
     /// Geometry.
     pub spec: Conv2dSpec,
     /// `[out_c, in_c * k * k]`.
-    pub weight: Tensor,
+    pub weight: MatWeight,
     /// `[out_c]`.
     pub bias: Tensor,
 }
@@ -53,7 +54,7 @@ pub struct DwConv2dLayer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearLayer {
     /// `[out_features, in_features]`.
-    pub weight: Tensor,
+    pub weight: MatWeight,
     /// `[out_features]`.
     pub bias: Tensor,
 }
@@ -157,23 +158,36 @@ impl Op {
         )
     }
 
-    /// The op's trainable parameters: weight and bias, or γ and β.
-    pub(crate) fn params(&self) -> Option<[&Tensor; 2]> {
+    /// The op's trainable parameters: weight and bias, or γ and β. A
+    /// matrix weight held as panels is unpacked (see [`MatWeight`]).
+    pub(crate) fn params(&self) -> Option<[Cow<'_, Tensor>; 2]> {
         match self {
-            Op::Conv2d(l) => Some([&l.weight, &l.bias]),
-            Op::DwConv2d(l) => Some([&l.weight, &l.bias]),
-            Op::Linear(l) => Some([&l.weight, &l.bias]),
-            Op::BatchNorm2d(bn) => Some([&bn.gamma, &bn.beta]),
+            Op::Conv2d(l) => Some([l.weight.tensor(), Cow::Borrowed(&l.bias)]),
+            Op::DwConv2d(l) => Some([Cow::Borrowed(&l.weight), Cow::Borrowed(&l.bias)]),
+            Op::Linear(l) => Some([l.weight.tensor(), Cow::Borrowed(&l.bias)]),
+            Op::BatchNorm2d(bn) => Some([Cow::Borrowed(&bn.gamma), Cow::Borrowed(&bn.beta)]),
             _ => None,
         }
     }
 
-    /// [`Op::params`], mutably.
+    /// The element counts of [`Op::params`], without unpacking anything.
+    pub(crate) fn param_lens(&self) -> Option<[usize; 2]> {
+        match self {
+            Op::Conv2d(l) => Some([l.weight.len(), l.bias.len()]),
+            Op::DwConv2d(l) => Some([l.weight.len(), l.bias.len()]),
+            Op::Linear(l) => Some([l.weight.len(), l.bias.len()]),
+            Op::BatchNorm2d(bn) => Some([bn.gamma.len(), bn.beta.len()]),
+            _ => None,
+        }
+    }
+
+    /// [`Op::params`], mutably: a matrix weight held as panels becomes
+    /// row-major.
     pub(crate) fn params_mut(&mut self) -> Option<[&mut Tensor; 2]> {
         match self {
-            Op::Conv2d(l) => Some([&mut l.weight, &mut l.bias]),
+            Op::Conv2d(l) => Some([l.weight.tensor_mut(), &mut l.bias]),
             Op::DwConv2d(l) => Some([&mut l.weight, &mut l.bias]),
-            Op::Linear(l) => Some([&mut l.weight, &mut l.bias]),
+            Op::Linear(l) => Some([l.weight.tensor_mut(), &mut l.bias]),
             Op::BatchNorm2d(bn) => Some([&mut bn.gamma, &mut bn.beta]),
             _ => None,
         }
@@ -446,14 +460,20 @@ impl Graph {
             .collect()
     }
 
+    /// Node `i`'s op, mutably.
+    pub(crate) fn op_mut(&mut self, i: usize) -> &mut Op {
+        &mut self.nodes[i].op
+    }
+
     /// Node `i`'s parameters, mutably (see [`Op::params_mut`]).
     pub(crate) fn node_params_mut(&mut self, i: usize) -> Option<[&mut Tensor; 2]> {
         self.nodes[i].op.params_mut()
     }
 
-    /// Immutable view of every parameter tensor, in the same order as
-    /// [`param_tensors_mut`](Self::param_tensors_mut).
-    pub fn param_tensors(&self) -> Vec<&Tensor> {
+    /// Every parameter tensor, in the same order as
+    /// [`param_tensors_mut`](Self::param_tensors_mut): borrowed, or
+    /// unpacked from a matrix weight held as panels.
+    pub fn param_tensors(&self) -> Vec<Cow<'_, Tensor>> {
         self.nodes
             .iter()
             .filter_map(|n| n.op.params())
@@ -489,7 +509,11 @@ impl Graph {
 
     /// Total parameter count.
     pub fn num_parameters(&self) -> usize {
-        self.param_tensors().iter().map(|t| t.len()).sum()
+        self.nodes
+            .iter()
+            .filter_map(|n| n.op.param_lens())
+            .flatten()
+            .sum()
     }
 
     /// Per-node output shapes for a single (batchless) image, in node order.
@@ -545,7 +569,7 @@ impl Graph {
             "layer", "op", "output (CHW)", "params"
         );
         for (node, shape) in self.nodes.iter().zip(shapes.iter()) {
-            let params: usize = node.op.params().map_or(0, |[w, b]| w.len() + b.len());
+            let params: usize = node.op.param_lens().map_or(0, |[w, b]| w + b);
             let kind = match &node.op {
                 Op::Conv2d(_) => "Conv2d",
                 Op::DwConv2d(_) => "DwConv2d",
@@ -653,14 +677,14 @@ impl OpGrad<'_> {
             Op::Conv2d(l) => {
                 let mut own = None;
                 let scratch = scratch.unwrap_or_else(|| own.insert(conv_scratch(ins[0], &l.spec)));
-                conv2d_input_grad_into(&l.weight, gout, &l.spec, out, scratch);
+                conv2d_input_grad_into(&l.weight.tensor(), gout, &l.spec, out, scratch);
             }
             Op::DwConv2d(l) => {
                 let mut own = None;
                 let scratch = scratch.unwrap_or_else(|| own.insert(Conv2dScratch::default()));
                 dwconv2d_input_grad_into(&l.weight, gout, &l.spec, scratch, out);
             }
-            Op::Linear(l) => linear_input_grad_into(&l.weight, gout, out),
+            Op::Linear(l) => linear_input_grad_into(&l.weight.tensor(), gout, out),
             Op::BatchNorm2d(bn) => match (self.mode, self.aux) {
                 (Mode::Eval, _) => bn_eval_input_grad_into(bn, gout, out),
                 (Mode::Train, Aux::BatchNorm { mean, var }) => {
@@ -710,7 +734,7 @@ impl OpGrad<'_> {
             }
             Op::Linear(l) => {
                 let mut gw = vec![0.0f32; l.weight.len()];
-                linear_weight_grad_rows(&[(x, gout)], 0..l.weight.shape().dim(0), &mut gw);
+                linear_weight_grad_rows(&[(x, gout)], 0..l.weight.rows(), &mut gw);
                 (gw, linear_bias_grad(&[gout]).into_vec())
             }
             Op::BatchNorm2d(bn) => match (self.mode, self.aux) {
@@ -1394,7 +1418,7 @@ impl GraphBuilder {
         let fan_in = in_channels * kernel * kernel;
         let layer = Conv2dLayer {
             spec,
-            weight: init.kaiming_normal(&[out_channels, fan_in], fan_in),
+            weight: init.kaiming_normal(&[out_channels, fan_in], fan_in).into(),
             bias: Tensor::zeros(&[out_channels]),
         };
         self.push(name, Op::Conv2d(layer), &[input])
@@ -1431,7 +1455,9 @@ impl GraphBuilder {
     ) -> Src {
         let in_features = self.features_of(input);
         let layer = LinearLayer {
-            weight: init.xavier_uniform(&[out_features, in_features], in_features, out_features),
+            weight: init
+                .xavier_uniform(&[out_features, in_features], in_features, out_features)
+                .into(),
             bias: Tensor::zeros(&[out_features]),
         };
         self.push(name, Op::Linear(layer), &[input])
@@ -1550,7 +1576,7 @@ pub(crate) fn op_output_shape(op: &Op, ins: &[Vec<usize>]) -> Vec<usize> {
             let (oh, ow) = l.spec.out_hw(ins[0][1], ins[0][2]);
             vec![l.spec.out_channels, oh, ow]
         }
-        Op::Linear(l) => vec![l.weight.shape().dim(0)],
+        Op::Linear(l) => vec![l.weight.rows()],
         Op::BatchNorm2d(_)
         | Op::ReLU
         | Op::LeakyReLU { .. }

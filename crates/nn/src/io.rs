@@ -18,10 +18,12 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use advhunter_tensor::ops::{GemmGeometry, KernelVariant, PackedWeights};
 use advhunter_tensor::Tensor;
 
-use crate::Graph;
+use crate::{gemm_geometries, Conv2dLayer, Graph, LinearLayer, MatWeight, Op};
 
 const MAGIC: &[u8; 3] = b"AHW";
 /// The format version this build writes and the only one it reads.
@@ -108,9 +110,11 @@ impl From<io::Error> for WeightsError {
 }
 
 /// Encodes a graph's parameters and running statistics as an `AHW1` byte
-/// payload — the exact bytes [`save_weights`] writes to disk.
+/// payload — the exact bytes [`save_weights`] writes to disk. A matrix
+/// weight held as panels is written row-major, as it was packed from.
 pub fn weights_to_bytes(graph: &Graph) -> Vec<u8> {
-    let mut tensors: Vec<&Tensor> = graph.param_tensors();
+    let params = graph.param_tensors();
+    let mut tensors: Vec<&Tensor> = params.iter().map(|t| &**t).collect();
     tensors.extend(graph.running_stat_tensors());
     let mut buf: Vec<u8> = Vec::new();
     buf.extend_from_slice(MAGIC);
@@ -153,7 +157,22 @@ pub fn load_weights(graph: &mut Graph, path: &Path) -> Result<(), WeightsError> 
 }
 
 /// Decodes an `AHW1` byte payload produced by [`weights_to_bytes`] into a
-/// graph with identical structure.
+/// graph with identical structure, every weight row-major.
+///
+/// # Errors
+///
+/// As [`weights_from_bytes_with`].
+pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsError> {
+    weights_from_bytes_with(graph, data, &mut |_| None)
+}
+
+/// Decodes an `AHW1` byte payload produced by [`weights_to_bytes`] into a
+/// graph with identical structure. `panels` is asked once per `Conv2d` and
+/// `Linear` node, in node order, with the node's [`GemmGeometry`]: when it
+/// names a variant, the node's weight is packed straight from the payload
+/// bytes into that variant's panels ([`MatWeight::Panels`]), in the
+/// allocation the row-major weight held, and no row-major copy is made;
+/// otherwise it is decoded row-major.
 ///
 /// # Errors
 ///
@@ -164,8 +183,13 @@ pub fn load_weights(graph: &mut Graph, path: &Path) -> Result<(), WeightsError> 
 /// [`ShapeMismatch`](WeightsError::ShapeMismatch) when the tensor layout
 /// does not match the graph, and
 /// [`TrailingBytes`](WeightsError::TrailingBytes) when data follows the
-/// last tensor. On any error `graph` is left untouched.
-pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsError> {
+/// last tensor. On any error `graph` is left untouched and `panels` is
+/// never asked.
+pub fn weights_from_bytes_with(
+    graph: &mut Graph,
+    data: &[u8],
+    panels: &mut dyn FnMut(GemmGeometry) -> Option<KernelVariant>,
+) -> Result<(), WeightsError> {
     let mut cur = 0usize;
 
     if take(data, &mut cur, MAGIC.len())? != MAGIC {
@@ -180,10 +204,16 @@ pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsE
     }
     let count = u32::from_le_bytes(take(data, &mut cur, 4)?.try_into().unwrap()) as usize;
 
-    let expected = graph.param_tensors().len() + graph.running_stat_tensors().len();
-    if expected != count {
+    let lens: Vec<usize> = graph
+        .nodes()
+        .iter()
+        .filter_map(|n| n.op.param_lens())
+        .flatten()
+        .chain(graph.running_stat_tensors().iter().map(|t| t.len()))
+        .collect();
+    if lens.len() != count {
         return Err(WeightsError::ShapeMismatch {
-            expected,
+            expected: lens.len(),
             actual: count,
         });
     }
@@ -202,37 +232,53 @@ pub fn weights_from_bytes(graph: &mut Graph, data: &[u8]) -> Result<(), WeightsE
         });
     }
 
-    // Phase 2: validate shapes, then copy into the graph.
-    {
-        let params = graph.param_tensors();
-        let running = graph.running_stat_tensors();
-        for (t, p) in params.iter().chain(running.iter()).zip(payloads.iter()) {
-            if t.len() != p.len() / 4 {
-                return Err(WeightsError::ShapeMismatch {
-                    expected: t.len(),
-                    actual: p.len() / 4,
-                });
-            }
+    // Phase 2: validate shapes, then write into the graph node by node.
+    for (&len, p) in lens.iter().zip(&payloads) {
+        if len != p.len() / 4 {
+            return Err(WeightsError::ShapeMismatch {
+                expected: len,
+                actual: p.len() / 4,
+            });
         }
     }
-    let n_params = graph.param_tensors().len();
     let copy = |t: &mut Tensor, p: &[u8]| {
         for (v, c) in t.data_mut().iter_mut().zip(p.chunks_exact(4)) {
             *v = f32::from_le_bytes(c.try_into().unwrap());
         }
     };
-    for (t, p) in graph
-        .param_tensors_mut()
-        .into_iter()
-        .zip(&payloads[..n_params])
-    {
-        copy(t, p);
+    let mut payloads = payloads.into_iter();
+    for (i, geometry) in gemm_geometries(graph).into_iter().enumerate() {
+        let op = graph.op_mut(i);
+        if op.param_lens().is_none() {
+            continue;
+        }
+        let (w, b) = (payloads.next().unwrap(), payloads.next().unwrap());
+        match (op, geometry.and_then(&mut *panels)) {
+            (
+                Op::Conv2d(Conv2dLayer { weight, bias, .. })
+                | Op::Linear(LinearLayer { weight, bias }),
+                Some(variant),
+            ) => {
+                // The panels reuse the row-major weight's allocation, which
+                // a freshly built graph holds zeroed and never read.
+                let (rows, k) = (weight.rows(), weight.k());
+                let buf = match std::mem::replace(weight, MatWeight::RowMajor(Tensor::zeros(&[0])))
+                {
+                    MatWeight::RowMajor(t) => t.into_vec(),
+                    MatWeight::Panels(_) => Vec::new(),
+                };
+                let packed = PackedWeights::pack_le_bytes_in(buf, w, rows, k, variant);
+                *weight = MatWeight::Panels(Arc::new(packed));
+                copy(bias, b);
+            }
+            (op, _) => {
+                let [tw, tb] = op.params_mut().expect("a parameterized op");
+                copy(tw, w);
+                copy(tb, b);
+            }
+        }
     }
-    for (t, p) in graph
-        .running_stat_tensors_mut()
-        .into_iter()
-        .zip(&payloads[n_params..])
-    {
+    for (t, p) in graph.running_stat_tensors_mut().into_iter().zip(payloads) {
         copy(t, p);
     }
     Ok(())

@@ -13,12 +13,109 @@
 //! [`Graph::forward_with_kernels`] is [`Graph::forward_with`] with the
 //! matrix nodes routed through the packed panels — bit-for-bit the same
 //! activations for every variant choice (see `advhunter_tensor::ops::gemm`).
+//!
+//! A matrix layer's weight is a [`MatWeight`]: its row-major tensor, or
+//! the panels of one variant. A model decoded for serving holds only the
+//! panels, and a table packed for it takes them by `Arc` instead of
+//! packing a second copy.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use advhunter_tensor::ops::{GemmGeometry, GemmOpKind, KernelVariant, PackedWeights};
+use advhunter_tensor::Tensor;
 
 use crate::graph::{Graph, Op, Src};
+
+/// The weight of a `Conv2d` or `Linear` layer, a `[rows, k]` matrix held
+/// in exactly one layout.
+///
+/// Training, the reference passes and the `AHW1` weight format read the
+/// row-major form; a [`MatWeight::Panels`] weight unpacks to it on demand
+/// ([`tensor`](Self::tensor)), a pure permutation, so every reader sees the
+/// same floats in either layout. Two weights are equal when they hold the
+/// same matrix, whatever their layouts.
+#[derive(Debug, Clone)]
+pub enum MatWeight {
+    /// Row-major `[rows, k]`.
+    RowMajor(Tensor),
+    /// Packed panels, shared with the kernel tables that dispatch them.
+    Panels(Arc<PackedWeights>),
+}
+
+impl MatWeight {
+    /// Rows of the matrix (output channels / output features).
+    pub fn rows(&self) -> usize {
+        match self {
+            Self::RowMajor(t) => t.shape().dim(0),
+            Self::Panels(p) => p.rows(),
+        }
+    }
+
+    /// Columns of the matrix (the reduction length).
+    pub fn k(&self) -> usize {
+        match self {
+            Self::RowMajor(t) => t.shape().dim(1),
+            Self::Panels(p) => p.k(),
+        }
+    }
+
+    /// Number of matrix elements (padding excluded).
+    pub fn len(&self) -> usize {
+        match self {
+            Self::RowMajor(t) => t.len(),
+            Self::Panels(p) => p.rows() * p.k(),
+        }
+    }
+
+    /// Whether the matrix has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row-major tensor: borrowed, or unpacked from the panels.
+    pub fn tensor(&self) -> Cow<'_, Tensor> {
+        match self {
+            Self::RowMajor(t) => Cow::Borrowed(t),
+            Self::Panels(p) => Cow::Owned(p.to_tensor()),
+        }
+    }
+
+    /// The row-major tensor, mutably: panels are unpacked into it first,
+    /// so the weight is row-major from then on.
+    pub fn tensor_mut(&mut self) -> &mut Tensor {
+        if let Self::Panels(p) = self {
+            *self = Self::RowMajor(p.to_tensor());
+        }
+        match self {
+            Self::RowMajor(t) => t,
+            Self::Panels(_) => unreachable!("unpacked above"),
+        }
+    }
+
+    /// The panels, when the weight is held packed.
+    pub fn panels(&self) -> Option<&Arc<PackedWeights>> {
+        match self {
+            Self::RowMajor(_) => None,
+            Self::Panels(p) => Some(p),
+        }
+    }
+}
+
+impl From<Tensor> for MatWeight {
+    fn from(t: Tensor) -> Self {
+        Self::RowMajor(t)
+    }
+}
+
+impl PartialEq for MatWeight {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::RowMajor(a), Self::RowMajor(b)) => a == b,
+            _ => self.tensor() == other.tensor(),
+        }
+    }
+}
 
 /// One matrix node's packed weights and the variant they were packed for.
 #[derive(Debug, Clone)]
@@ -40,6 +137,8 @@ pub struct MatKernels {
 impl MatKernels {
     /// Packs every `Conv2d` and `Linear` node of `graph`, choosing each
     /// node's variant with `choose` (called once per node, in node order).
+    /// A node whose weight the graph already holds as panels of the chosen
+    /// variant shares them instead of packing a copy.
     pub fn pack_with(graph: &Graph, choose: &mut dyn FnMut(GemmGeometry) -> KernelVariant) -> Self {
         Self::pack_where(graph, choose, |_| true)
     }
@@ -63,10 +162,14 @@ impl MatKernels {
                     Op::Linear(l) => &l.weight,
                     _ => unreachable!("only matrix nodes have a geometry"),
                 };
+                let packed = match weight.panels() {
+                    Some(panels) if panels.variant() == variant => Arc::clone(panels),
+                    _ => Arc::new(PackedWeights::pack_tensor(&weight.tensor(), variant)),
+                };
                 Some(NodeKernel {
                     variant,
                     geometry,
-                    packed: Arc::new(PackedWeights::pack_tensor(weight, variant)),
+                    packed,
                 })
             })
             .collect();
@@ -89,6 +192,17 @@ impl MatKernels {
     /// Packs every matrix node with the default variant (no tuning).
     pub fn pack(graph: &Graph) -> Self {
         Self::pack_with(graph, &mut |_| KernelVariant::default())
+    }
+
+    /// The kernels `keep` accepts, sharing their panels; the other nodes
+    /// run the reference loops.
+    pub fn retained(&self, keep: impl Fn(&NodeKernel) -> bool) -> Self {
+        let per_node = self
+            .per_node
+            .iter()
+            .map(|k| k.as_ref().filter(|k| keep(k)).cloned())
+            .collect();
+        Self { per_node }
     }
 
     /// The kernel for node `i`, if it is a matrix node.
@@ -145,8 +259,8 @@ pub fn gemm_geometries(graph: &Graph) -> Vec<Option<GemmGeometry>> {
             }
             Op::Linear(l) => Some(GemmGeometry {
                 op: GemmOpKind::Linear,
-                m: l.weight.shape().dim(0),
-                k: l.weight.shape().dim(1),
+                m: l.weight.rows(),
+                k: l.weight.k(),
                 n: 1,
             }),
             _ => None,

@@ -57,5 +57,5 @@ pub use graph::{
     Aux, BatchNorm2d, Conv2dLayer, DwConv2dLayer, ForwardTrace, Gradients, Graph, GraphBuilder,
     LinearLayer, Mode, Node, Op, ParamGrad, Src, WeightInit, ZeroWeights,
 };
-pub use kernels::{gemm_geometries, MatKernels, NodeKernel};
+pub use kernels::{gemm_geometries, MatKernels, MatWeight, NodeKernel};
 pub use workspace::Workspace;

@@ -509,7 +509,7 @@ impl Layout {
                 }
                 Op::Linear(l) if train => {
                     let first = layout.blocks.len();
-                    let tasks = layout.cut_linear(&l.weight, node);
+                    let tasks = layout.cut_linear(&l.weight.tensor(), node);
                     layout.linear[node] = Some(first..layout.blocks.len());
                     tasks
                 }
@@ -521,16 +521,13 @@ impl Layout {
             layout.params = nodes
                 .iter()
                 .map(|n| {
-                    let tensors = match &n.op {
-                        Op::Linear(l) => vec![&l.bias],
-                        op => op.params()?.to_vec(),
+                    let lens = match &n.op {
+                        Op::Linear(l) => vec![l.bias.len()],
+                        op => op.param_lens()?.to_vec(),
                     };
                     Some(Mutex::new(NodeParams {
-                        moments: tensors
-                            .iter()
-                            .map(|t| (zeros(t.len()), zeros(t.len())))
-                            .collect(),
-                        tensors: tensors.iter().map(|_| Tensor::zeros(&[0])).collect(),
+                        moments: lens.iter().map(|&len| (zeros(len), zeros(len))).collect(),
+                        tensors: lens.iter().map(|_| Tensor::zeros(&[0])).collect(),
                         panels: matches!(n.op, Op::Conv2d(_))
                             .then(|| Arc::new(PackedWeights::zeros(0, 0, KernelVariant::TRAINING))),
                     }))

@@ -283,7 +283,7 @@ fn forward_op_into(
         Op::Conv2d(l) => {
             match kernel {
                 Some(k) => conv2d_packed_into(ins[0], &k.packed, &l.bias, &l.spec, scratch, out),
-                None => conv2d_into(ins[0], &l.weight, &l.bias, &l.spec, scratch, out),
+                None => conv2d_into(ins[0], &l.weight.tensor(), &l.bias, &l.spec, scratch, out),
             }
             *aux = Aux::None;
         }
@@ -294,7 +294,7 @@ fn forward_op_into(
         Op::Linear(l) => {
             match kernel {
                 Some(k) => linear_packed_into(ins[0], &k.packed, &l.bias, out),
-                None => linear_into(ins[0], &l.weight, &l.bias, out),
+                None => linear_into(ins[0], &l.weight.tensor(), &l.bias, out),
             }
             *aux = Aux::None;
         }

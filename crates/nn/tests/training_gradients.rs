@@ -316,10 +316,8 @@ fn fit_updates_every_parameter_as_adam_step_does() {
         }
 
         let state = |g: &Graph| {
-            let tensors = g
-                .param_tensors()
-                .into_iter()
-                .chain(g.running_stat_tensors());
+            let params = g.param_tensors();
+            let tensors = params.iter().map(|t| &**t).chain(g.running_stat_tensors());
             tensors.map(bits).collect::<Vec<_>>()
         };
         for threads in 1..=4 {

@@ -440,7 +440,7 @@ where
     // (e.g. exercising the real crew topology on a single-core CI
     // container); results are unchanged, only scheduling.
     let members = parallelism.crew_members();
-    let hub = Hub::new();
+    let hub = Hub::new(members - 1);
     std::thread::scope(|scope| {
         let _close = CloseOnDrop(&hub);
         for _ in 1..members {
@@ -483,8 +483,9 @@ impl<S, T: Send + Sync, R: Send> Crew<'_, S, T, R> {
     /// # Panics
     ///
     /// Re-raises, with its original payload, a panic from `f` or `init` in
-    /// any member, after every member has left the run. A helper that
-    /// panicked exits; the calling thread drops its own state if it did.
+    /// any member, after every member has left the run. A member that
+    /// panicked drops its state, which may be half-updated, and stays in
+    /// the crew: the next run has every member again.
     pub fn run(&mut self, items: Vec<T>) -> (Vec<T>, Vec<R>) {
         let n = items.len();
         if n == 0 {
@@ -548,6 +549,12 @@ impl<S, T: Send + Sync, R: Send> Crew<'_, S, T, R> {
         debug_assert_eq!(results.len(), n, "every item ran exactly once");
         let items = Arc::into_inner(items).expect("every helper left the run");
         (items, results.into_iter().map(|(_, r)| r).collect())
+    }
+
+    /// Members in the crew now, the calling thread included: the count it
+    /// was built with, for as long as it is open, whatever panicked in it.
+    pub fn members(&self) -> usize {
+        1 + self.hub.lock().helpers
     }
 }
 
@@ -618,6 +625,9 @@ struct Control<T, R> {
     shares: Vec<Share<R>>,
     /// The first panic a helper raised in the current run.
     panic: Option<Box<dyn Any + Send>>,
+    /// Helpers still parked or running: they leave only when the crew
+    /// closes.
+    helpers: usize,
     /// Set when the crew closes: helpers exit.
     closed: bool,
 }
@@ -635,7 +645,7 @@ struct Hub<T, R> {
 }
 
 impl<T, R> Hub<T, R> {
-    fn new() -> Self {
+    fn new(helpers: usize) -> Self {
         Self {
             control: Mutex::new(Control {
                 run: 0,
@@ -643,6 +653,7 @@ impl<T, R> Hub<T, R> {
                 active: 0,
                 shares: Vec::new(),
                 panic: None,
+                helpers,
                 closed: false,
             }),
             wake: Condvar::new(),
@@ -670,8 +681,9 @@ impl<T, R> Drop for CloseOnDrop<'_, T, R> {
 }
 
 /// A helper's life: park until a run opens, claim items from it, report,
-/// repeat until the crew closes. A panic is handed to the calling thread
-/// and ends the helper.
+/// repeat until the crew closes. A panic is handed to the calling thread;
+/// the helper drops its state, like the calling thread, and parks for the
+/// next run.
 fn help<S, T, R>(hub: &Hub<T, R>, init: &dyn Fn() -> S, f: &dyn Fn(&mut S, usize, &T) -> R) {
     let mut state = None;
     let mut seen = 0;
@@ -680,6 +692,7 @@ fn help<S, T, R>(hub: &Hub<T, R>, init: &dyn Fn() -> S, f: &dyn Fn(&mut S, usize
             let mut control = hub.lock();
             loop {
                 if control.closed {
+                    control.helpers -= 1;
                     return;
                 }
                 if control.run != seen {
@@ -701,26 +714,20 @@ fn help<S, T, R>(hub: &Hub<T, R>, init: &dyn Fn() -> S, f: &dyn Fn(&mut S, usize
             claim(&hub.next, &items, &mut state, init, f, timed)
         }));
         if share.is_err() {
+            state = None;
             hub.next.store(items.len(), Ordering::Relaxed);
         }
         drop(items);
         let mut control = hub.lock();
         control.active -= 1;
-        let alive = match share {
-            Ok(share) => {
-                control.shares.push(share);
-                true
-            }
+        match share {
+            Ok(share) => control.shares.push(share),
             Err(payload) => {
                 control.panic.get_or_insert(payload);
-                false
             }
-        };
+        }
         if control.active == 0 {
             hub.done.notify_one();
-        }
-        if !alive {
-            return;
         }
     }
 }
@@ -1085,6 +1092,39 @@ mod tests {
                 assert!(payload_text(&*caught.unwrap_err()).contains("boom at 5"));
                 let (_, out) = crew.run(vec![false; 12]);
                 assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+                assert_eq!(crew.members(), crew.members);
+            },
+        );
+    }
+
+    #[test]
+    fn a_helper_that_panics_stays_in_the_crew() {
+        use std::sync::Barrier;
+        let members = Parallelism::new(2).crew_members();
+        // Every item waits at a barrier of all members, so each run's
+        // items are spread over the whole crew: the helper takes one.
+        let barrier = Barrier::new(members);
+        with_crew(
+            &Parallelism::new(2),
+            || (),
+            |(), i, fail: &bool| {
+                barrier.wait();
+                assert!(!fail, "boom at {i}");
+                std::thread::current().name() == Some("advhunter-crew")
+            },
+            |crew| {
+                for _ in 0..3 {
+                    let poisoned = vec![true; members];
+                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| crew.run(poisoned)));
+                    assert!(payload_text(&*caught.unwrap_err()).contains("boom at"));
+                    assert_eq!(crew.members(), members);
+                    let (_, on_helper) = crew.run(vec![false; members]);
+                    assert_eq!(
+                        on_helper.iter().filter(|&&h| h).count(),
+                        members - 1,
+                        "every helper ran an item after the panic"
+                    );
+                }
             },
         );
     }

@@ -193,15 +193,13 @@ pub struct PackedWeights {
 }
 
 impl PackedWeights {
-    /// Packs a row-major `rows × k` matrix.
+    /// Packs a row-major `rows × k` matrix into a zero-allocated buffer.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != rows * k`.
     pub fn pack(a: &[f32], rows: usize, k: usize, variant: KernelVariant) -> Self {
-        let mut packed = Self::zeros(rows, k, variant);
-        packed.repack(a);
-        packed
+        Self::packed_in(Vec::new(), a, rows, k, variant, |&v| v)
     }
 
     /// Panels for a `rows × k` all-zero matrix: a buffer that
@@ -211,10 +209,24 @@ impl PackedWeights {
     }
 
     /// [`zeros`](Self::zeros) in `buf`'s allocation, which
-    /// [`into_buffer`](Self::into_buffer) hands back.
+    /// [`into_buffer`](Self::into_buffer) hands back. A `buf` too small
+    /// for the panels is dropped for a zero-allocated one instead of being
+    /// grown and then written with zeros.
     pub fn zeros_in(mut buf: Vec<f32>, rows: usize, k: usize, variant: KernelVariant) -> Self {
         buf.clear();
-        buf.resize(rows.div_ceil(variant.mr()) * k * variant.mr(), 0.0);
+        Self::sized_in(buf, rows, k, variant)
+    }
+
+    /// Panels of the `rows × k` geometry in `buf`'s allocation, or a
+    /// zero-allocated one when it is too small, with unspecified contents
+    /// except that floats past `buf`'s length are zero.
+    fn sized_in(mut buf: Vec<f32>, rows: usize, k: usize, variant: KernelVariant) -> Self {
+        let len = rows.div_ceil(variant.mr()) * k * variant.mr();
+        if buf.capacity() < len {
+            buf = vec![0.0; len];
+        } else {
+            buf.resize(len, 0.0);
+        }
         Self {
             data: buf,
             variant,
@@ -223,26 +235,88 @@ impl PackedWeights {
         }
     }
 
-    /// The panels' buffer, for [`zeros_in`](Self::zeros_in) to reuse.
+    /// The panels' buffer, for [`zeros_in`](Self::zeros_in) or
+    /// [`pack_le_bytes_in`](Self::pack_le_bytes_in) to reuse.
     pub fn into_buffer(self) -> Vec<f32> {
         self.data
     }
 
     /// Repacks a row-major matrix of the same `rows × k` geometry into
-    /// these panels in place. The tail panel's padding lanes are never
-    /// written, so they stay zero.
+    /// these panels in place.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != rows * k`.
     pub fn repack(&mut self, a: &[f32]) {
+        self.fill(a, |&v| v);
+    }
+
+    /// Packs a row-major `rows × k` matrix stored as little-endian `f32`
+    /// bytes (an `AHW1` weight payload) straight into panels in `buf`'s
+    /// allocation: bit for bit [`pack`](Self::pack) of the decoded floats,
+    /// whatever `buf` held. Every float of a large enough `buf` is written
+    /// once, and a smaller one is dropped for a zero-allocated buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes.len() != rows * k * 4`.
+    pub fn pack_le_bytes_in(
+        buf: Vec<f32>,
+        bytes: &[u8],
+        rows: usize,
+        k: usize,
+        variant: KernelVariant,
+    ) -> Self {
+        let (words, rest) = bytes.as_chunks::<4>();
+        assert!(rest.is_empty(), "packing a byte payload of partial floats");
+        Self::packed_in(buf, words, rows, k, variant, |w| f32::from_le_bytes(*w))
+    }
+
+    /// Packs a row-major `rows × k` matrix of `T`s, each read as a float
+    /// by `value`, into panels in `buf`'s allocation (see
+    /// [`pack_le_bytes_in`](Self::pack_le_bytes_in)).
+    fn packed_in<T>(
+        buf: Vec<f32>,
+        a: &[T],
+        rows: usize,
+        k: usize,
+        variant: KernelVariant,
+        value: impl Fn(&T) -> f32,
+    ) -> Self {
+        let mut packed = Self::sized_in(buf, rows, k, variant);
+        packed.fill(a, value);
+        packed
+    }
+
+    /// Writes a row-major `rows × k` matrix of `T`s, each read as a float
+    /// by `value`, into every slot of the panels, the tail panel's padding
+    /// lanes as zeros.
+    fn fill<T>(&mut self, a: &[T], value: impl Fn(&T) -> f32) {
         let (rows, k) = (self.rows, self.k);
         assert_eq!(a.len(), rows * k, "packing a non-{rows}x{k} matrix");
         match self.variant {
-            KernelVariant::Mr4Nr16 => repack_panels::<4>(&mut self.data, a, rows, k),
-            KernelVariant::Mr8Nr8 => repack_panels::<8>(&mut self.data, a, rows, k),
-            KernelVariant::Mr6Nr8 => repack_panels::<6>(&mut self.data, a, rows, k),
+            KernelVariant::Mr4Nr16 => repack_panels::<4, T>(&mut self.data, a, rows, k, value),
+            KernelVariant::Mr8Nr8 => repack_panels::<8, T>(&mut self.data, a, rows, k, value),
+            KernelVariant::Mr6Nr8 => repack_panels::<6, T>(&mut self.data, a, rows, k, value),
         }
+    }
+
+    /// The row-major `rows × k` matrix the panels were packed from: a pure
+    /// permutation of the panel slots, so `pack(unpack())` gives back
+    /// these panels bit for bit.
+    pub fn unpack(&self) -> Vec<f32> {
+        let mr = self.variant.mr();
+        let mut a = Vec::with_capacity(self.rows * self.k);
+        for r in 0..self.rows {
+            let panel = self.panel(r / mr);
+            a.extend((0..self.k).map(|kk| panel[kk * mr + r % mr]));
+        }
+        a
+    }
+
+    /// [`unpack`](Self::unpack) as a rank-2 `[rows, k]` tensor.
+    pub fn to_tensor(&self) -> Tensor {
+        Tensor::from_vec(self.unpack(), &[self.rows, self.k]).expect("rows x k floats")
     }
 
     /// Packs a rank-2 `[rows, k]` tensor.
@@ -281,25 +355,35 @@ impl PackedWeights {
     }
 }
 
-/// [`PackedWeights::repack`] for MR-row panels. A full panel is written
+/// [`PackedWeights::fill`] for MR-row panels. A full panel is written
 /// slot by slot, each slot's MR values gathered from the MR rows at once,
-/// so the panel is stored sequentially; the tail panel goes row by row.
-fn repack_panels<const MR: usize>(panels: &mut [f32], a: &[f32], rows: usize, k: usize) {
+/// so the panel is stored sequentially; the tail panel goes row by row,
+/// then its padding lanes are zeroed.
+fn repack_panels<const MR: usize, T>(
+    panels: &mut [f32],
+    a: &[T],
+    rows: usize,
+    k: usize,
+    value: impl Fn(&T) -> f32,
+) {
     for (p, panel) in panels.chunks_exact_mut(k * MR).enumerate() {
         let live = MR.min(rows - p * MR);
         let src = &a[p * MR * k..(p * MR + live) * k];
         if live == MR {
-            let rows: [&[f32]; MR] = std::array::from_fn(|r| &src[r * k..(r + 1) * k]);
+            let rows: [&[T]; MR] = std::array::from_fn(|r| &src[r * k..(r + 1) * k]);
             for (kk, slot) in panel.chunks_exact_mut(MR).enumerate() {
                 for (v, row) in slot.iter_mut().zip(&rows) {
-                    *v = row[kk];
+                    *v = value(&row[kk]);
                 }
             }
         } else {
             for (r, row) in src.chunks_exact(k).enumerate() {
-                for (kk, &v) in row.iter().enumerate() {
-                    panel[kk * MR + r] = v;
+                for (kk, v) in row.iter().enumerate() {
+                    panel[kk * MR + r] = value(v);
                 }
+            }
+            for slot in panel.chunks_exact_mut(MR) {
+                slot[live..].fill(0.0);
             }
         }
     }

@@ -103,6 +103,10 @@ pub enum RejectCode {
     /// access policy (e.g. a control op from a non-loopback peer). The
     /// connection stays open.
     Denied,
+    /// The request was admitted, but processing its micro-batch failed
+    /// inside the server; the service goes on serving. The connection
+    /// stays open.
+    Internal,
 }
 
 impl RejectCode {
@@ -113,6 +117,7 @@ impl RejectCode {
             Self::Protocol => 3,
             Self::BadRequest => 4,
             Self::Denied => 5,
+            Self::Internal => 6,
         }
     }
 
@@ -123,6 +128,7 @@ impl RejectCode {
             3 => Some(Self::Protocol),
             4 => Some(Self::BadRequest),
             5 => Some(Self::Denied),
+            6 => Some(Self::Internal),
             _ => None,
         }
     }

@@ -81,12 +81,13 @@ fn sample_frames(seed: u64) -> Vec<Frame> {
             config_epoch: seed,
         },
         Frame::Reject(Reject {
-            code: match seed % 5 {
+            code: match seed % 6 {
                 0 => RejectCode::Overloaded,
                 1 => RejectCode::Closed,
                 2 => RejectCode::Protocol,
                 3 => RejectCode::BadRequest,
-                _ => RejectCode::Denied,
+                4 => RejectCode::Denied,
+                _ => RejectCode::Internal,
             },
             correlation_id: (seed.is_multiple_of(2)).then_some(seed),
             message: format!("reject #{seed}"),

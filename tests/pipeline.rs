@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use advhunter::persist::{detector_to_bytes, load_model_bytes, model_to_bytes, template_to_bytes};
 use advhunter::scenario::ScenarioId;
@@ -17,6 +18,7 @@ use advhunter::{
 };
 use advhunter_data::SplitSizes;
 use advhunter_monitor::{Monitor, MonitorBuilder};
+use advhunter_nn::Op;
 
 /// A fresh, unique store root under the system temp dir.
 fn scratch_store() -> (ArtifactStore, PathBuf) {
@@ -576,6 +578,64 @@ fn warm_serving_boot_serves_the_model_a_cold_run_trained() {
         );
     }
     std::fs::remove_dir_all(root).ok();
+}
+
+/// A warm serving boot of each canonical model holds every `Conv2d` and
+/// `Linear` weight once, as the panels its engine dispatches (shared by
+/// `Arc`, with no row-major copy), re-encodes to the stored AHW1 bytes,
+/// and measures what the cold run's engine measures.
+#[test]
+fn warm_serving_boots_hold_each_matrix_weight_once_as_the_engine_panels() {
+    for id in [
+        ScenarioId::CaseStudy,
+        ScenarioId::S1,
+        ScenarioId::S2,
+        ScenarioId::S3,
+    ] {
+        let (store, root) = scratch_store();
+        let config = PipelineConfig::for_scenario(id).with_sizes(SplitSizes {
+            train: 30,
+            val: 40,
+            test: 4,
+        });
+        let (art, _) = Pipeline::new(config.clone(), store.clone())
+            .run()
+            .expect("cold run");
+        let stored = std::fs::read(&stage_files(&store, &config)[0]).expect("stored model");
+        let (engine, model, _) = Pipeline::new(config, store)
+            .run_for_serving()
+            .expect("warm serving boot");
+        assert_eq!(model_to_bytes(&model), stored[PAYLOAD_AT..], "{id:?}");
+
+        let mut matrices = 0;
+        for (i, node) in model.nodes().iter().enumerate() {
+            let weight = match &node.op {
+                Op::Conv2d(l) => &l.weight,
+                Op::Linear(l) => &l.weight,
+                _ => continue,
+            };
+            let panels = weight
+                .panels()
+                .unwrap_or_else(|| panic!("{id:?} {}: a row-major weight", node.name));
+            let kernel = engine.kernels().node(i).expect("a matrix node's kernel");
+            assert!(
+                Arc::ptr_eq(&kernel.packed, panels),
+                "{id:?} {}: the engine packed a second copy",
+                node.name
+            );
+            matrices += 1;
+        }
+        assert_eq!(matrices, engine.kernels().iter().count(), "{id:?}");
+
+        for image in art.split.test.images() {
+            assert_eq!(
+                engine.true_counts(&model, image),
+                art.engine.true_counts(&art.model, image),
+                "{id:?}"
+            );
+        }
+        std::fs::remove_dir_all(root).ok();
+    }
 }
 
 #[test]

@@ -187,7 +187,7 @@ fn param_digest(graph: &Graph) -> u64 {
     fnv1a(
         graph
             .param_tensors()
-            .into_iter()
+            .iter()
             .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes())),
     )
 }
